@@ -9,10 +9,6 @@ constexpr std::size_t kArity = 4;
 }  // namespace
 
 EventId EventQueue::schedule(SimTime at, Callback cb) {
-  return schedule_seq(at, next_seq_++, std::move(cb));
-}
-
-EventId EventQueue::schedule_seq(SimTime at, std::uint64_t seq, Callback cb) {
   MANET_EXPECTS(cb != nullptr);
 
   std::uint32_t slot = 0;
@@ -34,11 +30,7 @@ EventId EventQueue::schedule_seq(SimTime at, std::uint64_t seq, Callback cb) {
   s.live = true;
   s.cb = std::move(cb);
 
-  // Keep the internal counter ahead of any caller-supplied sequence so mixed
-  // schedule()/schedule_seq() use can never issue a duplicate tie-break.
-  if (seq >= next_seq_) next_seq_ = seq + 1;
-
-  heap_.push_back(Entry{at, seq, slot, s.gen});
+  heap_.push_back(Entry{at, next_seq_++, slot, s.gen});
   sift_up(heap_.size() - 1);
 
   ++live_;
@@ -104,13 +96,6 @@ SimTime EventQueue::next_time() {
   discard_cancelled_top();
   MANET_ASSERT(!heap_.empty());
   return heap_.front().time;
-}
-
-EventQueue::HeadKey EventQueue::next_key() {
-  MANET_EXPECTS(!empty());
-  discard_cancelled_top();
-  MANET_ASSERT(!heap_.empty());
-  return HeadKey{heap_.front().time, heap_.front().seq};
 }
 
 EventQueue::Popped EventQueue::pop() {

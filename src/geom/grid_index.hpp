@@ -37,13 +37,6 @@ class GridIndex {
   void query(Vec2 center, double radius, std::uint32_t exclude,
              std::vector<std::uint32_t>& out) const;
 
-  /// Number of grid columns (the x axis of the cell lattice). The shard map
-  /// stripes nodes into contiguous column bands of this lattice.
-  [[nodiscard]] std::size_t columns() const { return nx_; }
-
-  /// Column index of a position, in [0, columns()).
-  [[nodiscard]] std::size_t column_of(Vec2 p) const;
-
  private:
   [[nodiscard]] std::size_t cell_of(Vec2 p) const;
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "core/assert.hpp"
-#include "core/shard_sentinel.hpp"
 
 namespace manet {
 
@@ -23,7 +22,6 @@ WifiMac::WifiMac(Simulator& sim, const MacConfig& cfg, Transceiver& trx, StatsCo
 // ---------------------------------------------------------------------------
 
 void WifiMac::enqueue(Packet pkt) {
-  MANET_SENTINEL_CHECK(trx_.id(), "WifiMac::enqueue");
   pkt.mac.type = MacFrameType::kData;
   pkt.mac.src = trx_.id();
   pkt.mac.seq = tx_seq_++;

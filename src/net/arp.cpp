@@ -1,14 +1,11 @@
 #include "net/arp.hpp"
 
-#include "core/shard_sentinel.hpp"
-
 namespace manet {
 
 Arp::Arp(Simulator& sim, NodeId self, WifiMac& mac, StatsCollector& stats)
     : sim_(sim), self_(self), mac_(mac), stats_(stats) {}
 
 void Arp::send(Packet pkt, NodeId next_hop) {
-  MANET_SENTINEL_CHECK(self_, "Arp::send");
   if (next_hop == kBroadcast) {
     pkt.mac.dst = kBroadcast;
     mac_.enqueue(std::move(pkt));

@@ -1,7 +1,6 @@
 #include "net/node.hpp"
 
 #include "core/assert.hpp"
-#include "core/shard_sentinel.hpp"
 #include "transport/transport.hpp"
 
 namespace manet {
@@ -25,7 +24,6 @@ Node::Node(Simulator& sim, StatsCollector& stats, Channel& channel, NodeId id,
 }
 
 void Node::originate(Packet pkt) {
-  MANET_SENTINEL_CHECK(id_, "Node::originate");
   pkt.kind = PacketKind::kData;
   pkt.ip.src = id_;
   pkt.ip.ttl = kInitialTtl;
@@ -48,7 +46,6 @@ void Node::originate(Packet pkt) {
 }
 
 void Node::transport_send(Packet pkt) {
-  MANET_SENTINEL_CHECK(id_, "Node::transport_send");
   pkt.kind = PacketKind::kData;
   pkt.ip.src = id_;
   pkt.ip.ttl = kInitialTtl;
@@ -65,7 +62,6 @@ void Node::transport_send(Packet pkt) {
 }
 
 void Node::crash() {
-  MANET_SENTINEL_CHECK(id_, "Node::crash");
   MANET_EXPECTS(!down_);
   down_ = true;
   trx_.set_down(true);
@@ -76,7 +72,6 @@ void Node::crash() {
 }
 
 void Node::restart() {
-  MANET_SENTINEL_CHECK(id_, "Node::restart");
   MANET_EXPECTS(down_);
   down_ = false;
   trx_.set_down(false);
@@ -86,7 +81,6 @@ void Node::restart() {
 }
 
 void Node::send_with_next_hop(Packet pkt, NodeId next_hop) {
-  MANET_SENTINEL_CHECK(id_, "Node::send_with_next_hop");
   if (down_) {
     // Routing timers may still fire while down; their output goes nowhere.
     drop(pkt, DropReason::kNodeDown);
@@ -96,7 +90,6 @@ void Node::send_with_next_hop(Packet pkt, NodeId next_hop) {
 }
 
 void Node::send_broadcast(Packet pkt) {
-  MANET_SENTINEL_CHECK(id_, "Node::send_broadcast");
   if (down_) {
     drop(pkt, DropReason::kNodeDown);
     return;
@@ -106,7 +99,6 @@ void Node::send_broadcast(Packet pkt) {
 }
 
 void Node::drop(const Packet& pkt, DropReason r) {
-  MANET_SENTINEL_CHECK(id_, "Node::drop");
   // Pure ACKs carry no application payload; counting them as data drops
   // would skew the drop distribution against the transport's control chatter.
   if (pkt.kind == PacketKind::kData && pkt.transport.kind != SegKind::kAck) {
@@ -138,7 +130,6 @@ void Node::deliver_to_sink(const Packet& pkt) {
 }
 
 void Node::mac_deliver(const Packet& frame) {
-  MANET_SENTINEL_CHECK(id_, "Node::mac_deliver");
   // The channel excludes down receivers and the transceiver corrupts
   // receptions in flight at the crash instant, so nothing can reach here
   // while down — the recovery-invariant suite depends on this.

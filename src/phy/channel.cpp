@@ -38,39 +38,11 @@ void Channel::start() {
 }
 
 void Channel::refresh_positions() {
-  ShardExecutor* exec = sim_.executor();
-  if (exec != nullptr && shard_map_ != nullptr && shard_map_->size() == trx_.size()) {
-    // Shard-parallel phase: integrating a mobility model forward only touches
-    // that node's state and RNG stream, and each node belongs to exactly one
-    // shard, so the workers write disjoint model state and disjoint output
-    // slots. Per-node streams also make the draw order across nodes
-    // irrelevant — the positions are a pure function of (seed, node, t).
-    const SimTime t = sim_.now();
-    refresh_pos_.resize(trx_.size());
-    exec->run([&](unsigned shard) {
-      for (const std::uint32_t i : shard_map_->nodes_of(shard)) {
-        refresh_pos_[i] = mob_[i]->position_at(t);
-      }
-    });
-    // The grid is shared; mutate it serially in id order — same order the
-    // single-threaded loop used, so cell occupancy lists stay identical.
-    // manet-lint: allow-node-scan - periodic 4 Hz grid refresh, not per-event
-    for (std::uint32_t i = 0; i < trx_.size(); ++i) grid_.update(i, refresh_pos_[i]);
-  } else {
-    // manet-lint: allow-node-scan - periodic 4 Hz grid refresh, not per-event
-    for (std::uint32_t i = 0; i < trx_.size(); ++i) {
-      grid_.update(i, mob_[i]->position_at(sim_.now()));
-    }
+  // manet-lint: allow-node-scan - periodic 4 Hz grid refresh, not per-event
+  for (std::uint32_t i = 0; i < trx_.size(); ++i) {
+    grid_.update(i, mob_[i]->position_at(sim_.now()));
   }
   sim_.schedule(refresh_, [this] { refresh_positions(); });
-}
-
-void Channel::schedule_rx(NodeId dst, SimTime prop, EventCallback cb) {
-  if (shard_map_ == nullptr) {
-    sim_.schedule(prop, std::move(cb));
-  } else {
-    sim_.schedule_on(shard_map_->shard_of(dst), prop, std::move(cb));
-  }
 }
 
 Vec2 Channel::position_of(NodeId id) {
@@ -139,10 +111,10 @@ SimTime Channel::transmit(NodeId sender, const Packet& frame) {
     }
     if (d2 <= rx2 && !faded) {
       if (copy == nullptr) copy = arena_.make(frame);
-      schedule_rx(id, prop, [rx, copy, airtime] { rx->rx_start(copy.get(), airtime); });
+      sim_.schedule(prop, [rx, copy, airtime] { rx->rx_start(copy.get(), airtime); });
     } else {
       // Carrier/interference only.
-      schedule_rx(id, prop, [rx, airtime] { rx->rx_start(nullptr, airtime); });
+      sim_.schedule(prop, [rx, airtime] { rx->rx_start(nullptr, airtime); });
     }
   }
   return airtime;

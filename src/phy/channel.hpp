@@ -58,18 +58,8 @@ class Channel {
   /// Sink for corruption accounting (optional).
   void set_stats(StatsCollector* stats) { stats_ = stats; }
 
-  // -- sharding ---------------------------------------------------------------
-  /// Attach the node -> shard map (sharded kernel only; see core/shard.hpp).
-  /// Frame arrivals are then scheduled onto the receiver's shard and the
-  /// periodic position refresh fans out across the shard executor. Null (the
-  /// default) keeps the single-queue fast path. The map must outlive the
-  /// channel and cover every node registered with add().
-  void set_shards(const ShardMap* map) { shard_map_ = map; }
-
  private:
   void refresh_positions();
-  /// Schedule a frame/energy arrival at `dst` — onto its shard when sharded.
-  void schedule_rx(NodeId dst, SimTime prop, EventCallback cb);
 
   Simulator& sim_;
   PhyConfig cfg_;
@@ -80,8 +70,6 @@ class Channel {
   RngStream shadow_rng_;  ///< urban NLOS draws; untouched in open-field runs
   const FaultRuntime* fault_ = nullptr;
   StatsCollector* stats_ = nullptr;
-  const ShardMap* shard_map_ = nullptr;
-  std::vector<Vec2> refresh_pos_;  ///< parallel-refresh output slots, by node id
   PacketArena arena_;  ///< pools the per-transmission delivery copies
   double max_speed_ = 0.0;
   std::vector<Transceiver*> trx_;

@@ -1,9 +1,9 @@
 // Fluent scenario construction with build-time validation.
 //
 // ScenarioConfig is a plain struct, and poking its fields directly defers
-// every mistake (negative speed, a fault window past the end of the run, a
-// shard count above the kernel's cap) to whatever assertion happens to trip
-// first mid-build — or to silently nonsensical results. ScenarioBuilder is
+// every mistake (negative speed, a fault window past the end of the run, an
+// inconsistent transport window) to whatever assertion happens to trip first
+// mid-build — or to silently nonsensical results. ScenarioBuilder is
 // the supported construction path: chain setters, then build() validates the
 // whole config at once and reports the offending values in the contract
 // message, or run() to validate and execute in one step.
@@ -65,9 +65,6 @@ class ScenarioBuilder {
 
   // -- run shape --------------------------------------------------------------
   ScenarioBuilder& duration(SimTime duration);
-  /// Spatial shards for the conservative-parallel kernel; 0 defers to the
-  /// MANET_SHARDS environment variable (see core/shard.hpp).
-  ScenarioBuilder& shards(std::uint32_t count);
   ScenarioBuilder& fault(const FaultConfig& fault);
   ScenarioBuilder& trace(std::string path);
   ScenarioBuilder& measure_connectivity(bool on);
@@ -104,7 +101,7 @@ class ScenarioBuilder {
 /// (~50 nodes/km², the paper's 50 nodes over 1 km²) so the area grows with
 /// the node count and N is the only free variable when sweeping city size.
 /// Flow count scales gently (10 flows up to 1k nodes, then +1 per 100).
-/// Chain protocol()/seed()/duration()/shards() onto the returned builder;
+/// Chain protocol()/seed()/duration() onto the returned builder;
 /// every registered protocol runs the family unchanged.
 [[nodiscard]] ScenarioBuilder urban_scenario(std::uint32_t nodes);
 

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "common/json.hpp"
-#include "core/shard.hpp"
 #include "scenario/builder.hpp"
 
 namespace manet::spec {
@@ -411,13 +410,6 @@ void apply_settings(Checker& c, const Value& o, const std::string& path, Scenari
       if (c.boolean(v, p, b)) cfg.static_nodes = b;
     } else if (k == "duration_s") {
       if (c.num(v, p, x) && c.require(x > 0.0, v, p, "> 0", x)) cfg.duration = seconds_f(x);
-    } else if (k == "shards") {
-      if (c.integer(v, p, n) &&
-          c.require(n >= 0 && n <= static_cast<long long>(kMaxShards), v, p,
-                    "in [0, " + std::to_string(kMaxShards) + "] (the kernel cap)",
-                    static_cast<double>(n))) {
-        cfg.shards = static_cast<std::uint32_t>(n);
-      }
     } else if (k == "measure_connectivity") {
       if (c.boolean(v, p, b)) cfg.measure_connectivity = b;
     } else if (k == "trace") {
@@ -440,8 +432,8 @@ void apply_settings(Checker& c, const Value& o, const std::string& path, Scenari
     } else {
       c.fail(v, p,
              "unknown key (expected: protocol, seed, nodes, area_m, static, duration_s, "
-             "shards, measure_connectivity, trace, mobility, traffic, radio, mac, urban, "
-             "fault, transport)");
+             "measure_connectivity, trace, mobility, traffic, radio, mac, urban, fault, "
+             "transport)");
     }
   }
 }

@@ -115,8 +115,7 @@ std::string SweepResult::to_json() const {
       os << (k == 0 ? "" : ", ") << "{\"seed\": " << r.seed << ", \"wall_s\": " << r.wall_s
          << ", \"sim_rate\": " << r.sim_rate << ", \"events_per_sec\": " << r.events_per_sec
          << ", \"events\": " << r.events << ", \"peak_queue_depth\": " << r.peak_queue_depth
-         << ", \"peak_rss_bytes\": " << r.peak_rss_bytes
-         << ", \"shards\": " << r.shards << ", \"cross_shard_events\": " << r.cross_shard_events;
+         << ", \"peak_rss_bytes\": " << r.peak_rss_bytes;
       // FlowMonitor table, present only for transport-enabled runs so
       // transport-free artifacts stay byte-identical to pre-transport ones.
       if (!r.flows.empty()) {
@@ -229,8 +228,6 @@ SweepResult SweepRunner::run(const std::vector<SweepCell>& cells) const {
       p.events = r.events;
       p.peak_queue_depth = r.peak_queue_depth;
       p.peak_rss_bytes = process_peak_rss_bytes();
-      p.shards = r.shards;
-      p.cross_shard_events = r.cross_shard_events;
       p.retransmissions = r.retransmissions;
       p.flows = r.flows;
       if (wall > 0.0) {

@@ -1,9 +1,9 @@
 // A lightweight reliable transport between the app and net layers.
 //
 // One ReliableTransport per node, mirroring the per-node protocol stacks: all
-// flow state lives inside the node that owns the flow endpoint, so the shard
-// kernel's confinement argument extends unchanged (segments and ACKs travel
-// as ordinary routed data packets; nothing reaches across nodes directly).
+// flow state lives inside the node that owns the flow endpoint (segments and
+// ACKs travel as ordinary routed data packets; nothing reaches across nodes
+// directly).
 //
 // The mechanics are a deliberately small TCP subset, enough to reproduce the
 // closed-loop behaviour the congestion-collapse experiments need:

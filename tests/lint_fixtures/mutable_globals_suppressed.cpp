@@ -1,4 +1,4 @@
-// MLNT011 suppressed fixture: the same shapes as shard_globals.cpp, every
+// MLNT011 suppressed fixture: the same shapes as mutable_globals.cpp, every
 // one carrying a tagged rationale. Must lint clean under a src/ path.
 #include <cstdint>
 

@@ -87,6 +87,21 @@ TEST(Simulator, PendingReflectsLifecycle) {
   EXPECT_FALSE(sim.pending(id));
 }
 
+TEST(Simulator, QueueSizeAndPeakTrackPendingEvents) {
+  // Cancelled events leave the pending count at once; the high-water mark
+  // (reported per replication as peak_queue_depth) never drops.
+  Simulator sim;
+  const EventId first = sim.schedule(milliseconds(1), [] {});
+  sim.schedule(milliseconds(2), [] {});
+  sim.schedule(milliseconds(3), [] {});
+  EXPECT_EQ(sim.queue_size(), 3u);
+  sim.cancel(first);
+  EXPECT_EQ(sim.queue_size(), 2u);
+  sim.run();
+  EXPECT_EQ(sim.queue_size(), 0u);
+  EXPECT_EQ(sim.peak_queue_size(), 3u);
+}
+
 TEST(Simulator, EventsExecutedCounts) {
   Simulator sim;
   for (int i = 0; i < 7; ++i) sim.schedule(milliseconds(i + 1), [] {});

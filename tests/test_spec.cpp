@@ -37,7 +37,7 @@ std::string fingerprint(const ScenarioConfig& c) {
       buf, sizeof buf,
       "proto=%d seed=%llu n=%u area=%g,%g static=%d mob=%d v=%g,%g pause=%lld warmup=%lld "
       "man_block=%g man_pturn=%g conn=%u payload=%zu traffic=%d cbr=%lld start=%lld "
-      "startw=%lld burst=%lld idle=%lld dur=%lld shards=%u conn_meas=%d trace=%s "
+      "startw=%lld burst=%lld idle=%lld dur=%lld conn_meas=%d trace=%s "
       "phy=%g,%g,%g,%g urban=%g,%g,%g mac_rts=%d,%zu,%zu "
       "fault=%g,%lld,%d,%lld,%g,%lld,%lld,%d,%g,%lld,%lld,%lld "
       "tp=%d,%lld,%lld,%lld,%u,%u,%u,%u",
@@ -50,7 +50,7 @@ std::string fingerprint(const ScenarioConfig& c) {
       static_cast<long long>(c.cbr_start_window.ns()),
       static_cast<long long>(c.onoff_burst_mean.ns()),
       static_cast<long long>(c.onoff_idle_mean.ns()), static_cast<long long>(c.duration.ns()),
-      c.shards, c.measure_connectivity ? 1 : 0, c.trace_path.c_str(), c.phy.data_rate_bps,
+      c.measure_connectivity ? 1 : 0, c.trace_path.c_str(), c.phy.data_rate_bps,
       c.phy.rx_range_m, c.phy.cs_range_m, c.phy.frame_loss_rate, c.phy.street_width_m,
       c.phy.nlos_rx_range_m, c.phy.nlos_loss_rate, c.mac.use_rts ? 1 : 0, c.mac.rts_threshold,
       c.mac.ifq_capacity, c.fault.crash_rate, static_cast<long long>(c.fault.downtime_mean.ns()),
@@ -93,7 +93,6 @@ TEST(SpecLoader, FullSchemaRoundTrip) {
       "area_m": [800, 600],
       "static": false,
       "duration_s": 90,
-      "shards": 2,
       "measure_connectivity": false,
       "trace": "t.tr",
       "mobility": {"model": "manhattan", "v_min_mps": 1, "v_max_mps": 12,
@@ -138,7 +137,6 @@ TEST(SpecLoader, FullSchemaRoundTrip) {
   EXPECT_EQ(c.onoff_burst_mean, seconds(3));
   EXPECT_EQ(c.onoff_idle_mean, seconds(4));
   EXPECT_EQ(c.duration, seconds(90));
-  EXPECT_EQ(c.shards, 2u);
   EXPECT_FALSE(c.measure_connectivity);
   EXPECT_EQ(c.trace_path, "t.tr");
   EXPECT_EQ(c.phy.data_rate_bps, 1e6);
@@ -300,7 +298,6 @@ TEST(SpecErrors, OutOfRangeValues) {
     "name": "r",
     "base": {
       "nodes": 1,
-      "shards": 99,
       "duration_s": -5,
       "radio": {"frame_loss_rate": 1.0},
       "mobility": {"pause_s": -1},
@@ -309,7 +306,6 @@ TEST(SpecErrors, OutOfRangeValues) {
   })");
   ASSERT_FALSE(s.ok());
   EXPECT_TRUE(has_error(s, "base.nodes"));
-  EXPECT_TRUE(has_error(s, "base.shards"));
   EXPECT_TRUE(has_error(s, "base.duration_s"));
   EXPECT_TRUE(has_error(s, "base.radio.frame_loss_rate"));
   EXPECT_TRUE(has_error(s, "base.mobility.pause_s"));

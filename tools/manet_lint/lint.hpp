@@ -17,17 +17,19 @@
 //   MLNT009 bad-suppression      malformed or rationale-free suppression
 //   MLNT010 scenario-config-aggregate  brace-construction bypassing builder
 //
-// Shard-safety rules (the static half of the shard-safety checker; the
-// dynamic half is core/shard_sentinel.hpp). These are scope-aware: a
-// lightweight tokenizer tracks namespace/class/function nesting, so the
-// checker knows a `static` inside a function from a class data member and
-// can see a whole class body when looking for a missing override:
+// Structural rules. These are scope-aware: a lightweight tokenizer tracks
+// namespace/class/function nesting, so the checker knows a `static` inside a
+// function from a class data member and can see a whole class body when
+// looking for a missing override:
 //
-//   MLNT011 shard-unsafe-global  mutable namespace-scope/static state in src/
-//   MLNT012 cross-node-access    touching another node's state directly
-//   MLNT013 foreign-shard-schedule  scheduling into a foreign shard context
+//   MLNT011 mutable-global-state  mutable namespace-scope/static state in src/
+//                                (SweepRunner's concurrent replications race on it)
 //   MLNT014 missing-restart-override  RoutingProtocol subclass without
 //                                on_node_restart()
+//   MLNT015 full-node-scan       loop over every node in PHY/MAC/net code
+//
+// (MLNT012 and MLNT013 policed the retired sharded kernel; their ids stay
+// unused so old findings never change meaning.)
 //
 // Suppressions: append `// manet-lint: <tag> - <rationale>` to the offending
 // line (or the line directly above it). Each rule has a tag (see rules()).
