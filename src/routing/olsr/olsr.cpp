@@ -1,7 +1,6 @@
 #include "routing/olsr/olsr.hpp"
 
 #include <algorithm>
-#include <unordered_set>
 
 namespace manet::olsr {
 
@@ -33,7 +32,6 @@ std::vector<NodeId> Olsr::sym_neighbors() const {
   for (const auto& [nbr, lt] : links_) {
     if (lt.sym_until > node_.sim().now()) out.push_back(nbr);
   }
-  std::sort(out.begin(), out.end());
   return out;
 }
 
@@ -42,7 +40,6 @@ std::vector<NodeId> Olsr::mpr_selectors() const {
   for (const auto& [nbr, until] : selector_set_) {
     if (until > node_.sim().now()) out.push_back(nbr);
   }
-  std::sort(out.begin(), out.end());
   return out;
 }
 
@@ -54,11 +51,11 @@ void Olsr::send_hello() {
   recompute_mprs();
   auto hello = std::make_unique<Hello>();
   const SimTime now = node_.sim().now();
-  const std::unordered_set<NodeId> mprs(mpr_set_.begin(), mpr_set_.end());
   for (const auto& [nbr, lt] : links_) {
     LinkCode code;
     if (lt.sym_until > now) {
-      code = mprs.contains(nbr) ? LinkCode::kMpr : LinkCode::kSym;
+      code = std::binary_search(mpr_set_.begin(), mpr_set_.end(), nbr) ? LinkCode::kMpr
+                                                                        : LinkCode::kSym;
     } else if (lt.asym_until > now) {
       code = LinkCode::kAsym;
     } else {
@@ -119,6 +116,7 @@ void Olsr::on_control(const Packet& pkt, NodeId from) {
 void Olsr::handle_hello(const Hello& hello, NodeId from) {
   const SimTime now = node_.sim().now();
   LinkTuple& lt = links_[from];
+  const bool was_sym = lt.sym_until > now;
   lt.asym_until = now + cfg_.neighb_hold;
   bool lists_us = false;
   for (const auto& [nbr, code] : hello.links) {
@@ -128,6 +126,7 @@ void Olsr::handle_hello(const Hello& hello, NodeId from) {
     break;
   }
   if (lists_us) lt.sym_until = now + cfg_.neighb_hold;
+  if (!was_sym && lt.sym_until > now) routes_dirty_ = true;
 
   // 2-hop set: `from`'s symmetric neighbours.
   if (lt.sym_until > now) {
@@ -135,13 +134,14 @@ void Olsr::handle_hello(const Hello& hello, NodeId from) {
     for (const auto& [nbr, code] : hello.links) {
       if (nbr == node_.id()) continue;
       if (code == LinkCode::kSym || code == LinkCode::kMpr) {
-        n2[nbr].expires = now + cfg_.neighb_hold;
+        TwoHopTuple& tuple = n2[nbr];
+        if (tuple.expires <= now) routes_dirty_ = true;
+        tuple.expires = now + cfg_.neighb_hold;
       } else if (code == LinkCode::kLost) {
-        n2.erase(nbr);
+        if (n2.erase(nbr) != 0) routes_dirty_ = true;
       }
     }
   }
-  routes_dirty_ = true;
 }
 
 void Olsr::handle_tc(const Packet& pkt, const Tc& tc, NodeId from) {
@@ -159,10 +159,12 @@ void Olsr::handle_tc(const Packet& pkt, const Tc& tc, NodeId from) {
     const bool stale =
         tuple.expires > now && static_cast<std::int16_t>(tc.ansn - tuple.ansn) < 0;
     if (!stale) {
+      if (tuple.expires <= now || selectors != tc.selectors) {
+        selectors = tc.selectors;
+        routes_dirty_ = true;
+      }
       tuple.ansn = tc.ansn;
       tuple.expires = now + cfg_.topology_hold;
-      selectors = tc.selectors;
-      routes_dirty_ = true;
     }
     // Forwarding rule (§3.4): retransmit iff the previous hop selected us as
     // MPR (or classic flooding for the ablation), link to sender symmetric,
@@ -187,9 +189,11 @@ void Olsr::handle_tc(const Packet& pkt, const Tc& tc, NodeId from) {
 // State maintenance
 // ---------------------------------------------------------------------------
 
+// Erases only expired entries and the 2-hop sets of non-symmetric
+// neighbours, none of which is in the live graph, so the route table stays
+// valid.
 void Olsr::purge_expired() {
   const SimTime now = node_.sim().now();
-  const auto before_links = links_.size();
   std::erase_if(links_, [now](const auto& kv) {
     return kv.second.sym_until <= now && kv.second.asym_until <= now;
   });
@@ -204,10 +208,8 @@ void Olsr::purge_expired() {
     }
   }
   std::erase_if(selector_set_, [now](const auto& kv) { return kv.second <= now; });
-  const auto before_topo = topology_.size();
   std::erase_if(topology_, [now](const auto& kv) { return kv.second.first.expires <= now; });
   std::erase_if(dup_set_, [now](const auto& kv) { return kv.second <= now; });
-  if (before_links != links_.size() || before_topo != topology_.size()) routes_dirty_ = true;
   node_.sim().schedule(seconds(1), [this] { purge_expired(); });
 }
 
@@ -230,37 +232,83 @@ void Olsr::recompute_mprs() {
   }
 }
 
-void Olsr::recompute_routes() {
+template <class Fn>
+void Olsr::for_each_live_edge(Fn&& fn) const {
   const SimTime now = node_.sim().now();
-  AdjacencyMap adj;
-  const auto n1 = sym_neighbors();
-  adj[node_.id()] = n1;
-  for (const NodeId n : n1) {
-    const auto it = twohop_.find(n);
+  const NodeId self = node_.id();
+  for (const auto& [n1, lt] : links_) {
+    if (lt.sym_until <= now) continue;
+    fn(self, n1, lt.sym_until);
+    const auto it = twohop_.find(n1);
     if (it == twohop_.end()) continue;
-    for (const auto& [nbr, tuple] : it->second) {
-      if (tuple.expires > now && nbr != node_.id()) adj[n].push_back(nbr);
+    for (const auto& [n2, tuple] : it->second) {
+      if (tuple.expires > now && n2 != self) fn(n1, n2, tuple.expires);
     }
   }
-  // manet-lint: order-independent - fills the adjacency multimap only; shortest_paths() sorts each neighbour list before use
-  // so topology visit order never reaches a packet or the event queue.
+  // manet-lint: order-independent - visit order reaches only the order of
+  // neighbour lists, which cannot change a first hop (see recompute_routes()).
   for (const auto& [origin, entry] : topology_) {
     if (entry.first.expires <= now) continue;
     for (const NodeId sel : entry.second) {
       // TC advertises links origin <-> each selector.
-      adj[origin].push_back(sel);
-      adj[sel].push_back(origin);
+      fn(origin, sel, entry.first.expires);
+      fn(sel, origin, entry.first.expires);
     }
   }
-  routes_ = shortest_paths(node_.id(), adj);
+}
+
+std::unordered_map<NodeId, std::vector<NodeId>> Olsr::live_adjacency() const {
+  std::unordered_map<NodeId, std::vector<NodeId>> adj;
+  for_each_live_edge([&](NodeId u, NodeId v, SimTime) { adj[u].push_back(v); });
+  return adj;
+}
+
+void Olsr::recompute_routes() {
+  const NodeId self = node_.id();
+  NodeId max_id = self;
+  routes_valid_until_ = SimTime::max();
+  edges_.clear();
+  for_each_live_edge([&](NodeId u, NodeId v, SimTime expires) {
+    edges_.emplace_back(u, v);
+    max_id = std::max({max_id, u, v});
+    routes_valid_until_ = std::min(routes_valid_until_, expires);
+  });
+
+  // Counting sort into CSR form. Only self's list is sorted: every node the
+  // BFS discovers from u inherits u's first hop, so the frontier stays
+  // grouped by first hop in the order of self's list, and a node's first hop
+  // is that of the earliest group adjacent to it, whatever the order of the
+  // other lists. This yields the first hops of shortest_paths(), which sorts
+  // every list.
+  const std::size_t n = std::size_t{max_id} + 1;
+  adj_start_.assign(n + 2, 0);
+  for (const auto& [u, v] : edges_) ++adj_start_[u + 2];
+  for (std::size_t i = 2; i < adj_start_.size(); ++i) adj_start_[i] += adj_start_[i - 1];
+  adj_.resize(edges_.size());
+  for (const auto& [u, v] : edges_) adj_[adj_start_[u + 1]++] = v;
+  std::sort(adj_.begin() + adj_start_[self], adj_.begin() + adj_start_[self + 1]);
+
+  // FIFO BFS from self; next_hop_ doubles as the visited mark.
+  next_hop_.assign(n, kBroadcast);
+  next_hop_[self] = self;
+  frontier_.assign(1, self);
+  for (std::size_t head = 0; head < frontier_.size(); ++head) {
+    const NodeId u = frontier_[head];
+    for (std::uint32_t i = adj_start_[u]; i < adj_start_[u + 1]; ++i) {
+      const NodeId v = adj_[i];
+      if (next_hop_[v] != kBroadcast) continue;
+      next_hop_[v] = (u == self) ? v : next_hop_[u];
+      frontier_.push_back(v);
+    }
+  }
+  next_hop_[self] = kBroadcast;
   routes_dirty_ = false;
 }
 
 std::optional<NodeId> Olsr::next_hop_to(NodeId dst) {
-  if (routes_dirty_) recompute_routes();
-  const auto it = routes_.next_hop.find(dst);
-  if (it == routes_.next_hop.end()) return std::nullopt;
-  return it->second;
+  if (routes_dirty_ || node_.sim().now() >= routes_valid_until_) recompute_routes();
+  if (dst >= next_hop_.size() || next_hop_[dst] == kBroadcast) return std::nullopt;
+  return next_hop_[dst];
 }
 
 void Olsr::route_packet(Packet pkt) {
@@ -285,7 +333,6 @@ void Olsr::on_node_restart() {
   selector_set_.clear();
   topology_.clear();
   dup_set_.clear();
-  routes_ = SpfResult{};
   routes_dirty_ = true;
 }
 

@@ -14,8 +14,17 @@
 //     MPR) — the optimization the protocol is named for (ablation
 //     abl_olsr_mpr floods classically instead);
 //   * topology set with per-origin ANSN freshness and expiry (15 s);
-//   * routing-table computation as BFS over 1-hop links + 2-hop links +
-//     advertised topology links, rerun lazily when inputs change.
+//   * routing-table computation as a unit-weight BFS over the live graph:
+//     symmetric 1-hop links, 2-hop links via those neighbours and advertised
+//     topology links. The frontier is FIFO and this node's own neighbour
+//     list is sorted, so ties break towards the smallest first hop, as in
+//     routing/shortest_path (the test oracle). The table is cached and
+//     recomputed on the next lookup only when the live graph may have
+//     changed: a link became symmetric, a 2-hop tuple became live or was
+//     erased, a TC origin became live or changed its selector set, the node
+//     restarted, or the earliest expiry among the entries the table was
+//     built from has passed. A lookup therefore returns exactly what a
+//     from-scratch computation at that instant would.
 // Omitted: link hysteresis, willingness, multiple interfaces, HNA/MID.
 #pragma once
 
@@ -27,7 +36,6 @@
 #include "net/node.hpp"
 #include "routing/common.hpp"
 #include "routing/olsr/mpr.hpp"
-#include "routing/shortest_path.hpp"
 
 namespace manet::olsr {
 
@@ -78,6 +86,9 @@ class Olsr final : public RoutingProtocol {
   [[nodiscard]] const std::vector<NodeId>& mprs() const { return mpr_set_; }
   [[nodiscard]] std::vector<NodeId> mpr_selectors() const;
   [[nodiscard]] std::optional<NodeId> next_hop_to(NodeId dst);
+  /// The live graph the route table is computed from, as directed edges per
+  /// node (routing/shortest_path's AdjacencyMap; list order unspecified).
+  [[nodiscard]] std::unordered_map<NodeId, std::vector<NodeId>> live_adjacency() const;
 
  private:
   struct LinkTuple {
@@ -99,6 +110,10 @@ class Olsr final : public RoutingProtocol {
   void purge_expired();
   void recompute_mprs();
   void recompute_routes();
+  /// Calls fn(u, v, expires) for every directed edge u -> v of the live
+  /// graph; `expires` is when the entry that contributes the edge expires.
+  template <class Fn>
+  void for_each_live_edge(Fn&& fn) const;
   [[nodiscard]] bool link_sym(NodeId nbr) const;
 
   Config cfg_;
@@ -119,7 +134,14 @@ class Olsr final : public RoutingProtocol {
   std::uint16_t ansn_ = 0;
   std::uint16_t msg_seq_ = 0;
   bool routes_dirty_ = true;
-  SpfResult routes_;
+  /// Earliest expiry among the entries the cached table was computed from.
+  SimTime routes_valid_until_ = SimTime::zero();
+  // Route-table state indexed by NodeId, reused across recomputes.
+  std::vector<std::pair<NodeId, NodeId>> edges_;
+  std::vector<std::uint32_t> adj_start_;  ///< CSR offsets into adj_
+  std::vector<NodeId> adj_;               ///< neighbour lists; self's sorted
+  std::vector<NodeId> frontier_;
+  std::vector<NodeId> next_hop_;  ///< kBroadcast where unreachable
 };
 
 }  // namespace manet::olsr

@@ -1,8 +1,8 @@
 // Unit-weight shortest paths (BFS) over a node-id adjacency map.
 //
-// Used by OLSR's routing-table calculation and, independently, by tests as a
-// reference oracle for every protocol's hop counts. Deterministic: ties are
-// broken towards the smallest predecessor id.
+// A test oracle only: tests compare protocols' hop counts and OLSR's cached
+// route table against it. Deterministic: ties are broken towards the
+// smallest predecessor id.
 #pragma once
 
 #include <cstdint>

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
+#include "core/rng.hpp"
+#include "routing/shortest_path.hpp"
 #include "testutil.hpp"
 
 namespace manet {
@@ -18,6 +22,33 @@ TestNet::ProtocolFactory olsr_factory(olsr::Config cfg = {}) {
 }
 
 olsr::Olsr& as_olsr(RoutingProtocol& rp) { return dynamic_cast<olsr::Olsr&>(rp); }
+
+/// `r`'s cached next hop to every id below `ids` must equal shortest_paths()
+/// run from scratch over `r`'s live graph. Counts the routes compared.
+void expect_table_matches_oracle(olsr::Olsr& r, NodeId self, NodeId ids, std::size_t& routes) {
+  const SpfResult oracle = shortest_paths(self, r.live_adjacency());
+  for (NodeId dst = 0; dst < ids; ++dst) {
+    const auto it = oracle.next_hop.find(dst);
+    const std::optional<NodeId> want =
+        it == oracle.next_hop.end() ? std::nullopt : std::optional<NodeId>(it->second);
+    ASSERT_EQ(r.next_hop_to(dst), want) << "self=" << self << " dst=" << dst;
+    if (want) ++routes;
+  }
+}
+
+/// Advances `net` by `steps` steps of 50 ms, checking every node's table
+/// against the oracle after each step.
+void expect_tables_match_oracle(TestNet& net, int steps, std::size_t& routes) {
+  const auto n = static_cast<NodeId>(net.size());
+  for (int step = 0; step < steps; ++step) {
+    net.run_for(milliseconds(50));
+    for (NodeId self = 0; self < n; ++self) {
+      ASSERT_NO_FATAL_FAILURE(
+          expect_table_matches_oracle(as_olsr(net.routing(self)), self, n, routes))
+          << "t=" << net.sim().now().ns() << "ns";
+    }
+  }
+}
 
 TEST(Olsr, Name) {
   TestNet net(line_positions(2), olsr_factory());
@@ -128,6 +159,118 @@ TEST(Olsr, MprFloodingCheaperThanClassic) {
     classic_tx = net.stats().routing_tx();
   }
   EXPECT_LT(mpr_tx, classic_tx);
+}
+
+TEST(Olsr, CachedTableMatchesOracleOnRandomField) {
+  for (const std::uint64_t seed : {1u, 2u}) {
+    RngStream rng(seed, "field");
+    std::vector<Vec2> positions;
+    for (int i = 0; i < 30; ++i) {
+      positions.push_back({rng.uniform(0.0, 1000.0), rng.uniform(0.0, 1000.0)});
+    }
+    TestNet net(positions, olsr_factory(), seed);
+    std::size_t routes = 0;
+    expect_tables_match_oracle(net, 600, routes);  // 30 s
+    EXPECT_GT(routes, 30u * 29u * 600u / 4) << "seed=" << seed;
+  }
+}
+
+TEST(Olsr, CachedTableMatchesOracleAcrossExpiry) {
+  // Node 2 leaves, its link and 2-hop entries expire in stages without any
+  // message announcing it, then it returns: the cached tables must follow
+  // each expiry at the instant it happens.
+  TestNet net(line_positions(3), olsr_factory());
+  std::size_t routes = 0;
+  expect_tables_match_oracle(net, 200, routes);  // 10 s
+  ASSERT_TRUE(as_olsr(net.routing(0)).next_hop_to(2).has_value());
+  net.mobility(2).set_position({3000.0, 3000.0});
+  expect_tables_match_oracle(net, 400, routes);  // 20 s
+  EXPECT_FALSE(as_olsr(net.routing(0)).next_hop_to(2).has_value());
+  net.mobility(2).set_position({400.0, 50.0});
+  expect_tables_match_oracle(net, 200, routes);  // 10 s
+  EXPECT_TRUE(as_olsr(net.routing(0)).next_hop_to(2).has_value());
+  EXPECT_GT(routes, 0u);
+}
+
+TEST(Olsr, CachedTableFollowsEachInvalidationRule) {
+  // A lone node fed hand-made HELLOs and TCs at chosen instants, so each
+  // rule is exercised on its own, including two that simulations rarely
+  // reach: a HELLO reporting a link lost (sent only in the second before the
+  // sender purges that link) and a TC tuple coming back with its old
+  // selectors before purge_expired() erases it.
+  TestNet net(line_positions(1), olsr_factory());
+  auto& r = as_olsr(net.routing(0));
+  std::uint16_t tc_seq = 0;
+  const auto hello = [&](NodeId from, std::vector<std::pair<NodeId, olsr::LinkCode>> links) {
+    auto body = std::make_unique<olsr::Hello>();
+    body->links = std::move(links);
+    Packet pkt;
+    pkt.routing = std::move(body);
+    r.on_control(pkt, from);
+  };
+  const auto tc = [&](NodeId origin, std::vector<NodeId> selectors) {
+    auto body = std::make_unique<olsr::Tc>();
+    body->origin = origin;
+    body->msg_seq = tc_seq++;
+    body->selectors = std::move(selectors);
+    Packet pkt;
+    pkt.routing = std::move(body);
+    r.on_control(pkt, 1);
+  };
+  std::size_t routes = 0;
+  // Checks the table every 50 ms up to `ms` of simulated time, then at `ms`.
+  const auto run_to = [&](std::int64_t ms) {
+    while (net.sim().now() < milliseconds(ms)) {
+      net.sim().run_until(std::min(net.sim().now() + milliseconds(50), milliseconds(ms)));
+      ASSERT_NO_FATAL_FAILURE(expect_table_matches_oracle(r, 0, 6, routes))
+          << "t=" << net.sim().now().ns() << "ns";
+    }
+  };
+  using olsr::LinkCode;
+  const std::vector<std::pair<NodeId, LinkCode>> with_2 = {{0, LinkCode::kSym},
+                                                           {2, LinkCode::kSym}};
+  const std::optional<NodeId> via_1 = 1;
+
+  ASSERT_NO_FATAL_FAILURE(run_to(500));
+  hello(5, {});      // asymmetric only: no route
+  hello(1, with_2);  // link 1 becomes symmetric, 2-hop tuple 1 -> 2 is new
+  tc(3, {2});        // TC origin 3 becomes live: 3 <-> 2, expires at 15.5 s
+  ASSERT_NO_FATAL_FAILURE(run_to(550));
+  EXPECT_EQ(r.next_hop_to(3), via_1);
+  EXPECT_FALSE(r.next_hop_to(5).has_value());
+  hello(5, {{0, LinkCode::kSym}});  // link 5 becomes symmetric
+  ASSERT_NO_FATAL_FAILURE(run_to(600));
+  EXPECT_EQ(r.next_hop_to(5), std::optional<NodeId>(5));
+  ASSERT_NO_FATAL_FAILURE(run_to(2500));
+  hello(1, {{0, LinkCode::kSym}, {2, LinkCode::kLost}});  // live 2-hop tuple erased
+  ASSERT_NO_FATAL_FAILURE(run_to(2550));
+  EXPECT_FALSE(r.next_hop_to(2).has_value());
+  for (std::int64_t ms = 4500; ms <= 14500; ms += 2000) {
+    hello(1, with_2);  // 2-hop tuple live again, then only refreshed
+    ASSERT_NO_FATAL_FAILURE(run_to(ms + 50));
+    EXPECT_EQ(r.next_hop_to(2), via_1);
+  }
+  ASSERT_NO_FATAL_FAILURE(run_to(15550));  // TC tuple expired at 15.5 s
+  EXPECT_FALSE(r.next_hop_to(3).has_value());
+  tc(3, {2});  // live again with the same selectors, before the 16 s purge
+  ASSERT_NO_FATAL_FAILURE(run_to(15600));
+  EXPECT_EQ(r.next_hop_to(3), via_1);
+  tc(3, {4});  // selector set differs: 3 <-> 4 only, 4 unreachable
+  ASSERT_NO_FATAL_FAILURE(run_to(15650));
+  EXPECT_FALSE(r.next_hop_to(3).has_value());
+  ASSERT_NO_FATAL_FAILURE(run_to(25000));  // everything expires
+  EXPECT_FALSE(r.next_hop_to(1).has_value());
+  // A TC listing this node as a selector adds an edge from it to the TC's
+  // origin, after its link-set edges: 4 is two hops away via 5 and via 3,
+  // and the smaller first hop wins.
+  hello(5, {{0, LinkCode::kSym}, {4, LinkCode::kSym}});
+  tc(3, {0, 4});
+  ASSERT_NO_FATAL_FAILURE(run_to(25050));
+  EXPECT_EQ(r.next_hop_to(4), std::optional<NodeId>(3));
+  r.on_node_restart();  // a cold reboot forgets every link
+  ASSERT_NO_FATAL_FAILURE(run_to(25100));
+  EXPECT_FALSE(r.next_hop_to(4).has_value());
+  EXPECT_GT(routes, 0u);
 }
 
 }  // namespace
