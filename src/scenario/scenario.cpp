@@ -253,59 +253,49 @@ void Scenario::build() {
 
 void Scenario::sample_connectivity() {
   // Reachability in the instantaneous unit-disk graph over exact positions.
-  // The adjacency is never materialized: one lazy BFS per distinct flow
-  // source expands grid-locally through Channel::neighbors_of and stops as
-  // soon as every destination of that source has been reached. This replaced
-  // an O(N) sweep that built the full N-node adjacency map each second —
-  // intractable bookkeeping at N = 10,000 when only a handful of flow
-  // endpoints matter. Reachability over the same graph is unchanged, so the
-  // connectivity metric (and the pinned goldens) stay byte-identical.
+  // The graph is undirected (distance2 and PhyConfig::line_of_sight are both
+  // symmetric), so "dst is reachable from src" is exactly "src and dst lie in
+  // the same component". Each component holding a flow source is explored
+  // once per sample, the first time a source falls in it, and every node it
+  // reaches gets that component's label; a flow is connected iff its two
+  // endpoints carry the same label. The adjacency is never materialized: the
+  // search expands grid-locally through Channel::neighbors_of, so a sample
+  // costs at most one expansion per node however many flows share a
+  // component. Labels are epochs above `base`, the epoch at the start of the
+  // sample, so the marks need no O(N) clear.
   const PhyConfig& phy = cfg_.phy;
   const double radius = phy.rx_range_m;
   const double nlos_r2 = phy.nlos_rx_range_m * phy.nlos_rx_range_m;
   conn_mark_.resize(cfg_.num_nodes, 0);
+  const std::uint32_t base = conn_epoch_;
 
-  // Group destinations by source in first-appearance order (deterministic;
-  // duplicates kept — each flow is one sample).
-  std::vector<std::pair<NodeId, std::vector<NodeId>>> by_src;
   for (const auto& [src, dst] : flows_) {
-    auto it = std::find_if(by_src.begin(), by_src.end(),
-                           [s = src](const auto& e) { return e.first == s; });
-    if (it == by_src.end()) it = by_src.insert(by_src.end(), {src, {}});
-    it->second.push_back(dst);
-  }
-
-  for (const auto& [src, dsts] : by_src) {
-    const std::uint32_t epoch = ++conn_epoch_;
-    conn_mark_[src] = epoch;
-    conn_frontier_.assign(1, src);
-    auto reached_all = [&] {
-      return std::all_of(dsts.begin(), dsts.end(),
-                         [&](NodeId d) { return conn_mark_[d] == epoch; });
-    };
-    while (!conn_frontier_.empty() && !reached_all()) {
-      conn_next_.clear();
-      for (const NodeId u : conn_frontier_) {
-        for (const NodeId v : channel_->neighbors_of(u, radius)) {
-          if (conn_mark_[v] == epoch) continue;
-          // Urban family: the oracle honours the street-canyon model — an
-          // NLOS pair is an edge only within the diffraction range. Open
-          // field (urban() == false) takes the plain unit-disk edge.
-          if (phy.urban()) {
-            const Vec2 pu = channel_->position_of(u);
-            const Vec2 pv = channel_->position_of(v);
-            if (!phy.line_of_sight(pu, pv) && distance2(pu, pv) > nlos_r2) continue;
-          }
-          conn_mark_[v] = epoch;
-          conn_next_.push_back(v);
+    if (conn_mark_[src] > base) continue;  // component already labelled
+    const std::uint32_t label = ++conn_epoch_;
+    conn_mark_[src] = label;
+    conn_stack_.assign(1, src);
+    while (!conn_stack_.empty()) {
+      const NodeId u = conn_stack_.back();
+      conn_stack_.pop_back();
+      ++conn_expansions_;
+      // Urban family: the oracle honours the street-canyon model — an NLOS
+      // pair is an edge only within the diffraction range. Open field
+      // (urban() == false) takes the plain unit-disk edge.
+      const Vec2 pu = phy.urban() ? channel_->position_of(u) : Vec2{};
+      for (const NodeId v : channel_->neighbors_of(u, radius)) {
+        if (conn_mark_[v] == label) continue;
+        if (phy.urban()) {
+          const Vec2 pv = channel_->position_of(v);
+          if (!phy.line_of_sight(pu, pv) && distance2(pu, pv) > nlos_r2) continue;
         }
+        conn_mark_[v] = label;
+        conn_stack_.push_back(v);
       }
-      conn_frontier_.swap(conn_next_);
     }
-    for (const NodeId dst : dsts) {
-      ++conn_samples_;
-      if (conn_mark_[dst] == epoch) ++conn_connected_;
-    }
+  }
+  for (const auto& [src, dst] : flows_) {
+    ++conn_samples_;
+    if (conn_mark_[dst] == conn_mark_[src]) ++conn_connected_;
   }
 
   if (sim_.now() + seconds(1) <= cfg_.duration) {

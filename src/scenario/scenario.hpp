@@ -190,6 +190,11 @@ class Scenario {
   [[nodiscard]] const FlowMonitor& flow_monitor() const { return flow_monitor_; }
   /// The compiled fault schedule (empty when fault injection is disabled).
   [[nodiscard]] const FaultPlan& fault_plan() const { return fault_plan_; }
+  /// Every traffic flow's (source, destination), in flow-id order.
+  [[nodiscard]] const std::vector<std::pair<NodeId, NodeId>>& flows() const { return flows_; }
+  /// Nodes expanded by the connectivity oracle over the run so far: at most
+  /// one per node per 1 Hz sample.
+  [[nodiscard]] std::uint64_t connectivity_expansions() const { return conn_expansions_; }
 
  private:
   void sample_connectivity();
@@ -215,12 +220,14 @@ class Scenario {
   std::vector<std::pair<NodeId, NodeId>> flows_;
   std::uint64_t conn_samples_ = 0;
   std::uint64_t conn_connected_ = 0;
-  // Lazy-BFS scratch for sample_connectivity(): epoch-marked visit flags
-  // (no O(N) clear per source) plus reusable frontier buffers.
+  std::uint64_t conn_expansions_ = 0;
+  // Component-labelling scratch for sample_connectivity(). conn_mark_[v] is
+  // the label of v's component in the current sample iff it exceeds the
+  // epoch at the sample's start; each explored component takes the next
+  // epoch, so no O(N) clear is needed between components or samples.
   std::vector<std::uint32_t> conn_mark_;
   std::uint32_t conn_epoch_ = 0;
-  std::vector<NodeId> conn_frontier_;
-  std::vector<NodeId> conn_next_;
+  std::vector<NodeId> conn_stack_;
   bool built_ = false;
 };
 

@@ -171,8 +171,8 @@ TEST(ManhattanDeterminism, PositionsStayOnStreets) {
 
 TEST(ManhattanDeterminism, PureFunctionOfTimeAcrossSamplingPatterns) {
   // Two models, same seed, sampled on different lattices: positions at the
-  // common instants must agree — the property the lazy connectivity sampler
-  // and the periodic grid refresh both rely on.
+  // common instants must agree — the property the per-component connectivity
+  // labelling and the periodic grid refresh both rely on.
   ManhattanConfig cfg;
   Manhattan dense(cfg, RngStream(11, "mobility", 4));
   Manhattan sparse(cfg, RngStream(11, "mobility", 4));

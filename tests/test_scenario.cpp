@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <numeric>
+#include <set>
+
+#include "scenario/builder.hpp"
 #include "scenario/experiment.hpp"
 
 namespace manet {
@@ -149,6 +153,105 @@ TEST(Scenario, ConnectivityMeasurementCanBeDisabled) {
   cfg.measure_connectivity = false;
   const auto r = Scenario::run_once(cfg);
   EXPECT_DOUBLE_EQ(r.connectivity, 1.0);
+}
+
+// The connectivity oracle recomputed independently: a second, identical
+// scenario is built (not run) and its mobility models are queried at every
+// 1 Hz sample instant in increasing time. At each instant the full O(N^2)
+// radio graph (with the street-canyon NLOS rule in urban runs) is union-found
+// and every flow is read off it. Returns connected/samples as run() does.
+struct OracleReplay {
+  double connectivity = 1.0;
+  std::uint64_t instants = 0;
+};
+
+OracleReplay replay_oracle(const ScenarioConfig& cfg, const Scenario& ran) {
+  Scenario twin(cfg);
+  twin.build();
+  EXPECT_EQ(twin.flows(), ran.flows());
+  const PhyConfig& phy = cfg.phy;
+  const double r2 = phy.rx_range_m * phy.rx_range_m;
+  const double nlos_r2 = phy.nlos_rx_range_m * phy.nlos_rx_range_m;
+  const std::size_t n = twin.size();
+
+  std::vector<std::size_t> parent(n);
+  auto find = [&](std::size_t x) {
+    while (parent[x] != x) x = parent[x] = parent[parent[x]];
+    return x;
+  };
+  std::vector<Vec2> pos(n);
+  OracleReplay out;
+  std::uint64_t samples = 0;
+  std::uint64_t connected = 0;
+  for (SimTime t = cfg.cbr_start; t <= cfg.duration; t += seconds(1)) {
+    ++out.instants;
+    for (std::size_t i = 0; i < n; ++i) pos[i] = twin.node(i).mobility().position_at(t);
+    std::iota(parent.begin(), parent.end(), std::size_t{0});
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = i + 1; j < n; ++j) {
+        const double d2 = distance2(pos[i], pos[j]);
+        if (d2 > r2) continue;
+        if (phy.urban() && !phy.line_of_sight(pos[i], pos[j]) && d2 > nlos_r2) continue;
+        parent[find(i)] = find(j);
+      }
+    }
+    for (const auto& [src, dst] : twin.flows()) {
+      ++samples;
+      if (find(src) == find(dst)) ++connected;
+    }
+  }
+  if (samples > 0) {
+    out.connectivity = static_cast<double>(connected) / static_cast<double>(samples);
+  }
+  return out;
+}
+
+// Runs `cfg`, checks the sampler's result against the brute-force replay,
+// and pins its cost at no more than one expansion per node per sample.
+double expect_oracle_matches_replay(const ScenarioConfig& cfg) {
+  Scenario s(cfg);
+  const ScenarioResult r = s.run();
+  const OracleReplay replay = replay_oracle(cfg, s);
+  EXPECT_GT(replay.instants, 0u);
+  EXPECT_EQ(r.connectivity, replay.connectivity);
+  EXPECT_GT(s.connectivity_expansions(), 0u);
+  EXPECT_LE(s.connectivity_expansions(), cfg.num_nodes * replay.instants);
+  return r.connectivity;
+}
+
+TEST(Scenario, ConnectivityOracleMatchesBruteForceInTheCity) {
+  for (const std::uint64_t seed : {1u, 2u}) {
+    SCOPED_TRACE(seed);
+    const ScenarioConfig cfg =
+        urban_scenario(200).protocol(Protocol::kAodv).seed(seed).duration(seconds(30)).build();
+    const double c = expect_oracle_matches_replay(cfg);
+    EXPECT_LT(c, 1.0);  // the 200-node city is partitioned
+  }
+}
+
+TEST(Scenario, ConnectivityOracleMatchesBruteForceInASparseStaticField) {
+  auto cfg = small_config(Protocol::kAodv, /*seed=*/3);
+  cfg.static_nodes = true;
+  cfg.num_nodes = 30;
+  cfg.num_connections = 8;
+  cfg.area = {2000.0, 2000.0};
+  const double c = expect_oracle_matches_replay(cfg);
+  EXPECT_GT(c, 0.0);
+  EXPECT_LT(c, 1.0);  // some flows are unreachable
+}
+
+TEST(Scenario, ConnectivityOracleMatchesBruteForceWithSharedSources) {
+  auto cfg = small_config(Protocol::kDsr, /*seed=*/5);
+  cfg.num_nodes = 20;
+  cfg.num_connections = 15;
+  cfg.area = {1500.0, 1500.0};
+  cfg.v_max = 10.0;
+  Scenario probe(cfg);
+  probe.build();
+  std::set<NodeId> sources;
+  for (const auto& flow : probe.flows()) sources.insert(flow.first);
+  EXPECT_LT(sources.size(), probe.flows().size());  // several flows share a source
+  expect_oracle_matches_replay(cfg);
 }
 
 TEST(Experiment, FormatMetric) {
