@@ -4,12 +4,6 @@
 
 namespace manet::olsr {
 
-namespace {
-[[nodiscard]] std::uint64_t dup_key(NodeId origin, std::uint16_t seq) {
-  return (static_cast<std::uint64_t>(origin) << 16) | seq;
-}
-}  // namespace
-
 Olsr::Olsr(Node& node, const Config& cfg, RngStream rng)
     : RoutingProtocol(node), cfg_(cfg), rng_(rng) {}
 
@@ -19,28 +13,78 @@ void Olsr::start() {
                        [this] { send_hello(); });
   node_.sim().schedule(microseconds(rng_.uniform_int(0, cfg_.tc_interval.ns() / 1000)),
                        [this] { send_tc(); });
-  node_.sim().schedule(seconds(1), [this] { purge_expired(); });
+  node_.sim().schedule(seconds(1), [this] { expire_links(); });
 }
 
-bool Olsr::link_sym(NodeId nbr) const {
-  const auto it = links_.find(nbr);
-  return it != links_.end() && it->second.sym_until > node_.sim().now();
+const Olsr::Neighbor* Olsr::find_neighbor(NodeId id) const {
+  const auto it = std::ranges::lower_bound(nbrs_, id, {}, &Neighbor::id);
+  return it != nbrs_.end() && it->id == id ? &*it : nullptr;
+}
+
+Olsr::Neighbor& Olsr::neighbor(NodeId id) {
+  const auto it = std::ranges::lower_bound(nbrs_, id, {}, &Neighbor::id);
+  if (it != nbrs_.end() && it->id == id) return *it;
+  const auto fresh = nbrs_.insert(it, Neighbor{});
+  fresh->id = id;
+  return *fresh;
+}
+
+Olsr::Origin& Olsr::origin(NodeId id) {
+  const auto [it, fresh] =
+      origin_index_.try_emplace(id, static_cast<std::uint32_t>(origins_.size()));
+  if (fresh) origins_.emplace_back().id = id;
+  return origins_[it->second];
 }
 
 std::vector<NodeId> Olsr::sym_neighbors() const {
   std::vector<NodeId> out;
-  for (const auto& [nbr, lt] : links_) {
-    if (lt.sym_until > node_.sim().now()) out.push_back(nbr);
+  for (const Neighbor& nb : nbrs_) {
+    if (nb.sym_until > node_.sim().now()) out.push_back(nb.id);
   }
   return out;
 }
 
 std::vector<NodeId> Olsr::mpr_selectors() const {
   std::vector<NodeId> out;
-  for (const auto& [nbr, until] : selector_set_) {
-    if (until > node_.sim().now()) out.push_back(nbr);
+  for (const Neighbor& nb : nbrs_) {
+    if (nb.selector_until > node_.sim().now()) out.push_back(nb.id);
   }
   return out;
+}
+
+std::vector<std::pair<NodeId, LinkCode>> Olsr::advertised_links() const {
+  const SimTime now = node_.sim().now();
+  std::vector<std::pair<NodeId, LinkCode>> out;
+  out.reserve(nbrs_.size());
+  for (const Neighbor& nb : nbrs_) {
+    LinkCode code;
+    if (nb.sym_until > now) {
+      code = std::binary_search(mpr_set_.begin(), mpr_set_.end(), nb.id) ? LinkCode::kMpr
+                                                                          : LinkCode::kSym;
+    } else if (nb.asym_until > now) {
+      code = LinkCode::kAsym;
+    } else {
+      code = LinkCode::kLost;
+    }
+    out.emplace_back(nb.id, code);
+  }
+  return out;
+}
+
+Olsr::StateEntries Olsr::state_entries() const {
+  StateEntries e;
+  e.links = nbrs_.size();
+  for (const Neighbor& nb : nbrs_) {
+    e.twohop += nb.twohop.size();
+    e.max_twohop = std::max(e.max_twohop, nb.twohop.size());
+    if (nb.selector_until != SimTime::zero()) ++e.selectors;
+  }
+  e.origins = origins_.size();
+  for (const Origin& o : origins_) {
+    e.dups += o.seen.size();
+    e.max_dups = std::max(e.max_dups, o.seen.size());
+  }
+  return e;
 }
 
 // ---------------------------------------------------------------------------
@@ -50,19 +94,7 @@ std::vector<NodeId> Olsr::mpr_selectors() const {
 void Olsr::send_hello() {
   recompute_mprs();
   auto hello = std::make_unique<Hello>();
-  const SimTime now = node_.sim().now();
-  for (const auto& [nbr, lt] : links_) {
-    LinkCode code;
-    if (lt.sym_until > now) {
-      code = std::binary_search(mpr_set_.begin(), mpr_set_.end(), nbr) ? LinkCode::kMpr
-                                                                        : LinkCode::kSym;
-    } else if (lt.asym_until > now) {
-      code = LinkCode::kAsym;
-    } else {
-      code = LinkCode::kLost;
-    }
-    hello->links.emplace_back(nbr, code);
-  }
+  hello->links = advertised_links();
   Packet pkt;
   pkt.kind = PacketKind::kRoutingControl;
   pkt.ip.src = node_.id();
@@ -86,7 +118,6 @@ void Olsr::send_tc() {
     tc->ansn = ansn_;
     tc->msg_seq = msg_seq_++;
     tc->selectors = selectors;
-    dup_set_[dup_key(node_.id(), tc->msg_seq)] = node_.sim().now() + cfg_.dup_hold;
     Packet pkt;
     pkt.kind = PacketKind::kRoutingControl;
     pkt.ip.src = node_.id();
@@ -115,73 +146,72 @@ void Olsr::on_control(const Packet& pkt, NodeId from) {
 
 void Olsr::handle_hello(const Hello& hello, NodeId from) {
   const SimTime now = node_.sim().now();
-  LinkTuple& lt = links_[from];
-  const bool was_sym = lt.sym_until > now;
-  lt.asym_until = now + cfg_.neighb_hold;
+  Neighbor& nb = neighbor(from);
+  const bool was_sym = nb.sym_until > now;
+  nb.asym_until = now + cfg_.neighb_hold;
   bool lists_us = false;
   for (const auto& [nbr, code] : hello.links) {
     if (nbr != node_.id()) continue;
     lists_us = code != LinkCode::kLost;
-    if (code == LinkCode::kMpr) selector_set_[from] = now + cfg_.neighb_hold;
+    if (code == LinkCode::kMpr) nb.selector_until = now + cfg_.neighb_hold;
     break;
   }
-  if (lists_us) lt.sym_until = now + cfg_.neighb_hold;
-  if (!was_sym && lt.sym_until > now) routes_dirty_ = true;
+  if (lists_us) nb.sym_until = now + cfg_.neighb_hold;
+  if (nb.sym_until <= now) return;
+  if (!was_sym) routes_dirty_ = true;
 
   // 2-hop set: `from`'s symmetric neighbours.
-  if (lt.sym_until > now) {
-    auto& n2 = twohop_[from];
-    for (const auto& [nbr, code] : hello.links) {
-      if (nbr == node_.id()) continue;
-      if (code == LinkCode::kSym || code == LinkCode::kMpr) {
-        TwoHopTuple& tuple = n2[nbr];
-        if (tuple.expires <= now) routes_dirty_ = true;
-        tuple.expires = now + cfg_.neighb_hold;
-      } else if (code == LinkCode::kLost) {
-        if (n2.erase(nbr) != 0) routes_dirty_ = true;
-      }
+  auto& n2 = nb.twohop;
+  for (const auto& [nbr, code] : hello.links) {
+    if (nbr == node_.id() || code == LinkCode::kAsym) continue;
+    const auto it = std::ranges::lower_bound(n2, nbr, {}, &TwoHop::n2);
+    const bool held = it != n2.end() && it->n2 == nbr;
+    if (code == LinkCode::kLost) {
+      if (!held) continue;
+      if (it->expires > now) routes_dirty_ = true;
+      n2.erase(it);
+    } else if (!held) {
+      n2.insert(it, TwoHop{nbr, now + cfg_.neighb_hold});
+      routes_dirty_ = true;
+    } else {
+      if (it->expires <= now) routes_dirty_ = true;
+      it->expires = now + cfg_.neighb_hold;
     }
   }
+  std::erase_if(n2, [now](const TwoHop& t) { return t.expires <= now; });
 }
 
 void Olsr::handle_tc(const Packet& pkt, const Tc& tc, NodeId from) {
   if (tc.origin == node_.id()) return;
   const SimTime now = node_.sim().now();
-  const std::uint64_t key = dup_key(tc.origin, tc.msg_seq);
-  const bool seen = [&] {
-    const auto it = dup_set_.find(key);
-    return it != dup_set_.end() && it->second > now;
-  }();
-  if (!seen) {
-    dup_set_[key] = now + cfg_.dup_hold;
-    // Process: accept only non-stale ANSNs (§9.5).
-    auto& [tuple, selectors] = topology_[tc.origin];
-    const bool stale =
-        tuple.expires > now && static_cast<std::int16_t>(tc.ansn - tuple.ansn) < 0;
-    if (!stale) {
-      if (tuple.expires <= now || selectors != tc.selectors) {
-        selectors = tc.selectors;
-        routes_dirty_ = true;
-      }
-      tuple.ansn = tc.ansn;
-      tuple.expires = now + cfg_.topology_hold;
+  Origin& o = origin(tc.origin);
+  for (const SeenTc& seen : o.seen) {
+    if (seen.msg_seq == tc.msg_seq && seen.expires > now) return;  // duplicate
+  }
+  std::erase_if(o.seen, [now](const SeenTc& seen) { return seen.expires <= now; });
+  o.seen.push_back(SeenTc{tc.msg_seq, now + cfg_.dup_hold});
+
+  // Process: accept only non-stale ANSNs (§9.5).
+  const bool stale = o.expires > now && static_cast<std::int16_t>(tc.ansn - o.ansn) < 0;
+  if (!stale) {
+    if (o.expires <= now || o.selectors != tc.selectors) {
+      o.selectors = tc.selectors;
+      routes_dirty_ = true;
     }
-    // Forwarding rule (§3.4): retransmit iff the previous hop selected us as
-    // MPR (or classic flooding for the ablation), link to sender symmetric,
-    // and TTL remains.
-    const bool sender_selected_us = [&] {
-      const auto it = selector_set_.find(from);
-      return it != selector_set_.end() && it->second > now;
-    }();
-    const bool forward = (cfg_.mpr_flooding ? sender_selected_us : true) && link_sym(from) &&
-                         pkt.ip.ttl > 1;
-    if (forward) {
-      Packet fwd = pkt;
-      --fwd.ip.ttl;
-      node_.sim().schedule(broadcast_jitter(rng_), [this, fwd = std::move(fwd)]() mutable {
-        node_.send_broadcast(std::move(fwd));
-      });
-    }
+    o.ansn = tc.ansn;
+    o.expires = now + cfg_.topology_hold;
+  }
+  // Forwarding rule (§3.4): retransmit iff the previous hop selected us as
+  // MPR (or classic flooding for the ablation), link to sender symmetric,
+  // and TTL remains.
+  const Neighbor* sender = find_neighbor(from);
+  if (sender != nullptr && sender->sym_until > now &&
+      (!cfg_.mpr_flooding || sender->selector_until > now) && pkt.ip.ttl > 1) {
+    Packet fwd = pkt;
+    --fwd.ip.ttl;
+    node_.sim().schedule(broadcast_jitter(rng_), [this, fwd = std::move(fwd)]() mutable {
+      node_.send_broadcast(std::move(fwd));
+    });
   }
 }
 
@@ -189,43 +219,31 @@ void Olsr::handle_tc(const Packet& pkt, const Tc& tc, NodeId from) {
 // State maintenance
 // ---------------------------------------------------------------------------
 
-// Erases only expired entries and the 2-hop sets of non-symmetric
-// neighbours, none of which is in the live graph, so the route table stays
-// valid.
-void Olsr::purge_expired() {
+// The only two sweeps a reader could tell apart (olsr.hpp). Neither touches
+// the live graph, so the route table stays valid.
+void Olsr::expire_links() {
   const SimTime now = node_.sim().now();
-  std::erase_if(links_, [now](const auto& kv) {
-    return kv.second.sym_until <= now && kv.second.asym_until <= now;
+  std::erase_if(nbrs_, [now](const Neighbor& nb) {
+    return nb.sym_until <= now && nb.asym_until <= now;
   });
-  // manet-lint: order-independent - pure expiry sweep; erases per-key state
-  // and schedules nothing, so visit order cannot reach the event queue.
-  for (auto it = twohop_.begin(); it != twohop_.end();) {
-    std::erase_if(it->second, [now](const auto& kv) { return kv.second.expires <= now; });
-    if (it->second.empty() || !link_sym(it->first)) {
-      it = twohop_.erase(it);
-    } else {
-      ++it;
-    }
+  for (Neighbor& nb : nbrs_) {
+    if (nb.sym_until <= now) nb.twohop.clear();
   }
-  std::erase_if(selector_set_, [now](const auto& kv) { return kv.second <= now; });
-  std::erase_if(topology_, [now](const auto& kv) { return kv.second.first.expires <= now; });
-  std::erase_if(dup_set_, [now](const auto& kv) { return kv.second <= now; });
-  node_.sim().schedule(seconds(1), [this] { purge_expired(); });
+  node_.sim().schedule(seconds(1), [this] { expire_links(); });
 }
 
 void Olsr::recompute_mprs() {
   const SimTime now = node_.sim().now();
-  const std::vector<NodeId> n1 = sym_neighbors();
-  std::unordered_map<NodeId, std::vector<NodeId>> n2_of;
-  for (const NodeId n : n1) {
-    const auto it = twohop_.find(n);
-    if (it == twohop_.end()) continue;
-    auto& vec = n2_of[n];
-    for (const auto& [nbr, tuple] : it->second) {
-      if (tuple.expires > now) vec.push_back(nbr);
+  std::vector<NodeId> n1;
+  std::vector<std::pair<NodeId, NodeId>> links;
+  for (const Neighbor& nb : nbrs_) {
+    if (nb.sym_until <= now) continue;
+    n1.push_back(nb.id);
+    for (const TwoHop& t : nb.twohop) {
+      if (t.expires > now) links.emplace_back(nb.id, t.n2);
     }
   }
-  auto fresh = select_mprs(node_.id(), n1, n2_of);
+  auto fresh = select_mprs(node_.id(), n1, links);
   if (fresh != mpr_set_) {
     mpr_set_ = std::move(fresh);
     ++ansn_;
@@ -236,23 +254,19 @@ template <class Fn>
 void Olsr::for_each_live_edge(Fn&& fn) const {
   const SimTime now = node_.sim().now();
   const NodeId self = node_.id();
-  for (const auto& [n1, lt] : links_) {
-    if (lt.sym_until <= now) continue;
-    fn(self, n1, lt.sym_until);
-    const auto it = twohop_.find(n1);
-    if (it == twohop_.end()) continue;
-    for (const auto& [n2, tuple] : it->second) {
-      if (tuple.expires > now && n2 != self) fn(n1, n2, tuple.expires);
+  for (const Neighbor& nb : nbrs_) {
+    if (nb.sym_until <= now) continue;
+    fn(self, nb.id, nb.sym_until);
+    for (const TwoHop& t : nb.twohop) {
+      if (t.expires > now && t.n2 != self) fn(nb.id, t.n2, t.expires);
     }
   }
-  // manet-lint: order-independent - visit order reaches only the order of
-  // neighbour lists, which cannot change a first hop (see recompute_routes()).
-  for (const auto& [origin, entry] : topology_) {
-    if (entry.first.expires <= now) continue;
-    for (const NodeId sel : entry.second) {
+  for (const Origin& o : origins_) {
+    if (o.expires <= now) continue;
+    for (const NodeId sel : o.selectors) {
       // TC advertises links origin <-> each selector.
-      fn(origin, sel, entry.first.expires);
-      fn(sel, origin, entry.first.expires);
+      fn(o.id, sel, o.expires);
+      fn(sel, o.id, o.expires);
     }
   }
 }
@@ -327,12 +341,10 @@ void Olsr::on_node_restart() {
   // restarted node's first TC must not lose to its own pre-crash ANSN held
   // in neighbours' topology sets). The periodic HELLO/TC events kept firing
   // while down — their broadcasts were gated by the node.
-  links_.clear();
-  twohop_.clear();
+  nbrs_.clear();
   mpr_set_.clear();
-  selector_set_.clear();
-  topology_.clear();
-  dup_set_.clear();
+  origins_.clear();
+  origin_index_.clear();
   routes_dirty_ = true;
 }
 

@@ -13,23 +13,39 @@
 //     forwarding rule (retransmit only if the previous hop selected us as
 //     MPR) — the optimization the protocol is named for (ablation
 //     abl_olsr_mpr floods classically instead);
-//   * topology set with per-origin ANSN freshness and expiry (15 s);
+//   * topology set with per-origin ANSN freshness and expiry (15 s), and a
+//     per-origin duplicate filter (30 s);
 //   * routing-table computation as a unit-weight BFS over the live graph:
 //     symmetric 1-hop links, 2-hop links via those neighbours and advertised
 //     topology links. The frontier is FIFO and this node's own neighbour
 //     list is sorted, so ties break towards the smallest first hop, as in
 //     routing/shortest_path (the test oracle). The table is cached and
 //     recomputed on the next lookup only when the live graph may have
-//     changed: a link became symmetric, a 2-hop tuple became live or was
-//     erased, a TC origin became live or changed its selector set, the node
-//     restarted, or the earliest expiry among the entries the table was
-//     built from has passed. A lookup therefore returns exactly what a
+//     changed: a link became symmetric, a 2-hop tuple became live or a live
+//     one was erased, a TC origin became live or changed its selector set,
+//     the node restarted, or the earliest expiry among the entries the table
+//     was built from has passed. A lookup therefore returns exactly what a
 //     from-scratch computation at that instant would.
+//
+// State lives in two flat tables: one record per neighbour heard (link
+// tuple, MPR-selector expiry, 2-hop list) and one per TC origin (topology
+// tuple, recent message sequence numbers). Every reader checks an entry's
+// expiry against the clock, and a default entry has expired, so an expired
+// entry and an absent one behave alike and most state needs no sweep. The
+// 1 Hz tick does only the two things a reader could tell apart:
+//   * it erases a neighbour whose link has lapsed both ways; until then
+//     send_hello() keeps advertising the link as LOST;
+//   * it empties the 2-hop list of every neighbour whose link is not
+//     symmetric, so those tuples do not come back, unexpired, if the link
+//     turns symmetric again before they lapse.
+// Both touch at most this node's degree. The rest stays bounded without a
+// sweep: a neighbour's 2-hop list is compacted whenever its HELLO is
+// processed, there is one origin record per TC originator ever heard, and
+// an origin's duplicate window is pruned whenever it takes a new entry.
 // Omitted: link hysteresis, willingness, multiple interfaces, HNA/MID.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <unordered_map>
 #include <vector>
 
@@ -73,6 +89,18 @@ struct Config {
 
 class Olsr final : public RoutingProtocol {
  public:
+  /// Entries held, for bounding state in tests. Counts include expired
+  /// entries not yet dropped.
+  struct StateEntries {
+    std::size_t links = 0;        ///< neighbour records (link tuples)
+    std::size_t twohop = 0;       ///< 2-hop tuples over all neighbours
+    std::size_t max_twohop = 0;   ///< longest single neighbour's 2-hop list
+    std::size_t selectors = 0;    ///< neighbours that have selected us as MPR
+    std::size_t origins = 0;      ///< per-origin records (topology tuples)
+    std::size_t dups = 0;         ///< duplicate-filter entries over all origins
+    std::size_t max_dups = 0;     ///< longest single origin's duplicate window
+  };
+
   Olsr(Node& node, const Config& cfg, RngStream rng);
 
   void start() override;
@@ -85,51 +113,70 @@ class Olsr final : public RoutingProtocol {
   [[nodiscard]] std::vector<NodeId> sym_neighbors() const;
   [[nodiscard]] const std::vector<NodeId>& mprs() const { return mpr_set_; }
   [[nodiscard]] std::vector<NodeId> mpr_selectors() const;
+  /// The link list the next HELLO carries, given the current MPR set.
+  [[nodiscard]] std::vector<std::pair<NodeId, LinkCode>> advertised_links() const;
+  [[nodiscard]] StateEntries state_entries() const;
   [[nodiscard]] std::optional<NodeId> next_hop_to(NodeId dst);
   /// The live graph the route table is computed from, as directed edges per
   /// node (routing/shortest_path's AdjacencyMap; list order unspecified).
   [[nodiscard]] std::unordered_map<NodeId, std::vector<NodeId>> live_adjacency() const;
 
  private:
-  struct LinkTuple {
+  struct TwoHop {
+    NodeId n2 = 0;
+    SimTime expires = SimTime::zero();
+  };
+  /// A neighbour heard directly.
+  struct Neighbor {
+    NodeId id = 0;
     SimTime sym_until = SimTime::zero();
     SimTime asym_until = SimTime::zero();
+    /// When its selection of us as MPR lapses. Set only together with
+    /// asym_until, so it never outlasts the link tuple.
+    SimTime selector_until = SimTime::zero();
+    /// Its symmetric neighbours, sorted by n2, one tuple each.
+    std::vector<TwoHop> twohop;
   };
-  struct TwoHopTuple {
+  struct SeenTc {
+    std::uint16_t msg_seq = 0;
     SimTime expires = SimTime::zero();
   };
-  struct TopologyTuple {
+  /// A TC originator.
+  struct Origin {
+    NodeId id = 0;
     std::uint16_t ansn = 0;
-    SimTime expires = SimTime::zero();
+    SimTime expires = SimTime::zero();  ///< of the topology tuple
+    std::vector<NodeId> selectors;      ///< as last accepted
+    /// Its TCs received within dup_hold, in arrival order; at most about
+    /// dup_hold / (0.75 * tc_interval) = 8 are live.
+    std::vector<SeenTc> seen;
   };
 
   void send_hello();
   void send_tc();
   void handle_hello(const Hello& hello, NodeId from);
   void handle_tc(const Packet& pkt, const Tc& tc, NodeId from);
-  void purge_expired();
+  void expire_links();
   void recompute_mprs();
   void recompute_routes();
   /// Calls fn(u, v, expires) for every directed edge u -> v of the live
   /// graph; `expires` is when the entry that contributes the edge expires.
   template <class Fn>
   void for_each_live_edge(Fn&& fn) const;
-  [[nodiscard]] bool link_sym(NodeId nbr) const;
+  [[nodiscard]] const Neighbor* find_neighbor(NodeId id) const;
+  [[nodiscard]] Neighbor& neighbor(NodeId id);
+  [[nodiscard]] Origin& origin(NodeId id);
 
   Config cfg_;
   RngStream rng_;
 
-  /// Ordered map: send_hello() serializes the link set in table order, so the
-  /// advertised link list is identical on every platform.
-  std::map<NodeId, LinkTuple> links_;
-  /// (1-hop sym neighbour -> its sym neighbours with expiry).
-  std::unordered_map<NodeId, std::unordered_map<NodeId, TwoHopTuple>> twohop_;
+  /// Sorted by id: send_hello() serializes the link set in this order, so
+  /// the advertised link list is identical on every platform.
+  std::vector<Neighbor> nbrs_;
   std::vector<NodeId> mpr_set_;
-  /// Ordered map: mpr_selectors() walks it to build TC selector lists.
-  std::map<NodeId, SimTime> selector_set_;  // who picked us, expiry
-  /// (origin -> advertised selector set) from TCs.
-  std::unordered_map<NodeId, std::pair<TopologyTuple, std::vector<NodeId>>> topology_;
-  std::unordered_map<std::uint64_t, SimTime> dup_set_;
+  /// In order of first TC heard; records are dropped only on restart.
+  std::vector<Origin> origins_;
+  std::unordered_map<NodeId, std::uint32_t> origin_index_;  ///< id -> origins_ slot
 
   std::uint16_t ansn_ = 0;
   std::uint16_t msg_seq_ = 0;

@@ -2,10 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
 
 #include "core/rng.hpp"
 #include "routing/shortest_path.hpp"
+#include "scenario/scenario.hpp"
 #include "testutil.hpp"
 
 namespace manet {
@@ -49,6 +51,59 @@ void expect_tables_match_oracle(TestNet& net, int steps, std::size_t& routes) {
     }
   }
 }
+
+using Links = std::vector<std::pair<NodeId, olsr::LinkCode>>;
+
+/// Hands `r` a HELLO from `from` advertising `links`.
+void feed_hello(olsr::Olsr& r, NodeId from, Links links) {
+  auto body = std::make_unique<olsr::Hello>();
+  body->links = std::move(links);
+  Packet pkt;
+  pkt.routing = std::move(body);
+  r.on_control(pkt, from);
+}
+
+/// Hands `r` a TC from `origin`, relayed by `from`, with TTL left to forward.
+void feed_tc(olsr::Olsr& r, NodeId from, NodeId origin, std::uint16_t msg_seq,
+             std::uint16_t ansn, std::vector<NodeId> selectors) {
+  auto body = std::make_unique<olsr::Tc>();
+  body->origin = origin;
+  body->msg_seq = msg_seq;
+  body->ansn = ansn;
+  body->selectors = std::move(selectors);
+  Packet pkt;
+  pkt.kind = PacketKind::kRoutingControl;
+  pkt.ip.src = origin;
+  pkt.ip.dst = kBroadcast;
+  pkt.ip.ttl = 255;
+  pkt.ip.proto = IpProto::kRouting;
+  pkt.routing = std::move(body);
+  r.on_control(pkt, from);
+}
+
+/// A node that only listens: records the (origin, msg_seq) of every TC it
+/// hears, to observe what an OLSR neighbour transmits.
+class TcListener final : public RoutingProtocol {
+ public:
+  explicit TcListener(Node& node) : RoutingProtocol(node) {}
+
+  void start() override {}
+  void route_packet(Packet pkt) override { node_.drop(pkt, DropReason::kNoRoute); }
+  void on_control(const Packet& pkt, NodeId) override {
+    if (const auto* tc = dynamic_cast<const olsr::Tc*>(pkt.routing.get())) {
+      heard.emplace_back(tc->origin, tc->msg_seq);
+    }
+  }
+  void on_node_restart() override { heard.clear(); }
+  [[nodiscard]] const char* name() const override { return "LISTENER"; }
+
+  [[nodiscard]] std::size_t times_heard(NodeId origin, std::uint16_t msg_seq) const {
+    return static_cast<std::size_t>(
+        std::count(heard.begin(), heard.end(), std::pair<NodeId, std::uint16_t>{origin, msg_seq}));
+  }
+
+  std::vector<std::pair<NodeId, std::uint16_t>> heard;
+};
 
 TEST(Olsr, Name) {
   TestNet net(line_positions(2), olsr_factory());
@@ -271,6 +326,155 @@ TEST(Olsr, CachedTableFollowsEachInvalidationRule) {
   ASSERT_NO_FATAL_FAILURE(run_to(25100));
   EXPECT_FALSE(r.next_hop_to(4).has_value());
   EXPECT_GT(routes, 0u);
+}
+
+TEST(Olsr, LapsedLinkAdvertisedAsLostUntilTick) {
+  // The 1 Hz tick erases a link only once it has lapsed both ways; until
+  // that tick, HELLOs keep advertising it as LOST.
+  TestNet net(line_positions(1), olsr_factory());
+  auto& r = as_olsr(net.routing(0));
+  using olsr::LinkCode;
+  net.sim().run_until(milliseconds(500));
+  feed_hello(r, 1, {{0, LinkCode::kSym}});  // symmetric until 6.5 s
+  feed_hello(r, 2, {});                     // asymmetric until 6.5 s
+  net.sim().run_until(milliseconds(6400));
+  EXPECT_EQ(r.advertised_links(), (Links{{1, LinkCode::kSym}, {2, LinkCode::kAsym}}));
+  net.sim().run_until(milliseconds(6500));
+  EXPECT_EQ(r.advertised_links(), (Links{{1, LinkCode::kLost}, {2, LinkCode::kLost}}));
+  net.sim().run_until(milliseconds(6999));
+  EXPECT_EQ(r.advertised_links(), (Links{{1, LinkCode::kLost}, {2, LinkCode::kLost}}));
+  EXPECT_EQ(r.state_entries().links, 2u);
+  net.sim().run_until(milliseconds(7000));  // the tick
+  EXPECT_TRUE(r.advertised_links().empty());
+  EXPECT_EQ(r.state_entries().links, 0u);
+}
+
+TEST(Olsr, TickDropsTwoHopSetOfNonSymmetricNeighbor) {
+  // 1 and 3 stop listing this node while still advertising a 2-hop
+  // neighbour, so their links turn asymmetric at 6.5 s with 2-hop tuples
+  // held until 10.5 s. 1 turns symmetric again before the 7 s tick and
+  // gets its tuple back; 3 does so after the tick and does not.
+  TestNet net(line_positions(1), olsr_factory());
+  auto& r = as_olsr(net.routing(0));
+  using olsr::LinkCode;
+  const auto has_edge = [&](NodeId u, NodeId v) {
+    const auto adj = r.live_adjacency();
+    const auto it = adj.find(u);
+    return it != adj.end() && std::count(it->second.begin(), it->second.end(), v) > 0;
+  };
+  net.sim().run_until(milliseconds(500));
+  feed_hello(r, 1, {{0, LinkCode::kSym}});
+  feed_hello(r, 3, {{0, LinkCode::kSym}});
+  net.sim().run_until(milliseconds(4500));
+  feed_hello(r, 1, {{2, LinkCode::kSym}});
+  feed_hello(r, 3, {{4, LinkCode::kSym}});
+  net.sim().run_until(milliseconds(4550));
+  EXPECT_EQ(r.next_hop_to(2), std::optional<NodeId>(1));
+  EXPECT_EQ(r.next_hop_to(4), std::optional<NodeId>(3));
+  net.sim().run_until(milliseconds(6600));
+  EXPECT_FALSE(r.next_hop_to(2).has_value());
+  EXPECT_FALSE(r.next_hop_to(4).has_value());
+  feed_hello(r, 1, {{0, LinkCode::kSym}});
+  net.sim().run_until(milliseconds(6650));
+  EXPECT_TRUE(has_edge(1, 2));
+  EXPECT_EQ(r.next_hop_to(2), std::optional<NodeId>(1));
+  net.sim().run_until(milliseconds(7500));
+  feed_hello(r, 3, {{0, LinkCode::kSym}});
+  net.sim().run_until(milliseconds(7550));
+  EXPECT_EQ(r.next_hop_to(3), std::optional<NodeId>(3));
+  EXPECT_FALSE(has_edge(3, 4));
+  EXPECT_FALSE(r.next_hop_to(4).has_value());
+  EXPECT_EQ(r.state_entries().twohop, 1u);  // only 1 -> 2
+}
+
+TEST(Olsr, DuplicateFilterHoldsEachTcForDupHold) {
+  // Node 0 runs OLSR; node 1 only listens, so every TC it hears is one node
+  // 0 sent. Hand-fed TCs arrive at node 0 as if relayed by a neighbour that
+  // selected it as MPR, so each one processed is also forwarded.
+  olsr::Config cfg;
+  cfg.neighb_hold = seconds(120);  // one HELLO keeps the relay for the test
+  TestNet net(line_positions(2), [cfg](Node& n, std::uint64_t seed) -> std::unique_ptr<RoutingProtocol> {
+    if (n.id() == 1) return std::make_unique<TcListener>(n);
+    return std::make_unique<olsr::Olsr>(n, cfg, RngStream(seed, "routing", n.id()));
+  });
+  auto& r = as_olsr(net.routing(0));
+  const auto& listener = dynamic_cast<const TcListener&>(net.routing(1));
+  const std::optional<NodeId> via_5 = 5;
+  net.sim().run_until(milliseconds(500));
+  feed_hello(r, 5, {{0, olsr::LinkCode::kMpr}});
+
+  feed_tc(r, 5, 3, 7, 0, {5});  // 3 <-> 5: processed and forwarded
+  net.sim().run_until(milliseconds(1000));
+  EXPECT_EQ(r.next_hop_to(3), via_5);
+  EXPECT_EQ(listener.times_heard(3, 7), 1u);
+  feed_tc(r, 5, 3, 7, 0, {4});  // same message again, within dup_hold
+  net.sim().run_until(milliseconds(1500));
+  EXPECT_EQ(r.next_hop_to(3), via_5) << "a duplicate was processed";
+  EXPECT_EQ(listener.times_heard(3, 7), 1u) << "a duplicate was forwarded";
+
+  net.sim().run_until(milliseconds(30'400));  // topology tuple lapsed at 15.5 s
+  EXPECT_FALSE(r.next_hop_to(3).has_value());
+  feed_tc(r, 5, 3, 7, 0, {5});  // still a duplicate until 30.5 s
+  net.sim().run_until(milliseconds(30'450));
+  EXPECT_FALSE(r.next_hop_to(3).has_value());
+  net.sim().run_until(milliseconds(30'600));
+  feed_tc(r, 5, 3, 7, 0, {5});  // dup_hold has passed: new again
+  net.sim().run_until(milliseconds(30'650));
+  EXPECT_EQ(r.next_hop_to(3), via_5);
+  EXPECT_EQ(listener.times_heard(3, 7), 2u);
+
+  // msg_seq wraps: 0 after 65535 is a new message, not a stale one.
+  feed_tc(r, 5, 6, 65535, 0, {5});
+  net.sim().run_until(milliseconds(30'700));
+  EXPECT_EQ(r.next_hop_to(6), via_5);
+  feed_tc(r, 5, 6, 0, 1, {4});  // 6 <-> 4 only: 6 unreachable once processed
+  net.sim().run_until(milliseconds(30'750));
+  EXPECT_FALSE(r.next_hop_to(6).has_value());
+  EXPECT_EQ(listener.times_heard(6, 65535), 1u);
+  EXPECT_EQ(listener.times_heard(6, 0), 1u);
+
+  // Node 0's own TC echoed back by a neighbour is neither processed nor
+  // forwarded, and leaves no record.
+  const auto own = std::find_if(listener.heard.begin(), listener.heard.end(),
+                                [](const auto& h) { return h.first == 0; });
+  ASSERT_NE(own, listener.heard.end()) << "node 0 originated no TC";
+  const std::uint16_t own_seq = own->second;
+  const std::size_t origins = r.state_entries().origins;
+  feed_tc(r, 5, 0, own_seq, 0, {5});
+  net.sim().run_until(milliseconds(30'800));
+  EXPECT_EQ(listener.times_heard(0, own_seq), 1u);
+  EXPECT_EQ(r.state_entries().origins, origins);
+}
+
+TEST(Olsr, StateStaysBoundedUnderMobilityAndCrashes) {
+  // Expired entries are dropped lazily (on the next HELLO from a neighbour,
+  // on the next TC from an origin), so check that no table grows past what
+  // the network can hold: 30 mobile nodes crashing and restarting for 300 s.
+  ScenarioConfig cfg;
+  cfg.protocol = Protocol::kOlsr;
+  cfg.num_nodes = 30;
+  cfg.v_max = 10.0;
+  cfg.duration = seconds(300);
+  cfg.fault.crash_rate = 2.0;
+  cfg.fault.downtime_mean = seconds(20);
+  Scenario sc(cfg);
+  sc.build();
+  const std::size_t n = sc.size();
+  std::size_t most_origins = 0;
+  for (std::int64_t t = 10; t <= 300; t += 10) {
+    sc.sim().run_until(seconds(t));
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto e = as_olsr(sc.routing(i)).state_entries();
+      ASSERT_LE(e.links, n) << "node " << i << " t=" << t << "s";
+      ASSERT_LE(e.max_twohop, n) << "node " << i << " t=" << t << "s";
+      ASSERT_LE(e.selectors, e.links) << "node " << i << " t=" << t << "s";
+      ASSERT_LE(e.origins, n) << "node " << i << " t=" << t << "s";
+      ASSERT_LE(e.max_dups, 8u) << "node " << i << " t=" << t << "s";
+      most_origins = std::max(most_origins, e.origins);
+    }
+  }
+  EXPECT_GT(sc.stats().crashes(), 0u);
+  EXPECT_GT(most_origins, n / 2);  // the tables were exercised
 }
 
 }  // namespace

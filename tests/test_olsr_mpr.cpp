@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <unordered_map>
 #include <unordered_set>
 
 #include "core/rng.hpp"
@@ -14,40 +16,27 @@ TEST(Mpr, EmptyNeighborhood) {
 }
 
 TEST(Mpr, NoTwoHopNeighborsNeedsNoMprs) {
-  std::unordered_map<NodeId, std::vector<NodeId>> n2;
-  n2[1] = {0};  // only knows us
-  EXPECT_TRUE(select_mprs(0, {1}, n2).empty());
+  EXPECT_TRUE(select_mprs(0, {1}, {{1, 0}}).empty());  // 1 only knows us
 }
 
 TEST(Mpr, SoleProviderIsMandatory) {
-  std::unordered_map<NodeId, std::vector<NodeId>> n2;
-  n2[1] = {0, 5};
-  n2[2] = {0};
-  const auto mprs = select_mprs(0, {1, 2}, n2);
+  const auto mprs = select_mprs(0, {1, 2}, {{1, 0}, {1, 5}, {2, 0}});
   EXPECT_EQ(mprs, (std::vector<NodeId>{1}));
 }
 
 TEST(Mpr, GreedyPicksBestCover) {
-  std::unordered_map<NodeId, std::vector<NodeId>> n2;
-  n2[1] = {10, 11};
-  n2[2] = {10, 11, 12};
-  n2[3] = {12};
-  const auto mprs = select_mprs(0, {1, 2, 3}, n2);
+  const auto mprs =
+      select_mprs(0, {1, 2, 3}, {{1, 10}, {1, 11}, {2, 10}, {2, 11}, {2, 12}, {3, 12}});
   EXPECT_EQ(mprs, (std::vector<NodeId>{2}));  // 2 covers everything
 }
 
 TEST(Mpr, OneHopNeighborsNotCountedAsTwoHop) {
-  std::unordered_map<NodeId, std::vector<NodeId>> n2;
-  n2[1] = {2};  // 2 is already a 1-hop neighbour
-  n2[2] = {1};
-  EXPECT_TRUE(select_mprs(0, {1, 2}, n2).empty());
+  // 2 is already a 1-hop neighbour
+  EXPECT_TRUE(select_mprs(0, {1, 2}, {{1, 2}, {2, 1}}).empty());
 }
 
 TEST(Mpr, TieBreaksTowardsSmallerId) {
-  std::unordered_map<NodeId, std::vector<NodeId>> n2;
-  n2[5] = {20};
-  n2[3] = {20};
-  const auto mprs = select_mprs(0, {3, 5}, n2);
+  const auto mprs = select_mprs(0, {3, 5}, {{5, 20}, {3, 20}});
   EXPECT_EQ(mprs, (std::vector<NodeId>{3}));
 }
 
@@ -59,15 +48,17 @@ TEST_P(MprProperty, CoversAllTwoHopNeighbors) {
   const NodeId self = 0;
   std::vector<NodeId> n1;
   std::unordered_map<NodeId, std::vector<NodeId>> n2_of;
+  std::vector<std::pair<NodeId, NodeId>> links;
   const int n1_count = static_cast<int>(rng.uniform_int(1, 12));
   for (int i = 0; i < n1_count; ++i) n1.push_back(static_cast<NodeId>(i + 1));
   for (const NodeId n : n1) {
     const int deg = static_cast<int>(rng.uniform_int(0, 8));
     for (int j = 0; j < deg; ++j) {
       n2_of[n].push_back(static_cast<NodeId>(rng.uniform_int(1, 40)));
+      links.emplace_back(n, n2_of[n].back());
     }
   }
-  const auto mprs = select_mprs(self, n1, n2_of);
+  const auto mprs = select_mprs(self, n1, links);
 
   // MPR set is a subset of the 1-hop set.
   const std::unordered_set<NodeId> n1_set(n1.begin(), n1.end());
@@ -93,14 +84,35 @@ TEST_P(MprProperty, CoversAllTwoHopNeighbors) {
 TEST_P(MprProperty, Deterministic) {
   RngStream rng(GetParam() + 100);
   std::vector<NodeId> n1;
-  std::unordered_map<NodeId, std::vector<NodeId>> n2_of;
+  std::vector<std::pair<NodeId, NodeId>> links;
   for (int i = 1; i <= 8; ++i) {
     n1.push_back(static_cast<NodeId>(i));
     for (int j = 0; j < 4; ++j) {
-      n2_of[static_cast<NodeId>(i)].push_back(static_cast<NodeId>(rng.uniform_int(1, 30)));
+      links.emplace_back(static_cast<NodeId>(i), static_cast<NodeId>(rng.uniform_int(1, 30)));
     }
   }
-  EXPECT_EQ(select_mprs(0, n1, n2_of), select_mprs(0, n1, n2_of));
+  EXPECT_EQ(select_mprs(0, n1, links), select_mprs(0, n1, links));
+}
+
+TEST_P(MprProperty, IndependentOfInputOrder) {
+  // Olsr hands its neighbours over sorted by id; the result must not depend
+  // on that, nor on the order of each neighbour's list.
+  RngStream rng(GetParam() + 200);
+  std::vector<NodeId> n1;
+  std::vector<std::pair<NodeId, NodeId>> links;
+  for (int i = 1; i <= 10; ++i) {
+    n1.push_back(static_cast<NodeId>(i));
+    for (int j = 0; j < 5; ++j) {
+      links.emplace_back(static_cast<NodeId>(i), static_cast<NodeId>(rng.uniform_int(1, 40)));
+    }
+  }
+  const auto want = select_mprs(0, n1, links);
+  std::reverse(n1.begin(), n1.end());
+  std::reverse(links.begin(), links.end());
+  EXPECT_EQ(select_mprs(0, n1, links), want);
+  std::sort(links.begin(), links.end(),
+            [](const auto& a, const auto& b) { return a.second < b.second; });
+  EXPECT_EQ(select_mprs(0, n1, links), want);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MprProperty,
