@@ -2,8 +2,8 @@
 //
 // std::function heap-allocates captures beyond its (implementation-defined,
 // often 16-byte) small buffer and drags in copyability machinery the event
-// queue never uses. Every event the simulator schedules is a move-only
-// closure of a handful of words ([this], [this, key], [rx, copy, airtime]),
+// queue never uses. Almost every event the simulator schedules is a
+// move-only closure of a word or two ([this], [this, key], [this, record]),
 // so the inner loop was paying one malloc/free per event. EventCallback is a
 // move-only, small-buffer-optimized replacement: closures up to kInlineBytes
 // live inside the object next to a single ops-table pointer (40 bytes
@@ -21,9 +21,9 @@ namespace manet {
 
 class EventCallback {
  public:
-  /// Inline capture budget. 32 bytes covers every closure the stack
-  /// schedules today (largest: the channel's [rx, copy, airtime] — a raw
-  /// pointer + shared_ptr + SimTime = 32).
+  /// Inline capture budget. 32 bytes covers the hot closures ([this],
+  /// [this, key], the channel's [this, record]); bigger ones, such as a
+  /// jittered rebroadcast that captures a whole Packet, take the heap path.
   static constexpr std::size_t kInlineBytes = 32;
 
   EventCallback() = default;

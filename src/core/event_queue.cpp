@@ -8,7 +8,12 @@ namespace {
 constexpr std::size_t kArity = 4;
 }  // namespace
 
-EventId EventQueue::schedule(SimTime at, Callback cb) {
+EventId EventQueue::schedule(SimTime at, std::uint64_t seq, Callback cb) {
+  MANET_EXPECTS(reserved(seq));
+  return insert(at, seq, std::move(cb));
+}
+
+EventId EventQueue::insert(SimTime at, std::uint64_t seq, Callback&& cb) {
   MANET_EXPECTS(cb != nullptr);
 
   std::uint32_t slot = 0;
@@ -30,8 +35,15 @@ EventId EventQueue::schedule(SimTime at, Callback cb) {
   s.live = true;
   s.cb = std::move(cb);
 
-  heap_.push_back(Entry{at, next_seq_++, slot, s.gen});
-  sift_up(heap_.size() - 1);
+  const Entry e{at, seq, slot, s.gen};
+  if (root_dead_) {
+    root_dead_ = false;
+    heap_.front() = e;
+    sift_down(0);
+  } else {
+    heap_.push_back(e);
+    sift_up(heap_.size() - 1);
+  }
 
   ++live_;
   if (live_ > peak_size_) peak_size_ = live_;
@@ -87,7 +99,14 @@ void EventQueue::pop_heap_top() {
   if (!heap_.empty()) sift_down(0);
 }
 
+void EventQueue::drop_dead_root() {
+  if (!root_dead_) return;
+  root_dead_ = false;
+  pop_heap_top();
+}
+
 void EventQueue::discard_cancelled_top() {
+  drop_dead_root();
   while (!heap_.empty() && !entry_live(heap_.front())) pop_heap_top();
 }
 
@@ -103,7 +122,7 @@ EventQueue::Popped EventQueue::pop() {
   discard_cancelled_top();
   MANET_ASSERT(!heap_.empty());
   const Entry e = heap_.front();
-  pop_heap_top();
+  root_dead_ = true;  // removed by the next insert or discard_cancelled_top()
 
   Slot& s = slots_[e.slot];
   Popped out{e.time, make_id(e.slot, e.gen), std::move(s.cb)};
@@ -116,6 +135,7 @@ EventQueue::Popped EventQueue::pop() {
 
 void EventQueue::clear() {
   heap_.clear();
+  root_dead_ = false;
   free_.clear();
   // Keep the slots (and their generations) so ids issued before clear() can
   // never be confused with later tenants; every slot goes back on the free

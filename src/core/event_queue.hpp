@@ -1,15 +1,28 @@
 // The event queue at the heart of the discrete-event kernel.
 //
-// A 4-ary min-heap ordered by (time, insertion sequence). Ties in time are
-// broken by insertion order so simulations are deterministic regardless of
-// heap internals. Heap nodes are 24-byte PODs; callbacks live in a slot
-// array addressed by EventId, so sifting never moves a closure. EventIds are
-// generation-stamped slot handles: schedule/cancel/pending are pure array
-// indexing — no hashing, no per-event allocation (the MAC layer cancels
-// timers constantly, so this path is the kernel's inner loop). Cancellation
-// is lazy in the heap: a cancelled event's callback is destroyed eagerly,
-// its heap node discarded when it surfaces. cancel() is O(1); pop() is
-// O(log4 n) amortized.
+// A 4-ary min-heap ordered by (time, sequence number). Every event carries a
+// number from one counter, and ties in time are broken by it, so
+// simulations are deterministic regardless of heap internals. schedule()
+// normally takes the next number, but a caller may reserve_seq() a number
+// now and schedule with it later: the event then runs exactly where an
+// event scheduled at reservation time would have run. The channel uses this
+// to keep one queue entry per chain of arrivals instead of one per arrival.
+//
+// Heap nodes are 24-byte PODs; callbacks live in a slot array addressed by
+// EventId, so sifting never moves a closure. EventIds are generation-stamped
+// slot handles: schedule/cancel/pending are pure array indexing — no
+// hashing, no per-event allocation (the MAC layer cancels timers
+// constantly, so this path is the kernel's inner loop). Cancellation is lazy
+// in the heap: a cancelled event's callback is destroyed eagerly, its heap
+// node discarded when it surfaces. cancel() is O(1); pop() is O(log4 n)
+// amortized.
+//
+// pop() leaves the popped root in place, marked dead. The next schedule()
+// overwrites it and sifts down from the top; anything else that needs the
+// top (next_time, pop, clear) removes the dead root first. An event
+// scheduled while the previous one runs and due just after it, such as a
+// chain re-arming its next step, thus costs a one-level sift instead of a
+// full pop plus a push.
 #pragma once
 
 #include <cstdint>
@@ -33,7 +46,19 @@ class EventQueue {
   using Callback = EventCallback;
 
   /// Schedule `cb` at absolute time `at`. Returns a handle for cancel().
-  EventId schedule(SimTime at, Callback cb);
+  EventId schedule(SimTime at, Callback cb) { return insert(at, next_seq_++, std::move(cb)); }
+
+  /// Take the next sequence number without scheduling anything. An event
+  /// later scheduled with it orders among same-instant events as if it had
+  /// been scheduled now.
+  [[nodiscard]] std::uint64_t reserve_seq() { return next_seq_++; }
+
+  /// True iff `seq` has been handed out by reserve_seq() or schedule().
+  [[nodiscard]] bool reserved(std::uint64_t seq) const { return seq < next_seq_; }
+
+  /// Schedule `cb` at `at` with a sequence number from reserve_seq(). Each
+  /// reserved number is used at most once.
+  EventId schedule(SimTime at, std::uint64_t seq, Callback cb);
 
   /// Cancel a previously scheduled event. Cancelling an already-executed,
   /// already-cancelled, or invalid id is a harmless no-op.
@@ -105,13 +130,16 @@ class EventQueue {
     return slots_[e.slot].live && slots_[e.slot].gen == e.gen;
   }
 
+  EventId insert(SimTime at, std::uint64_t seq, Callback&& cb);
   void sift_up(std::size_t i);
   void sift_down(std::size_t i);
   void pop_heap_top();
+  void drop_dead_root();
   void discard_cancelled_top();
   void retire(std::uint32_t slot);
 
   std::vector<Entry> heap_;   // 4-ary min-heap by (time, seq)
+  bool root_dead_ = false;    // heap_[0] was popped; the next insert overwrites it
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_;  // retired slot indices, LIFO
   std::uint64_t next_seq_ = 0;

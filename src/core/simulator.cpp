@@ -16,6 +16,14 @@ EventId Simulator::schedule_at(SimTime at, EventQueue::Callback cb) {
   return queue_.schedule(at, std::move(cb));
 }
 
+EventId Simulator::schedule_at(SimTime at, std::uint64_t seq, EventQueue::Callback cb) {
+  MANET_EXPECTS_MSG(at >= now_, "schedule_at(%lldns) is in the past (now=%lldns)",
+                    static_cast<long long>(at.ns()), static_cast<long long>(now_.ns()));
+  MANET_EXPECTS_MSG(queue_.reserved(seq), "schedule_at: order %llu was never reserved",
+                    static_cast<unsigned long long>(seq));
+  return queue_.schedule(at, seq, std::move(cb));
+}
+
 std::uint64_t Simulator::run_until(SimTime until) {
   stopped_ = false;
   std::uint64_t ran = 0;

@@ -30,6 +30,15 @@ class Simulator {
   /// Schedule `cb` at absolute time `at` (must not be in the past).
   EventId schedule_at(SimTime at, EventQueue::Callback cb);
 
+  /// Reserve the order of an event to be scheduled later: scheduled with
+  /// schedule_at(at, seq, cb), it runs among same-instant events exactly
+  /// where an event scheduled now would have run.
+  [[nodiscard]] std::uint64_t reserve_order() { return queue_.reserve_seq(); }
+
+  /// Schedule `cb` at `at` (not in the past) with a number from
+  /// reserve_order(); each number is used at most once.
+  EventId schedule_at(SimTime at, std::uint64_t seq, EventQueue::Callback cb);
+
   /// Cancel a scheduled event (no-op if already run/cancelled).
   void cancel(EventId id) { queue_.cancel(id); }
 

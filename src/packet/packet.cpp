@@ -31,23 +31,4 @@ std::size_t Packet::size_bytes() const {
   return n;
 }
 
-std::shared_ptr<const Packet> PacketArena::make(const Packet& src) {
-  std::unique_ptr<Packet> p;
-  if (!pool_->free.empty()) {
-    p = std::move(pool_->free.back());
-    pool_->free.pop_back();
-    *p = src;  // copy-assign: headers + a shared payload handle, no clone
-  } else {
-    p = std::make_unique<Packet>(src);
-  }
-  // The deleter holds the pool by value, so a copy still in flight when the
-  // arena's owner (the Channel) is destroyed recycles into a pool that
-  // simply dies with the last shared_ptr — no dangling either way.
-  return {p.release(), Recycle{pool_}};
-}
-
-void PacketArena::Recycle::operator()(const Packet* p) const {
-  pool->free.emplace_back(const_cast<Packet*>(p));
-}
-
 }  // namespace manet

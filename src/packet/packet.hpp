@@ -14,7 +14,6 @@
 #include <cstdint>
 #include <memory>
 #include <type_traits>
-#include <vector>
 
 #include "core/time.hpp"
 
@@ -223,30 +222,6 @@ class Packet {
 
  private:
   std::uint64_t uid_;
-};
-
-/// Per-simulation pool of delivery Packet copies.
-//
-// The channel hands every decodable arrival a shared read-only copy of the
-// transmitted frame. Those copies are born and die at an enormous rate (one
-// per transmission, k receivers share it), so the arena recycles the Packet
-// allocations instead of round-tripping the allocator: the shared_ptr's
-// deleter returns the object to the free list. Single-threaded by design —
-// one arena per simulation, and a simulation never leaves its worker thread.
-class PacketArena {
- public:
-  /// A pooled read-only copy of `src` (same uid, shared routing payload).
-  [[nodiscard]] std::shared_ptr<const Packet> make(const Packet& src);
-
- private:
-  struct Pool {
-    std::vector<std::unique_ptr<Packet>> free;
-  };
-  struct Recycle {
-    std::shared_ptr<Pool> pool;
-    void operator()(const Packet* p) const;
-  };
-  std::shared_ptr<Pool> pool_ = std::make_shared<Pool>();
 };
 
 }  // namespace manet

@@ -72,10 +72,16 @@ SimTime Channel::transmit(NodeId sender, const Packet& frame) {
   const double cs2 = cfg_.cs_range_m * cfg_.cs_range_m;
   const bool urban = cfg_.urban();
   const double nlos_rx2 = cfg_.nlos_rx_range_m * cfg_.nlos_rx_range_m;
-  // One pooled read-only copy is shared by every decodable arrival of this
-  // transmission (receivers copy what they need at rx_start); a broadcast to
-  // k neighbours no longer deep-copies the frame k times.
-  std::shared_ptr<const Packet> copy;
+  Transmission* t = nullptr;
+  if (free_.empty()) {
+    records_.push_back(std::make_unique<Transmission>());
+    t = records_.back().get();
+  } else {
+    t = free_.back();
+    free_.pop_back();
+  }
+  t->airtime = airtime;
+  bool copied = false;
   for (const std::uint32_t id : scratch_) {
     // A down receiver absorbs nothing — not even carrier energy; its radio
     // is off. A blacked-out or partition-cut link is silent in both
@@ -88,7 +94,6 @@ SimTime Channel::transmit(NodeId sender, const Packet& frame) {
     const double d2 = distance2(src, dst);
     if (d2 > cs2) continue;
     const SimTime prop = cfg_.propagation(std::sqrt(d2));
-    Transceiver* rx = trx_[id];
     bool faded = cfg_.frame_loss_rate > 0.0 && loss_rng_.chance(cfg_.frame_loss_rate);
     // Urban street-canyon shadowing: an NLOS pair decodes only within the
     // short diffraction range, and then only past an extra loss draw. The
@@ -109,15 +114,70 @@ SimTime Channel::transmit(NodeId sender, const Packet& frame) {
       faded = true;
       if (stats_ != nullptr) stats_->on_fault_corruption(frame.kind == PacketKind::kData);
     }
-    if (d2 <= rx2 && !faded) {
-      if (copy == nullptr) copy = arena_.make(frame);
-      sim_.schedule(prop, [rx, copy, airtime] { rx->rx_start(copy.get(), airtime); });
-    } else {
-      // Carrier/interference only.
-      sim_.schedule(prop, [rx, airtime] { rx->rx_start(nullptr, airtime); });
+    // A faded or out-of-range arrival is carrier/interference only.
+    const bool decodable = d2 <= rx2 && !faded;
+    if (decodable && !copied) {
+      t->frame = frame;
+      copied = true;
+    }
+    // Nothing else takes an order number inside this loop, so the arrivals'
+    // numbers are contiguous, in candidate-scan order.
+    t->arrivals.push_back({sim_.now() + prop, sim_.reserve_order(), trx_[id], decodable});
+  }
+  if (t->arrivals.empty()) {
+    release(t);
+    return airtime;
+  }
+  std::sort(t->arrivals.begin(), t->arrivals.end(), [](const Arrival& a, const Arrival& b) {
+    return a.at != b.at ? a.at < b.at : a.start_seq < b.start_seq;
+  });
+  const Arrival& first = t->arrivals.front();
+  sim_.schedule_at(first.at, first.start_seq, [this, t] { run_start(t); });
+  return airtime;
+}
+
+void Channel::run_start(Transmission* t) {
+  const std::size_t i = t->next_start++;
+  if (t->next_start < t->arrivals.size()) {
+    const Arrival& next = t->arrivals[t->next_start];
+    sim_.schedule_at(next.at, next.start_seq, [this, t] { run_start(t); });
+  }
+  Arrival& a = t->arrivals[i];
+  if (const auto end_seq = a.rx->rx_start(a.decodable ? &t->frame : nullptr, t->airtime)) {
+    a.accepted = true;
+    a.end_seq = *end_seq;
+    if (!t->end_armed) schedule_end(t, i);
+  }
+  if (t->next_start == t->arrivals.size() && !t->end_armed) release(t);
+}
+
+void Channel::run_end(Transmission* t) {
+  const std::size_t i = t->next_end;
+  t->end_armed = false;
+  // Only arrivals whose start has run can be next; a later accepted start
+  // re-arms the chain itself.
+  for (std::size_t j = i + 1; j < t->next_start; ++j) {
+    if (t->arrivals[j].accepted) {
+      schedule_end(t, j);
+      break;
     }
   }
-  return airtime;
+  const Arrival& a = t->arrivals[i];
+  a.rx->rx_end(a.end_seq);
+  if (t->next_start == t->arrivals.size() && !t->end_armed) release(t);
+}
+
+void Channel::schedule_end(Transmission* t, std::size_t i) {
+  const Arrival& a = t->arrivals[i];
+  t->next_end = i;
+  t->end_armed = true;
+  sim_.schedule_at(a.at + t->airtime, a.end_seq, [this, t] { run_end(t); });
+}
+
+void Channel::release(Transmission* t) {
+  t->arrivals.clear();
+  t->next_start = 0;
+  free_.push_back(t);
 }
 
 std::vector<NodeId> Channel::neighbors_of(NodeId id, double radius) {

@@ -2,11 +2,37 @@
 //
 // Connects all transceivers. On each transmission it finds the nodes within
 // carrier-sense range of the transmitter (grid spatial index + exact
-// distance check), computes per-receiver propagation delays, and schedules
+// distance check), computes per-receiver propagation delays, and delivers
 // energy/frame arrivals at each. Node positions come from the mobility
 // models; the grid is refreshed periodically and queried with a slack margin
 // of 2 · v_max · refresh-interval so candidates are never missed between
 // refreshes.
+//
+// Each transmission gets one pooled record holding its arrivals and one copy
+// of the frame, shared by every decodable arrival. The record runs its
+// arrivals as two chains of events, one of rx_starts and one of accepted
+// rx_ends, and each chain keeps one queue entry at a time: a chain step
+// schedules the next step before it runs its own arrival, so the next step
+// usually takes the root the running event left and sifts one level.
+//
+// Exactness. The run is event-for-event identical to one that schedules
+// every rx_start and rx_end as its own event, the model every golden pins:
+// each still runs as its own event, at the same (time, order).
+//   * transmit() reserves each arrival's order number in its candidate
+//     loop, where scheduling an event for that arrival would take one, and
+//     rx_start() reserves its rx_end's number before the MAC hears of the
+//     arrival, where scheduling the rx_end would. Every other event
+//     therefore gets the number it would get in that model too.
+//   * The start chain walks the arrivals sorted by (time, order). The end
+//     chain walks the accepted arrivals in the same order: every end is its
+//     start plus one airtime, and end numbers are reserved in the order the
+//     starts run, so that is also the ends' (time, order) order.
+//   * Each step is in the queue before its turn: the next start is
+//     scheduled when the previous start runs, and an end when the previous
+//     accepted end runs or, if its own start had not run by then, when that
+//     start runs. Each of those runs strictly earlier in (time, order) than
+//     the step it schedules. Nothing assumes the airtime exceeds the spread
+//     of propagation delays, so ends may interleave with later starts.
 #pragma once
 
 #include <memory>
@@ -41,6 +67,12 @@ class Channel {
   /// Returns the time on air.
   SimTime transmit(NodeId sender, const Packet& frame);
 
+  /// Transmissions whose arrivals have not all run yet (records out of the
+  /// pool). Zero once the simulator has drained.
+  [[nodiscard]] std::size_t transmissions_in_flight() const {
+    return records_.size() - free_.size();
+  }
+
   [[nodiscard]] const PhyConfig& config() const { return cfg_; }
 
   /// Current position of a node (refreshes its grid slot).
@@ -59,7 +91,32 @@ class Channel {
   void set_stats(StatsCollector* stats) { stats_ = stats; }
 
  private:
+  /// One receiver's arrival of a transmission.
+  struct Arrival {
+    SimTime at;                 ///< rx_start time
+    std::uint64_t start_seq;    ///< rx_start's order
+    Transceiver* rx;
+    bool decodable;
+    bool accepted = false;      ///< rx_start ran with the radio up
+    std::uint64_t end_seq = 0;  ///< rx_end's order, valid once accepted
+  };
+
+  /// One transmission's arrivals, sorted by (at, start_seq), and the frame
+  /// copy its decodable arrivals point into.
+  struct Transmission {
+    Packet frame;
+    SimTime airtime;
+    std::vector<Arrival> arrivals;
+    std::size_t next_start = 0;  ///< first arrival whose rx_start has not run
+    std::size_t next_end = 0;    ///< the end chain's armed arrival
+    bool end_armed = false;
+  };
+
   void refresh_positions();
+  void run_start(Transmission* t);
+  void run_end(Transmission* t);
+  void schedule_end(Transmission* t, std::size_t i);
+  void release(Transmission* t);
 
   Simulator& sim_;
   PhyConfig cfg_;
@@ -70,11 +127,12 @@ class Channel {
   RngStream shadow_rng_;  ///< urban NLOS draws; untouched in open-field runs
   const FaultRuntime* fault_ = nullptr;
   StatsCollector* stats_ = nullptr;
-  PacketArena arena_;  ///< pools the per-transmission delivery copies
   double max_speed_ = 0.0;
   std::vector<Transceiver*> trx_;
   std::vector<MobilityModel*> mob_;
   std::vector<std::uint32_t> scratch_;
+  std::vector<std::unique_ptr<Transmission>> records_;  ///< every record, for ownership
+  std::vector<Transmission*> free_;                     ///< the pool
 };
 
 }  // namespace manet

@@ -50,16 +50,12 @@ void Transceiver::set_down(bool down) {
   }
 }
 
-void Transceiver::rx_start(const Packet* frame, SimTime airtime) {
-  if (down_) return;
+std::optional<std::uint64_t> Transceiver::rx_start(const Packet* frame, SimTime airtime) {
+  if (down_) return std::nullopt;
   const bool was_busy = medium_busy();
-  ActiveRx rx;
-  rx.key = next_key_++;
-  rx.end = sim_.now() + airtime;
-  rx.airtime = airtime;
-  rx.carrier_only = (frame == nullptr);
-  rx.corrupted = false;
-  if (frame != nullptr) rx.frame = *frame;
+  // The end's order is taken here, before the MAC hears the busy edge, so
+  // it sorts before anything the MAC schedules in response.
+  ActiveRx rx{sim_.reserve_order(), airtime, frame, false};
   // Collision rule: a second overlapping arrival corrupts every decodable
   // frame in flight, including the new one. Carrier-only arrivals corrupt
   // decodable frames too (they are interference), and vice versa.
@@ -71,32 +67,30 @@ void Transceiver::rx_start(const Packet* frame, SimTime airtime) {
   if (transmitting_) rx.corrupted = true;
 
   ++rx_energy_;
-  const std::uint64_t key = rx.key;
-  active_.push_back(std::move(rx));
-  sim_.schedule(airtime, [this, key] { rx_end(key); });
+  active_.push_back(rx);
   update_busy_edges(was_busy);
+  return rx.end_seq;
 }
 
-void Transceiver::rx_end(std::uint64_t key) {
+void Transceiver::rx_end(std::uint64_t end_seq) {
   auto it = std::find_if(active_.begin(), active_.end(),
-                         [key](const ActiveRx& r) { return r.key == key; });
+                         [end_seq](const ActiveRx& r) { return r.end_seq == end_seq; });
   MANET_ASSERT(it != active_.end());
   const bool was_busy = medium_busy();
-  ActiveRx rx = std::move(*it);
+  const ActiveRx rx = *it;
   active_.erase(it);
   --rx_energy_;
   MANET_ASSERT(rx_energy_ >= 0);
 
   if (stats_ != nullptr) stats_->on_rx_energy(cfg_.rx_power_w * rx.airtime.sec());
-  if (!rx.carrier_only) {
+  if (rx.frame != nullptr) {
     // A frame whose tail overlapped our own transmission is also lost.
-    if (transmitting_) rx.corrupted = true;
-    if (rx.corrupted) {
+    if (rx.corrupted || transmitting_) {
       ++frames_corrupt_;
       if (stats_ != nullptr) stats_->on_collision();
     } else {
       ++frames_rx_;
-      if (listener_ != nullptr) listener_->phy_rx(rx.frame);
+      if (listener_ != nullptr) listener_->phy_rx(*rx.frame);
     }
   }
   update_busy_edges(was_busy);

@@ -11,9 +11,16 @@
 //     (half-duplex).
 // The MAC observes the medium through busy()/idle edges and receives only
 // frames that survived uncorrupted.
+//
+// The channel drives reception: its per-transmission chains (channel.hpp)
+// call rx_start() and, one airtime later, rx_end(). rx_start() schedules
+// nothing: it reserves the rx_end's order number and hands it back. A
+// decodable frame is not copied; the arrival points into the channel's
+// record, which outlives its rx_end.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "core/simulator.hpp"
@@ -59,13 +66,20 @@ class Transceiver {
   // -- called by the Channel --------------------------------------------------
   /// Energy (and possibly a decodable frame) starts arriving for `airtime`.
   /// `frame` is null for carrier-only arrivals (transmitter beyond rx range
-  /// but within carrier-sense range).
-  void rx_start(const Packet* frame, SimTime airtime);
+  /// but within carrier-sense range); otherwise it must stay valid until the
+  /// matching rx_end(). Returns the order reserved for that rx_end, which
+  /// the channel runs at now + airtime, and which also names the arrival.
+  /// Returns nothing when the radio is down: the arrival is ignored and no
+  /// rx_end follows.
+  [[nodiscard]] std::optional<std::uint64_t> rx_start(const Packet* frame, SimTime airtime);
+  /// The arrival named `end_seq` stops; its frame, if intact, goes up to
+  /// the MAC.
+  void rx_end(std::uint64_t end_seq);
 
   // -- fault injection --------------------------------------------------------
   /// Power the radio down/up. While down, new arrivals are ignored and any
-  /// reception already in flight is corrupted; rx_end events for those still
-  /// fire, keeping the energy bookkeeping balanced.
+  /// reception already in flight is corrupted; rx_end() for those still
+  /// runs, keeping the energy bookkeeping balanced.
   void set_down(bool down);
   [[nodiscard]] bool down() const { return down_; }
 
@@ -75,15 +89,12 @@ class Transceiver {
 
  private:
   struct ActiveRx {
-    std::uint64_t key;
-    SimTime end;
+    std::uint64_t end_seq;  // unique: each order number is handed out once
     SimTime airtime;
-    Packet frame;     // decodable content (unused when carrier_only)
-    bool carrier_only;
+    const Packet* frame;  // decodable content, owned by the channel; null if carrier only
     bool corrupted;
   };
 
-  void rx_end(std::uint64_t key);
   void tx_end();
   void update_busy_edges(bool was_busy);
 
@@ -98,7 +109,6 @@ class Transceiver {
   bool down_ = false;
   int rx_energy_ = 0;
   std::vector<ActiveRx> active_;
-  std::uint64_t next_key_ = 0;
   std::uint64_t frames_rx_ = 0;
   std::uint64_t frames_corrupt_ = 0;
 };

@@ -197,8 +197,11 @@ TEST(EventQueue, LargeCallbacksSurviveHeapFallback) {
 
 // Fuzz the queue against a trivially-correct reference model: the reference
 // keeps every event in a flat vector and pops by linear scan over
-// (time, insertion-seq). Any drift in pop order, pending() answers, or
-// fired-callback counts vs the pre-refactor semantics shows up here.
+// (time, seq). Some events are scheduled with a sequence number reserved
+// earlier, and pops are followed by every operation that must first deal
+// with the dead root the pop leaves behind: schedule, cancel, next_time,
+// another pop and clear. Any drift in pop order, pending() answers, or
+// fired-callback counts shows up here.
 TEST(EventQueue, FuzzMatchesReferenceModel) {
   struct RefEvent {
     SimTime time;
@@ -209,8 +212,10 @@ TEST(EventQueue, FuzzMatchesReferenceModel) {
   for (const std::uint64_t seed : {11u, 22u, 33u, 44u}) {
     RngStream rng(seed);
     EventQueue q;
-    std::vector<RefEvent> ref;        // by insertion order; seq = index
-    std::vector<EventId> ids;         // parallel to ref
+    std::vector<RefEvent> ref;             // by schedule order
+    std::vector<EventId> ids;              // parallel to ref
+    std::vector<std::uint64_t> reserved;   // reserved, not yet used
+    std::uint64_t next_seq = 0;            // the queue's counter, mirrored
     std::vector<int> fired;
     int next_payload = 0;
 
@@ -218,47 +223,77 @@ TEST(EventQueue, FuzzMatchesReferenceModel) {
       RefEvent* best = nullptr;
       for (RefEvent& e : ref) {
         if (!e.live) continue;
-        if (best == nullptr || e.time < best->time) best = &e;  // seq order = scan order
+        if (best == nullptr || e.time < best->time ||
+            (e.time == best->time && e.seq < best->seq)) {
+          best = &e;
+        }
       }
       return best;
+    };
+    auto pick = [&](std::size_t n) {
+      return static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+    };
+    auto pop_one = [&] {
+      auto ev = q.pop();
+      RefEvent* expect = ref_pop();
+      ASSERT_NE(expect, nullptr);
+      ASSERT_EQ(ev.time, expect->time);
+      expect->live = false;
+      const auto before = fired.size();
+      ev.cb();
+      ASSERT_EQ(fired.size(), before + 1);
+      ASSERT_EQ(fired.back(), expect->payload);
     };
 
     for (int step = 0; step < 3000; ++step) {
       const double dice = rng.uniform();
-      if (dice < 0.55) {  // schedule
+      if (dice < 0.45) {  // schedule, half the time with a reserved number
         const SimTime t = milliseconds(rng.uniform_int(0, 500));
         const int payload = next_payload++;
-        ids.push_back(q.schedule(t, [payload, &fired] { fired.push_back(payload); }));
-        ref.push_back({t, static_cast<std::uint64_t>(ref.size()), payload, true});
-      } else if (dice < 0.80 && !ids.empty()) {  // cancel a random id (maybe stale)
-        const auto idx = static_cast<std::size_t>(
-            rng.uniform_int(0, static_cast<std::int64_t>(ids.size()) - 1));
+        auto cb = [payload, &fired] { fired.push_back(payload); };
+        std::uint64_t seq = 0;
+        if (!reserved.empty() && rng.uniform() < 0.5) {
+          const std::size_t r = pick(reserved.size());
+          seq = reserved[r];
+          reserved.erase(reserved.begin() + static_cast<std::ptrdiff_t>(r));
+          ids.push_back(q.schedule(t, seq, cb));
+        } else {
+          seq = next_seq++;
+          ids.push_back(q.schedule(t, cb));
+        }
+        ref.push_back({t, seq, payload, true});
+      } else if (dice < 0.55) {  // reserve a number for later
+        const std::uint64_t seq = q.reserve_seq();
+        ASSERT_EQ(seq, next_seq++);
+        reserved.push_back(seq);
+      } else if (dice < 0.75 && !ids.empty()) {  // cancel a random id (maybe stale)
+        const std::size_t idx = pick(ids.size());
         ASSERT_EQ(q.pending(ids[idx]), ref[idx].live);
         q.cancel(ids[idx]);
         ref[idx].live = false;
-      } else if (!q.empty()) {  // pop one
-        auto ev = q.pop();
+      } else if (dice < 0.80 && !q.empty()) {  // peek
         RefEvent* expect = ref_pop();
         ASSERT_NE(expect, nullptr);
-        ASSERT_EQ(ev.time, expect->time);
-        expect->live = false;
-        const auto before = fired.size();
-        ev.cb();
-        ASSERT_EQ(fired.size(), before + 1);
-        ASSERT_EQ(fired.back(), expect->payload);
+        ASSERT_EQ(q.next_time(), expect->time);
+      } else if (dice < 0.805) {  // clear
+        q.clear();
+        for (RefEvent& e : ref) e.live = false;
+      } else if (!q.empty()) {
+        pop_one();
       }
+      ASSERT_EQ(q.size(), static_cast<std::size_t>(std::count_if(
+                              ref.begin(), ref.end(), [](const RefEvent& e) { return e.live; })));
     }
     // Drain: remaining events must fire in exactly the reference order.
-    while (!q.empty()) {
-      auto ev = q.pop();
-      RefEvent* expect = ref_pop();
-      ASSERT_NE(expect, nullptr);
-      expect->live = false;
-      ev.cb();
-      ASSERT_EQ(fired.back(), expect->payload);
-    }
+    while (!q.empty()) pop_one();
     ASSERT_EQ(ref_pop(), nullptr);  // model drained too
   }
+}
+
+TEST(EventQueueDeathTest, ScheduleWithUnreservedNumberViolatesContract) {
+  EventQueue q;
+  const std::uint64_t seq = q.reserve_seq();
+  EXPECT_DEATH(q.schedule(milliseconds(1), seq + 1, [] {}), "reserved");
 }
 
 // Property: a random mix of schedules and cancels always pops in

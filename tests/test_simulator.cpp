@@ -131,5 +131,35 @@ TEST(Simulator, ZeroDelayRunsAtCurrentTime) {
   EXPECT_EQ(sim.now(), milliseconds(5));
 }
 
+TEST(Simulator, ReservedOrderRunsAheadOfLaterSameInstantEvents) {
+  Simulator sim;
+  std::vector<int> order;
+  const std::uint64_t first = sim.reserve_order();
+  sim.schedule(milliseconds(2), [&] {
+    order.push_back(2);
+    // A number reserved at t=0 still sorts ahead of this tie at t=2ms.
+    const std::uint64_t late = sim.reserve_order();
+    sim.schedule_at(milliseconds(2), [&] { order.push_back(4); });
+    sim.schedule_at(milliseconds(2), late, [&] { order.push_back(3); });
+  });
+  sim.schedule_at(milliseconds(2), first, [&] { order.push_back(1); });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
+}
+
+TEST(SimulatorDeathTest, ScheduleWithUnreservedOrderViolatesContract) {
+  Simulator sim;
+  const std::uint64_t seq = sim.reserve_order();
+  EXPECT_DEATH(sim.schedule_at(milliseconds(1), seq + 1, [] {}), "never reserved");
+}
+
+TEST(SimulatorDeathTest, ScheduleReservedInThePastViolatesContract) {
+  Simulator sim;
+  const std::uint64_t seq = sim.reserve_order();
+  sim.schedule(milliseconds(5), [] {});
+  sim.run();
+  EXPECT_DEATH(sim.schedule_at(milliseconds(1), seq, [] {}), "in the past");
+}
+
 }  // namespace
 }  // namespace manet
