@@ -14,7 +14,8 @@
 // Fidelity/wall-clock knobs come from the environment (parsed by BenchEnv):
 //
 //   MANET_BENCH_SEEDS        replications per cell (default 2)
-//   MANET_BENCH_DURATION     simulated seconds     (default: per-figure config)
+//   MANET_BENCH_DURATION     simulated seconds     (default: per-figure config;
+//                            a value some cell's contract rejects exits 2)
 //   MANET_BENCH_THREADS      worker threads        (default: hw concurrency)
 //   MANET_BENCH_RESULTS_DIR  artifact directory    (default: results)
 //
@@ -105,7 +106,15 @@ class Suite {
     const BenchEnv env = BenchEnv::parse(default_seeds_);
     std::string baseline_out;
     consume_own_flags(argc, argv, baseline_out);
-    for (SweepCell& c : cells_) env.apply_duration(c.config);
+    if (env.duration_s > 0) {
+      for (SweepCell& c : cells_) env.apply_duration(c.config);
+      const std::string invalid =
+          check_cells(cells_, "MANET_BENCH_DURATION=" + std::to_string(env.duration_s));
+      if (!invalid.empty()) {
+        std::fputs(invalid.c_str(), stderr);
+        return 2;
+      }
+    }
 
     const SweepRunner runner(env.seeds, env.threads);
     SweepResult sweep = runner.run(cells_);

@@ -15,6 +15,7 @@
 
 #include "scenario/builder.hpp"
 #include "scenario/experiment.hpp"
+#include "scenario/sweep.hpp"
 #include "scenario/scenario.hpp"
 
 namespace {
@@ -112,8 +113,8 @@ int main(int argc, char** argv) {
                 seeds, cfg.parameter_table().c_str());
   }
 
-  const ExperimentRunner runner(seeds > 0 ? seeds : 1);
-  const Aggregate a = runner.run(cfg);
+  const SweepRunner runner(seeds > 0 ? seeds : 1);
+  const Aggregate a = runner.run({SweepCell{"cell", cfg}}).cells.front().aggregate;
 
   std::printf("metric                 mean ± se\n");
   std::printf("---------------------  -------------------\n");

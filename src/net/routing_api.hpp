@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -93,6 +94,9 @@ class Registry {
   [[nodiscard]] const ProtocolEntry* by_id(std::uint8_t id) const;
 
   [[nodiscard]] std::size_t size() const { return entries_.size(); }
+
+  /// "AODV, DSR, ..." in registration order, for unknown-name diagnostics.
+  [[nodiscard]] std::string names() const;
 
   /// Iteration, in registration order (the benches' canonical table order).
   [[nodiscard]] auto begin() const { return entries_.begin(); }

@@ -5,7 +5,7 @@
 namespace manet {
 
 namespace {
-// Atomic so concurrently-running replications (ExperimentRunner worker
+// Atomic so concurrently-running replications (SweepRunner worker
 // threads) never mint the same uid.
 // manet-lint: allow-global-state - atomic uid mint; uids identify trace lines but never influence simulated behaviour
 std::atomic<std::uint64_t> g_next_uid{1};

@@ -50,6 +50,15 @@ const ProtocolEntry* Registry::by_id(std::uint8_t id) const {
   return nullptr;
 }
 
+std::string Registry::names() const {
+  std::string out;
+  for (const ProtocolEntry& e : entries_) {
+    if (!out.empty()) out += ", ";
+    out += e.name;
+  }
+  return out;
+}
+
 }  // namespace routing
 
 }  // namespace manet

@@ -15,6 +15,11 @@
 //                                .pause(seconds(30))
 //                                .run();
 //
+// check() is the scenario contract, written once: every range and
+// cross-field rule on ScenarioConfig. build() aborts on its errors; the
+// scenario-file loader (spec.hpp) reports them recoverably, anchored at the
+// JSON value that wrote the blamed field.
+//
 // Every setter has a with() escape hatch for knobs too niche to earn one.
 // Direct aggregate construction of ScenarioConfig outside src/scenario/ is
 // flagged by manet_lint (scenario-config-aggregate).
@@ -24,10 +29,20 @@
 #include <string>
 #include <string_view>
 #include <utility>
+#include <vector>
 
 #include "scenario/scenario.hpp"
 
 namespace manet {
+
+/// One violation of the scenario contract.
+struct ConfigError {
+  /// The ScenarioConfig member path the message blames: "num_nodes",
+  /// "phy.frame_loss_rate", "fault.window_from", ...
+  std::string field;
+  /// What is wrong, naming the offending value ("must be >= 2, got 1").
+  std::string message;
+};
 
 class ScenarioBuilder {
  public:
@@ -42,7 +57,7 @@ class ScenarioBuilder {
   // -- protocol ---------------------------------------------------------------
   ScenarioBuilder& protocol(Protocol p);
   /// By registry name, case-insensitive ("dsr" matches "DSR"). Unknown names
-  /// are reported at build() with the full list of registered protocols.
+  /// are reported by check() with the full list of registered protocols.
   ScenarioBuilder& protocol(std::string_view name);
 
   // -- topology & mobility ----------------------------------------------------
@@ -60,7 +75,7 @@ class ScenarioBuilder {
   ScenarioBuilder& traffic(TrafficKind kind);
   ScenarioBuilder& cbr_interval(SimTime interval);
   /// Reliable transport between app and net (closed-loop traffic); the
-  /// config's RTO/cwnd/buffer bounds are validated at build().
+  /// config's RTO/cwnd/buffer bounds are validated by check().
   ScenarioBuilder& transport(const TransportConfig& transport);
 
   // -- run shape --------------------------------------------------------------
@@ -84,8 +99,14 @@ class ScenarioBuilder {
   /// blocks, mobility-model extras). Runs immediately on the staged config.
   ScenarioBuilder& with(const std::function<void(ScenarioConfig&)>& fn);
 
-  /// Validate the staged config as a whole and return it. Violations fail
-  /// the MANET_CONTRACT with the offending values in the message.
+  /// Every violation of the scenario contract by the staged config, in rule
+  /// order; empty when it is valid. Single-field ranges always apply;
+  /// cross-field rules only where the fields they relate are in use
+  /// (mobile nodes, traffic, transport, faults, the urban model).
+  [[nodiscard]] std::vector<ConfigError> check() const;
+
+  /// check() the staged config and return it. Any error fails a
+  /// MANET_CONTRACT whose message lists every error as "field: message".
   [[nodiscard]] ScenarioConfig build() const;
 
   /// build() and run the scenario once.

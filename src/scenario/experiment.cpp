@@ -6,9 +6,6 @@
 #include <cstdlib>
 #include <sstream>
 
-#include "core/assert.hpp"
-#include "scenario/sweep.hpp"
-
 namespace manet {
 
 namespace {
@@ -72,25 +69,6 @@ BenchEnv BenchEnv::parse(int default_seeds) {
 
 void BenchEnv::apply_duration(ScenarioConfig& cfg) const {
   if (duration_s > 0) cfg.duration = seconds(duration_s);
-}
-
-ExperimentRunner::ExperimentRunner(int seeds, unsigned threads)
-    : seeds_(seeds), threads_(threads) {
-  MANET_EXPECTS(seeds >= 1);
-}
-
-ExperimentRunner ExperimentRunner::from_env(int default_seeds) {
-  const BenchEnv env = BenchEnv::parse(default_seeds);
-  return ExperimentRunner(env.seeds, env.threads);
-}
-
-void ExperimentRunner::apply_env_duration(ScenarioConfig& cfg) {
-  BenchEnv::parse().apply_duration(cfg);
-}
-
-Aggregate ExperimentRunner::run(const ScenarioConfig& base) const {
-  const SweepRunner sweep(seeds_, threads_);
-  return sweep.run({SweepCell{"cell", base}}).cells.front().aggregate;
 }
 
 std::string format_metric(const Metric& m, int precision) {

@@ -2,8 +2,7 @@
 //
 // Every figure in the paper family is a sweep: (protocol × parameter value),
 // each cell averaged over several random scenarios. The SweepRunner
-// (scenario/sweep.hpp) executes a whole grid of cells on one work pool;
-// ExperimentRunner is the single-cell convenience wrapper over it.
+// (scenario/sweep.hpp) executes a whole grid of cells on one work pool.
 //
 // Metrics are registered once, in kMetricDefs: each entry names a metric and
 // binds the per-run sample (ScenarioResult field) to its aggregate slot
@@ -104,28 +103,6 @@ struct BenchEnv {
 
   /// Apply MANET_BENCH_DURATION to a config (no-op when unset).
   void apply_duration(ScenarioConfig& cfg) const;
-};
-
-class ExperimentRunner {
- public:
-  /// `seeds`: replications per cell; `threads`: 0 = hardware concurrency.
-  explicit ExperimentRunner(int seeds = 5, unsigned threads = 0);
-
-  /// Run `base` under seeds base.seed, base.seed+1, ... and aggregate.
-  /// Thin single-cell wrapper over SweepRunner.
-  [[nodiscard]] Aggregate run(const ScenarioConfig& base) const;
-
-  [[nodiscard]] int seeds() const { return seeds_; }
-
-  /// Construct from the MANET_BENCH_* environment knobs (via BenchEnv).
-  [[nodiscard]] static ExperimentRunner from_env(int default_seeds = 3);
-
-  /// Apply MANET_BENCH_DURATION to a config (no-op when unset).
-  static void apply_env_duration(ScenarioConfig& cfg);
-
- private:
-  int seeds_;
-  unsigned threads_;
 };
 
 /// Render one metric as "mean ± se" with the given precision.

@@ -1,8 +1,14 @@
 #include "scenario/spec.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <functional>
+#include <limits>
+#include <map>
+#include <set>
 #include <sstream>
+#include <type_traits>
 #include <utility>
 
 #include "common/json.hpp"
@@ -14,35 +20,21 @@ namespace {
 
 using json::Value;
 
-/// %g rendering, matching the bench label convention and the builder's
-/// contract messages.
+/// %g rendering, matching the bench label convention.
 std::string fmt_g(double v) {
   char buf[32];
   std::snprintf(buf, sizeof buf, "%g", v);
   return buf;
 }
 
-std::string fmt_s(double seconds) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.3f", seconds);
-  return buf;
-}
+/// Largest |seconds| a nanosecond SimTime holds, rounded down (INT64_MAX ns
+/// is about 9.22e9 s).
+constexpr double kMaxSeconds = 9e9;
 
-/// "AODV, DSR, ..." for the unknown-protocol message (same wording as
-/// ScenarioBuilder::build()).
-std::string registered_names() {
-  std::ostringstream os;
-  bool first = true;
-  for (const routing::ProtocolEntry& e : protocol_registry()) {
-    os << (first ? "" : ", ") << e.name;
-    first = false;
-  }
-  return os.str();
-}
-
-/// Error sink + the typed-accessor helpers every section walker shares.
-/// Every accessor that fails records a diagnostic naming the key, the
-/// expectation, and the offending value, anchored at the value's source line.
+/// Error sink + the typed accessors every section walker shares. These
+/// checks are the ones that belong to reading external input: JSON kinds,
+/// integer-ness and whether a number fits the type of the field it lands
+/// in. Every range and cross-field rule is ScenarioBuilder::check()'s.
 class Checker {
  public:
   explicit Checker(std::vector<Error>& errs) : errs_(errs) {}
@@ -63,6 +55,10 @@ class Checker {
 
   bool num(const Value& v, const std::string& key, double& out) {
     if (!expect_kind(v, Value::Kind::kNumber, key)) return false;
+    if (!std::isfinite(v.number)) {
+      fail(v, key, "must be a finite number");
+      return false;
+    }
     out = v.number;
     return true;
   }
@@ -79,514 +75,367 @@ class Checker {
     return true;
   }
 
-  bool integer(const Value& v, const std::string& key, long long& out) {
+  /// An integer that fits T.
+  template <typename T>
+  bool integer(const Value& v, const std::string& key, T& out) {
     double x = 0.0;
     if (!num(v, key, x)) return false;
     if (std::floor(x) != x || std::abs(x) > 1e15) {
       fail(v, key, "must be an integer, got " + fmt_g(x));
       return false;
     }
-    out = static_cast<long long>(x);
+    using Limits = std::numeric_limits<T>;
+    if (x < static_cast<double>(Limits::min()) || x > static_cast<double>(Limits::max())) {
+      char got[32];
+      std::snprintf(got, sizeof got, "%.0f", x);
+      fail(v, key,
+           "must be in [" + std::to_string(Limits::min()) + ", " +
+               std::to_string(Limits::max()) + "], got " + got);
+      return false;
+    }
+    out = static_cast<T>(x);
     return true;
   }
 
-  /// Range gate: on failure emits "must be <constraint>, got <value>".
-  bool require(bool cond, const Value& v, const std::string& key, const std::string& constraint,
-               double got) {
-    if (cond) return true;
-    fail(v, key, "must be " + constraint + ", got " + fmt_g(got));
-    return false;
+  /// A time in units of `unit_s` seconds (1 for *_s keys, 1e-3 for *_ms).
+  bool sim_time(const Value& v, const std::string& key, double unit_s, SimTime& out) {
+    double x = 0.0;
+    return num(v, key, x) && fit_seconds(v, key, x * unit_s, out);
+  }
+
+  /// A packets/s rate as the interval between packets. 0 pps has no
+  /// interval; it becomes interval 0, which check() rejects.
+  bool rate(const Value& v, const std::string& key, SimTime& out) {
+    double x = 0.0;
+    // manet-lint: allow-float-eq - exact zero is the one rate with no reciprocal
+    return num(v, key, x) && fit_seconds(v, key, x == 0.0 ? 0.0 : 1.0 / x, out);
   }
 
  private:
+  bool fit_seconds(const Value& v, const std::string& key, double s, SimTime& out) {
+    if (std::abs(s) > kMaxSeconds) {
+      fail(v, key, "must be a time within +-9e9 s, got " + fmt_g(s) + " s");
+      return false;
+    }
+    out = seconds_f(s);
+    return true;
+  }
+
   std::vector<Error>& errs_;
 };
 
+/// A config under construction, plus the JSON value behind each field it
+/// was given (key path and line), keyed by the ScenarioConfig member path
+/// check() reports.
+struct Staged {
+  struct Anchor {
+    std::string key;
+    int line = 0;
+  };
+  ScenarioConfig cfg;
+  std::map<std::string, Anchor> anchors;
+
+  void wrote(const char* field, const Value& v, const std::string& key) {
+    anchors[field] = Anchor{key, v.line};
+  }
+};
+
+/// One key of a schema object. A plain key names the ScenarioConfig member
+/// it writes, both as the path check() reports and as the member itself
+/// (`unit_s` scales a time key to seconds: 1e-3 for *_ms). A key with no
+/// member is special: its section walker reads it.
+struct Key {
+  explicit Key(const char* key_name) : name(key_name) {}
+
+  template <typename T>
+  Key(const char* key_name, const char* member_path, T& out, double unit_s = 1.0)
+      : name(key_name),
+        field(member_path),
+        read([&out, unit_s](Checker& c, const Value& v, const std::string& p) {
+          if constexpr (std::is_same_v<T, SimTime>) {
+            return c.sim_time(v, p, unit_s, out);
+          } else if constexpr (std::is_same_v<T, bool>) {
+            return c.boolean(v, p, out);
+          } else if constexpr (std::is_same_v<T, double>) {
+            return c.num(v, p, out);
+          } else {
+            return c.integer(v, p, out);
+          }
+        }) {}
+
+  const char* name;
+  const char* field = nullptr;
+  std::function<bool(Checker&, const Value&, const std::string&)> read;
+};
+
+/// Read `v` (at key path `p`) into `key`'s member and anchor it there.
+void read_key(Checker& c, Staged& s, const Key& key, const Value& v, const std::string& p) {
+  if (key.read(c, v, p)) s.wrote(key.field, v, p);
+}
+
+using Special = std::function<void(const std::string& k, const Value& v, const std::string& p)>;
+
+/// Walk schema object `o` at `path`: plain keys are read into their members,
+/// special ones go to `special`, and any other key is an error naming the
+/// accepted set, so typos fail loudly instead of silently running the
+/// default.
+void apply_object(Checker& c, Staged& s, const Value& o, const std::string& path,
+                  const std::vector<Key>& keys, const Special& special = nullptr) {
+  if (!c.expect_kind(o, Value::Kind::kObject, path)) return;
+  for (const auto& [k, v] : o.object) {
+    const std::string p = path + "." + k;
+    const auto key =
+        std::find_if(keys.begin(), keys.end(), [&k](const Key& x) { return k == x.name; });
+    if (key == keys.end()) {
+      std::string expected;
+      for (const Key& x : keys) expected += (expected.empty() ? "" : ", ") + std::string(x.name);
+      c.fail(v, p, "unknown key (expected: " + expected + ")");
+    } else if (key->read) {
+      read_key(c, s, *key, v, p);
+    } else {
+      special(k, v, p);
+    }
+  }
+}
+
 // -- section walkers ---------------------------------------------------------
-// One function per schema object; each dispatches over its known keys and
-// reports anything else as an unknown key naming the accepted set, so typos
-// fail loudly instead of silently running the default.
+// One function per schema object, each a table of its keys.
 
-void apply_mobility(Checker& c, const Value& o, const std::string& path, ScenarioConfig& cfg) {
-  if (!c.expect_kind(o, Value::Kind::kObject, path)) return;
-  for (const auto& [k, v] : o.object) {
-    const std::string p = path + "." + k;
-    double x = 0.0;
-    if (k == "model") {
-      std::string s;
-      if (!c.str(v, p, s)) continue;
-      if (s == "waypoint") {
-        cfg.mobility = MobilityKind::kRandomWaypoint;
-      } else if (s == "walk") {
-        cfg.mobility = MobilityKind::kRandomWalk;
-      } else if (s == "gauss-markov") {
-        cfg.mobility = MobilityKind::kGaussMarkov;
-      } else if (s == "manhattan") {
-        cfg.mobility = MobilityKind::kManhattan;
-      } else {
-        c.fail(v, p,
-               "unknown mobility model \"" + s +
-                   "\" (expected: waypoint, walk, gauss-markov, manhattan)");
-      }
-    } else if (k == "v_min_mps") {
-      if (c.num(v, p, x) && c.require(x >= 0.0, v, p, ">= 0", x)) cfg.v_min = x;
-    } else if (k == "v_max_mps") {
-      if (c.num(v, p, x) && c.require(x >= 0.0, v, p, ">= 0", x)) cfg.v_max = x;
-    } else if (k == "pause_s") {
-      if (c.num(v, p, x) && c.require(x >= 0.0, v, p, ">= 0", x)) cfg.pause = seconds_f(x);
-    } else if (k == "warmup_s") {
-      if (c.num(v, p, x) && c.require(x >= 0.0, v, p, ">= 0", x)) {
-        cfg.mobility_warmup = seconds_f(x);
-      }
-    } else if (k == "block_m") {
-      if (c.num(v, p, x) && c.require(x > 0.0, v, p, "> 0", x)) cfg.manhattan.block = x;
-    } else if (k == "p_turn") {
-      if (c.num(v, p, x) && c.require(x >= 0.0 && x <= 1.0, v, p, "in [0, 1]", x)) {
-        cfg.manhattan.p_turn = x;
-      }
-    } else {
-      c.fail(v, p,
-             "unknown key (expected: model, v_min_mps, v_max_mps, pause_s, warmup_s, "
-             "block_m, p_turn)");
-    }
-  }
+void apply_mobility(Checker& c, const Value& o, const std::string& path, Staged& s) {
+  ScenarioConfig& cfg = s.cfg;
+  apply_object(c, s, o, path,
+               {Key("model"), Key("v_min_mps", "v_min", cfg.v_min),
+                Key("v_max_mps", "v_max", cfg.v_max), Key("pause_s", "pause", cfg.pause),
+                Key("warmup_s", "mobility_warmup", cfg.mobility_warmup),
+                Key("block_m", "manhattan.block", cfg.manhattan.block),
+                Key("p_turn", "manhattan.p_turn", cfg.manhattan.p_turn)},
+               [&](const std::string&, const Value& v, const std::string& p) {
+                 std::string m;
+                 if (!c.str(v, p, m)) return;
+                 if (m == "waypoint") {
+                   cfg.mobility = MobilityKind::kRandomWaypoint;
+                 } else if (m == "walk") {
+                   cfg.mobility = MobilityKind::kRandomWalk;
+                 } else if (m == "gauss-markov") {
+                   cfg.mobility = MobilityKind::kGaussMarkov;
+                 } else if (m == "manhattan") {
+                   cfg.mobility = MobilityKind::kManhattan;
+                 } else {
+                   c.fail(v, p,
+                          "unknown mobility model \"" + m +
+                              "\" (expected: waypoint, walk, gauss-markov, manhattan)");
+                 }
+               });
 }
 
-void apply_traffic(Checker& c, const Value& o, const std::string& path, ScenarioConfig& cfg) {
-  if (!c.expect_kind(o, Value::Kind::kObject, path)) return;
-  const Value* rate = o.find("rate_pps");
-  const Value* interval = o.find("interval_ms");
-  if (rate != nullptr && interval != nullptr) {
-    c.fail(*interval, path + ".interval_ms", "mutually exclusive with rate_pps");
+void apply_traffic(Checker& c, const Value& o, const std::string& path, Staged& s) {
+  ScenarioConfig& cfg = s.cfg;
+  if (o.find("rate_pps") != nullptr && o.find("interval_ms") != nullptr) {
+    c.fail(*o.find("interval_ms"), path + ".interval_ms", "mutually exclusive with rate_pps");
   }
-  for (const auto& [k, v] : o.object) {
-    const std::string p = path + "." + k;
-    double x = 0.0;
-    long long n = 0;
-    if (k == "kind") {
-      std::string s;
-      if (!c.str(v, p, s)) continue;
-      if (s == "cbr") {
-        cfg.traffic = TrafficKind::kCbr;
-      } else if (s == "onoff") {
-        cfg.traffic = TrafficKind::kOnOff;
-      } else {
-        c.fail(v, p, "unknown traffic kind \"" + s + "\" (expected: cbr, onoff)");
-      }
-    } else if (k == "connections") {
-      if (c.integer(v, p, n) && c.require(n >= 0, v, p, ">= 0", static_cast<double>(n))) {
-        cfg.num_connections = static_cast<std::uint32_t>(n);
-      }
-    } else if (k == "payload_bytes") {
-      if (c.integer(v, p, n) && c.require(n >= 1, v, p, ">= 1", static_cast<double>(n))) {
-        cfg.payload_bytes = static_cast<std::size_t>(n);
-      }
-    } else if (k == "rate_pps") {
-      if (c.num(v, p, x) && c.require(x > 0.0, v, p, "> 0", x)) {
-        cfg.cbr_interval = seconds_f(1.0 / x);
-      }
-    } else if (k == "interval_ms") {
-      if (c.num(v, p, x) && c.require(x > 0.0, v, p, "> 0", x)) {
-        cfg.cbr_interval = seconds_f(x / 1000.0);
-      }
-    } else if (k == "start_s") {
-      if (c.num(v, p, x) && c.require(x >= 0.0, v, p, ">= 0", x)) cfg.cbr_start = seconds_f(x);
-    } else if (k == "start_window_s") {
-      if (c.num(v, p, x) && c.require(x >= 0.0, v, p, ">= 0", x)) {
-        cfg.cbr_start_window = seconds_f(x);
-      }
-    } else if (k == "burst_mean_s") {
-      if (c.num(v, p, x) && c.require(x > 0.0, v, p, "> 0", x)) {
-        cfg.onoff_burst_mean = seconds_f(x);
-      }
-    } else if (k == "idle_mean_s") {
-      if (c.num(v, p, x) && c.require(x > 0.0, v, p, "> 0", x)) {
-        cfg.onoff_idle_mean = seconds_f(x);
-      }
-    } else {
-      c.fail(v, p,
-             "unknown key (expected: kind, connections, payload_bytes, rate_pps, "
-             "interval_ms, start_s, start_window_s, burst_mean_s, idle_mean_s)");
-    }
-  }
+  apply_object(c, s, o, path,
+               {Key("kind"), Key("connections", "num_connections", cfg.num_connections),
+                Key("payload_bytes", "payload_bytes", cfg.payload_bytes), Key("rate_pps"),
+                Key("interval_ms", "cbr_interval", cfg.cbr_interval, 1e-3),
+                Key("start_s", "cbr_start", cfg.cbr_start),
+                Key("start_window_s", "cbr_start_window", cfg.cbr_start_window),
+                Key("burst_mean_s", "onoff_burst_mean", cfg.onoff_burst_mean),
+                Key("idle_mean_s", "onoff_idle_mean", cfg.onoff_idle_mean)},
+               [&](const std::string& k, const Value& v, const std::string& p) {
+                 if (k == "rate_pps") {
+                   if (c.rate(v, p, cfg.cbr_interval)) s.wrote("cbr_interval", v, p);
+                   return;
+                 }
+                 std::string kind;
+                 if (!c.str(v, p, kind)) return;
+                 if (kind == "cbr") {
+                   cfg.traffic = TrafficKind::kCbr;
+                 } else if (kind == "onoff") {
+                   cfg.traffic = TrafficKind::kOnOff;
+                 } else {
+                   c.fail(v, p, "unknown traffic kind \"" + kind + "\" (expected: cbr, onoff)");
+                 }
+               });
 }
 
-void apply_radio(Checker& c, const Value& o, const std::string& path, ScenarioConfig& cfg) {
-  if (!c.expect_kind(o, Value::Kind::kObject, path)) return;
-  for (const auto& [k, v] : o.object) {
-    const std::string p = path + "." + k;
-    double x = 0.0;
-    if (k == "data_rate_bps") {
-      if (c.num(v, p, x) && c.require(x > 0.0, v, p, "> 0", x)) cfg.phy.data_rate_bps = x;
-    } else if (k == "rx_range_m") {
-      if (c.num(v, p, x) && c.require(x > 0.0, v, p, "> 0", x)) cfg.phy.rx_range_m = x;
-    } else if (k == "cs_range_m") {
-      if (c.num(v, p, x) && c.require(x > 0.0, v, p, "> 0", x)) cfg.phy.cs_range_m = x;
-    } else if (k == "frame_loss_rate") {
-      if (c.num(v, p, x) && c.require(x >= 0.0 && x < 1.0, v, p, "in [0, 1)", x)) {
-        cfg.phy.frame_loss_rate = x;
-      }
-    } else {
-      c.fail(v, p,
-             "unknown key (expected: data_rate_bps, rx_range_m, cs_range_m, frame_loss_rate)");
-    }
-  }
+void apply_radio(Checker& c, const Value& o, const std::string& path, Staged& s) {
+  PhyConfig& phy = s.cfg.phy;
+  apply_object(c, s, o, path,
+               {Key("data_rate_bps", "phy.data_rate_bps", phy.data_rate_bps),
+                Key("rx_range_m", "phy.rx_range_m", phy.rx_range_m),
+                Key("cs_range_m", "phy.cs_range_m", phy.cs_range_m),
+                Key("frame_loss_rate", "phy.frame_loss_rate", phy.frame_loss_rate)});
 }
 
-void apply_mac(Checker& c, const Value& o, const std::string& path, ScenarioConfig& cfg) {
-  if (!c.expect_kind(o, Value::Kind::kObject, path)) return;
-  for (const auto& [k, v] : o.object) {
-    const std::string p = path + "." + k;
-    long long n = 0;
-    bool b = false;
-    if (k == "use_rts") {
-      if (c.boolean(v, p, b)) cfg.mac.use_rts = b;
-    } else if (k == "rts_threshold_bytes") {
-      if (c.integer(v, p, n) && c.require(n >= 0, v, p, ">= 0", static_cast<double>(n))) {
-        cfg.mac.rts_threshold = static_cast<std::size_t>(n);
-      }
-    } else if (k == "ifq_capacity") {
-      if (c.integer(v, p, n) && c.require(n >= 1, v, p, ">= 1", static_cast<double>(n))) {
-        cfg.mac.ifq_capacity = static_cast<std::size_t>(n);
-      }
-    } else {
-      c.fail(v, p, "unknown key (expected: use_rts, rts_threshold_bytes, ifq_capacity)");
-    }
-  }
+void apply_mac(Checker& c, const Value& o, const std::string& path, Staged& s) {
+  MacConfig& mac = s.cfg.mac;
+  apply_object(c, s, o, path,
+               {Key("use_rts", "mac.use_rts", mac.use_rts),
+                Key("rts_threshold_bytes", "mac.rts_threshold", mac.rts_threshold),
+                Key("ifq_capacity", "mac.ifq_capacity", mac.ifq_capacity)});
 }
 
-void apply_urban(Checker& c, const Value& o, const std::string& path, ScenarioConfig& cfg) {
-  if (!c.expect_kind(o, Value::Kind::kObject, path)) return;
-  for (const auto& [k, v] : o.object) {
-    const std::string p = path + "." + k;
-    double x = 0.0;
-    if (k == "street_width_m") {
-      if (c.num(v, p, x) && c.require(x >= 0.0, v, p, ">= 0", x)) cfg.phy.street_width_m = x;
-    } else if (k == "nlos_range_m") {
-      if (c.num(v, p, x) && c.require(x > 0.0, v, p, "> 0", x)) cfg.phy.nlos_rx_range_m = x;
-    } else if (k == "nlos_loss") {
-      if (c.num(v, p, x) && c.require(x >= 0.0 && x < 1.0, v, p, "in [0, 1)", x)) {
-        cfg.phy.nlos_loss_rate = x;
-      }
-    } else {
-      c.fail(v, p, "unknown key (expected: street_width_m, nlos_range_m, nlos_loss)");
-    }
-  }
+void apply_urban(Checker& c, const Value& o, const std::string& path, Staged& s) {
+  PhyConfig& phy = s.cfg.phy;
+  apply_object(c, s, o, path,
+               {Key("street_width_m", "phy.street_width_m", phy.street_width_m),
+                Key("nlos_range_m", "phy.nlos_rx_range_m", phy.nlos_rx_range_m),
+                Key("nlos_loss", "phy.nlos_loss_rate", phy.nlos_loss_rate)});
 }
 
-void apply_fault(Checker& c, const Value& o, const std::string& path, ScenarioConfig& cfg) {
-  if (!c.expect_kind(o, Value::Kind::kObject, path)) return;
-  FaultConfig& f = cfg.fault;
-  for (const auto& [k, v] : o.object) {
-    const std::string p = path + "." + k;
-    double x = 0.0;
-    long long n = 0;
-    bool b = false;
-    if (k == "crash_rate") {
-      if (c.num(v, p, x) && c.require(x >= 0.0, v, p, ">= 0", x)) f.crash_rate = x;
-    } else if (k == "downtime_mean_s") {
-      if (c.num(v, p, x) && c.require(x > 0.0, v, p, "> 0", x)) f.downtime_mean = seconds_f(x);
-    } else if (k == "link_blackouts") {
-      if (c.integer(v, p, n) && c.require(n >= 0, v, p, ">= 0", static_cast<double>(n))) {
-        f.link_blackouts = static_cast<int>(n);
-      }
-    } else if (k == "blackout_mean_s") {
-      if (c.num(v, p, x) && c.require(x > 0.0, v, p, "> 0", x)) f.blackout_mean = seconds_f(x);
-    } else if (k == "corrupt_rate") {
-      if (c.num(v, p, x) && c.require(x >= 0.0 && x <= 1.0, v, p, "in [0, 1]", x)) {
-        f.corrupt_rate = x;
-      }
-    } else if (k == "corrupt_from_s") {
-      if (c.num(v, p, x) && c.require(x >= 0.0, v, p, ">= 0", x)) f.corrupt_from = seconds_f(x);
-    } else if (k == "corrupt_until_s") {
-      if (c.num(v, p, x) && c.require(x >= 0.0, v, p, ">= 0", x)) f.corrupt_until = seconds_f(x);
-    } else if (k == "partition") {
-      if (c.boolean(v, p, b)) f.partition = b;
-    } else if (k == "partition_frac") {
-      if (c.num(v, p, x) && c.require(x >= 0.0 && x <= 1.0, v, p, "in [0, 1]", x)) {
-        f.partition_frac = x;
-      }
-    } else if (k == "partition_from_s") {
-      if (c.num(v, p, x) && c.require(x >= 0.0, v, p, ">= 0", x)) {
-        f.partition_from = seconds_f(x);
-      }
-    } else if (k == "partition_until_s") {
-      if (c.num(v, p, x) && c.require(x >= 0.0, v, p, ">= 0", x)) {
-        f.partition_until = seconds_f(x);
-      }
-    } else if (k == "window_from_s") {
-      if (c.num(v, p, x) && c.require(x >= 0.0, v, p, ">= 0", x)) f.window_from = seconds_f(x);
-    } else {
-      c.fail(v, p,
-             "unknown key (expected: crash_rate, downtime_mean_s, link_blackouts, "
-             "blackout_mean_s, corrupt_rate, corrupt_from_s, corrupt_until_s, partition, "
-             "partition_frac, partition_from_s, partition_until_s, window_from_s)");
-    }
-  }
+void apply_fault(Checker& c, const Value& o, const std::string& path, Staged& s) {
+  FaultConfig& f = s.cfg.fault;
+  apply_object(c, s, o, path,
+               {Key("crash_rate", "fault.crash_rate", f.crash_rate),
+                Key("downtime_mean_s", "fault.downtime_mean", f.downtime_mean),
+                Key("link_blackouts", "fault.link_blackouts", f.link_blackouts),
+                Key("blackout_mean_s", "fault.blackout_mean", f.blackout_mean),
+                Key("corrupt_rate", "fault.corrupt_rate", f.corrupt_rate),
+                Key("corrupt_from_s", "fault.corrupt_from", f.corrupt_from),
+                Key("corrupt_until_s", "fault.corrupt_until", f.corrupt_until),
+                Key("partition", "fault.partition", f.partition),
+                Key("partition_frac", "fault.partition_frac", f.partition_frac),
+                Key("partition_from_s", "fault.partition_from", f.partition_from),
+                Key("partition_until_s", "fault.partition_until", f.partition_until),
+                Key("window_from_s", "fault.window_from", f.window_from)});
 }
 
-void apply_transport(Checker& c, const Value& o, const std::string& path, ScenarioConfig& cfg) {
-  if (!c.expect_kind(o, Value::Kind::kObject, path)) return;
-  TransportConfig& t = cfg.transport;
-  for (const auto& [k, v] : o.object) {
-    const std::string p = path + "." + k;
-    double x = 0.0;
-    long long n = 0;
-    bool b = false;
-    if (k == "enabled") {
-      if (c.boolean(v, p, b)) t.enabled = b;
-    } else if (k == "rto_initial_ms") {
-      if (c.num(v, p, x) && c.require(x > 0.0, v, p, "> 0", x)) {
-        t.rto_initial = seconds_f(x / 1000.0);
-      }
-    } else if (k == "rto_min_ms") {
-      if (c.num(v, p, x) && c.require(x > 0.0, v, p, "> 0", x)) t.rto_min = seconds_f(x / 1000.0);
-    } else if (k == "rto_max_ms") {
-      if (c.num(v, p, x) && c.require(x > 0.0, v, p, "> 0", x)) t.rto_max = seconds_f(x / 1000.0);
-    } else if (k == "cwnd_init") {
-      if (c.integer(v, p, n) && c.require(n >= 1, v, p, ">= 1", static_cast<double>(n))) {
-        t.cwnd_init = static_cast<std::uint32_t>(n);
-      }
-    } else if (k == "cwnd_max") {
-      if (c.integer(v, p, n) && c.require(n >= 1, v, p, ">= 1", static_cast<double>(n))) {
-        t.cwnd_max = static_cast<std::uint32_t>(n);
-      }
-    } else if (k == "max_retx") {
-      if (c.integer(v, p, n) && c.require(n >= 1, v, p, ">= 1", static_cast<double>(n))) {
-        t.max_retx = static_cast<std::uint32_t>(n);
-      }
-    } else if (k == "buffer_packets") {
-      if (c.integer(v, p, n) && c.require(n >= 1, v, p, ">= 1", static_cast<double>(n))) {
-        t.buffer_packets = static_cast<std::uint32_t>(n);
-      }
-    } else {
-      c.fail(v, p,
-             "unknown key (expected: enabled, rto_initial_ms, rto_min_ms, rto_max_ms, "
-             "cwnd_init, cwnd_max, max_retx, buffer_packets)");
-    }
-  }
+void apply_transport(Checker& c, const Value& o, const std::string& path, Staged& s) {
+  TransportConfig& t = s.cfg.transport;
+  apply_object(c, s, o, path,
+               {Key("enabled", "transport.enabled", t.enabled),
+                Key("rto_initial_ms", "transport.rto_initial", t.rto_initial, 1e-3),
+                Key("rto_min_ms", "transport.rto_min", t.rto_min, 1e-3),
+                Key("rto_max_ms", "transport.rto_max", t.rto_max, 1e-3),
+                Key("cwnd_init", "transport.cwnd_init", t.cwnd_init),
+                Key("cwnd_max", "transport.cwnd_max", t.cwnd_max),
+                Key("max_retx", "transport.max_retx", t.max_retx),
+                Key("buffer_packets", "transport.buffer_packets", t.buffer_packets)});
 }
 
 /// The shared settings object: `base` and each explicit cell's `set`.
-void apply_settings(Checker& c, const Value& o, const std::string& path, ScenarioConfig& cfg) {
-  if (!c.expect_kind(o, Value::Kind::kObject, path)) return;
-  for (const auto& [k, v] : o.object) {
-    const std::string p = path + "." + k;
-    double x = 0.0;
-    long long n = 0;
-    bool b = false;
-    if (k == "protocol") {
-      std::string s;
-      if (!c.str(v, p, s)) continue;
-      const routing::ProtocolEntry* e = protocol_registry().by_name(s);
-      if (e == nullptr) {
-        c.fail(v, p, "unknown protocol \"" + s + "\" (registered: " + registered_names() + ")");
-      } else {
-        cfg.protocol = static_cast<Protocol>(e->id);
-      }
-    } else if (k == "seed") {
-      if (c.integer(v, p, n) && c.require(n >= 0, v, p, ">= 0", static_cast<double>(n))) {
-        cfg.seed = static_cast<std::uint64_t>(n);
-      }
-    } else if (k == "nodes") {
-      if (c.integer(v, p, n) && c.require(n >= 2, v, p, ">= 2", static_cast<double>(n))) {
-        cfg.num_nodes = static_cast<std::uint32_t>(n);
-      }
-    } else if (k == "area_m") {
-      if (!c.expect_kind(v, Value::Kind::kArray, p)) continue;
-      if (v.array.size() != 2) {
-        c.fail(v, p, "expected [width_m, height_m], got " + std::to_string(v.array.size()) +
-                         " element(s)");
-        continue;
-      }
-      double w = 0.0;
-      double h = 0.0;
-      if (c.num(v.array[0], p + "[0]", w) && c.num(v.array[1], p + "[1]", h) &&
-          c.require(w > 0.0, v.array[0], p + "[0]", "> 0", w) &&
-          c.require(h > 0.0, v.array[1], p + "[1]", "> 0", h)) {
-        cfg.area = Area{w, h};
-      }
-    } else if (k == "static") {
-      if (c.boolean(v, p, b)) cfg.static_nodes = b;
-    } else if (k == "duration_s") {
-      if (c.num(v, p, x) && c.require(x > 0.0, v, p, "> 0", x)) cfg.duration = seconds_f(x);
-    } else if (k == "measure_connectivity") {
-      if (c.boolean(v, p, b)) cfg.measure_connectivity = b;
-    } else if (k == "trace") {
-      std::string s;
-      if (c.str(v, p, s)) cfg.trace_path = std::move(s);
-    } else if (k == "mobility") {
-      apply_mobility(c, v, p, cfg);
-    } else if (k == "traffic") {
-      apply_traffic(c, v, p, cfg);
-    } else if (k == "radio") {
-      apply_radio(c, v, p, cfg);
-    } else if (k == "mac") {
-      apply_mac(c, v, p, cfg);
-    } else if (k == "urban") {
-      apply_urban(c, v, p, cfg);
-    } else if (k == "fault") {
-      apply_fault(c, v, p, cfg);
-    } else if (k == "transport") {
-      apply_transport(c, v, p, cfg);
-    } else {
-      c.fail(v, p,
-             "unknown key (expected: protocol, seed, nodes, area_m, static, duration_s, "
-             "measure_connectivity, trace, mobility, traffic, radio, mac, urban, fault, "
-             "transport)");
-    }
-  }
+void apply_settings(Checker& c, const Value& o, const std::string& path, Staged& s) {
+  ScenarioConfig& cfg = s.cfg;
+  apply_object(
+      c, s, o, path,
+      {Key("protocol"), Key("seed", "seed", cfg.seed), Key("nodes", "num_nodes", cfg.num_nodes),
+       Key("area_m"), Key("static", "static_nodes", cfg.static_nodes),
+       Key("duration_s", "duration", cfg.duration),
+       Key("measure_connectivity", "measure_connectivity", cfg.measure_connectivity),
+       Key("trace"), Key("mobility"), Key("traffic"), Key("radio"), Key("mac"), Key("urban"),
+       Key("fault"), Key("transport")},
+      [&](const std::string& k, const Value& v, const std::string& p) {
+        if (k == "protocol") {
+          std::string name;
+          if (!c.str(v, p, name)) return;
+          const routing::ProtocolEntry* e = protocol_registry().by_name(name);
+          if (e == nullptr) {
+            c.fail(v, p,
+                   "unknown protocol \"" + name + "\" (registered: " +
+                       protocol_registry().names() + ")");
+          } else {
+            cfg.protocol = static_cast<Protocol>(e->id);
+          }
+        } else if (k == "area_m") {
+          if (!c.expect_kind(v, Value::Kind::kArray, p)) return;
+          if (v.array.size() != 2) {
+            c.fail(v, p,
+                   "expected [width_m, height_m], got " + std::to_string(v.array.size()) +
+                       " element(s)");
+            return;
+          }
+          read_key(c, s, Key("area_m", "area.width", cfg.area.width), v.array[0], p + "[0]");
+          read_key(c, s, Key("area_m", "area.height", cfg.area.height), v.array[1], p + "[1]");
+        } else if (k == "trace") {
+          (void)c.str(v, p, cfg.trace_path);
+        } else if (k == "mobility") {
+          apply_mobility(c, v, p, s);
+        } else if (k == "traffic") {
+          apply_traffic(c, v, p, s);
+        } else if (k == "radio") {
+          apply_radio(c, v, p, s);
+        } else if (k == "mac") {
+          apply_mac(c, v, p, s);
+        } else if (k == "urban") {
+          apply_urban(c, v, p, s);
+        } else if (k == "fault") {
+          apply_fault(c, v, p, s);
+        } else if (k == "transport") {
+          apply_transport(c, v, p, s);
+        }
+      });
 }
 
 // -- sweep axes --------------------------------------------------------------
 
+struct AxisValue {
+  const Value* value = nullptr;
+  std::string key;  ///< "sweep.axes[i].values[j]"
+};
+
 struct Axis {
-  std::string param;           ///< label segment ("pause" -> "AODV/pause:0")
-  bool urban_family = false;   ///< values are urban_scenario() node counts
-  std::vector<double> values;  ///< validated at parse time; apply is unchecked
+  std::string param;          ///< label segment ("pause" -> "AODV/pause:0")
+  bool urban_family = false;  ///< values are urban_scenario() node counts
+  std::vector<AxisValue> values;
 };
 
 constexpr const char* kAxisParams = "pause, vmax, nodes, sources, crash, loss, rate";
 
-/// Range-check one axis value at parse time (so a bad value is reported once,
-/// not once per protocol).
-void check_axis_value(Checker& c, const Axis& a, const Value& v, const std::string& key) {
-  const double x = v.number;
-  if (a.urban_family) {
-    if (std::floor(x) != x || x < 2.0) c.fail(v, key, "must be an integer >= 2, got " + fmt_g(x));
-  } else if (a.param == "pause" || a.param == "crash") {
-    c.require(x >= 0.0, v, key, ">= 0", x);
-  } else if (a.param == "vmax") {
-    // <= 0 means "static" (the mobility suite's x = 0 column); any value ok.
-  } else if (a.param == "nodes") {
-    if (std::floor(x) != x || x < 2.0) c.fail(v, key, "must be an integer >= 2, got " + fmt_g(x));
-  } else if (a.param == "sources") {
-    if (std::floor(x) != x || x < 0.0) c.fail(v, key, "must be an integer >= 0, got " + fmt_g(x));
-  } else if (a.param == "loss") {
-    c.require(x >= 0.0 && x < 1.0, v, key, "in [0, 1)", x);
-  } else if (a.param == "rate") {
-    c.require(x > 0.0, v, key, "> 0", x);
+/// Copy the urban Manhattan family's derived fields onto the cell, reusing
+/// urban_scenario() so the city-size math has exactly one home. The copy goes
+/// through with(), not build(): a bad node count is the per-cell check()'s to
+/// report.
+void apply_urban_family(Checker& c, const AxisValue& a, Staged& s) {
+  std::uint32_t n = 0;
+  if (!c.integer(*a.value, a.key, n)) return;
+  ScenarioConfig& cfg = s.cfg;
+  urban_scenario(n).with([&cfg](ScenarioConfig& u) {
+    cfg.num_nodes = u.num_nodes;
+    cfg.area = u.area;
+    cfg.mobility = u.mobility;
+    cfg.v_min = u.v_min;
+    cfg.v_max = u.v_max;
+    cfg.num_connections = u.num_connections;
+    cfg.phy.street_width_m = u.phy.street_width_m;
+    cfg.phy.nlos_rx_range_m = u.phy.nlos_rx_range_m;
+    cfg.phy.nlos_loss_rate = u.phy.nlos_loss_rate;
+  });
+  for (const char* field :
+       {"num_nodes", "area.width", "area.height", "mobility", "v_min", "v_max", "num_connections",
+        "phy.street_width_m", "phy.nlos_rx_range_m", "phy.nlos_loss_rate"}) {
+    s.wrote(field, *a.value, a.key);
   }
 }
 
-/// Copy the urban Manhattan family's derived fields onto `cfg`, reusing
-/// urban_scenario() so the city-size math has exactly one home.
-void apply_urban_family(ScenarioConfig& cfg, std::uint32_t n) {
-  const ScenarioConfig u = urban_scenario(n).build();
-  cfg.num_nodes = u.num_nodes;
-  cfg.area = u.area;
-  cfg.mobility = u.mobility;
-  cfg.v_min = u.v_min;
-  cfg.v_max = u.v_max;
-  cfg.num_connections = u.num_connections;
-  cfg.phy.street_width_m = u.phy.street_width_m;
-  cfg.phy.nlos_rx_range_m = u.phy.nlos_rx_range_m;
-  cfg.phy.nlos_loss_rate = u.phy.nlos_loss_rate;
-}
-
-void apply_axis(const Axis& a, double v, ScenarioConfig& cfg) {
-  if (a.urban_family) {
-    apply_urban_family(cfg, static_cast<std::uint32_t>(v));
-  } else if (a.param == "pause") {
-    cfg.pause = seconds_f(v);
-  } else if (a.param == "vmax") {
+void apply_axis(Checker& c, const Axis& axis, const AxisValue& a, Staged& s) {
+  ScenarioConfig& cfg = s.cfg;
+  const Value& v = *a.value;
+  if (axis.urban_family) {
+    apply_urban_family(c, a, s);
+  } else if (axis.param == "pause") {
+    read_key(c, s, Key("pause", "pause", cfg.pause), v, a.key);
+  } else if (axis.param == "vmax") {
     // Mirrors bench::mobility_cell: the 0 column is the static network.
-    if (v <= 0.0) {
-      cfg.static_nodes = true;
-    } else {
-      cfg.static_nodes = false;
-      cfg.v_max = v;
+    double x = 0.0;
+    if (!c.num(v, a.key, x)) return;
+    cfg.static_nodes = x <= 0.0;
+    s.wrote("static_nodes", v, a.key);
+    if (x > 0.0) {
+      cfg.v_max = x;
+      s.wrote("v_max", v, a.key);
     }
-  } else if (a.param == "nodes") {
-    cfg.num_nodes = static_cast<std::uint32_t>(v);
-  } else if (a.param == "sources") {
-    cfg.num_connections = static_cast<std::uint32_t>(v);
-  } else if (a.param == "crash") {
-    cfg.fault.crash_rate = v;
-  } else if (a.param == "loss") {
-    cfg.phy.frame_loss_rate = v;
-  } else if (a.param == "rate") {
+  } else if (axis.param == "nodes") {
+    read_key(c, s, Key("nodes", "num_nodes", cfg.num_nodes), v, a.key);
+  } else if (axis.param == "sources") {
+    read_key(c, s, Key("sources", "num_connections", cfg.num_connections), v, a.key);
+  } else if (axis.param == "crash") {
+    read_key(c, s, Key("crash", "fault.crash_rate", cfg.fault.crash_rate), v, a.key);
+  } else if (axis.param == "loss") {
+    read_key(c, s, Key("loss", "phy.frame_loss_rate", cfg.phy.frame_loss_rate), v, a.key);
+  } else if (axis.param == "rate") {
     // Offered load in packets/s per flow, the paper family's x-axis for the
     // load-collapse figures (same conversion as traffic.rate_pps).
-    cfg.cbr_interval = seconds_f(1.0 / v);
-  }
-}
-
-// -- cross-field contracts ---------------------------------------------------
-// The mirror of ScenarioBuilder::build()'s multi-field checks (single-field
-// ranges are already enforced at the key sites above), with the builder's
-// wording so the two paths diagnose identically. Keeping the mirror complete
-// is what lets `manetsim validate` promise a clean exit-2 diagnosis instead
-// of the builder's contract abort.
-void check_contracts(Checker& c, const ScenarioConfig& cfg, int line, const std::string& where) {
-  if (!cfg.static_nodes && cfg.v_max < cfg.v_min) {
-    c.fail_at(line, where,
-              "need 0 <= v_min <= v_max, got v_min=" + fmt_g(cfg.v_min) +
-                  " v_max=" + fmt_g(cfg.v_max) + " m/s");
-  }
-  if (cfg.num_connections > 0 && cfg.cbr_start > cfg.duration) {
-    c.fail_at(line, where,
-              "traffic starts at " + fmt_s(cfg.cbr_start.sec()) + "s, after the run ends at " +
-                  fmt_s(cfg.duration.sec()) + "s");
-  }
-  if (cfg.phy.urban() &&
-      !(cfg.phy.nlos_rx_range_m > 0.0 && cfg.phy.nlos_rx_range_m <= cfg.phy.rx_range_m)) {
-    c.fail_at(line, where,
-              "nlos_rx_range_m must be in (0, rx_range], got " + fmt_g(cfg.phy.nlos_rx_range_m) +
-                  " (rx_range " + fmt_g(cfg.phy.rx_range_m) + ")");
-  }
-  if (cfg.transport.enabled) {
-    const TransportConfig& t = cfg.transport;
-    if (!(t.rto_min > SimTime::zero() && t.rto_min <= t.rto_initial &&
-          t.rto_initial <= t.rto_max)) {
-      c.fail_at(line, where,
-                "transport rto bounds need 0 < rto_min <= rto_initial <= rto_max, got min=" +
-                    fmt_s(t.rto_min.sec()) + "s initial=" + fmt_s(t.rto_initial.sec()) +
-                    "s max=" + fmt_s(t.rto_max.sec()) + "s");
-    }
-    if (!(t.cwnd_init >= 1 && t.cwnd_init <= t.cwnd_max)) {
-      c.fail_at(line, where,
-                "transport cwnd needs 1 <= cwnd_init <= cwnd_max, got init=" +
-                    std::to_string(t.cwnd_init) + " max=" + std::to_string(t.cwnd_max));
-    }
-    if (t.buffer_packets < t.cwnd_max) {
-      c.fail_at(line, where,
-                "transport.buffer_packets must be >= cwnd_max, got buffer=" +
-                    std::to_string(t.buffer_packets) +
-                    " cwnd_max=" + std::to_string(t.cwnd_max));
-    }
-  }
-  if (cfg.fault.enabled()) {
-    const FaultConfig& f = cfg.fault;
-    if (f.window_from >= cfg.duration) {
-      c.fail_at(line, where,
-                "fault window opens at " + fmt_s(f.window_from.sec()) +
-                    "s, after the run ends at " + fmt_s(cfg.duration.sec()) + "s");
-    }
-    if (f.corrupt_rate > 0.0) {
-      if (f.corrupt_from >= cfg.duration) {
-        c.fail_at(line, where,
-                  "corruption window opens at " + fmt_s(f.corrupt_from.sec()) +
-                      "s, after the run ends at " + fmt_s(cfg.duration.sec()) + "s");
-      }
-      if (f.corrupt_until != SimTime::zero() && f.corrupt_until <= f.corrupt_from) {
-        c.fail_at(line, where,
-                  "corruption window [" + fmt_s(f.corrupt_from.sec()) + "s, " +
-                      fmt_s(f.corrupt_until.sec()) + "s) is empty");
-      }
-    }
-    if (f.partition) {
-      if (f.partition_from >= cfg.duration) {
-        c.fail_at(line, where,
-                  "partition opens at " + fmt_s(f.partition_from.sec()) +
-                      "s, after the run ends at " + fmt_s(cfg.duration.sec()) + "s");
-      }
-      if (f.partition_until != SimTime::zero() && f.partition_until <= f.partition_from) {
-        c.fail_at(line, where,
-                  "partition window [" + fmt_s(f.partition_from.sec()) + "s, " +
-                      fmt_s(f.partition_until.sec()) + "s) is empty");
-      }
-    }
+    if (c.rate(v, a.key, cfg.cbr_interval)) s.wrote("cbr_interval", v, a.key);
   }
 }
 
@@ -635,7 +484,7 @@ ScenarioSpec load_string(const std::string& text, const std::string& filename) {
     return spec;
   }
 
-  ScenarioConfig base;
+  Staged base;
   const Value* sweep = nullptr;
 
   for (const auto& [k, v] : root.object) {
@@ -656,10 +505,12 @@ ScenarioSpec load_string(const std::string& text, const std::string& filename) {
       if (c.str(v, "description", s)) spec.description = std::move(s);
     } else if (k == "seeds") {
       long long n = 0;
-      if (c.integer(v, "seeds", n) &&
-          c.require(n >= 1 && n <= 100000, v, "seeds", "in [1, 100000]",
-                    static_cast<double>(n))) {
-        spec.seeds = static_cast<int>(n);
+      if (c.integer(v, "seeds", n)) {
+        if (n >= 1 && n <= 100000) {
+          spec.seeds = static_cast<int>(n);
+        } else {
+          c.fail(v, "seeds", "must be in [1, 100000], got " + std::to_string(n));
+        }
       }
     } else if (k == "output") {
       if (!c.expect_kind(v, Value::Kind::kObject, "output")) continue;
@@ -700,13 +551,11 @@ ScenarioSpec load_string(const std::string& text, const std::string& filename) {
   struct ExplicitCell {
     std::string label;
     const Value* set = nullptr;
-    int line = 0;
   };
   std::vector<ExplicitCell> explicit_cells;
-  int sweep_line = root.line;
+  const int sweep_line = sweep != nullptr ? sweep->line : root.line;
 
   if (sweep != nullptr && c.expect_kind(*sweep, Value::Kind::kObject, "sweep")) {
-    sweep_line = sweep->line;
     for (const auto& [k, v] : sweep->object) {
       const std::string p = "sweep." + k;
       if (k == "protocols") {
@@ -719,7 +568,8 @@ ScenarioSpec load_string(const std::string& text, const std::string& filename) {
           const routing::ProtocolEntry* e = protocol_registry().by_name(s);
           if (e == nullptr) {
             c.fail(v.array[i], pi,
-                   "unknown protocol \"" + s + "\" (registered: " + registered_names() + ")");
+                   "unknown protocol \"" + s + "\" (registered: " + protocol_registry().names() +
+                       ")");
           } else {
             protocols.emplace_back(e->name, static_cast<Protocol>(e->id));
           }
@@ -770,9 +620,7 @@ ScenarioSpec load_string(const std::string& text, const std::string& filename) {
           for (std::size_t j = 0; j < values->array.size(); ++j) {
             const Value& vv = values->array[j];
             const std::string pv = pi + ".values[" + std::to_string(j) + "]";
-            if (!c.expect_kind(vv, Value::Kind::kNumber, pv)) continue;
-            check_axis_value(c, axis, vv, pv);
-            axis.values.push_back(vv.number);
+            if (c.expect_kind(vv, Value::Kind::kNumber, pv)) axis.values.push_back({&vv, pv});
           }
           axes.push_back(std::move(axis));
         }
@@ -783,7 +631,6 @@ ScenarioSpec load_string(const std::string& text, const std::string& filename) {
           const std::string pi = p + "[" + std::to_string(i) + "]";
           if (!c.expect_kind(cv, Value::Kind::kObject, pi)) continue;
           ExplicitCell cell;
-          cell.line = cv.line;
           for (const auto& [ck, cvv] : cv.object) {
             if (ck == "label") {
               std::string s;
@@ -816,76 +663,82 @@ ScenarioSpec load_string(const std::string& text, const std::string& filename) {
   // registry name.
   if (protocols.empty() && (sweep == nullptr || sweep->find("protocols") == nullptr)) {
     const routing::ProtocolEntry* e =
-        protocol_registry().by_id(static_cast<std::uint8_t>(base.protocol));
-    if (e != nullptr) protocols.emplace_back(e->name, base.protocol);
+        protocol_registry().by_id(static_cast<std::uint8_t>(base.cfg.protocol));
+    if (e != nullptr) protocols.emplace_back(e->name, base.cfg.protocol);
   }
 
   // Grid: protocol-major, then each axis left to right.
+  std::vector<std::pair<std::string, Staged>> staged;
   const bool grid_wanted =
       sweep == nullptr || !axes.empty() || sweep->find("protocols") != nullptr ||
       explicit_cells.empty();
   if (grid_wanted) {
     for (const auto& [pname, penum] : protocols) {
-      std::vector<std::pair<std::string, ScenarioConfig>> partial;
-      ScenarioConfig cfg = base;
-      cfg.protocol = penum;
-      partial.emplace_back(pname, cfg);
+      std::vector<std::pair<std::string, Staged>> partial;
+      partial.emplace_back(pname, base);
+      partial.back().second.cfg.protocol = penum;
       for (const Axis& axis : axes) {
-        std::vector<std::pair<std::string, ScenarioConfig>> next;
+        std::vector<std::pair<std::string, Staged>> next;
         next.reserve(partial.size() * axis.values.size());
-        for (const auto& [label, pcfg] : partial) {
-          for (const double v : axis.values) {
-            ScenarioConfig ncfg = pcfg;
-            apply_axis(axis, v, ncfg);
-            next.emplace_back(label + "/" + axis.param + ":" + fmt_g(v), ncfg);
+        for (const auto& [label, cell] : partial) {
+          for (const AxisValue& a : axis.values) {
+            next.emplace_back(label + "/" + axis.param + ":" + fmt_g(a.value->number), cell);
+            apply_axis(c, axis, a, next.back().second);
           }
         }
         partial = std::move(next);
       }
-      for (auto& [label, pcfg] : partial) {
-        spec.cells.push_back(SweepCell{std::move(label), std::move(pcfg)});
-      }
+      for (auto& cell : partial) staged.push_back(std::move(cell));
     }
   }
 
   for (const ExplicitCell& cell : explicit_cells) {
-    ScenarioConfig cfg = base;
+    staged.emplace_back(cell.label, base);
     if (cell.set != nullptr) {
-      apply_settings(c, *cell.set, "sweep.cells \"" + cell.label + "\".set", cfg);
+      apply_settings(c, *cell.set, "sweep.cells \"" + cell.label + "\".set", staged.back().second);
     }
-    spec.cells.push_back(SweepCell{cell.label, std::move(cfg)});
   }
 
-  if (spec.cells.empty() && spec.errors.empty()) {
+  if (staged.empty() && spec.errors.empty()) {
     c.fail_at(sweep_line, "sweep", "the spec expands to zero cells");
   }
 
   // Label uniqueness (SweepResult::find and manet_report key on labels).
-  for (std::size_t i = 0; i < spec.cells.size(); ++i) {
-    for (std::size_t j = i + 1; j < spec.cells.size(); ++j) {
-      if (spec.cells[i].label == spec.cells[j].label) {
-        c.fail_at(sweep_line, "sweep",
-                  "duplicate cell label \"" + spec.cells[i].label + "\"");
-        j = spec.cells.size();  // report each duplicate label once
+  for (std::size_t i = 0; i < staged.size(); ++i) {
+    for (std::size_t j = i + 1; j < staged.size(); ++j) {
+      if (staged[i].first == staged[j].first) {
+        c.fail_at(sweep_line, "sweep", "duplicate cell label \"" + staged[i].first + "\"");
+        j = staged.size();  // report each duplicate label once
       }
     }
   }
 
-  // Cross-field contracts per expanded cell.
-  for (const SweepCell& cell : spec.cells) {
-    check_contracts(c, cell.config, sweep != nullptr ? sweep->line : root.line,
-                    "cell \"" + cell.label + "\"");
-  }
-
-  // Belt and braces: a clean spec must also satisfy the builder itself. Any
-  // divergence here is a loader bug (a contract the mirror above missed) and
-  // trips the builder's own MANET_CONTRACT abort with a message naming it.
-  if (spec.errors.empty()) {
-    for (const SweepCell& cell : spec.cells) {
-      (void)ScenarioBuilder::from(cell.config).build();
+  // The scenario contract, per expanded cell. Each error is anchored at the
+  // JSON value that wrote the field it blames; a field left at its default
+  // is anchored at the cell.
+  for (const auto& [label, cell] : staged) {
+    for (const ConfigError& e : ScenarioBuilder::from(cell.cfg).check()) {
+      const auto it = cell.anchors.find(e.field);
+      if (it != cell.anchors.end()) {
+        c.fail_at(it->second.line, it->second.key, e.message);
+      } else {
+        c.fail_at(sweep_line, "cell \"" + label + "\"", e.field + ": " + e.message);
+      }
     }
   }
 
+  // A bad base or axis value is written into many cells; report it once,
+  // and list the diagnostics in file order.
+  std::set<std::string> seen;
+  std::erase_if(spec.errors, [&seen](const Error& e) {
+    return !seen.insert(std::to_string(e.line) + ':' + e.key + ':' + e.message).second;
+  });
+  std::stable_sort(spec.errors.begin(), spec.errors.end(),
+                   [](const Error& a, const Error& b) { return a.line < b.line; });
+
+  for (auto& [label, cell] : staged) {
+    spec.cells.push_back(SweepCell{std::move(label), std::move(cell.cfg)});
+  }
   return spec;
 }
 

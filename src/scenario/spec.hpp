@@ -59,12 +59,16 @@
 // constant-density city, street-canyon shadowing), and "param" only names
 // the label segment (fig_scale uses "n").
 //
-// Validation never aborts: the loader mirrors every ScenarioBuilder::build()
-// contract itself and reports violations as Errors carrying the 1-based
-// source line of the offending value, so `manetsim validate` can render
-// compiler-style "file:line: key: message" diagnostics. Only after a spec is
-// clean does the loader run each cell through ScenarioBuilder::from(...)
-// .build() as a belt-and-braces check that the mirror and the builder agree.
+// Validation never aborts, and every diagnostic is an Error carrying the
+// 1-based source line of the offending value, so `manetsim validate` can
+// render compiler-style "file:line: key: message" lines. The loader itself
+// checks only what belongs to reading JSON: kinds, integer-ness, whether a
+// number fits its field's type, names (keys, enums, protocols, axes),
+// rate_pps/interval_ms exclusivity, label uniqueness and the header. The
+// scenario contract is ScenarioBuilder::check()'s alone: the loader runs it
+// on every expanded cell and anchors each error at the JSON value that wrote
+// the blamed field, or at the cell when no value did. A spec that loads
+// clean therefore builds.
 
 #include <string>
 #include <vector>

@@ -14,6 +14,7 @@
 
 #include "common/json.hpp"
 #include "core/assert.hpp"
+#include "scenario/builder.hpp"
 
 namespace manet {
 
@@ -57,6 +58,16 @@ bool write_text_file(const std::string& path, const std::string& text) {
 }
 
 }  // namespace
+
+std::string check_cells(const std::vector<SweepCell>& cells, const std::string& cause) {
+  std::string report;
+  for (const SweepCell& cell : cells) {
+    for (const ConfigError& e : ScenarioBuilder::from(cell.config).check()) {
+      report += cause + ": cell \"" + cell.label + "\": " + e.field + ": " + e.message + "\n";
+    }
+  }
+  return report;
+}
 
 std::uint64_t process_peak_rss_bytes() {
 #if defined(__unix__) || defined(__APPLE__)
@@ -191,11 +202,6 @@ bool SweepResult::write_csv(const std::string& path) const {
 SweepRunner::SweepRunner(int seeds, unsigned threads) : seeds_(seeds), threads_(threads) {
   MANET_EXPECTS(seeds >= 1);
   if (threads_ == 0) threads_ = std::max(1u, std::thread::hardware_concurrency());
-}
-
-SweepRunner SweepRunner::from_env(int default_seeds) {
-  const BenchEnv env = BenchEnv::parse(default_seeds);
-  return SweepRunner(env.seeds, env.threads);
 }
 
 SweepResult SweepRunner::run(const std::vector<SweepCell>& cells) const {

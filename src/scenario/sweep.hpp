@@ -99,6 +99,13 @@ struct SweepResult {
   bool write_csv(const std::string& path) const;
 };
 
+/// Re-run the scenario contract (ScenarioBuilder::check()) on cells that
+/// `cause` (e.g. "--duration=5") changed after they were validated. Returns
+/// one `cause: cell "LABEL": field: message` line per error; empty when every
+/// cell still passes.
+[[nodiscard]] std::string check_cells(const std::vector<SweepCell>& cells,
+                                      const std::string& cause);
+
 /// Process-wide peak resident set size in bytes (0 where unsupported).
 [[nodiscard]] std::uint64_t process_peak_rss_bytes();
 
@@ -107,9 +114,6 @@ class SweepRunner {
  public:
   /// `seeds`: replications per cell; `threads`: 0 = hardware concurrency.
   explicit SweepRunner(int seeds = 3, unsigned threads = 0);
-
-  /// Construct from the MANET_BENCH_* environment knobs.
-  [[nodiscard]] static SweepRunner from_env(int default_seeds = 3);
 
   /// Run every (cell × seed) replication and aggregate per cell.
   [[nodiscard]] SweepResult run(const std::vector<SweepCell>& cells) const;

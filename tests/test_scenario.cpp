@@ -7,6 +7,7 @@
 
 #include "scenario/builder.hpp"
 #include "scenario/experiment.hpp"
+#include "scenario/sweep.hpp"
 
 namespace manet {
 namespace {
@@ -98,30 +99,14 @@ TEST(Scenario, StaticNodesSupported) {
 }
 
 TEST(Experiment, AggregatesSeeds) {
-  ExperimentRunner runner(/*seeds=*/3, /*threads=*/2);
-  const auto agg = runner.run(small_config(Protocol::kAodv));
+  const SweepResult r = SweepRunner(/*seeds=*/3, /*threads=*/2)
+                            .run({SweepCell{"aodv", small_config(Protocol::kAodv)}});
+  const Aggregate& agg = r.cells.front().aggregate;
   EXPECT_EQ(agg.replications, 3);
   EXPECT_GT(agg.pdr.mean, 0.0);
   EXPECT_LE(agg.pdr.mean, 1.0);
   EXPECT_GE(agg.pdr.se, 0.0);
   EXPECT_GT(agg.total_events, 0u);
-}
-
-TEST(Experiment, SingleSeedHasZeroStderr) {
-  ExperimentRunner runner(1, 1);
-  const auto agg = runner.run(small_config(Protocol::kDsdv));
-  EXPECT_DOUBLE_EQ(agg.pdr.se, 0.0);
-}
-
-TEST(Experiment, ParallelMatchesSerial) {
-  ExperimentRunner serial(3, 1);
-  ExperimentRunner parallel(3, 3);
-  const auto cfg = small_config(Protocol::kCbrp);
-  const auto a = serial.run(cfg);
-  const auto b = parallel.run(cfg);
-  EXPECT_DOUBLE_EQ(a.pdr.mean, b.pdr.mean);
-  EXPECT_DOUBLE_EQ(a.delay_ms.mean, b.delay_ms.mean);
-  EXPECT_DOUBLE_EQ(a.nrl.mean, b.nrl.mean);
 }
 
 TEST(Scenario, ConnectivityOracleBoundsWellConnectedStaticNet) {
@@ -258,14 +243,6 @@ TEST(Experiment, FormatMetric) {
   const std::string s = format_metric({0.5, 0.01}, 2);
   EXPECT_NE(s.find("0.50"), std::string::npos);
   EXPECT_NE(s.find("±"), std::string::npos);
-}
-
-TEST(Experiment, EnvDefaultsDontCrash) {
-  const auto runner = ExperimentRunner::from_env(2);
-  EXPECT_GE(runner.seeds(), 1);
-  ScenarioConfig cfg;
-  ExperimentRunner::apply_env_duration(cfg);  // no env set: unchanged
-  EXPECT_EQ(cfg.duration, seconds(150));
 }
 
 }  // namespace

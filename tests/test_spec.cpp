@@ -8,9 +8,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cctype>
 #include <cstdio>
+#include <cstring>
+#include <fstream>
+#include <iterator>
+#include <sstream>
 #include <string>
+#include <vector>
 
+#include "core/rng.hpp"
 #include "scenario/builder.hpp"
 #include "scenario/scenario.hpp"
 
@@ -394,7 +402,7 @@ TEST(SpecErrors, TransportKeyAndValueViolations) {
   ASSERT_FALSE(s2.ok());
   EXPECT_TRUE(has_error(s2, "base.transport.rto_initial_ms"));
   EXPECT_TRUE(has_error(s2, "base.transport.rto_min_ms"));
-  EXPECT_TRUE(has_error(s2, "must be > 0, got -5"));
+  EXPECT_TRUE(has_error(s2, "must be > 0, got -0.005s"));  // rto_min_ms: -5, in seconds
   EXPECT_TRUE(has_error(s2, "base.transport.cwnd_init"));
   EXPECT_TRUE(has_error(s2, "base.transport.max_retx"));
   EXPECT_TRUE(has_error(s2, "must be >= 1, got 0"));
@@ -478,19 +486,145 @@ TEST(SpecErrors, SemanticErrorsPointAtTheValueLine) {
   EXPECT_EQ(spec::to_string(s.errors[0], "f.json"), "f.json:4: base.nodes: must be >= 2, got 1");
 }
 
+TEST(SpecErrors, IntegersMustFitTheirField) {
+  // 2^32 + 2 and 2^32 + 1 would wrap to 2 and 1 in these uint32_t fields.
+  const auto s = load(
+      "{\n\"name\": \"wrap\",\n\"base\": {\"nodes\": 4294967298,\n"
+      "\"transport\": {\"cwnd_max\": 4294967297}}\n}");
+  ASSERT_FALSE(s.ok());
+  ASSERT_EQ(s.errors.size(), 2u) << s.error_report();
+  EXPECT_EQ(spec::to_string(s.errors[0], "f.json"),
+            "f.json:3: base.nodes: must be in [0, 4294967295], got 4294967298");
+  EXPECT_EQ(spec::to_string(s.errors[1], "f.json"),
+            "f.json:4: base.transport.cwnd_max: must be in [0, 4294967295], got 4294967297");
+}
+
 TEST(SpecErrors, MissingFileIsAnError) {
   const auto s = spec::load_file("/nonexistent/path/spec.json");
   ASSERT_FALSE(s.ok());
+}
+
+// -- hostile input -----------------------------------------------------------
+// One mutation at a time of every shipped scenario file: the loader must
+// never abort, and whatever it accepts must satisfy the scenario contract.
+
+std::string scenario_path(const char* file) {
+  return std::string(MANET_SCENARIOS_DIR) + "/" + file;
+}
+
+std::string slurp(const std::string& path) {
+  std::ifstream in(path);
+  std::stringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
+}
+
+/// A scalar token of the JSON text: [begin, end) and what it is.
+struct Token {
+  std::size_t begin = 0;
+  std::size_t end = 0;
+  bool number = false;
+  bool key = false;  ///< a string followed by ':'
+};
+
+std::vector<Token> scalar_tokens(const std::string& t) {
+  std::vector<Token> out;
+  std::size_t i = 0;
+  while (i < t.size()) {
+    const char ch = t[i];
+    if (ch == '"') {
+      std::size_t j = i + 1;
+      while (j < t.size() && t[j] != '"') j += t[j] == '\\' ? 2 : 1;
+      j = std::min(j + 1, t.size());
+      std::size_t k = j;
+      while (k < t.size() && std::isspace(static_cast<unsigned char>(t[k])) != 0) ++k;
+      out.push_back({i, j, false, k < t.size() && t[k] == ':'});
+      i = j;
+    } else if (ch == '-' || std::isdigit(static_cast<unsigned char>(ch)) != 0) {
+      std::size_t j = i + 1;
+      while (j < t.size() && std::strchr("0123456789.eE+-", t[j]) != nullptr) ++j;
+      out.push_back({i, j, true, false});
+      i = j;
+    } else if (t.compare(i, 4, "true") == 0 || t.compare(i, 4, "null") == 0 ||
+               t.compare(i, 5, "false") == 0) {
+      const std::size_t n = ch == 'f' ? 5 : 4;
+      out.push_back({i, i + n, false, false});
+      i += n;
+    } else {
+      ++i;
+    }
+  }
+  return out;
+}
+
+std::string mutate(const std::string& text, RngStream& rng) {
+  static const char* const kNumbers[] = {"-1", "0", "0.5", "4294967298", "1e15", "1e300"};
+  static const char* const kValues[] = {"\"s\"", "true", "null", "[]", "{}", "7"};
+  const std::vector<Token> tokens = scalar_tokens(text);
+  std::vector<Token> numbers;
+  std::vector<Token> values;
+  for (const Token& tok : tokens) {
+    if (tok.number) numbers.push_back(tok);
+    if (!tok.key) values.push_back(tok);
+  }
+  auto pick = [&rng](std::size_t n) {
+    return static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+  };
+  std::string out = text;
+  switch (rng.uniform_int(0, 3)) {
+    case 0: {  // replace a number with a hostile one
+      const Token& tok = numbers[pick(numbers.size())];
+      out.replace(tok.begin, tok.end - tok.begin, kNumbers[pick(std::size(kNumbers))]);
+      break;
+    }
+    case 1:  // delete a character
+      out.erase(pick(out.size()), 1);
+      break;
+    case 2: {  // duplicate a character
+      const std::size_t at = pick(out.size());
+      out.insert(at, 1, out[at]);
+      break;
+    }
+    default: {  // change a value's type
+      const Token& tok = values[pick(values.size())];
+      std::string repl = kValues[pick(std::size(kValues))];
+      while (repl[0] == out[tok.begin] || (tok.number && repl == "7")) {
+        repl = kValues[pick(std::size(kValues))];
+      }
+      out.replace(tok.begin, tok.end - tok.begin, repl);
+      break;
+    }
+  }
+  return out;
+}
+
+TEST(SpecHostileInput, MutatedScenariosNeverAbortAndAcceptOnlyValidCells) {
+  RngStream rng(20260417);
+  int accepted = 0;
+  for (const char* file : {"fig_pause_throughput.json", "fig_fault_pdr.json",
+                           "fig_load_collapse.json", "urban_city.json"}) {
+    const std::string text = slurp(scenario_path(file));
+    ASSERT_FALSE(text.empty()) << file;
+    for (int step = 0; step < 400; ++step) {
+      const std::string mutated = mutate(text, rng);
+      const auto s = spec::load_string(mutated, file);
+      if (!s.ok()) continue;
+      ++accepted;
+      for (const SweepCell& cell : s.cells) {
+        const std::vector<ConfigError> errors = ScenarioBuilder::from(cell.config).check();
+        EXPECT_TRUE(errors.empty()) << file << " step " << step << " cell " << cell.label << ": "
+                                    << errors.front().field << ": " << errors.front().message;
+        (void)ScenarioBuilder::from(cell.config).build();
+      }
+    }
+  }
+  EXPECT_GT(accepted, 0);  // some mutations (digits in descriptions, ...) stay valid
 }
 
 // -- DSL == ScenarioBuilder twins --------------------------------------------
 // The shipped scenario files must expand to exactly the configs their C++
 // bench twins build. Config fingerprints equal => per-seed runs are
 // byte-identical (a run is a pure function of (config, seed)).
-
-std::string scenario_path(const char* file) {
-  return std::string(MANET_SCENARIOS_DIR) + "/" + file;
-}
 
 TEST(SpecTwins, PauseSweepMatchesBenchPauseCell) {
   const auto s = spec::load_file(scenario_path("fig_pause_throughput.json"));

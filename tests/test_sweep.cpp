@@ -96,16 +96,6 @@ TEST(Sweep, ProfilesArePopulated) {
   EXPECT_EQ(r.total_events, c.aggregate.total_events);
 }
 
-TEST(Sweep, MatchesExperimentRunnerWrapper) {
-  // ExperimentRunner::run is a single-cell SweepRunner: identical numbers.
-  const ScenarioConfig cfg = tiny_config(Protocol::kDsr);
-  const Aggregate via_wrapper = ExperimentRunner(3, 2).run(cfg);
-  const Aggregate via_sweep = SweepRunner(3, 2).run({{"x", cfg}}).cells[0].aggregate;
-  EXPECT_DOUBLE_EQ(via_wrapper.pdr.mean, via_sweep.pdr.mean);
-  EXPECT_DOUBLE_EQ(via_wrapper.delay_ms.se, via_sweep.delay_ms.se);
-  EXPECT_EQ(via_wrapper.total_events, via_sweep.total_events);
-}
-
 TEST(Sweep, FindLocatesCellsByLabel) {
   const SweepResult r = SweepRunner(1, 2).run(tiny_grid());
   ASSERT_NE(r.find("dsdv/a"), nullptr);

@@ -11,7 +11,9 @@
 // its bench twin produce byte-identical per-seed results. The MANET_BENCH_*
 // environment knobs apply exactly as they do to the benches (so the CI bench
 // recipe drives both sides identically); explicit flags override both the
-// spec and the environment.
+// spec and the environment. A duration override is checked against the
+// scenario contract like the spec itself (a fault window or traffic start
+// past the new end of the run is a validation error).
 //
 // Exit codes: 0 success, 1 run/write failure, 2 usage or spec validation
 // error (every diagnostic is printed as "file:line: key: message").
@@ -81,6 +83,7 @@ int cmd_run(const char* file, const std::vector<const char*>& flags) {
   long seeds_flag = 0;
   long threads_flag = -1;
   double duration_flag = 0.0;
+  std::string duration_arg;
   std::string out_dir_flag;
   std::string cell_filter;
   for (const char* arg : flags) {
@@ -100,6 +103,7 @@ int cmd_run(const char* file, const std::vector<const char*>& flags) {
         std::fprintf(stderr, "manetsim: --duration must be positive seconds, got \"%s\"\n", v);
         return 2;
       }
+      duration_arg = arg;
     } else if (const char* v = flag_value(arg, "--out-dir")) {
       out_dir_flag = v;
     } else if (const char* v = flag_value(arg, "--cell")) {
@@ -136,6 +140,18 @@ int cmd_run(const char* file, const std::vector<const char*>& flags) {
     std::fprintf(stderr, "manetsim: --cell=%s matches none of the %zu cell labels\n",
                  cell_filter.c_str(), spec.cells.size());
     return 2;
+  }
+  // A duration override bypassed the loader's validation: re-check the cells.
+  std::string cause = duration_arg;
+  if (cause.empty() && env.duration_s > 0) {
+    cause = "MANET_BENCH_DURATION=" + std::to_string(env.duration_s);
+  }
+  if (!cause.empty()) {
+    const std::string invalid = manet::check_cells(cells, cause);
+    if (!invalid.empty()) {
+      std::fputs(invalid.c_str(), stderr);
+      return 2;
+    }
   }
 
   if (!spec.description.empty()) std::printf("%s\n", spec.description.c_str());
