@@ -4,8 +4,9 @@
 // the CBR rate; then it idles for an exponential OFF period and repeats.
 // Bursty traffic stresses reactive protocols differently from smooth CBR:
 // routes go stale between bursts and each new burst pays a fresh discovery —
-// the effect the offered-load figures only hint at. Used by the
-// abl_traffic bench as an extension beyond the paper's CBR-only workload.
+// the effect the offered-load figures only hint at. Used by
+// scenarios/abl_traffic.json as an extension beyond the paper's CBR-only
+// workload.
 #pragma once
 
 #include "core/rng.hpp"

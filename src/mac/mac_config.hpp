@@ -23,7 +23,7 @@ struct MacConfig {
   std::size_t ifq_capacity = 50;
   /// Unicast data frames of at least this many bytes use RTS/CTS. The ns-2
   /// default of 0 means "all unicast data"; set use_rts=false to disable
-  /// entirely (ablation bench).
+  /// entirely (ablation scenarios/abl_rtscts.json).
   std::size_t rts_threshold = 0;
   bool use_rts = true;
 };

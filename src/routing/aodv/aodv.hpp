@@ -36,7 +36,7 @@ struct Config {
   SimTime rreq_id_lifetime = seconds(6);  // PATH_DISCOVERY_TIME
   SimTime delete_period = seconds(15);
   // Expanding-ring search (RFC defaults); disabled -> every RREQ is
-  // network-wide (ablation bench abl_aodv_ers).
+  // network-wide (ablation scenarios/abl_aodv_ers.json).
   bool expanding_ring = true;
   std::uint8_t ttl_start = 1;
   std::uint8_t ttl_increment = 2;

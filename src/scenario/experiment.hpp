@@ -1,4 +1,4 @@
-// Multi-seed experiment execution: metrics, aggregation, environment knobs.
+// Multi-seed experiment metrics and their aggregation.
 //
 // Every figure in the paper family is a sweep: (protocol × parameter value),
 // each cell averaged over several random scenarios. The SweepRunner
@@ -8,16 +8,8 @@
 // binds the per-run sample (ScenarioResult field) to its aggregate slot
 // (Aggregate field). The aggregator and the JSON/CSV emitters all iterate the
 // table, so adding a metric is one table line plus the two struct fields.
-//
-// Environment knobs (parsed and validated in one place, BenchEnv) let benches
-// trade fidelity for wall-clock time without code changes:
-//   MANET_BENCH_SEEDS        replications per cell    (default per bench)
-//   MANET_BENCH_DURATION     simulated seconds        (default from config)
-//   MANET_BENCH_THREADS      worker threads           (default hw concurrency)
-//   MANET_BENCH_RESULTS_DIR  artifact directory       (default "results")
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "scenario/scenario.hpp"
@@ -86,26 +78,5 @@ void Aggregate::for_each(F&& f) const {
 
 /// Aggregate the replications of one cell via the metric table.
 [[nodiscard]] Aggregate aggregate_results(const std::vector<ScenarioResult>& results);
-
-/// The MANET_BENCH_* environment, parsed and validated in one place.
-/// Malformed or out-of-range values (garbage text, negatives, absurd sizes)
-/// are rejected with a warning on stderr and the default is kept — so
-/// MANET_BENCH_THREADS=-1 can no longer wrap to a huge unsigned.
-struct BenchEnv {
-  int seeds = 3;                      ///< replications per cell, >= 1
-  unsigned threads = 0;               ///< worker threads, 0 = hw concurrency
-  long duration_s = 0;                ///< simulated seconds, 0 = per-config
-  std::string results_dir = "results";  ///< where JSON/CSV artifacts land
-
-  /// Parse the environment; `default_seeds` seeds when MANET_BENCH_SEEDS is
-  /// unset (benches default lower than interactive tools).
-  [[nodiscard]] static BenchEnv parse(int default_seeds = 3);
-
-  /// Apply MANET_BENCH_DURATION to a config (no-op when unset).
-  void apply_duration(ScenarioConfig& cfg) const;
-};
-
-/// Render one metric as "mean ± se" with the given precision.
-[[nodiscard]] std::string format_metric(const Metric& m, int precision = 3);
 
 }  // namespace manet

@@ -123,7 +123,7 @@ struct ScenarioConfig {
   lar::Config lar;
   tora::Config tora;
 
-  /// Render the Table-I parameter block (bench/tab_parameters).
+  /// Render the Table-I parameter block (examples/quickstart prints it).
   [[nodiscard]] std::string parameter_table() const;
 };
 

@@ -20,16 +20,12 @@ namespace {
 
 using json::Value;
 
-/// %g rendering, matching the bench label convention.
+/// %g rendering of an axis value in a cell label ("AODV/pause:30").
 std::string fmt_g(double v) {
   char buf[32];
   std::snprintf(buf, sizeof buf, "%g", v);
   return buf;
 }
-
-/// Largest |seconds| a nanosecond SimTime holds, rounded down (INT64_MAX ns
-/// is about 9.22e9 s).
-constexpr double kMaxSeconds = 9e9;
 
 /// Error sink + the typed accessors every section walker shares. These
 /// checks are the ones that belong to reading external input: JSON kinds,
@@ -323,7 +319,7 @@ void apply_settings(Checker& c, const Value& o, const std::string& path, Staged&
        Key("duration_s", "duration", cfg.duration),
        Key("measure_connectivity", "measure_connectivity", cfg.measure_connectivity),
        Key("trace"), Key("mobility"), Key("traffic"), Key("radio"), Key("mac"), Key("urban"),
-       Key("fault"), Key("transport")},
+       Key("fault"), Key("transport"), Key("aodv"), Key("dsr"), Key("olsr")},
       [&](const std::string& k, const Value& v, const std::string& p) {
         if (k == "protocol") {
           std::string name;
@@ -362,6 +358,16 @@ void apply_settings(Checker& c, const Value& o, const std::string& path, Staged&
           apply_fault(c, v, p, s);
         } else if (k == "transport") {
           apply_transport(c, v, p, s);
+        } else if (k == "aodv") {
+          apply_object(c, s, v, p,
+                       {Key("expanding_ring", "aodv.expanding_ring", cfg.aodv.expanding_ring)});
+        } else if (k == "dsr") {
+          apply_object(
+              c, s, v, p,
+              {Key("intermediate_reply", "dsr.intermediate_reply", cfg.dsr.intermediate_reply)});
+        } else if (k == "olsr") {
+          apply_object(c, s, v, p,
+                       {Key("mpr_flooding", "olsr.mpr_flooding", cfg.olsr.mpr_flooding)});
         }
       });
 }
@@ -415,7 +421,7 @@ void apply_axis(Checker& c, const Axis& axis, const AxisValue& a, Staged& s) {
   } else if (axis.param == "pause") {
     read_key(c, s, Key("pause", "pause", cfg.pause), v, a.key);
   } else if (axis.param == "vmax") {
-    // Mirrors bench::mobility_cell: the 0 column is the static network.
+    // The mobility figures' x-axis: the 0 column is the static network.
     double x = 0.0;
     if (!c.num(v, a.key, x)) return;
     cfg.static_nodes = x <= 0.0;
@@ -506,10 +512,11 @@ ScenarioSpec load_string(const std::string& text, const std::string& filename) {
     } else if (k == "seeds") {
       long long n = 0;
       if (c.integer(v, "seeds", n)) {
-        if (n >= 1 && n <= 100000) {
+        if (n >= 1 && n <= kMaxSeeds) {
           spec.seeds = static_cast<int>(n);
         } else {
-          c.fail(v, "seeds", "must be in [1, 100000], got " + std::to_string(n));
+          c.fail(v, "seeds",
+                 "must be in [1, " + std::to_string(kMaxSeeds) + "], got " + std::to_string(n));
         }
       }
     } else if (k == "output") {
@@ -544,8 +551,7 @@ ScenarioSpec load_string(const std::string& text, const std::string& filename) {
 
   // -- sweep expansion -------------------------------------------------------
   // Grid cells: (protocol × axis values) in nested-loop order, protocol
-  // outermost — the same order Suite::add_sweep registers them, so a spec's
-  // artifact lists its cells exactly like its C++ twin's.
+  // outermost, so a figure's artifact lists each protocol's series in turn.
   std::vector<std::pair<std::string, Protocol>> protocols;
   std::vector<Axis> axes;
   struct ExplicitCell {

@@ -3,10 +3,11 @@
 // Declarative scenario specs: the JSON front end of the experiment layer.
 //
 // A scenario file describes one experiment — a base configuration plus an
-// optional (protocol × axis) sweep — in data instead of C++. The loader
-// expands it into the same labeled SweepCell grid the benches build through
-// ScenarioBuilder, so a spec run and its C++ twin produce byte-identical
-// per-seed results (same labels, same configs, same seeds).
+// optional (protocol × axis) sweep — in data instead of C++. Every figure,
+// table and ablation of the evaluation is one file under scenarios/, run by
+// `manetsim run`. The loader expands it into a labeled SweepCell grid of
+// validated ScenarioConfigs; a run is a pure function of (config, seed), so
+// the same file reproduces the same per-seed results on any machine.
 //
 // Schema (all keys optional unless noted; unknown keys are errors):
 //
@@ -37,7 +38,10 @@
 //                 "partition_until_s": 0, "window_from_s": 10},
 //       "transport": {"enabled": true, "rto_initial_ms": 1000, "rto_min_ms": 200,
 //                     "rto_max_ms": 60000, "cwnd_init": 2, "cwnd_max": 32,
-//                     "max_retx": 7, "buffer_packets": 64}
+//                     "max_retx": 7, "buffer_packets": 64},
+//       "aodv": {"expanding_ring": true},       // the protocol ablation knobs
+//       "dsr": {"intermediate_reply": true},
+//       "olsr": {"mpr_flooding": true}
 //     },
 //     "sweep": {
 //       "protocols": ["AODV", "DSR", "CBRP"],  // default: base protocol only
@@ -46,7 +50,7 @@
 //     }
 //   }
 //
-// Axis params (labels follow the bench convention "PROTO/param:value"):
+// Axis params (cell labels read "PROTO/param:value"):
 //   pause    pause time, seconds                     (>= 0)
 //   vmax     node max speed, m/s; <= 0 means static  (mobility suite)
 //   nodes    node count                              (integer >= 2)
@@ -76,6 +80,13 @@
 #include "scenario/sweep.hpp"
 
 namespace manet::spec {
+
+/// Replications per cell a spec (or a `--seeds` override) may ask for.
+inline constexpr int kMaxSeeds = 100000;
+
+/// Largest |seconds| a time key (or a `--duration` override) may hold:
+/// INT64_MAX ns, about 9.22e9 s, rounded down.
+inline constexpr double kMaxSeconds = 9e9;
 
 /// One validation (or parse/IO) diagnostic.
 struct Error {

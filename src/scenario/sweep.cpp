@@ -14,7 +14,6 @@
 
 #include "common/json.hpp"
 #include "core/assert.hpp"
-#include "scenario/builder.hpp"
 
 namespace manet {
 
@@ -58,16 +57,6 @@ bool write_text_file(const std::string& path, const std::string& text) {
 }
 
 }  // namespace
-
-std::string check_cells(const std::vector<SweepCell>& cells, const std::string& cause) {
-  std::string report;
-  for (const SweepCell& cell : cells) {
-    for (const ConfigError& e : ScenarioBuilder::from(cell.config).check()) {
-      report += cause + ": cell \"" + cell.label + "\": " + e.field + ": " + e.message + "\n";
-    }
-  }
-  return report;
-}
 
 std::uint64_t process_peak_rss_bytes() {
 #if defined(__unix__) || defined(__APPLE__)
@@ -166,28 +155,6 @@ std::string SweepResult::to_csv() const {
        << ',' << c.events_per_sec << ',' << c.peak_queue_depth << ',' << c.peak_rss_bytes << ','
        << c.bytes_per_node << '\n';
   }
-  return os.str();
-}
-
-std::string SweepResult::to_baseline_json() const {
-  std::ostringstream os;
-  os.precision(10);
-  os << "{\n  \"schema\": 1,\n  \"entries\": [\n";
-  os << "    {\"name\": \"";
-  json::escape(os, name);
-  os << "\", \"events_per_sec\": " << events_per_sec << ", \"wall_s\": " << wall_s << '}';
-  for (const SweepCellResult& c : cells) {
-    os << ",\n    {\"name\": \"";
-    json::escape(os, name);
-    os << '/';
-    json::escape(os, c.label);
-    os << "\", \"events_per_sec\": " << c.events_per_sec << ", \"wall_s\": " << c.wall_s;
-    // bench_gate gates memory only when baseline AND fresh both carry the
-    // field, so pre-existing baselines without it keep passing unchanged.
-    if (c.bytes_per_node > 0.0) os << ", \"bytes_per_node\": " << c.bytes_per_node;
-    os << '}';
-  }
-  os << "\n  ]\n}\n";
   return os.str();
 }
 

@@ -2,7 +2,7 @@
 //
 // A figure is a grid of (cell × seed) replications. The old model
 // parallelized only the seeds inside one cell — a 16-core machine idled
-// while a bench walked its cells sequentially, re-spawning a pool per cell.
+// while a figure walked its cells sequentially, re-spawning a pool per cell.
 // SweepRunner makes the *sweep* the unit of execution: it expands the whole
 // grid into independent work items up front and drains them on one shared
 // pool of workers pulling from a single atomic cursor, so wall-clock is
@@ -11,7 +11,8 @@
 // Results are structured, not just printed: SweepResult carries each cell's
 // Aggregate plus per-replication profiling (wall-clock, simulated-seconds
 // per wall-second, events/sec, peak event-queue depth), with JSON and CSV
-// emitters so every bench run leaves a machine-diffable artifact.
+// emitters so every run leaves a machine-diffable artifact. tools/bench_gate
+// reads the JSON artifact directly (events/sec and bytes_per_node per cell).
 //
 // Determinism: replication (cell c, rep k) always runs config
 // cells[c].config with seed base+k, whatever the thread count — results are
@@ -68,7 +69,7 @@ struct SweepCellResult {
 };
 
 struct SweepResult {
-  std::string name;  ///< artifact name (bench binary), set by the caller
+  std::string name;  ///< artifact name (the scenario's), set by the caller
   std::vector<SweepCellResult> cells;
   int seeds_per_cell = 0;
   unsigned threads = 0;
@@ -86,25 +87,11 @@ struct SweepResult {
   [[nodiscard]] std::string to_json() const;
   [[nodiscard]] std::string to_csv() const;
 
-  /// Performance-baseline emitter: the flat {name, events_per_sec, wall_s}
-  /// entry list tools/bench_gate records and checks — one entry for the
-  /// whole sweep plus one per cell. This is the sweep side of the
-  /// continuous-benchmark gate (see DESIGN.md "Kernel performance &
-  /// benchmark gate").
-  [[nodiscard]] std::string to_baseline_json() const;
-
   /// Write an emitter's output to `path`, creating parent directories.
   /// Returns false (with a stderr warning) on I/O failure.
   bool write_json(const std::string& path) const;
   bool write_csv(const std::string& path) const;
 };
-
-/// Re-run the scenario contract (ScenarioBuilder::check()) on cells that
-/// `cause` (e.g. "--duration=5") changed after they were validated. Returns
-/// one `cause: cell "LABEL": field: message` line per error; empty when every
-/// cell still passes.
-[[nodiscard]] std::string check_cells(const std::vector<SweepCell>& cells,
-                                      const std::string& cause);
 
 /// Process-wide peak resident set size in bytes (0 where unsupported).
 [[nodiscard]] std::uint64_t process_peak_rss_bytes();

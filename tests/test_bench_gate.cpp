@@ -50,31 +50,36 @@ TEST(BenchGate, ParsesBaselineShape) {
   EXPECT_DOUBLE_EQ(e[1].wall_s, 0.6);
 }
 
-TEST(BenchGate, SweepBaselineEmitterRoundTrips) {
-  // SweepResult::to_baseline_json() must parse back into the same entries
-  // bench_gate records — this is the contract between the two halves.
+TEST(BenchGate, SweepArtifactEmitterRoundTrips) {
+  // The gate reads SweepResult::to_json() — the artifact `manetsim run`
+  // writes — into the entry names the committed BENCH_*.json files use,
+  // memory per node included: this is the contract between the two halves.
   SweepResult sweep;
-  sweep.name = "fig_pause_throughput";
+  sweep.name = "fig_scale";
   sweep.events_per_sec = 5.0e6;
   sweep.wall_s = 3.0;
   SweepCellResult cell;
-  cell.label = "AODV/pause:0";
+  cell.label = "AODV/n:2000";
   cell.events_per_sec = 4.5e6;
   cell.wall_s = 1.5;
+  cell.bytes_per_node = 7235.5;
   sweep.cells.push_back(std::move(cell));
 
-  const Entries e = parse_ok(sweep.to_baseline_json());
+  const Entries e = parse_ok(sweep.to_json());
   ASSERT_EQ(e.size(), 2u);
-  EXPECT_EQ(e[0].name, "fig_pause_throughput");
+  EXPECT_EQ(e[0].name, "fig_scale");
   EXPECT_DOUBLE_EQ(e[0].events_per_sec, 5.0e6);
-  EXPECT_EQ(e[1].name, "fig_pause_throughput/AODV/pause:0");
+  EXPECT_EQ(e[1].name, "fig_scale/AODV/n:2000");
   EXPECT_DOUBLE_EQ(e[1].events_per_sec, 4.5e6);
+  EXPECT_DOUBLE_EQ(e[1].wall_s, 1.5);
+  EXPECT_DOUBLE_EQ(e[1].bytes_per_node, 7235.5);
 
   // And the gate's own serializer round-trips too.
   const Entries again = parse_ok(to_baseline_json(e));
   ASSERT_EQ(again.size(), 2u);
   EXPECT_EQ(again[1].name, e[1].name);
   EXPECT_DOUBLE_EQ(again[1].events_per_sec, e[1].events_per_sec);
+  EXPECT_DOUBLE_EQ(again[1].bytes_per_node, e[1].bytes_per_node);
 }
 
 TEST(BenchGate, ParsesFullSweepArtifact) {

@@ -2,7 +2,7 @@
 // stack (mobility -> channel -> MAC -> ARP -> routing -> CBR), one suite
 // parameterized over all five protocols. Thresholds are deliberately loose —
 // these are smoke-level correctness gates, not performance assertions (the
-// benches handle those).
+// scenario sweeps handle those).
 #include <gtest/gtest.h>
 
 #include "scenario/scenario.hpp"

@@ -14,8 +14,8 @@
 //      pinned golden fingerprint holds its behaviour byte-exact, and faulted
 //      urban runs (crash + restart) replay identically — restart safety.
 //   4. A 5000-node city completes a short run with bounded memory per node
-//      (the structural end of the 10k acceptance run, which lives in the
-//      fig_scale bench).
+//      (the structural end of the 10k acceptance run, which lives in
+//      scenarios/fig_scale.json).
 
 #include <gtest/gtest.h>
 
@@ -285,7 +285,7 @@ TEST(ScaleStructural, SweepReportsMemoryPerNode) {
   ASSERT_EQ(sweep.cells.size(), 1u);
   EXPECT_GT(sweep.cells[0].peak_rss_bytes, 0u);
   EXPECT_GT(sweep.cells[0].bytes_per_node, 0.0);
-  EXPECT_NE(sweep.to_baseline_json().find("bytes_per_node"), std::string::npos);
+  EXPECT_NE(sweep.to_json().find("\"bytes_per_node\": "), std::string::npos);
   EXPECT_NE(sweep.to_json().find("peak_rss_bytes"), std::string::npos);
   EXPECT_NE(sweep.to_csv().find("bytes_per_node"), std::string::npos);
 }

@@ -239,11 +239,5 @@ TEST(Scenario, ConnectivityOracleMatchesBruteForceWithSharedSources) {
   expect_oracle_matches_replay(cfg);
 }
 
-TEST(Experiment, FormatMetric) {
-  const std::string s = format_metric({0.5, 0.01}, 2);
-  EXPECT_NE(s.find("0.50"), std::string::npos);
-  EXPECT_NE(s.find("±"), std::string::npos);
-}
-
 }  // namespace
 }  // namespace manet

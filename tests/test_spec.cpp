@@ -1,8 +1,8 @@
 // Scenario spec loader: the declarative DSL must expand to exactly the cell
-// grids the benches build through ScenarioBuilder (same labels, same configs
-// — which makes the runs byte-identical, since a run is a pure function of
-// (config, seed)), and every schema violation must come back as a
-// line-anchored Error instead of the builder's contract abort.
+// grids ScenarioBuilder builds (same labels, same configs — which makes the
+// runs byte-identical, since a run is a pure function of (config, seed)),
+// every shipped scenario file must load, and every schema violation must
+// come back as a line-anchored Error instead of the builder's contract abort.
 
 #include "scenario/spec.hpp"
 
@@ -12,6 +12,7 @@
 #include <cctype>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <sstream>
@@ -115,7 +116,10 @@ TEST(SpecLoader, FullSchemaRoundTrip) {
       "fault": {"crash_rate": 0.5, "downtime_mean_s": 8, "link_blackouts": 3,
                 "blackout_mean_s": 2, "corrupt_rate": 0.1, "corrupt_from_s": 20,
                 "corrupt_until_s": 40, "partition": true, "partition_frac": 0.4,
-                "partition_from_s": 30, "partition_until_s": 50, "window_from_s": 15}
+                "partition_from_s": 30, "partition_until_s": 50, "window_from_s": 15},
+      "aodv": {"expanding_ring": false},
+      "dsr": {"intermediate_reply": false},
+      "olsr": {"mpr_flooding": false}
     }
   })");
   ASSERT_TRUE(s.ok()) << s.error_report();
@@ -163,6 +167,9 @@ TEST(SpecLoader, FullSchemaRoundTrip) {
   EXPECT_EQ(c.fault.corrupt_rate, 0.1);
   EXPECT_TRUE(c.fault.partition);
   EXPECT_EQ(c.fault.window_from, seconds(15));
+  EXPECT_FALSE(c.aodv.expanding_ring);
+  EXPECT_FALSE(c.dsr.intermediate_reply);
+  EXPECT_FALSE(c.olsr.mpr_flooding);
 }
 
 TEST(SpecLoader, RatePpsIsIntervalReciprocal) {
@@ -256,14 +263,16 @@ TEST(SpecLoader, ExplicitCellsOverrideBase) {
     "base": {"nodes": 20},
     "sweep": {"cells": [
       {"label": "small", "set": {"nodes": 10}},
-      {"label": "big", "set": {"nodes": 80}}
+      {"label": "big", "set": {"nodes": 80, "aodv": {"expanding_ring": false}}}
     ]}
   })");
   ASSERT_TRUE(s.ok()) << s.error_report();
   ASSERT_EQ(s.cells.size(), 2u);
   EXPECT_EQ(s.cells[0].label, "small");
   EXPECT_EQ(s.cells[0].config.num_nodes, 10u);
+  EXPECT_TRUE(s.cells[0].config.aodv.expanding_ring);
   EXPECT_EQ(s.cells[1].config.num_nodes, 80u);
+  EXPECT_FALSE(s.cells[1].config.aodv.expanding_ring);
 }
 
 // -- error paths -------------------------------------------------------------
@@ -281,12 +290,13 @@ TEST(SpecErrors, UnknownKeysAtEveryLevel) {
   const auto s = load(R"({
     "name": "u",
     "typo_top": 1,
-    "base": {"typo_base": 2, "mobility": {"typo_mob": 3}}
+    "base": {"typo_base": 2, "mobility": {"typo_mob": 3}, "aodv": {"hello_interval_ms": 1}}
   })");
   ASSERT_FALSE(s.ok());
   EXPECT_TRUE(has_error(s, "typo_top"));
   EXPECT_TRUE(has_error(s, "base.typo_base"));
   EXPECT_TRUE(has_error(s, "base.mobility.typo_mob"));
+  EXPECT_TRUE(has_error(s, "base.aodv.hello_interval_ms"));
   EXPECT_TRUE(has_error(s, "unknown key"));
 }
 
@@ -621,79 +631,28 @@ TEST(SpecHostileInput, MutatedScenariosNeverAbortAndAcceptOnlyValidCells) {
   EXPECT_GT(accepted, 0);  // some mutations (digits in descriptions, ...) stay valid
 }
 
+// -- shipped scenarios --------------------------------------------------------
+// Every file under scenarios/ is an experiment of the evaluation: it must
+// load, expand to at least one cell, and be named after its file, because
+// the name keys results/<name>.json and bench_gate's entry names.
+
+TEST(ShippedScenarios, EveryFileLoadsIsNamedAfterItsStemAndHasCells) {
+  int files = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(MANET_SCENARIOS_DIR)) {
+    if (!entry.is_regular_file() || entry.path().extension() != ".json") continue;
+    ++files;
+    const auto s = spec::load_file(entry.path().string());
+    EXPECT_TRUE(s.ok()) << s.error_report();
+    EXPECT_EQ(s.name, entry.path().stem().string());
+    EXPECT_FALSE(s.cells.empty()) << entry.path();
+  }
+  EXPECT_GT(files, 0);
+}
+
 // -- DSL == ScenarioBuilder twins --------------------------------------------
-// The shipped scenario files must expand to exactly the configs their C++
-// bench twins build. Config fingerprints equal => per-seed runs are
-// byte-identical (a run is a pure function of (config, seed)).
-
-TEST(SpecTwins, PauseSweepMatchesBenchPauseCell) {
-  const auto s = spec::load_file(scenario_path("fig_pause_throughput.json"));
-  ASSERT_TRUE(s.ok()) << s.error_report();
-  const Protocol trio[] = {Protocol::kAodv, Protocol::kDsr, Protocol::kCbrp};
-  const double pauses[] = {0, 30, 60, 120};
-  ASSERT_EQ(s.cells.size(), 12u);
-  std::size_t i = 0;
-  for (const Protocol p : trio) {
-    for (const double pause_s : pauses) {
-      // bench::pause_cell from bench_common.hpp, inlined.
-      const ScenarioConfig twin = ScenarioBuilder()
-                                      .protocol(p)
-                                      .seed(1)
-                                      .nodes(40)
-                                      .area(1500.0, 300.0)
-                                      .speed(0.1, 20.0)
-                                      .pause(seconds_f(pause_s))
-                                      .build();
-      EXPECT_EQ(fingerprint(s.cells[i].config), fingerprint(twin)) << s.cells[i].label;
-      ++i;
-    }
-  }
-}
-
-TEST(SpecTwins, FaultSweepMatchesBenchFaultCell) {
-  const auto s = spec::load_file(scenario_path("fig_fault_pdr.json"));
-  ASSERT_TRUE(s.ok()) << s.error_report();
-  ASSERT_EQ(s.cells.size(), 21u);
-  std::size_t i = 0;
-  for (const Protocol p : kAllProtocols) {
-    for (const double crash : {0.0, 1.0, 2.0}) {
-      // bench::fault_cell from bench_common.hpp, inlined.
-      FaultConfig fault;
-      fault.crash_rate = crash;
-      fault.downtime_mean = seconds(20);
-      fault.window_from = seconds(20);
-      const ScenarioConfig twin =
-          ScenarioBuilder().protocol(p).seed(1).nodes(30).speed(0.1, 5.0).fault(fault).build();
-      EXPECT_EQ(fingerprint(s.cells[i].config), fingerprint(twin)) << s.cells[i].label;
-      ++i;
-    }
-  }
-}
-
-TEST(SpecTwins, LoadCollapseMatchesBenchLoadCell) {
-  const auto s = spec::load_file(scenario_path("fig_load_collapse.json"));
-  ASSERT_TRUE(s.ok()) << s.error_report();
-  ASSERT_EQ(s.cells.size(), 42u);  // 7 protocols x 6 source counts
-  std::size_t i = 0;
-  for (const Protocol p : kAllProtocols) {
-    for (const std::uint32_t sources : {4u, 8u, 16u, 24u, 32u, 48u}) {
-      // bench::load_cell from bench_common.hpp, inlined.
-      TransportConfig transport;
-      transport.enabled = true;
-      const ScenarioConfig twin = ScenarioBuilder()
-                                      .protocol(p)
-                                      .seed(1)
-                                      .nodes(40)
-                                      .area(1500.0, 300.0)
-                                      .speed(0.1, 10.0)
-                                      .connections(sources)
-                                      .transport(transport)
-                                      .build();
-      EXPECT_EQ(fingerprint(s.cells[i].config), fingerprint(twin)) << s.cells[i].label;
-      ++i;
-    }
-  }
-}
+// The DSL's derived expansions must build exactly the configs their
+// ScenarioBuilder spelling builds. Config fingerprints equal => per-seed
+// runs are byte-identical (a run is a pure function of (config, seed)).
 
 TEST(SpecTwins, UrbanFamilyMatchesUrbanScenario) {
   const auto s = spec::load_file(scenario_path("urban_city.json"));

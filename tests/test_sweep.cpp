@@ -141,51 +141,6 @@ TEST(Aggregation, MetricTableDrivesAggregation) {
   EXPECT_EQ(count, static_cast<int>(std::size(kMetricDefs)));
 }
 
-TEST(BenchEnvTest, RejectsGarbageAndNegatives) {
-  setenv("MANET_BENCH_SEEDS", "banana", 1);
-  setenv("MANET_BENCH_THREADS", "-1", 1);
-  setenv("MANET_BENCH_DURATION", "-5", 1);
-  const BenchEnv env = BenchEnv::parse(4);
-  EXPECT_EQ(env.seeds, 4);      // garbage -> default
-  EXPECT_EQ(env.threads, 0u);   // -1 no longer wraps to a huge unsigned
-  EXPECT_EQ(env.duration_s, 0l);
-  unsetenv("MANET_BENCH_SEEDS");
-  unsetenv("MANET_BENCH_THREADS");
-  unsetenv("MANET_BENCH_DURATION");
-}
-
-TEST(BenchEnvTest, ParsesValidValuesAndAppliesDuration) {
-  setenv("MANET_BENCH_SEEDS", "7", 1);
-  setenv("MANET_BENCH_THREADS", "3", 1);
-  setenv("MANET_BENCH_DURATION", "42", 1);
-  setenv("MANET_BENCH_RESULTS_DIR", "out/dir", 1);
-  const BenchEnv env = BenchEnv::parse(2);
-  EXPECT_EQ(env.seeds, 7);
-  EXPECT_EQ(env.threads, 3u);
-  EXPECT_EQ(env.duration_s, 42l);
-  EXPECT_EQ(env.results_dir, "out/dir");
-  ScenarioConfig cfg;
-  env.apply_duration(cfg);
-  EXPECT_EQ(cfg.duration, seconds(42));
-  unsetenv("MANET_BENCH_SEEDS");
-  unsetenv("MANET_BENCH_THREADS");
-  unsetenv("MANET_BENCH_DURATION");
-  unsetenv("MANET_BENCH_RESULTS_DIR");
-}
-
-TEST(BenchEnvTest, UnsetKeepsDefaultsAndDurationUntouched) {
-  unsetenv("MANET_BENCH_SEEDS");
-  unsetenv("MANET_BENCH_THREADS");
-  unsetenv("MANET_BENCH_DURATION");
-  const BenchEnv env = BenchEnv::parse(3);
-  EXPECT_EQ(env.seeds, 3);
-  EXPECT_EQ(env.threads, 0u);
-  EXPECT_EQ(env.results_dir, "results");
-  ScenarioConfig cfg;
-  env.apply_duration(cfg);
-  EXPECT_EQ(cfg.duration, seconds(150));
-}
-
 TEST(Artifacts, JsonContainsCellsMetricsAndProfiling) {
   SweepResult r = SweepRunner(2, 2).run(tiny_grid());
   r.name = "unit_test";

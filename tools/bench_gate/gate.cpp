@@ -50,7 +50,7 @@ bool extract_google_benchmark(const Value& root, std::vector<Entry>& out, std::s
 }
 
 /// The gate's own shape: {"schema": 1, "entries": [{name, events_per_sec,
-/// wall_s}]} — emitted by `record` and by SweepResult::to_baseline_json().
+/// wall_s}]} — emitted by `record`.
 bool extract_baseline(const Value& root, std::vector<Entry>& out, std::string& err) {
   const Value* entries = root.find("entries");
   if (entries == nullptr || entries->kind != Value::Kind::kArray) {
@@ -73,9 +73,8 @@ bool extract_baseline(const Value& root, std::vector<Entry>& out, std::string& e
   return true;
 }
 
-/// A full SweepResult::to_json() artifact: top-level throughput plus each
-/// cell's profile. Lets CI gate directly on the sweep artifact it already
-/// uploads, without a second emission pass.
+/// A full SweepResult::to_json() artifact (what `manetsim run` writes):
+/// top-level throughput plus each cell's profile, memory per node included.
 bool extract_sweep(const Value& root, std::vector<Entry>& out, std::string& err) {
   const Value* name = root.find("name");
   const Value* cells = root.find("cells");

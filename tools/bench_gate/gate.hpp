@@ -8,10 +8,11 @@
 //
 //   * google-benchmark JSON (micro_kernel --benchmark_format=json):
 //     entries come from benchmarks[].{name, items_per_second}
-//   * sweep artifacts / SweepResult::to_baseline_json():
-//     entries come from entries[].{name, events_per_sec, wall_s}, or from a
-//     full sweep JSON's top-level + per-cell profile numbers
-//   * its own baseline files (the `record` output)
+//   * sweep artifacts (SweepResult::to_json(), `manetsim run`'s
+//     results/<name>.json): entry <name> from the top-level numbers, and
+//     <name>/<cell label> from each cell's profile
+//   * its own baseline files (the `record` output): entries[].{name,
+//     events_per_sec, wall_s, bytes_per_node}
 //
 // Comparison policy: events/sec gates (machine-comparable rate of fixed,
 // deterministic work); memory-per-node (bytes_per_node, the scale sweep's

@@ -5,25 +5,29 @@
 //   manetsim validate <scenario.json>...
 //   manetsim list-protocols
 //
-// `run` expands the spec (src/scenario/spec.hpp documents the schema) into a
-// labeled cell grid, executes it on one SweepRunner pool, and writes the same
-// <out-dir>/<name>.{json,csv} artifacts the C++ benches write — a spec and
-// its bench twin produce byte-identical per-seed results. The MANET_BENCH_*
-// environment knobs apply exactly as they do to the benches (so the CI bench
-// recipe drives both sides identically); explicit flags override both the
-// spec and the environment. A duration override is checked against the
-// scenario contract like the spec itself (a fault window or traffic start
-// past the new end of the run is a validation error).
+// Every figure, table and ablation of the evaluation is one file under
+// scenarios/. `run` expands it (src/scenario/spec.hpp documents the schema)
+// into a labeled cell grid, executes it on one SweepRunner pool, prints one
+// row per cell and writes <out-dir>/<name>.{json,csv}. Flags override the
+// spec, within the spec's own bounds: --seeds in [1, 100000], --threads in
+// [0, 4096] (0 = hardware concurrency), --duration in (0, 9e9] seconds.
+// --cell keeps only the cells whose label contains SUBSTR. A duration
+// override is checked against the scenario contract like the spec itself (a
+// fault window or traffic start past the new end of the run is a validation
+// error).
 //
 // Exit codes: 0 success, 1 run/write failure, 2 usage or spec validation
 // error (every diagnostic is printed as "file:line: key: message").
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "scenario/experiment.hpp"
+#include "scenario/builder.hpp"
 #include "scenario/scenario.hpp"
 #include "scenario/spec.hpp"
 #include "scenario/sweep.hpp"
@@ -46,16 +50,37 @@ const char* flag_value(const char* arg, const char* key) {
   return arg + n + 1;
 }
 
-bool parse_long(const char* s, long& out) {
+/// Upper bound of --threads (0 = hardware concurrency).
+constexpr long kMaxThreads = 4096;
+
+/// A whole decimal number in [min, max].
+bool parse_long(const char* s, long min, long max, long& out) {
   char* end = nullptr;
+  errno = 0;
   out = std::strtol(s, &end, 10);
-  return end != s && *end == '\0';
+  return end != s && *end == '\0' && errno != ERANGE && out >= min && out <= max;
 }
 
-bool parse_double(const char* s, double& out) {
+/// A finite number of seconds in (0, kMaxSeconds].
+bool parse_seconds(const char* s, double& out) {
   char* end = nullptr;
   out = std::strtod(s, &end);
-  return end != s && *end == '\0';
+  return end != s && *end == '\0' && std::isfinite(out) && out > 0.0 &&
+         out <= manet::spec::kMaxSeconds;
+}
+
+/// Re-run the scenario contract on cells that `cause` (a `--duration=S`
+/// override) changed after the loader validated them. Returns one
+/// `cause: cell "LABEL": field: message` line per error; empty when every
+/// cell still passes.
+std::string check_cells(const std::vector<manet::SweepCell>& cells, const std::string& cause) {
+  std::string report;
+  for (const manet::SweepCell& cell : cells) {
+    for (const manet::ConfigError& e : manet::ScenarioBuilder::from(cell.config).check()) {
+      report += cause + ": cell \"" + cell.label + "\": " + e.field + ": " + e.message + "\n";
+    }
+  }
+  return report;
 }
 
 int cmd_list_protocols() {
@@ -80,32 +105,36 @@ int cmd_validate(const std::vector<const char*>& files) {
 }
 
 int cmd_run(const char* file, const std::vector<const char*>& flags) {
-  long seeds_flag = 0;
-  long threads_flag = -1;
-  double duration_flag = 0.0;
+  long seeds = 0;    // 0: the spec's
+  long threads = 0;  // 0: hardware concurrency
+  double duration_s = 0.0;  // 0: each cell's own
   std::string duration_arg;
-  std::string out_dir_flag;
+  std::string out_dir;
   std::string cell_filter;
   for (const char* arg : flags) {
     if (const char* v = flag_value(arg, "--seeds")) {
-      if (!parse_long(v, seeds_flag) || seeds_flag < 1) {
-        std::fprintf(stderr, "manetsim: --seeds must be a positive integer, got \"%s\"\n", v);
+      if (!parse_long(v, 1, manet::spec::kMaxSeeds, seeds)) {
+        std::fprintf(stderr, "manetsim: --seeds must be an integer in [1, %d], got \"%s\"\n",
+                     manet::spec::kMaxSeeds, v);
         return 2;
       }
     } else if (const char* v = flag_value(arg, "--threads")) {
-      if (!parse_long(v, threads_flag) || threads_flag < 0) {
-        std::fprintf(stderr, "manetsim: --threads must be >= 0 (0 = hw concurrency), got \"%s\"\n",
-                     v);
+      if (!parse_long(v, 0, kMaxThreads, threads)) {
+        std::fprintf(stderr,
+                     "manetsim: --threads must be an integer in [0, %ld] (0 = hw concurrency), "
+                     "got \"%s\"\n",
+                     kMaxThreads, v);
         return 2;
       }
     } else if (const char* v = flag_value(arg, "--duration")) {
-      if (!parse_double(v, duration_flag) || duration_flag <= 0.0) {
-        std::fprintf(stderr, "manetsim: --duration must be positive seconds, got \"%s\"\n", v);
+      if (!parse_seconds(v, duration_s)) {
+        std::fprintf(stderr, "manetsim: --duration must be seconds in (0, %g], got \"%s\"\n",
+                     manet::spec::kMaxSeconds, v);
         return 2;
       }
       duration_arg = arg;
     } else if (const char* v = flag_value(arg, "--out-dir")) {
-      out_dir_flag = v;
+      out_dir = v;
     } else if (const char* v = flag_value(arg, "--cell")) {
       cell_filter = v;
     } else {
@@ -119,21 +148,13 @@ int cmd_run(const char* file, const std::vector<const char*>& flags) {
     std::fputs(spec.error_report().c_str(), stderr);
     return 2;
   }
-
-  // Environment knobs apply like they do to the benches; flags trump both.
-  const manet::BenchEnv env = manet::BenchEnv::parse(/*default_seeds=*/spec.seeds);
-  const int seeds = seeds_flag > 0 ? static_cast<int>(seeds_flag) : env.seeds;
-  const unsigned threads =
-      threads_flag >= 0 ? static_cast<unsigned>(threads_flag) : env.threads;
-  std::string out_dir = spec.out_dir;
-  if (env.results_dir != "results") out_dir = env.results_dir;
-  if (!out_dir_flag.empty()) out_dir = out_dir_flag;
+  if (seeds == 0) seeds = spec.seeds;
+  if (out_dir.empty()) out_dir = spec.out_dir;
 
   std::vector<manet::SweepCell> cells;
   for (manet::SweepCell& cell : spec.cells) {
     if (!cell_filter.empty() && cell.label.find(cell_filter) == std::string::npos) continue;
-    env.apply_duration(cell.config);
-    if (duration_flag > 0.0) cell.config.duration = manet::seconds_f(duration_flag);
+    if (duration_s > 0.0) cell.config.duration = manet::seconds_f(duration_s);
     cells.push_back(std::move(cell));
   }
   if (cells.empty()) {
@@ -142,12 +163,8 @@ int cmd_run(const char* file, const std::vector<const char*>& flags) {
     return 2;
   }
   // A duration override bypassed the loader's validation: re-check the cells.
-  std::string cause = duration_arg;
-  if (cause.empty() && env.duration_s > 0) {
-    cause = "MANET_BENCH_DURATION=" + std::to_string(env.duration_s);
-  }
-  if (!cause.empty()) {
-    const std::string invalid = manet::check_cells(cells, cause);
+  if (!duration_arg.empty()) {
+    const std::string invalid = check_cells(cells, duration_arg);
     if (!invalid.empty()) {
       std::fputs(invalid.c_str(), stderr);
       return 2;
@@ -155,16 +172,16 @@ int cmd_run(const char* file, const std::vector<const char*>& flags) {
   }
 
   if (!spec.description.empty()) std::printf("%s\n", spec.description.c_str());
-  const manet::SweepRunner runner(seeds, threads);
+  const manet::SweepRunner runner(static_cast<int>(seeds), static_cast<unsigned>(threads));
   manet::SweepResult sweep = runner.run(cells);
   sweep.name = spec.name;
 
-  std::printf("%-28s %9s %10s %10s %8s %8s\n", "cell", "pdr", "delay_ms", "kbps", "nrl",
-              "hops");
+  std::printf("%-28s %9s %10s %10s %8s %8s %8s\n", "cell", "pdr", "delay_ms", "kbps", "nrl",
+              "nml", "hops");
   for (const manet::SweepCellResult& cell : sweep.cells) {
     const manet::Aggregate& a = cell.aggregate;
-    std::printf("%-28s %9.4f %10.3f %10.2f %8.3f %8.3f\n", cell.label.c_str(), a.pdr.mean,
-                a.delay_ms.mean, a.throughput_kbps.mean, a.nrl.mean, a.avg_hops.mean);
+    std::printf("%-28s %9.4f %10.3f %10.2f %8.3f %8.3f %8.3f\n", cell.label.c_str(), a.pdr.mean,
+                a.delay_ms.mean, a.throughput_kbps.mean, a.nrl.mean, a.nml.mean, a.avg_hops.mean);
   }
 
   const std::string json_path = out_dir + "/" + spec.name + ".json";
