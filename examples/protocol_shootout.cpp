@@ -23,10 +23,10 @@ int main(int argc, char** argv) {
       .seed(1000);
   const int seeds = argc > 3 ? std::atoi(argv[3]) : 3;
 
-  // The registry is iterable: every registered protocol gets a sweep cell,
-  // so protocol #8 shows up here with zero changes to this file.
+  // Every row of the protocol table gets a sweep cell, so protocol #8 shows
+  // up here with zero changes to this file.
   std::vector<SweepCell> cells;
-  for (const routing::ProtocolEntry& entry : protocol_registry()) {
+  for (const ProtocolEntry& entry : kProtocols) {
     cells.push_back({entry.name, base.protocol(entry.name).build()});
   }
   const ScenarioConfig ref = cells.front().config;

@@ -1,7 +1,7 @@
 // Quickstart: simulate 50 mobile nodes running AODV for 150 seconds and
-// print the four canonical metrics. Pass any registered protocol name to
-// compare (the registry does case-insensitive lookup and rejects typos
-// with the full list of registered names).
+// print the four canonical metrics. Pass any protocol name to compare (the
+// lookup is case-insensitive and rejects typos with the full list of
+// protocol names).
 //
 //   ./build/examples/quickstart [aodv|dsr|cbrp|dsdv|olsr|lar|tora] [seed]
 

@@ -23,7 +23,7 @@ int main(int argc, char** argv) {
 
   const std::string trace_path = "/tmp/manetsim_trace_analysis.tr";
   ScenarioBuilder builder;
-  if (argc > 1) builder.protocol(argv[1]);  // registry lookup, case-insensitive
+  if (argc > 1) builder.protocol(argv[1]);  // case-insensitive name lookup
   const ScenarioConfig cfg = builder.nodes(30)
                                  .area(800.0, 800.0)
                                  .speed(0.1, 10.0)

@@ -1,5 +1,4 @@
-// The interface every routing protocol implements, and the registry that
-// enumerates the implementations.
+// The interface every routing protocol implements.
 //
 // Lives in net/ (not routing/) so the Node can hold a protocol pointer
 // without the network layer depending on any concrete protocol. Protocols
@@ -8,19 +7,11 @@
 // failure feedback — and drive the node through its send helpers.
 #pragma once
 
-#include <cstdint>
-#include <memory>
-#include <string>
-#include <string_view>
-#include <vector>
-
-#include "core/rng.hpp"
 #include "packet/packet.hpp"
 
 namespace manet {
 
 class Node;
-struct ScenarioConfig;
 
 class RoutingProtocol {
  public:
@@ -57,55 +48,5 @@ class RoutingProtocol {
   explicit RoutingProtocol(Node& node) : node_(node) {}
   Node& node_;  // NOLINT(*-non-private-member-variables-in-classes) — protocols are Node extensions
 };
-
-namespace routing {
-
-/// One registered protocol implementation.
-struct ProtocolEntry {
-  /// Canonical uppercase name ("AODV"); also the name() the instances report.
-  const char* name;
-  /// Value of the scenario-layer Protocol enum, used for by-enum dispatch.
-  std::uint8_t id;
-  /// Instantiate the protocol for `node`. The factory reads its own config
-  /// block out of the ScenarioConfig (defined in the scenario layer, hence
-  /// opaque here) and seeds itself from the passed stream.
-  std::unique_ptr<RoutingProtocol> (*make)(Node& node, const ScenarioConfig& cfg, RngStream rng);
-};
-
-/// Name/enum -> factory table for the implemented routing protocols.
-///
-/// The scenario layer registers every implementation once (see
-/// protocol_registry() in scenario/scenario.hpp); everything downstream —
-/// protocol construction, name rendering, name parsing, "run all protocols"
-/// loops in benches and tests — iterates or queries this table instead of
-/// maintaining its own switch over the enum. Adding protocol #8 is one enum
-/// value plus one add() line.
-class Registry {
- public:
-  /// Register an entry. Names and ids must be unique; name lookups are
-  /// case-insensitive, so names that differ only by case collide.
-  void add(const ProtocolEntry& entry);
-
-  /// Lookup by case-insensitive name ("aodv" matches "AODV"); nullptr when
-  /// absent.
-  [[nodiscard]] const ProtocolEntry* by_name(std::string_view name) const;
-
-  /// Lookup by Protocol enum value; nullptr when absent.
-  [[nodiscard]] const ProtocolEntry* by_id(std::uint8_t id) const;
-
-  [[nodiscard]] std::size_t size() const { return entries_.size(); }
-
-  /// "AODV, DSR, ..." in registration order, for unknown-name diagnostics.
-  [[nodiscard]] std::string names() const;
-
-  /// Iteration, in registration order (the benches' canonical table order).
-  [[nodiscard]] auto begin() const { return entries_.begin(); }
-  [[nodiscard]] auto end() const { return entries_.end(); }
-
- private:
-  std::vector<ProtocolEntry> entries_;
-};
-
-}  // namespace routing
 
 }  // namespace manet

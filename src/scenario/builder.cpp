@@ -179,9 +179,9 @@ std::vector<ConfigError> ScenarioBuilder::check() const {
   const SimTime zero = SimTime::zero();
   Rules r;
 
-  if (!protocol_name_.empty() && protocol_registry().by_name(protocol_name_) == nullptr) {
+  if (!protocol_name_.empty() && find_protocol(protocol_name_) == nullptr) {
     r.fail("protocol", "unknown protocol \"" + protocol_name_ + "\" (registered: " +
-                           protocol_registry().names() + ")");
+                           protocol_names() + ")");
   }
 
   // -- topology, mobility, run length -----------------------------------------
@@ -317,7 +317,7 @@ ScenarioConfig ScenarioBuilder::build() const {
   }
   ScenarioConfig cfg = cfg_;
   if (!protocol_name_.empty()) {
-    cfg.protocol = static_cast<Protocol>(protocol_registry().by_name(protocol_name_)->id);
+    cfg.protocol = find_protocol(protocol_name_)->id;
   }
   return cfg;
 }

@@ -56,8 +56,8 @@ class ScenarioBuilder {
 
   // -- protocol ---------------------------------------------------------------
   ScenarioBuilder& protocol(Protocol p);
-  /// By registry name, case-insensitive ("dsr" matches "DSR"). Unknown names
-  /// are reported by check() with the full list of registered protocols.
+  /// By name, case-insensitive ("dsr" matches "DSR"). Unknown names are
+  /// reported by check() with the full list of protocol names.
   ScenarioBuilder& protocol(std::string_view name);
 
   // -- topology & mobility ----------------------------------------------------

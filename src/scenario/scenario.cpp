@@ -1,6 +1,7 @@
 #include "scenario/scenario.hpp"
 
 #include <algorithm>
+#include <cctype>
 #include <cstdio>
 #include <sstream>
 
@@ -29,51 +30,30 @@ const char* to_string(MobilityKind k) {
   return "?";
 }
 
-const routing::Registry& protocol_registry() {
-  // Function-local static: the registrations run on first use, which
-  // sidesteps the static-initialization-order and dropped-initializer
-  // hazards of self-registering globals inside static libraries.
-  static const routing::Registry kRegistry = [] {
-    routing::Registry r;
-    using routing::ProtocolEntry;
-    using Ptr = std::unique_ptr<RoutingProtocol>;
-    // One add() per implementation, in the canonical table order.
-    r.add(ProtocolEntry{"AODV", static_cast<std::uint8_t>(Protocol::kAodv),
-                        [](Node& n, const ScenarioConfig& c, RngStream rng) -> Ptr {
-                          return std::make_unique<aodv::Aodv>(n, c.aodv, rng);
-                        }});
-    r.add(ProtocolEntry{"DSR", static_cast<std::uint8_t>(Protocol::kDsr),
-                        [](Node& n, const ScenarioConfig& c, RngStream rng) -> Ptr {
-                          return std::make_unique<dsr::Dsr>(n, c.dsr, rng);
-                        }});
-    r.add(ProtocolEntry{"CBRP", static_cast<std::uint8_t>(Protocol::kCbrp),
-                        [](Node& n, const ScenarioConfig& c, RngStream rng) -> Ptr {
-                          return std::make_unique<cbrp::Cbrp>(n, c.cbrp, rng);
-                        }});
-    r.add(ProtocolEntry{"DSDV", static_cast<std::uint8_t>(Protocol::kDsdv),
-                        [](Node& n, const ScenarioConfig& c, RngStream rng) -> Ptr {
-                          return std::make_unique<dsdv::Dsdv>(n, c.dsdv, rng);
-                        }});
-    r.add(ProtocolEntry{"OLSR", static_cast<std::uint8_t>(Protocol::kOlsr),
-                        [](Node& n, const ScenarioConfig& c, RngStream rng) -> Ptr {
-                          return std::make_unique<olsr::Olsr>(n, c.olsr, rng);
-                        }});
-    r.add(ProtocolEntry{"LAR", static_cast<std::uint8_t>(Protocol::kLar),
-                        [](Node& n, const ScenarioConfig& c, RngStream rng) -> Ptr {
-                          return std::make_unique<lar::Lar>(n, c.lar, rng);
-                        }});
-    r.add(ProtocolEntry{"TORA", static_cast<std::uint8_t>(Protocol::kTora),
-                        [](Node& n, const ScenarioConfig& c, RngStream rng) -> Ptr {
-                          return std::make_unique<tora::Tora>(n, c.tora, rng);
-                        }});
-    return r;
-  }();
-  return kRegistry;
+const char* to_string(Protocol p) {
+  const auto i = static_cast<std::size_t>(p);
+  return i < std::size(kProtocols) ? kProtocols[i].name : "?";
 }
 
-const char* to_string(Protocol p) {
-  const routing::ProtocolEntry* e = protocol_registry().by_id(static_cast<std::uint8_t>(p));
-  return e != nullptr ? e->name : "?";
+const ProtocolEntry* find_protocol(std::string_view name) {
+  const auto lower = [](char c) { return std::tolower(static_cast<unsigned char>(c)); };
+  for (const ProtocolEntry& e : kProtocols) {
+    const std::string_view n = e.name;
+    if (std::equal(n.begin(), n.end(), name.begin(), name.end(),
+                   [&](char a, char b) { return lower(a) == lower(b); })) {
+      return &e;
+    }
+  }
+  return nullptr;
+}
+
+std::string protocol_names() {
+  std::string out;
+  for (const ProtocolEntry& e : kProtocols) {
+    if (!out.empty()) out += ", ";
+    out += e.name;
+  }
+  return out;
 }
 
 std::string ScenarioConfig::parameter_table() const {
@@ -100,11 +80,10 @@ std::string ScenarioConfig::parameter_table() const {
 }
 
 std::unique_ptr<RoutingProtocol> make_protocol(const ScenarioConfig& cfg, Node& node) {
-  const routing::ProtocolEntry* e =
-      protocol_registry().by_id(static_cast<std::uint8_t>(cfg.protocol));
-  MANET_EXPECTS_MSG(e != nullptr, "no protocol registered for enum value %u",
-                    static_cast<unsigned>(cfg.protocol));
-  return e->make(node, cfg, RngStream(cfg.seed, "routing", node.id()));
+  const auto i = static_cast<std::size_t>(cfg.protocol);
+  MANET_EXPECTS_MSG(i < std::size(kProtocols), "no protocol for enum value %u",
+                    static_cast<unsigned>(i));
+  return kProtocols[i].make(node, cfg, RngStream(cfg.seed, "routing", node.id()));
 }
 
 Scenario::Scenario(const ScenarioConfig& cfg) : cfg_(cfg) {
@@ -180,13 +159,12 @@ void Scenario::build() {
     node->set_routing(protocols_.back().get());
   }
 
-  // Reliable transport (optional): one endpoint per node, all feeding the
-  // shared FlowMonitor. Attached before the traffic sources start so the
-  // apps see it and switch to closed-loop mode.
+  // Reliable transport (optional): one endpoint per node. Attached before
+  // the traffic sources start so the apps see it and switch to closed-loop
+  // mode.
   if (cfg_.transport.enabled) {
     for (auto& node : nodes_) {
-      transports_.push_back(
-          std::make_unique<ReliableTransport>(*node, cfg_.transport, &flow_monitor_));
+      transports_.push_back(std::make_unique<ReliableTransport>(*node, cfg_.transport));
       node->set_transport(transports_.back().get());
     }
   }
@@ -362,7 +340,7 @@ ScenarioResult Scenario::run() {
   }
   r.data_originated = stats_.data_originated();
   r.data_delivered = stats_.data_delivered();
-  r.retransmissions = flow_monitor_.total_retransmissions();
+  r.retransmissions = stats_.flow_monitor().total_retransmissions();
   r.routing_tx = stats_.routing_tx();
   r.mac_ctrl_tx = stats_.mac_ctrl_tx();
   r.events = sim_.events_executed();
@@ -372,7 +350,11 @@ ScenarioResult Scenario::run() {
   r.fault_corrupted = stats_.fault_corrupted();
   r.delivered_during_fault = stats_.delivered_during_fault();
   r.delivered_after_fault = stats_.delivered_after_fault();
-  r.flows = flow_monitor_.all();
+  // Only the transport transmits segments, so transport-free runs export no
+  // rows.
+  for (const auto& [id, f] : stats_.flow_monitor().records()) {
+    if (f.tx_packets > 0) r.flows.emplace_back(id, f);
+  }
   return r;
 }
 

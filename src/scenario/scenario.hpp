@@ -8,8 +8,10 @@
 // 150 simulated seconds.
 #pragma once
 
+#include <iterator>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "app/cbr.hpp"
@@ -29,22 +31,16 @@
 #include "routing/lar/lar.hpp"
 #include "routing/olsr/olsr.hpp"
 #include "routing/tora/tora.hpp"
-#include "stats/flow_monitor.hpp"
 #include "stats/stats.hpp"
 #include "trace/trace.hpp"
 #include "transport/transport.hpp"
 
 namespace manet {
 
+/// The implemented routing protocols; kProtocols (below) holds one row each.
 enum class Protocol : std::uint8_t { kAodv, kDsr, kCbrp, kDsdv, kOlsr, kLar, kTora };
 
 [[nodiscard]] const char* to_string(Protocol p);
-
-/// Every implemented protocol: the paper's five plus the position-aided
-/// extension (LAR), in the order used by benches and tables.
-inline constexpr Protocol kAllProtocols[] = {Protocol::kAodv, Protocol::kDsr,  Protocol::kCbrp,
-                                             Protocol::kDsdv, Protocol::kOlsr, Protocol::kLar,
-                                             Protocol::kTora};
 
 /// Which mobility model drives the nodes (the Divecha-et-al. comparison
 /// axis); `static_nodes` overrides all of them.
@@ -157,8 +153,9 @@ struct ScenarioResult {
   std::uint64_t delivered_during_fault = 0;
   std::uint64_t delivered_after_fault = 0;
 
-  /// Per-flow accounting records, sorted by flow id (empty when the
-  /// transport is off — keeps transport-free artifacts byte-identical).
+  /// Per-flow ledger records of the flows that made a first transmission,
+  /// sorted by flow id (empty when the transport is off — keeps
+  /// transport-free artifacts byte-identical).
   std::vector<std::pair<std::uint32_t, FlowRecord>> flows;
 };
 
@@ -186,8 +183,8 @@ class Scenario {
   [[nodiscard]] ReliableTransport* transport_of(std::size_t i) {
     return i < transports_.size() ? transports_[i].get() : nullptr;
   }
-  /// Per-flow accounting (idle/empty when the transport is disabled).
-  [[nodiscard]] const FlowMonitor& flow_monitor() const { return flow_monitor_; }
+  /// The run's per-flow ledger (owned by stats()).
+  [[nodiscard]] const FlowMonitor& flow_monitor() const { return stats_.flow_monitor(); }
   /// The compiled fault schedule (empty when fault injection is disabled).
   [[nodiscard]] const FaultPlan& fault_plan() const { return fault_plan_; }
   /// Every traffic flow's (source, destination), in flow-id order.
@@ -211,7 +208,6 @@ class Scenario {
   std::vector<std::unique_ptr<RoutingProtocol>> protocols_;
   // Declared after nodes_ (they hold Node&): destroyed first.
   std::vector<std::unique_ptr<ReliableTransport>> transports_;
-  FlowMonitor flow_monitor_;
   std::vector<std::unique_ptr<CbrSource>> sources_;
   std::vector<std::unique_ptr<OnOffSource>> onoff_sources_;
   std::unique_ptr<TraceWriter> trace_;
@@ -231,15 +227,52 @@ class Scenario {
   bool built_ = false;
 };
 
+/// One implemented routing protocol: a row of kProtocols.
+struct ProtocolEntry {
+  Protocol id;
+  /// Canonical uppercase name ("AODV"); also the name() the instances report.
+  const char* name;
+  /// Instantiate the protocol for `node` from its own config block in `cfg`.
+  std::unique_ptr<RoutingProtocol> (*make)(Node& node, const ScenarioConfig& cfg, RngStream rng);
+};
+
+/// The factory of every row: protocol P built from its config block `Block`.
+template <class P, auto Block>
+[[nodiscard]] std::unique_ptr<RoutingProtocol> make_routing(Node& node, const ScenarioConfig& cfg,
+                                                            RngStream rng) {
+  return std::make_unique<P>(node, cfg.*Block, rng);
+}
+
+/// Every implemented protocol, indexed by Protocol: the paper's five plus LAR
+/// and TORA. The row order is the table order of every sweep. Adding protocol
+/// #8 is one enumerator plus one row; name lookup, make_protocol() and the
+/// "every protocol" loops pick it up.
+inline constexpr ProtocolEntry kProtocols[] = {
+    {Protocol::kAodv, "AODV", &make_routing<aodv::Aodv, &ScenarioConfig::aodv>},
+    {Protocol::kDsr, "DSR", &make_routing<dsr::Dsr, &ScenarioConfig::dsr>},
+    {Protocol::kCbrp, "CBRP", &make_routing<cbrp::Cbrp, &ScenarioConfig::cbrp>},
+    {Protocol::kDsdv, "DSDV", &make_routing<dsdv::Dsdv, &ScenarioConfig::dsdv>},
+    {Protocol::kOlsr, "OLSR", &make_routing<olsr::Olsr, &ScenarioConfig::olsr>},
+    {Protocol::kLar, "LAR", &make_routing<lar::Lar, &ScenarioConfig::lar>},
+    {Protocol::kTora, "TORA", &make_routing<tora::Tora, &ScenarioConfig::tora>},
+};
+static_assert(
+    [] {
+      for (std::size_t i = 0; i < std::size(kProtocols); ++i) {
+        if (kProtocols[i].id != static_cast<Protocol>(i)) return false;
+      }
+      return std::size(kProtocols) == static_cast<std::size_t>(Protocol::kTora) + 1;
+    }(),
+    "kProtocols must hold one row per Protocol, in enumerator order");
+
+/// Case-insensitive lookup ("aodv" matches "AODV"); nullptr when absent.
+[[nodiscard]] const ProtocolEntry* find_protocol(std::string_view name);
+
+/// "AODV, DSR, ..." in table order, for unknown-name diagnostics.
+[[nodiscard]] std::string protocol_names();
+
 /// Instantiate a routing protocol of the configured kind for `node`.
 [[nodiscard]] std::unique_ptr<RoutingProtocol> make_protocol(const ScenarioConfig& cfg,
                                                              Node& node);
-
-/// The populated protocol registry: one entry per implemented protocol, in
-/// the canonical table order (== kAllProtocols). to_string(Protocol),
-/// make_protocol() and the ScenarioBuilder's by-name lookup all read this
-/// table; benches iterate it for "every protocol" loops. Adding protocol #8
-/// is one enum value above plus one add() line in the definition.
-[[nodiscard]] const routing::Registry& protocol_registry();
 
 }  // namespace manet

@@ -324,13 +324,12 @@ void apply_settings(Checker& c, const Value& o, const std::string& path, Staged&
         if (k == "protocol") {
           std::string name;
           if (!c.str(v, p, name)) return;
-          const routing::ProtocolEntry* e = protocol_registry().by_name(name);
+          const ProtocolEntry* e = find_protocol(name);
           if (e == nullptr) {
             c.fail(v, p,
-                   "unknown protocol \"" + name + "\" (registered: " +
-                       protocol_registry().names() + ")");
+                   "unknown protocol \"" + name + "\" (registered: " + protocol_names() + ")");
           } else {
-            cfg.protocol = static_cast<Protocol>(e->id);
+            cfg.protocol = e->id;
           }
         } else if (k == "area_m") {
           if (!c.expect_kind(v, Value::Kind::kArray, p)) return;
@@ -571,13 +570,12 @@ ScenarioSpec load_string(const std::string& text, const std::string& filename) {
           const std::string pi = p + "[" + std::to_string(i) + "]";
           std::string s;
           if (!c.str(v.array[i], pi, s)) continue;
-          const routing::ProtocolEntry* e = protocol_registry().by_name(s);
+          const ProtocolEntry* e = find_protocol(s);
           if (e == nullptr) {
             c.fail(v.array[i], pi,
-                   "unknown protocol \"" + s + "\" (registered: " + protocol_registry().names() +
-                       ")");
+                   "unknown protocol \"" + s + "\" (registered: " + protocol_names() + ")");
           } else {
-            protocols.emplace_back(e->name, static_cast<Protocol>(e->id));
+            protocols.emplace_back(e->name, e->id);
           }
         }
       } else if (k == "axes") {
@@ -666,11 +664,9 @@ ScenarioSpec load_string(const std::string& text, const std::string& filename) {
   }
 
   // Default protocol list: the base config's protocol, under its canonical
-  // registry name.
+  // name.
   if (protocols.empty() && (sweep == nullptr || sweep->find("protocols") == nullptr)) {
-    const routing::ProtocolEntry* e =
-        protocol_registry().by_id(static_cast<std::uint8_t>(base.cfg.protocol));
-    if (e != nullptr) protocols.emplace_back(e->name, base.cfg.protocol);
+    protocols.emplace_back(to_string(base.cfg.protocol), base.cfg.protocol);
   }
 
   // Grid: protocol-major, then each axis left to right.

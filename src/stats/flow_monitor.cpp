@@ -1,13 +1,11 @@
 #include "stats/flow_monitor.hpp"
 
-#include <algorithm>
-
 namespace manet {
 
 void FlowMonitor::on_tx(std::uint32_t flow, NodeId src, NodeId dst, std::size_t payload_bytes,
                         SimTime at) {
-  FlowRecord& f = active_[flow];
-  if (f.tx_packets == 0 && f.rx_packets == 0) {
+  FlowRecord& f = records_[flow];
+  if (f.tx_packets == 0) {
     f.src = src;
     f.dst = dst;
     f.first_tx = at;
@@ -16,11 +14,9 @@ void FlowMonitor::on_tx(std::uint32_t flow, NodeId src, NodeId dst, std::size_t 
   f.tx_bytes += payload_bytes;
 }
 
-void FlowMonitor::on_retransmit(std::uint32_t flow) { ++active_[flow].retransmissions; }
-
 void FlowMonitor::on_rx(std::uint32_t flow, std::size_t payload_bytes, SimTime delay,
                         SimTime at) {
-  FlowRecord& f = active_[flow];
+  FlowRecord& f = records_[flow];
   ++f.rx_packets;
   f.rx_bytes += payload_bytes;
   const double d = delay.sec();
@@ -34,37 +30,14 @@ void FlowMonitor::on_rx(std::uint32_t flow, std::size_t payload_bytes, SimTime d
   f.last_rx = at;
 }
 
-void FlowMonitor::retire(std::uint32_t flow) {
-  const auto it = active_.find(flow);
-  if (it == active_.end()) return;
-  finished_.emplace_back(it->first, it->second);
-  active_.erase(it);
-}
-
 const FlowRecord* FlowMonitor::find(std::uint32_t flow) const {
-  const auto it = active_.find(flow);
-  return it == active_.end() ? nullptr : &it->second;
-}
-
-std::vector<std::pair<std::uint32_t, FlowRecord>> FlowMonitor::all() const {
-  std::vector<std::pair<std::uint32_t, FlowRecord>> out(finished_);
-  out.insert(out.end(), active_.begin(), active_.end());
-  std::stable_sort(out.begin(), out.end(),
-                   [](const auto& a, const auto& b) { return a.first < b.first; });
-  return out;
-}
-
-std::uint64_t FlowMonitor::total_rx_bytes() const {
-  std::uint64_t n = 0;
-  for (const auto& [id, f] : active_) n += f.rx_bytes;
-  for (const auto& [id, f] : finished_) n += f.rx_bytes;
-  return n;
+  const auto it = records_.find(flow);
+  return it == records_.end() ? nullptr : &it->second;
 }
 
 std::uint64_t FlowMonitor::total_retransmissions() const {
   std::uint64_t n = 0;
-  for (const auto& [id, f] : active_) n += f.retransmissions;
-  for (const auto& [id, f] : finished_) n += f.retransmissions;
+  for (const auto& [id, f] : records_) n += f.retransmissions;
   return n;
 }
 

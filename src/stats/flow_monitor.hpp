@@ -1,21 +1,20 @@
 // Per-flow accounting in the style of ns-3's FlowMonitor.
 //
-// One FlowMonitor per simulation run. The reliable transport (src/transport)
-// reports each flow's transmissions, retransmissions and in-order deliveries;
-// the monitor keeps one fixed-size record per flow — counters and running
-// sums only, never per-packet history — so memory is O(active flows)
-// regardless of how many packets a flow moves. Finished flows can be
-// retire()d out of the active table into a frozen list, keeping the hot map
-// sized by what is actually in flight.
+// The run's one per-flow table. StatsCollector owns it and feeds it at the
+// two points every traffic mode passes through: origination and delivery at
+// the sink (after the sink's duplicate filter). The reliable transport
+// (src/transport) adds each segment's first transmission and every
+// retransmission through Node::stats(). A record holds counters and running
+// sums only, never per-packet history, so memory is O(flows) regardless of
+// how many packets a flow moves.
 //
 // Jitter follows the RFC 3550 idea reduced to its deterministic core: the
 // mean absolute difference between consecutive one-way delays of a flow.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
-#include <utility>
-#include <vector>
 
 #include "core/time.hpp"
 #include "packet/packet.hpp"
@@ -24,11 +23,12 @@ namespace manet {
 
 /// Accounting record of one flow. All counters are cumulative over the run.
 struct FlowRecord {
-  NodeId src = 0;
+  NodeId src = 0;  ///< set by the first transmission (transport runs only)
   NodeId dst = 0;
-  std::uint64_t tx_packets = 0;  ///< distinct segments first-transmitted
+  std::uint64_t originated = 0;  ///< application packets offered
+  std::uint64_t tx_packets = 0;  ///< distinct segments first-transmitted (transport runs)
   std::uint64_t tx_bytes = 0;    ///< payload bytes of those segments
-  std::uint64_t rx_packets = 0;  ///< segments delivered in order at the sink
+  std::uint64_t rx_packets = 0;  ///< unique packets delivered at the sink
   std::uint64_t rx_bytes = 0;    ///< payload bytes of those deliveries
   std::uint64_t retransmissions = 0;
   double delay_sum_s = 0.0;      ///< sum of end-to-end delays over rx_packets
@@ -53,34 +53,24 @@ struct FlowRecord {
 
 class FlowMonitor {
  public:
+  /// The application offered one packet to the flow.
+  void on_originated(std::uint32_t flow) { ++records_[flow].originated; }
   /// A segment's first transmission (retransmissions go to on_retransmit).
   void on_tx(std::uint32_t flow, NodeId src, NodeId dst, std::size_t payload_bytes, SimTime at);
-  void on_retransmit(std::uint32_t flow);
-  /// An in-order delivery at the sink; `delay` is end-to-end (original send
-  /// to delivery, retransmission latency included).
+  void on_retransmit(std::uint32_t flow) { ++records_[flow].retransmissions; }
+  /// A unique delivery at the sink; `delay` is end-to-end (original send to
+  /// delivery, retransmission latency included).
   void on_rx(std::uint32_t flow, std::size_t payload_bytes, SimTime delay, SimTime at);
 
-  /// Move a flow out of the active table into the frozen finished list.
-  /// Totals are preserved; later on_* calls for the id reopen a fresh record.
-  void retire(std::uint32_t flow);
-
-  /// Active record for `flow`, or nullptr if absent (never saw traffic, or
-  /// retired).
+  /// Record for `flow`, or nullptr if the flow never saw traffic.
   [[nodiscard]] const FlowRecord* find(std::uint32_t flow) const;
-  [[nodiscard]] std::size_t active_count() const { return active_.size(); }
-  [[nodiscard]] std::size_t finished_count() const { return finished_.size(); }
+  /// Every record, keyed and sorted by flow id.
+  [[nodiscard]] const std::map<std::uint32_t, FlowRecord>& records() const { return records_; }
 
-  /// Every record — active and finished — sorted by flow id (finished flows
-  /// keep their retirement order within an id, though ids are unique in
-  /// practice). The canonical artifact-emission view.
-  [[nodiscard]] std::vector<std::pair<std::uint32_t, FlowRecord>> all() const;
-
-  [[nodiscard]] std::uint64_t total_rx_bytes() const;
   [[nodiscard]] std::uint64_t total_retransmissions() const;
 
  private:
-  std::map<std::uint32_t, FlowRecord> active_;
-  std::vector<std::pair<std::uint32_t, FlowRecord>> finished_;
+  std::map<std::uint32_t, FlowRecord> records_;
 };
 
 }  // namespace manet

@@ -24,7 +24,7 @@ const char* to_string(DropReason r) {
 
 void StatsCollector::on_data_originated(std::uint32_t flow) {
   ++data_originated_;
-  ++flows_[flow].originated;
+  flow_monitor_.on_originated(flow);
 }
 
 void StatsCollector::on_data_delivered(SimTime delay, std::size_t payload_bytes,
@@ -33,9 +33,7 @@ void StatsCollector::on_data_delivered(SimTime delay, std::size_t payload_bytes,
   delay_sum_s_ += delay.sec();
   delivered_bytes_ += payload_bytes;
   hops_sum_ += hops;
-  FlowStats& f = flows_[flow];
-  ++f.delivered;
-  f.delay_sum_s += delay.sec();
+  flow_monitor_.on_rx(flow, payload_bytes, delay, at);
 
   // Fault-recovery bookkeeping. `at` is zero (and the fault counters idle)
   // unless the scenario armed a fault plan.
@@ -64,15 +62,6 @@ void StatsCollector::on_fault_end(SimTime at) {
 double StatsCollector::mean_repair_latency_s() const {
   if (repair_latency_samples_ == 0) return 0.0;
   return repair_latency_sum_s_ / static_cast<double>(repair_latency_samples_);
-}
-
-StatsCollector::FlowStats StatsCollector::flow(std::uint32_t id) const {
-  const auto it = flows_.find(id);
-  return it == flows_.end() ? FlowStats{} : it->second;
-}
-
-std::vector<std::pair<std::uint32_t, StatsCollector::FlowStats>> StatsCollector::flows() const {
-  return {flows_.begin(), flows_.end()};  // std::map: already sorted by id
 }
 
 std::uint64_t StatsCollector::total_drops() const {
@@ -135,10 +124,10 @@ std::string StatsCollector::summary(SimTime duration) const {
        << delivered_during_fault_ << " delivered during / " << delivered_after_fault_
        << " after outages, repair " << mean_repair_latency_s() * 1e3 << " ms avg\n";
   }
-  if (!flows_.empty()) {
+  if (!flow_monitor_.records().empty()) {
     os << "per-flow:";
-    for (const auto& [id, f] : flows_) {
-      os << " #" << id << "=" << f.delivered << '/' << f.originated;
+    for (const auto& [id, f] : flow_monitor_.records()) {
+      os << " #" << id << "=" << f.rx_packets << '/' << f.originated;
     }
     os << '\n';
   }

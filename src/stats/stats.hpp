@@ -12,12 +12,11 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "core/time.hpp"
+#include "stats/flow_monitor.hpp"
 
 namespace manet {
 
@@ -43,9 +42,11 @@ enum class DropReason : std::uint8_t {
 class StatsCollector {
  public:
   // -- data path -----------------------------------------------------------
+  // Both also feed the per-flow ledger (flow_monitor()).
   void on_data_originated(std::uint32_t flow = 0);
-  /// `at` (absolute sim-time of the delivery) feeds the fault-recovery
-  /// metrics; the zero default keeps fault-free call sites unchanged.
+  /// A unique delivery at the sink. `at` (absolute sim-time of the delivery)
+  /// feeds the fault-recovery metrics and the flow's last_rx; the zero
+  /// default keeps fault-free call sites unchanged.
   void on_data_delivered(SimTime delay, std::size_t payload_bytes, std::uint32_t hops,
                          std::uint32_t flow = 0, SimTime at = SimTime::zero());
   void on_data_dropped(DropReason r) { ++drops_[static_cast<std::size_t>(r)]; }
@@ -101,7 +102,7 @@ class StatsCollector {
   [[nodiscard]] std::uint64_t collisions() const { return collisions_; }
   [[nodiscard]] std::uint64_t duplicate_deliveries() const { return duplicate_deliveries_; }
   /// Total application payload bytes over delivered data packets (the
-  /// numerator of throughput; cross-checked against FlowMonitor rx bytes).
+  /// numerator of throughput; equals the ledger's summed rx_bytes).
   [[nodiscard]] std::uint64_t delivered_bytes() const { return delivered_bytes_; }
   [[nodiscard]] double energy_tx_j() const { return energy_tx_j_; }
   [[nodiscard]] double energy_rx_j() const { return energy_rx_j_; }
@@ -130,24 +131,11 @@ class StatsCollector {
   /// Delivered application throughput in bit/s over `duration`.
   [[nodiscard]] double throughput_bps(SimTime duration) const;
 
-  // -- per-flow breakdown -----------------------------------------------------
-  struct FlowStats {
-    std::uint64_t originated = 0;
-    std::uint64_t delivered = 0;
-    double delay_sum_s = 0.0;
-
-    [[nodiscard]] double pdr() const {
-      return originated == 0 ? 1.0
-                             : static_cast<double>(delivered) / static_cast<double>(originated);
-    }
-    [[nodiscard]] double avg_delay_s() const {
-      return delivered == 0 ? 0.0 : delay_sum_s / static_cast<double>(delivered);
-    }
-  };
-  /// Stats of one flow (zeros if the flow never sent).
-  [[nodiscard]] FlowStats flow(std::uint32_t id) const;
-  /// All flows seen, sorted by id.
-  [[nodiscard]] std::vector<std::pair<std::uint32_t, FlowStats>> flows() const;
+  // -- per-flow ledger -------------------------------------------------------
+  /// The run's one per-flow table. The reliable transport adds its
+  /// transmissions and retransmissions here.
+  [[nodiscard]] FlowMonitor& flow_monitor() { return flow_monitor_; }
+  [[nodiscard]] const FlowMonitor& flow_monitor() const { return flow_monitor_; }
 
   /// Multi-line human-readable summary (examples and debugging).
   [[nodiscard]] std::string summary(SimTime duration) const;
@@ -168,7 +156,7 @@ class StatsCollector {
   std::uint64_t hops_sum_ = 0;
   double delay_sum_s_ = 0.0;
   std::uint64_t drops_[static_cast<std::size_t>(DropReason::kCount_)] = {};
-  std::map<std::uint32_t, FlowStats> flows_;
+  FlowMonitor flow_monitor_;
 
   // Fault accounting.
   std::uint64_t crashes_ = 0;

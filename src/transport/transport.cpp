@@ -17,9 +17,8 @@ namespace {
 
 }  // namespace
 
-ReliableTransport::ReliableTransport(Node& node, const TransportConfig& cfg,
-                                     FlowMonitor* monitor)
-    : node_(node), sim_(node.sim()), cfg_(cfg), monitor_(monitor) {}
+ReliableTransport::ReliableTransport(Node& node, const TransportConfig& cfg)
+    : node_(node), sim_(node.sim()), cfg_(cfg) {}
 
 bool ReliableTransport::try_send(std::uint32_t flow, NodeId dst, std::size_t payload_bytes,
                                  std::uint32_t app_seq) {
@@ -62,9 +61,7 @@ bool ReliableTransport::try_send(std::uint32_t flow, NodeId dst, std::size_t pay
   if (dst == node_.id()) {  // degenerate self-flow: no network involved
     seg.pkt.ip.src = node_.id();
     seg.pkt.ip.ttl = kInitialTtl;
-    if (monitor_ != nullptr) {
-      monitor_->on_tx(flow, node_.id(), dst, payload_bytes, sim_.now());
-    }
+    node_.stats().flow_monitor().on_tx(flow, node_.id(), dst, payload_bytes, sim_.now());
     deliver_in_order(seg.pkt);
     return true;
   }
@@ -79,9 +76,8 @@ void ReliableTransport::transmit_window(std::uint32_t flow, SenderFlow& f) {
   while (f.inflight < cw && f.inflight < f.window.size()) {
     Segment& seg = f.window[f.inflight];
     seg.first_tx = sim_.now();
-    if (monitor_ != nullptr) {
-      monitor_->on_tx(flow, node_.id(), f.dst, seg.pkt.payload_bytes, sim_.now());
-    }
+    node_.stats().flow_monitor().on_tx(flow, node_.id(), f.dst, seg.pkt.payload_bytes,
+                                       sim_.now());
     ++f.inflight;
     node_.transport_send(seg.pkt);
   }
@@ -120,7 +116,7 @@ void ReliableTransport::on_rto(std::uint32_t flow) {
   // retransmitted (cumulative ACKs make anything beyond it speculative).
   f.cwnd = f.cwnd / 2.0 < 1.0 ? 1.0 : f.cwnd / 2.0;
   ++f.backoff;
-  if (monitor_ != nullptr) monitor_->on_retransmit(flow);
+  node_.stats().flow_monitor().on_retransmit(flow);
   node_.transport_send(head.pkt);
   arm_rto(flow, f);
 }
@@ -233,9 +229,6 @@ void ReliableTransport::on_segment(const Packet& pkt) {
 }
 
 void ReliableTransport::deliver_in_order(const Packet& pkt) {
-  if (monitor_ != nullptr) {
-    monitor_->on_rx(pkt.app.flow, pkt.payload_bytes, sim_.now() - pkt.app.sent_at, sim_.now());
-  }
   node_.deliver_to_sink(pkt);
   if (probe_) probe_(pkt);
 }

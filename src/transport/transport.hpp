@@ -32,7 +32,6 @@
 #include "core/simulator.hpp"
 #include "core/time.hpp"
 #include "packet/packet.hpp"
-#include "stats/flow_monitor.hpp"
 
 namespace manet {
 
@@ -52,7 +51,7 @@ struct TransportConfig {
 
 class ReliableTransport {
  public:
-  ReliableTransport(Node& node, const TransportConfig& cfg, FlowMonitor* monitor);
+  ReliableTransport(Node& node, const TransportConfig& cfg);
   ReliableTransport(const ReliableTransport&) = delete;
   ReliableTransport& operator=(const ReliableTransport&) = delete;
 
@@ -151,7 +150,6 @@ class ReliableTransport {
   Node& node_;
   Simulator& sim_;
   TransportConfig cfg_;
-  FlowMonitor* monitor_;  ///< may be null (unit tests without accounting)
   std::map<std::uint32_t, SenderFlow> send_flows_;
   std::map<std::uint32_t, ReceiverFlow> recv_flows_;
   std::uint32_t next_epoch_ = 0;  ///< survives on_node_restart() deliberately

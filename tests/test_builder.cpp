@@ -1,6 +1,6 @@
 // ScenarioBuilder: the fluent construction path must stage exactly the same
 // config a careful hand-assembly produces, resolve protocol names through
-// the registry, and reject invalid configs at build() with the offending
+// the protocol table, and reject invalid configs at build() with the offending
 // values in the contract message (death tests — contracts abort).
 
 #include "scenario/builder.hpp"

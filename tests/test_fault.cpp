@@ -215,10 +215,10 @@ const char* const kGoldens[] = {
 };
 
 TEST(FaultDeterminism, PerSeedFingerprintsMatchGoldens) {
-  static_assert(std::size(kAllProtocols) == std::size(kGoldens));
-  for (std::size_t i = 0; i < std::size(kAllProtocols); ++i) {
-    test::expect_golden(fingerprint(kAllProtocols[i], 1), kGoldens[i],
-                        std::string(to_string(kAllProtocols[i])) + " faulted run");
+  static_assert(std::size(kProtocols) == std::size(kGoldens));
+  for (std::size_t i = 0; i < std::size(kProtocols); ++i) {
+    test::expect_golden(fingerprint(kProtocols[i].id, 1), kGoldens[i],
+                        std::string(kProtocols[i].name) + " faulted run");
   }
 }
 
@@ -401,9 +401,9 @@ TEST(FaultInvariant, CorruptionWindowCorruptsFramesAndIsCounted) {
 // injected crashes measurably lower PDR for every protocol (sources keep
 // offering load while down, and forwarding nodes disappear mid-route).
 TEST(FaultInvariant, CrashesLowerPdrForEveryProtocol) {
-  for (const Protocol p : kAllProtocols) {
+  for (const ProtocolEntry& e : kProtocols) {
     ScenarioConfig cfg;
-    cfg.protocol = p;
+    cfg.protocol = e.id;
     cfg.seed = 1;
     cfg.num_nodes = 20;
     cfg.area = {800.0, 800.0};
@@ -417,9 +417,9 @@ TEST(FaultInvariant, CrashesLowerPdrForEveryProtocol) {
     cfg.fault.window_from = seconds(10);
     const auto faulted = Scenario::run_once(cfg);
 
-    EXPECT_GT(faulted.crashes, 0u) << to_string(p);
-    EXPECT_LT(faulted.pdr, base.pdr) << to_string(p) << ": crash faults must lower PDR";
-    EXPECT_GT(faulted.pdr, 0.0) << to_string(p) << ": the network must still deliver";
+    EXPECT_GT(faulted.crashes, 0u) << e.name;
+    EXPECT_LT(faulted.pdr, base.pdr) << e.name << ": crash faults must lower PDR";
+    EXPECT_GT(faulted.pdr, 0.0) << e.name << ": the network must still deliver";
   }
 }
 

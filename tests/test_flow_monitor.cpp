@@ -1,14 +1,13 @@
-// FlowMonitor: per-flow accounting pinned against hand-computed arithmetic
-// and cross-checked against the aggregate StatsCollector on every registered
-// protocol.
+// FlowMonitor: the per-flow ledger pinned against hand-computed arithmetic
+// and cross-checked against the aggregate StatsCollector on every protocol.
 //
 //   1. Unit fixtures: tx/rx counters, the RFC-3550-style mean-absolute
-//      jitter, retire() semantics, totals over active + finished records.
-//   2. Structure: the table is O(active flows) — a flow's record never grows
-//      with its packet count.
-//   3. Integration: a transport-enabled scenario per registered protocol;
-//      the per-flow sums must reconcile exactly with the run's aggregate
-//      counters, transport-off runs must emit no flow records at all, and
+//      jitter, records sorted by flow id.
+//   2. Structure: the table is O(flows) — a flow's record never grows with
+//      its packet count.
+//   3. Integration: a transport-enabled scenario per protocol, plus a
+//      crashed one; the per-flow sums must reconcile exactly with the run's
+//      aggregate counters, transport-off runs must export no flow rows, and
 //      a pinned golden fingerprint per protocol holds transport runs
 //      byte-exact.
 
@@ -17,6 +16,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
+#include <vector>
 
 #include "core/time.hpp"
 #include "scenario/builder.hpp"
@@ -65,45 +66,18 @@ TEST(FlowMonitor, CountersAndDelayJitterArithmetic) {
   EXPECT_DOUBLE_EQ(empty.mean_jitter_ms(), 0.0);
 }
 
-TEST(FlowMonitor, RetireFreezesTotalsAndReopensFresh) {
-  FlowMonitor m;
-  m.on_tx(3, 0, 1, 100, seconds(1));
-  m.on_rx(3, 100, milliseconds(5), seconds_f(1.005));
-  m.retire(3);
-  EXPECT_EQ(m.active_count(), 0u);
-  EXPECT_EQ(m.finished_count(), 1u);
-  EXPECT_EQ(m.find(3), nullptr);  // out of the hot table
-
-  // Totals span active + finished; a later on_* reopens a fresh record.
-  m.on_tx(3, 0, 1, 100, seconds(2));
-  EXPECT_EQ(m.active_count(), 1u);
-  ASSERT_NE(m.find(3), nullptr);
-  EXPECT_EQ(m.find(3)->tx_packets, 1u);  // fresh, not the frozen 1+1
-  m.on_retransmit(3);
-  EXPECT_EQ(m.total_rx_bytes(), 100u);
-  EXPECT_EQ(m.total_retransmissions(), 1u);
-
-  const auto all = m.all();
-  ASSERT_EQ(all.size(), 2u);  // the frozen record and the reopened one
-  EXPECT_EQ(all[0].first, 3u);
-  EXPECT_EQ(all[1].first, 3u);
-}
-
-TEST(FlowMonitor, AllIsSortedByFlowId) {
+TEST(FlowMonitor, RecordsAreSortedByFlowId) {
   FlowMonitor m;
   m.on_tx(9, 0, 1, 10, seconds(1));
-  m.on_tx(2, 0, 1, 10, seconds(1));
-  m.retire(9);
+  m.on_originated(2);
   m.on_tx(5, 0, 1, 10, seconds(1));
-  const auto all = m.all();
-  ASSERT_EQ(all.size(), 3u);
-  EXPECT_EQ(all[0].first, 2u);
-  EXPECT_EQ(all[1].first, 5u);
-  EXPECT_EQ(all[2].first, 9u);
+  std::vector<std::uint32_t> ids;
+  for (const auto& [id, f] : m.records()) ids.push_back(id);
+  EXPECT_EQ(ids, (std::vector<std::uint32_t>{2, 5, 9}));
 }
 
 // ---------------------------------------------------------------------------
-// 2. O(active flows) structure
+// 2. O(flows) structure
 // ---------------------------------------------------------------------------
 
 TEST(FlowMonitor, TableSizeIsBoundedByFlowsNotPackets) {
@@ -115,13 +89,13 @@ TEST(FlowMonitor, TableSizeIsBoundedByFlowsNotPackets) {
   }
   // 100k packets, one record: the monitor keeps counters and running sums,
   // never per-packet history (the FlowRecord itself is a flat value type).
-  EXPECT_EQ(m.active_count(), 1u);
+  EXPECT_EQ(m.records().size(), 1u);
   EXPECT_EQ(m.find(1)->tx_packets, 100000u);
   static_assert(sizeof(FlowRecord) < 160, "FlowRecord grew per-packet state?");
 }
 
 // ---------------------------------------------------------------------------
-// 3. Per-flow vs aggregate cross-check on every registered protocol
+// 3. Per-flow vs aggregate cross-check on every protocol
 // ---------------------------------------------------------------------------
 
 ScenarioBuilder transport_scenario(const char* protocol) {
@@ -138,37 +112,67 @@ ScenarioBuilder transport_scenario(const char* protocol) {
   return b.transport(transport);
 }
 
-TEST(FlowMonitorIntegration, PerFlowSumsReconcileWithAggregateStats) {
-  for (const routing::ProtocolEntry& entry : protocol_registry()) {
-    const ScenarioResult r = Scenario::run_once(transport_scenario(entry.name).build());
-    ASSERT_FALSE(r.flows.empty()) << entry.name;
-    EXPECT_LE(r.flows.size(), 3u) << entry.name;  // O(active flows): one per source
+/// The ledger's per-flow rows must reconcile exactly with the run's
+/// aggregate counters.
+void expect_reconciles(const ScenarioResult& r, std::size_t max_flows, const std::string& what) {
+  ASSERT_FALSE(r.flows.empty()) << what;
+  EXPECT_LE(r.flows.size(), max_flows) << what;  // O(flows): one row per flow
 
-    std::uint64_t rx_packets = 0;
-    std::uint64_t rx_bytes = 0;
-    std::uint64_t tx_packets = 0;
-    std::uint64_t retransmissions = 0;
-    for (const auto& [flow, fr] : r.flows) {
-      rx_packets += fr.rx_packets;
-      rx_bytes += fr.rx_bytes;
-      tx_packets += fr.tx_packets;
-      retransmissions += fr.retransmissions;
-      // Every in-order delivery of a segment implies its first transmission.
-      EXPECT_LE(fr.rx_packets, fr.tx_packets) << entry.name << " flow " << flow;
-      EXPECT_EQ(fr.tx_bytes, fr.tx_packets * 512u) << entry.name << " flow " << flow;
-      if (fr.rx_packets > 0) {
-        EXPECT_GE(fr.last_rx, fr.first_tx) << entry.name << " flow " << flow;
-        EXPECT_GT(fr.avg_delay_ms(), 0.0) << entry.name << " flow " << flow;
-      }
+  std::uint64_t rx_packets = 0;
+  std::uint64_t rx_bytes = 0;
+  std::uint64_t tx_packets = 0;
+  std::uint64_t retransmissions = 0;
+  for (const auto& [flow, fr] : r.flows) {
+    rx_packets += fr.rx_packets;
+    rx_bytes += fr.rx_bytes;
+    tx_packets += fr.tx_packets;
+    retransmissions += fr.retransmissions;
+    // Every delivery of a segment implies its first transmission.
+    EXPECT_LE(fr.rx_packets, fr.tx_packets) << what << " flow " << flow;
+    EXPECT_LE(fr.tx_packets, fr.originated) << what << " flow " << flow;
+    EXPECT_EQ(fr.tx_bytes, fr.tx_packets * 512u) << what << " flow " << flow;
+    if (fr.rx_packets > 0) {
+      EXPECT_GE(fr.last_rx, fr.first_tx) << what << " flow " << flow;
+      EXPECT_GT(fr.avg_delay_ms(), 0.0) << what << " flow " << flow;
     }
-    // The reconciliation: the monitor's per-flow deliveries ARE the run's
-    // delivered packets (512-byte payloads), its retransmission total IS the
-    // run's, and nothing was transmitted that was never offered.
-    EXPECT_EQ(rx_packets, r.data_delivered) << entry.name;
-    EXPECT_EQ(rx_bytes, r.data_delivered * 512u) << entry.name;
-    EXPECT_EQ(retransmissions, r.retransmissions) << entry.name;
-    EXPECT_LE(tx_packets, r.data_originated) << entry.name;
   }
+  // The reconciliation: the ledger's per-flow deliveries ARE the run's
+  // delivered packets (512-byte payloads), its retransmission total IS the
+  // run's, and nothing was transmitted that was never offered.
+  EXPECT_EQ(rx_packets, r.data_delivered) << what;
+  EXPECT_EQ(rx_bytes, r.data_delivered * 512u) << what;
+  EXPECT_EQ(retransmissions, r.retransmissions) << what;
+  EXPECT_LE(tx_packets, r.data_originated) << what;
+}
+
+TEST(FlowMonitorIntegration, PerFlowSumsReconcileWithAggregateStats) {
+  for (const ProtocolEntry& entry : kProtocols) {
+    expect_reconciles(Scenario::run_once(transport_scenario(entry.name).build()), 3u,
+                      entry.name);
+  }
+
+  // Under crashes the transport re-delivers (flow, app seq) pairs the sink
+  // already counted; the ledger counts rx after the sink's duplicate filter,
+  // so the sums still reconcile.
+  TransportConfig transport;
+  transport.enabled = true;
+  FaultConfig fault;
+  fault.crash_rate = 1.0;
+  fault.downtime_mean = seconds(20);
+  fault.window_from = seconds(20);
+  const ScenarioResult crashed = ScenarioBuilder()
+                                     .protocol("CBRP")
+                                     .seed(2)
+                                     .nodes(30)
+                                     .area(1000.0, 1000.0)
+                                     .speed(0.1, 5.0)
+                                     .connections(10)
+                                     .duration(seconds(100))
+                                     .transport(transport)
+                                     .fault(fault)
+                                     .run();
+  EXPECT_GT(crashed.crashes, 0u);
+  expect_reconciles(crashed, 10u, "CBRP crashed");
 }
 
 TEST(FlowMonitorIntegration, TransportOffRunsCarryNoFlowRecords) {

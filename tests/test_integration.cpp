@@ -5,12 +5,19 @@
 // scenario sweeps handle those).
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
+
 #include "scenario/scenario.hpp"
 
 namespace manet {
+
+// gtest prints the parameter in test listings and failure messages.
+void PrintTo(const ProtocolEntry& e, std::ostream* os) { *os << e.name; }
+
 namespace {
 
-class AllProtocols : public ::testing::TestWithParam<Protocol> {};
+class AllProtocols : public ::testing::TestWithParam<ProtocolEntry> {};
 
 ScenarioConfig base_config(Protocol p) {
   ScenarioConfig cfg;
@@ -24,31 +31,31 @@ ScenarioConfig base_config(Protocol p) {
 }
 
 TEST_P(AllProtocols, StaticNetworkDeliversWell) {
-  auto cfg = base_config(GetParam());
+  auto cfg = base_config(GetParam().id);
   cfg.static_nodes = true;
   const auto r = Scenario::run_once(cfg);
   EXPECT_GT(r.data_originated, 500u);
-  EXPECT_GE(r.pdr, 0.70) << "static PDR too low for " << to_string(GetParam());
+  EXPECT_GE(r.pdr, 0.70) << "static PDR too low for " << GetParam().name;
   EXPECT_GT(r.delay_ms, 0.0);
 }
 
 TEST_P(AllProtocols, LowMobilityDeliversReasonably) {
-  auto cfg = base_config(GetParam());
+  auto cfg = base_config(GetParam().id);
   cfg.v_max = 2.0;
   const auto r = Scenario::run_once(cfg);
-  EXPECT_GE(r.pdr, 0.45) << "low-mobility PDR too low for " << to_string(GetParam());
+  EXPECT_GE(r.pdr, 0.45) << "low-mobility PDR too low for " << GetParam().name;
 }
 
 TEST_P(AllProtocols, HighMobilityStillFunctions) {
-  auto cfg = base_config(GetParam());
+  auto cfg = base_config(GetParam().id);
   cfg.v_max = 20.0;
   const auto r = Scenario::run_once(cfg);
-  EXPECT_GE(r.pdr, 0.20) << "high-mobility PDR collapsed for " << to_string(GetParam());
+  EXPECT_GE(r.pdr, 0.20) << "high-mobility PDR collapsed for " << GetParam().name;
   EXPECT_GT(r.data_delivered, 0u);
 }
 
 TEST_P(AllProtocols, MetricsAreConsistent) {
-  const auto r = Scenario::run_once(base_config(GetParam()));
+  const auto r = Scenario::run_once(base_config(GetParam().id));
   EXPECT_LE(r.data_delivered, r.data_originated);
   EXPECT_GE(r.nml, r.nrl * 0.999);  // NML includes NRL's packets
   EXPECT_GE(r.avg_hops, 1.0);
@@ -60,20 +67,20 @@ TEST_P(AllProtocols, MetricsAreConsistent) {
 }
 
 TEST_P(AllProtocols, DeterministicAcrossRuns) {
-  const auto a = Scenario::run_once(base_config(GetParam()));
-  const auto b = Scenario::run_once(base_config(GetParam()));
+  const auto a = Scenario::run_once(base_config(GetParam().id));
+  const auto b = Scenario::run_once(base_config(GetParam().id));
   EXPECT_EQ(a.events, b.events);
   EXPECT_EQ(a.data_delivered, b.data_delivered);
   EXPECT_EQ(a.routing_tx, b.routing_tx);
 }
 
 TEST_P(AllProtocols, ReactiveQuietWithoutTraffic) {
-  auto cfg = base_config(GetParam());
+  auto cfg = base_config(GetParam().id);
   cfg.num_connections = 1;
   cfg.cbr_start = seconds(55);  // almost no data in 60 s
   const auto r = Scenario::run_once(cfg);
-  const bool reactive = GetParam() == Protocol::kAodv || GetParam() == Protocol::kDsr ||
-                        GetParam() == Protocol::kLar;
+  const bool reactive = GetParam().id == Protocol::kAodv || GetParam().id == Protocol::kDsr ||
+                        GetParam().id == Protocol::kLar;
   if (reactive) {
     // On-demand protocols generate (almost) no control traffic when idle.
     EXPECT_LT(r.routing_tx, 100u);
@@ -83,9 +90,9 @@ TEST_P(AllProtocols, ReactiveQuietWithoutTraffic) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Protocols, AllProtocols, ::testing::ValuesIn(kAllProtocols),
-                         [](const ::testing::TestParamInfo<Protocol>& param_info) {
-                           return to_string(param_info.param);
+INSTANTIATE_TEST_SUITE_P(Protocols, AllProtocols, ::testing::ValuesIn(kProtocols),
+                         [](const ::testing::TestParamInfo<ProtocolEntry>& param_info) {
+                           return std::string(param_info.param.name);
                          });
 
 // Cross-protocol shape checks (the paper's qualitative claims, loosely).

@@ -208,7 +208,7 @@ TEST(UrbanFamily, BuilderWiresTheStreetCanyonModel) {
 }
 
 TEST(UrbanFamily, AllProtocolsRunItUnchanged) {
-  for (const routing::ProtocolEntry& entry : protocol_registry()) {
+  for (const ProtocolEntry& entry : kProtocols) {
     const ScenarioResult r =
         urban_scenario(30).protocol(entry.name).seed(1).duration(seconds(15)).run();
     EXPECT_GT(r.events, 0u) << entry.name;

@@ -50,10 +50,10 @@ TEST(Scenario, BuildCreatesRequestedNodes) {
 }
 
 TEST(Scenario, MakeProtocolMatchesEnum) {
-  for (const Protocol p : kAllProtocols) {
-    Scenario s(small_config(p));
+  for (const ProtocolEntry& e : kProtocols) {
+    Scenario s(small_config(e.id));
     s.build();
-    EXPECT_STREQ(s.routing(0).name(), to_string(p));
+    EXPECT_STREQ(s.routing(0).name(), to_string(e.id));
   }
 }
 

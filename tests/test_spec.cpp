@@ -126,7 +126,7 @@ TEST(SpecLoader, FullSchemaRoundTrip) {
   EXPECT_EQ(s.seeds, 7);
   EXPECT_EQ(s.out_dir, "out");
   ASSERT_EQ(s.cells.size(), 1u);
-  EXPECT_EQ(s.cells[0].label, "OLSR");  // canonical registry name, not "olsr"
+  EXPECT_EQ(s.cells[0].label, "OLSR");  // canonical table name, not "olsr"
   const ScenarioConfig& c = s.cells[0].config;
   EXPECT_EQ(c.protocol, Protocol::kOlsr);
   EXPECT_EQ(c.seed, 42u);
@@ -685,10 +685,10 @@ TEST(SpecTwins, RunPerProtocolIsByteIdentical) {
   for (const SweepCell& cell : s.cells) {
     ScenarioConfig twin;  // test_order_independence's config_for, via builder
     {
-      const routing::ProtocolEntry* e = protocol_registry().by_name(cell.label);
+      const ProtocolEntry* e = find_protocol(cell.label);
       ASSERT_NE(e, nullptr) << cell.label;
       twin = ScenarioBuilder()
-                 .protocol(static_cast<Protocol>(e->id))
+                 .protocol(e->id)
                  .seed(1)
                  .nodes(14)
                  .area(650.0, 650.0)

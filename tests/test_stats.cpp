@@ -85,36 +85,41 @@ TEST(Stats, DropReasonNames) {
   }
 }
 
-TEST(Stats, PerFlowBreakdown) {
+TEST(Stats, PerFlowLedgerFedAtOriginAndSink) {
   StatsCollector s;
   s.on_data_originated(1);
   s.on_data_originated(1);
   s.on_data_originated(2);
-  s.on_data_delivered(milliseconds(10), 512, 1, 1);
-  s.on_data_delivered(milliseconds(30), 512, 2, 2);
-  const auto f1 = s.flow(1);
-  EXPECT_EQ(f1.originated, 2u);
-  EXPECT_EQ(f1.delivered, 1u);
-  EXPECT_DOUBLE_EQ(f1.pdr(), 0.5);
-  EXPECT_DOUBLE_EQ(f1.avg_delay_s(), 0.010);
-  const auto f2 = s.flow(2);
-  EXPECT_DOUBLE_EQ(f2.pdr(), 1.0);
-  EXPECT_DOUBLE_EQ(f2.avg_delay_s(), 0.030);
-  // Unknown flow: clean zeros.
-  EXPECT_EQ(s.flow(9).originated, 0u);
-  EXPECT_DOUBLE_EQ(s.flow(9).pdr(), 1.0);
-  // Enumeration sorted by id, consistent with the global counters.
-  const auto all = s.flows();
-  ASSERT_EQ(all.size(), 2u);
-  EXPECT_EQ(all[0].first, 1u);
-  EXPECT_EQ(all[1].first, 2u);
-  std::uint64_t sum_orig = 0, sum_del = 0;
-  for (const auto& [id, f] : all) {
+  s.on_data_delivered(milliseconds(10), 512, 1, 1, seconds(3));
+  s.on_data_delivered(milliseconds(30), 512, 2, 2, seconds(4));
+  const FlowMonitor& ledger = s.flow_monitor();
+  const FlowRecord* f1 = ledger.find(1);
+  ASSERT_NE(f1, nullptr);
+  EXPECT_EQ(f1->originated, 2u);
+  EXPECT_EQ(f1->rx_packets, 1u);
+  EXPECT_EQ(f1->rx_bytes, 512u);
+  EXPECT_DOUBLE_EQ(f1->avg_delay_ms(), 10.0);
+  EXPECT_EQ(f1->last_rx, seconds(3));
+  const FlowRecord* f2 = ledger.find(2);
+  ASSERT_NE(f2, nullptr);
+  EXPECT_EQ(f2->originated, 1u);
+  EXPECT_DOUBLE_EQ(f2->avg_delay_ms(), 30.0);
+  // Origination and delivery carry no transport transmissions.
+  EXPECT_EQ(f2->tx_packets, 0u);
+  // Unknown flow: no record.
+  EXPECT_EQ(ledger.find(9), nullptr);
+  // Records sorted by id, consistent with the global counters.
+  ASSERT_EQ(ledger.records().size(), 2u);
+  EXPECT_EQ(ledger.records().begin()->first, 1u);
+  std::uint64_t sum_orig = 0, sum_del = 0, sum_bytes = 0;
+  for (const auto& [id, f] : ledger.records()) {
     sum_orig += f.originated;
-    sum_del += f.delivered;
+    sum_del += f.rx_packets;
+    sum_bytes += f.rx_bytes;
   }
   EXPECT_EQ(sum_orig, s.data_originated());
   EXPECT_EQ(sum_del, s.data_delivered());
+  EXPECT_EQ(sum_bytes, s.delivered_bytes());
 }
 
 TEST(Stats, SummaryListsPerFlowCounts) {

@@ -100,8 +100,9 @@ struct ChaosNet {
               return std::make_unique<ChaosRouting>(n, chaos,
                                                     RngStream(seed, "chaos", n.id()));
             }),
-        tp0(std::make_unique<ReliableTransport>(net.node(0), tcfg, &monitor)),
-        tp1(std::make_unique<ReliableTransport>(net.node(1), tcfg, &monitor)) {
+        tp0(std::make_unique<ReliableTransport>(net.node(0), tcfg)),
+        tp1(std::make_unique<ReliableTransport>(net.node(1), tcfg)),
+        monitor(net.stats().flow_monitor()) {
     net.node(0).set_transport(tp0.get());
     net.node(1).set_transport(tp1.get());
     chaos_of(0).set_peer(&net.node(1));
@@ -114,9 +115,9 @@ struct ChaosNet {
   }
 
   TestNet net;
-  FlowMonitor monitor;
   std::unique_ptr<ReliableTransport> tp0;
   std::unique_ptr<ReliableTransport> tp1;
+  const FlowMonitor& monitor;  ///< the network's per-flow ledger
   std::vector<std::uint32_t> delivered;  ///< app seqs, in delivery order
 };
 

@@ -84,7 +84,7 @@ std::string check_cells(const std::vector<manet::SweepCell>& cells, const std::s
 }
 
 int cmd_list_protocols() {
-  for (const manet::routing::ProtocolEntry& e : manet::protocol_registry()) {
+  for (const manet::ProtocolEntry& e : manet::kProtocols) {
     std::printf("%s\n", e.name);
   }
   return 0;
