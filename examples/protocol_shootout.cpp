@@ -48,9 +48,9 @@ int main(int argc, char** argv) {
                 a.throughput_kbps.mean);
   }
   std::printf("\nSame seed => identical mobility & traffic for every protocol.\n");
-  std::printf("%zu cells x %d seeds on %u threads: %.2f s wall, %.0f events/s\n",
-              sweep.cells.size(), sweep.seeds_per_cell, sweep.threads, sweep.wall_s,
-              sweep.events_per_sec);
+  std::printf("%zu cells x %d seeds on %u threads: %llu events\n", sweep.cells.size(),
+              sweep.seeds_per_cell, runner.threads(),
+              static_cast<unsigned long long>(sweep.total_events));
   if (sweep.write_json("results/protocol_shootout.json")) {
     std::printf("artifact: results/protocol_shootout.json\n");
   }

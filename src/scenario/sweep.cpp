@@ -1,16 +1,11 @@
 #include "scenario/sweep.hpp"
 
 #include <atomic>
-#include <chrono>  // manet-lint: allow-wall-clock - replication profiling only
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <thread>
-
-#if defined(__unix__) || defined(__APPLE__)
-#include <sys/resource.h>
-#endif
 
 #include "common/json.hpp"
 #include "core/assert.hpp"
@@ -18,16 +13,6 @@
 namespace manet {
 
 namespace {
-
-// Wall-clock readings feed only the RunProfile/SweepResult performance
-// artifacts (wall_s, events_per_sec); no simulated behaviour depends on them.
-// manet-lint: allow-wall-clock - profiling artifact data, never sim input
-using Clock = std::chrono::steady_clock;
-
-[[nodiscard]] double elapsed_s(Clock::time_point t0) {
-  // manet-lint: allow-wall-clock - profiling artifact data, never sim input
-  return std::chrono::duration<double>(Clock::now() - t0).count();
-}
 
 /// CSV fields are labels like "AODV/pause:30" — quote only when needed.
 void csv_field(std::ostream& os, std::string_view s) {
@@ -58,20 +43,6 @@ bool write_text_file(const std::string& path, const std::string& text) {
 
 }  // namespace
 
-std::uint64_t process_peak_rss_bytes() {
-#if defined(__unix__) || defined(__APPLE__)
-  struct rusage ru{};
-  if (getrusage(RUSAGE_SELF, &ru) != 0) return 0;
-#if defined(__APPLE__)
-  return static_cast<std::uint64_t>(ru.ru_maxrss);  // bytes on macOS
-#else
-  return static_cast<std::uint64_t>(ru.ru_maxrss) * 1024;  // KiB on Linux
-#endif
-#else
-  return 0;
-#endif
-}
-
 const SweepCellResult* SweepResult::find(std::string_view label) const {
   for (const SweepCellResult& c : cells) {
     if (c.label == label) return &c;
@@ -84,14 +55,10 @@ std::string SweepResult::to_json() const {
   os.precision(10);
   os << "{\n  \"name\": \"";
   json::escape(os, name);
-  os << "\",\n  \"schema\": 1,\n"
+  os << "\",\n  \"schema\": 2,\n"
      << "  \"seeds_per_cell\": " << seeds_per_cell << ",\n"
-     << "  \"threads\": " << threads << ",\n"
-     << "  \"wall_s\": " << wall_s << ",\n"
      << "  \"total_events\": " << total_events << ",\n"
-     << "  \"events_per_sec\": " << events_per_sec << ",\n"
      << "  \"peak_queue_depth\": " << peak_queue_depth << ",\n"
-     << "  \"peak_rss_bytes\": " << peak_rss_bytes << ",\n"
      << "  \"cells\": [";
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const SweepCellResult& c = cells[i];
@@ -105,17 +72,12 @@ std::string SweepResult::to_json() const {
          << ", \"se\": " << m.se << '}';
       first = false;
     });
-    os << "},\n     \"profile\": {\"wall_s\": " << c.wall_s
-       << ", \"events_per_sec\": " << c.events_per_sec
-       << ", \"peak_queue_depth\": " << c.peak_queue_depth
-       << ", \"peak_rss_bytes\": " << c.peak_rss_bytes
-       << ", \"bytes_per_node\": " << c.bytes_per_node << ", \"runs\": [";
+    os << "},\n     \"profile\": {\"peak_queue_depth\": " << c.peak_queue_depth
+       << ", \"runs\": [";
     for (std::size_t k = 0; k < c.runs.size(); ++k) {
       const RunProfile& r = c.runs[k];
-      os << (k == 0 ? "" : ", ") << "{\"seed\": " << r.seed << ", \"wall_s\": " << r.wall_s
-         << ", \"sim_rate\": " << r.sim_rate << ", \"events_per_sec\": " << r.events_per_sec
-         << ", \"events\": " << r.events << ", \"peak_queue_depth\": " << r.peak_queue_depth
-         << ", \"peak_rss_bytes\": " << r.peak_rss_bytes;
+      os << (k == 0 ? "" : ", ") << "{\"seed\": " << r.seed << ", \"events\": " << r.events
+         << ", \"peak_queue_depth\": " << r.peak_queue_depth;
       // FlowMonitor table, present only for transport-enabled runs so
       // transport-free artifacts stay byte-identical to pre-transport ones.
       if (!r.flows.empty()) {
@@ -145,15 +107,13 @@ std::string SweepResult::to_csv() const {
   os.precision(10);
   os << "label";
   for (const MetricDef& d : kMetricDefs) os << ',' << d.name << "_mean," << d.name << "_se";
-  os << ",replications,total_events,wall_s,events_per_sec,peak_queue_depth"
-     << ",peak_rss_bytes,bytes_per_node\n";
+  os << ",replications,total_events,peak_queue_depth\n";
   for (const SweepCellResult& c : cells) {
     csv_field(os, c.label);
     c.aggregate.for_each(
         [&](const char*, const Metric& m) { os << ',' << m.mean << ',' << m.se; });
-    os << ',' << c.aggregate.replications << ',' << c.aggregate.total_events << ',' << c.wall_s
-       << ',' << c.events_per_sec << ',' << c.peak_queue_depth << ',' << c.peak_rss_bytes << ','
-       << c.bytes_per_node << '\n';
+    os << ',' << c.aggregate.replications << ',' << c.aggregate.total_events << ','
+       << c.peak_queue_depth << '\n';
   }
   return os.str();
 }
@@ -191,28 +151,19 @@ SweepResult SweepRunner::run(const std::vector<SweepCell>& cells) const {
       ScenarioConfig cfg = cells[cell].config;
       cfg.seed += static_cast<std::uint64_t>(rep);
 
-      const auto t0 = Clock::now();
       const ScenarioResult r = Scenario::run_once(cfg);
-      const double wall = elapsed_s(t0);
 
       RunProfile p;
       p.seed = cfg.seed;
-      p.wall_s = wall;
       p.events = r.events;
       p.peak_queue_depth = r.peak_queue_depth;
-      p.peak_rss_bytes = process_peak_rss_bytes();
       p.retransmissions = r.retransmissions;
       p.flows = r.flows;
-      if (wall > 0.0) {
-        p.sim_rate = cfg.duration.sec() / wall;
-        p.events_per_sec = static_cast<double>(r.events) / wall;
-      }
       results[k] = r;
       profiles[k] = p;
     }
   };
 
-  const auto t0 = Clock::now();
   const unsigned nthreads =
       std::min<unsigned>(threads_, static_cast<unsigned>(std::max<std::size_t>(total, 1)));
   if (nthreads <= 1) {
@@ -226,8 +177,6 @@ SweepResult SweepRunner::run(const std::vector<SweepCell>& cells) const {
 
   SweepResult sweep;
   sweep.seeds_per_cell = seeds_;
-  sweep.threads = nthreads;
-  sweep.wall_s = elapsed_s(t0);
   sweep.cells.reserve(cells.size());
   for (std::size_t c = 0; c < cells.size(); ++c) {
     SweepCellResult cell;
@@ -237,25 +186,11 @@ SweepResult SweepRunner::run(const std::vector<SweepCell>& cells) const {
     cell.runs.assign(profiles.begin() + static_cast<std::ptrdiff_t>(c * seeds),
                      profiles.begin() + static_cast<std::ptrdiff_t>((c + 1) * seeds));
     for (const RunProfile& p : cell.runs) {
-      cell.wall_s += p.wall_s;
       cell.peak_queue_depth = std::max(cell.peak_queue_depth, p.peak_queue_depth);
-      cell.peak_rss_bytes = std::max(cell.peak_rss_bytes, p.peak_rss_bytes);
-    }
-    if (cell.wall_s > 0.0) {
-      cell.events_per_sec =
-          static_cast<double>(cell.aggregate.total_events) / cell.wall_s;
-    }
-    if (cells[c].config.num_nodes > 0) {
-      cell.bytes_per_node = static_cast<double>(cell.peak_rss_bytes) /
-                            static_cast<double>(cells[c].config.num_nodes);
     }
     sweep.total_events += cell.aggregate.total_events;
     sweep.peak_queue_depth = std::max(sweep.peak_queue_depth, cell.peak_queue_depth);
-    sweep.peak_rss_bytes = std::max(sweep.peak_rss_bytes, cell.peak_rss_bytes);
     sweep.cells.push_back(std::move(cell));
-  }
-  if (sweep.wall_s > 0.0) {
-    sweep.events_per_sec = static_cast<double>(sweep.total_events) / sweep.wall_s;
   }
   return sweep;
 }

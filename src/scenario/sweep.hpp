@@ -9,15 +9,15 @@
 // ~ total_replications / cores instead of num_cells × slowest_seed.
 //
 // Results are structured, not just printed: SweepResult carries each cell's
-// Aggregate plus per-replication profiling (wall-clock, simulated-seconds
-// per wall-second, events/sec, peak event-queue depth), with JSON and CSV
-// emitters so every run leaves a machine-diffable artifact. tools/bench_gate
-// reads the JSON artifact directly (events/sec and bytes_per_node per cell).
+// Aggregate plus per-replication accounting (seed, event count, peak
+// event-queue depth, transport flows), with JSON and CSV emitters so every
+// run leaves a machine-diffable artifact. Host performance (wall-clock,
+// rates, memory) is measured only by benchmark/, never here.
 //
 // Determinism: replication (cell c, rep k) always runs config
 // cells[c].config with seed base+k, whatever the thread count — results are
-// stored by work-item index, so the SweepResult is bit-identical under 1 or
-// N workers.
+// stored by work-item index, so the SweepResult and both artifacts are
+// byte-identical under 1 or N workers.
 #pragma once
 
 #include <string>
@@ -35,19 +35,11 @@ struct SweepCell {
   ScenarioConfig config;
 };
 
-/// Wall-clock profile of a single replication.
+/// Deterministic profile of a single replication.
 struct RunProfile {
   std::uint64_t seed = 0;
-  double wall_s = 0.0;
-  double sim_rate = 0.0;        ///< simulated seconds per wall-clock second
-  double events_per_sec = 0.0;
   std::uint64_t events = 0;
   std::size_t peak_queue_depth = 0;
-  /// Process peak RSS sampled right after this replication finished. A
-  /// process-wide high-water mark: meaningful for memory gating when the
-  /// sweep runs single-threaded, seed-by-seed (the bench_gate recipe); an
-  /// upper bound otherwise.
-  std::uint64_t peak_rss_bytes = 0;
   /// Reliable-transport accounting, empty/0 when transport is disabled so
   /// transport-free artifacts stay byte-identical to pre-transport ones.
   std::uint64_t retransmissions = 0;
@@ -58,26 +50,16 @@ struct RunProfile {
 struct SweepCellResult {
   std::string label;
   Aggregate aggregate;
-  std::vector<RunProfile> runs;    ///< per replication, seed order
-  double wall_s = 0.0;             ///< summed replication wall-clock (CPU cost)
-  double events_per_sec = 0.0;     ///< cell events / cell wall_s
+  std::vector<RunProfile> runs;      ///< per replication, seed order
   std::size_t peak_queue_depth = 0;  ///< max over replications
-  std::uint64_t peak_rss_bytes = 0;  ///< max over replications
-  /// peak_rss_bytes / num_nodes — the scale sweep's memory-per-node metric,
-  /// gated by tools/bench_gate alongside events_per_sec.
-  double bytes_per_node = 0.0;
 };
 
 struct SweepResult {
   std::string name;  ///< artifact name (the scenario's), set by the caller
   std::vector<SweepCellResult> cells;
   int seeds_per_cell = 0;
-  unsigned threads = 0;
-  double wall_s = 0.0;             ///< whole-sweep wall-clock
   std::uint64_t total_events = 0;
-  double events_per_sec = 0.0;     ///< pool throughput: total_events / wall_s
   std::size_t peak_queue_depth = 0;
-  std::uint64_t peak_rss_bytes = 0;  ///< max over all replications
 
   /// Cell lookup by label; nullptr when absent.
   [[nodiscard]] const SweepCellResult* find(std::string_view label) const;
@@ -92,9 +74,6 @@ struct SweepResult {
   bool write_json(const std::string& path) const;
   bool write_csv(const std::string& path) const;
 };
-
-/// Process-wide peak resident set size in bytes (0 where unsupported).
-[[nodiscard]] std::uint64_t process_peak_rss_bytes();
 
 /// Executes a whole experiment grid on one shared worker pool.
 class SweepRunner {

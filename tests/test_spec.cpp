@@ -634,7 +634,7 @@ TEST(SpecHostileInput, MutatedScenariosNeverAbortAndAcceptOnlyValidCells) {
 // -- shipped scenarios --------------------------------------------------------
 // Every file under scenarios/ is an experiment of the evaluation: it must
 // load, expand to at least one cell, and be named after its file, because
-// the name keys results/<name>.json and bench_gate's entry names.
+// the name keys results/<name>.json.
 
 TEST(ShippedScenarios, EveryFileLoadsIsNamedAfterItsStemAndHasCells) {
   int files = 0;

@@ -87,12 +87,8 @@ TEST(Sweep, ProfilesArePopulated) {
   const SweepCellResult& c = r.cells[0];
   EXPECT_GT(c.aggregate.total_events, 0u);
   EXPECT_GT(c.peak_queue_depth, 0u);
-  EXPECT_GT(c.wall_s, 0.0);
-  EXPECT_GT(c.events_per_sec, 0.0);
   ASSERT_EQ(c.runs.size(), 1u);
-  EXPECT_GT(c.runs[0].sim_rate, 0.0);
-  EXPECT_GT(r.events_per_sec, 0.0);
-  EXPECT_GE(r.wall_s, 0.0);
+  EXPECT_EQ(c.runs[0].peak_queue_depth, c.peak_queue_depth);
   EXPECT_EQ(r.total_events, c.aggregate.total_events);
 }
 
@@ -147,9 +143,11 @@ TEST(Artifacts, JsonContainsCellsMetricsAndProfiling) {
   const std::string json = r.to_json();
   EXPECT_NE(json.find("\"name\": \"unit_test\""), std::string::npos);
   EXPECT_NE(json.find("\"aodv/b\""), std::string::npos);
-  EXPECT_NE(json.find("\"events_per_sec\""), std::string::npos);
   EXPECT_NE(json.find("\"peak_queue_depth\""), std::string::npos);
-  EXPECT_NE(json.find("\"sim_rate\""), std::string::npos);
+  // Host measurements belong to benchmark/, not to the artifact.
+  for (const char* host : {"\"events_per_sec\"", "\"sim_rate\"", "\"wall_s\""}) {
+    EXPECT_EQ(json.find(host), std::string::npos) << host;
+  }
   // Every registered metric appears.
   for (const MetricDef& d : kMetricDefs) {
     EXPECT_NE(json.find(std::string("\"") + d.name + "\""), std::string::npos) << d.name;
@@ -172,6 +170,16 @@ TEST(Artifacts, CsvHasHeaderFromMetricTableAndOneRowPerCell) {
   std::size_t rows = 0;
   for (const char c : csv) rows += (c == '\n');
   EXPECT_EQ(rows, 1u + r.cells.size());  // header + cells
+}
+
+TEST(Artifacts, JsonAndCsvIdenticalAcrossThreadCounts) {
+  // Results are a pure function of (cells, seeds), so the artifacts must be
+  // byte-identical whatever the worker count.
+  const auto grid = tiny_grid();
+  const SweepResult one = SweepRunner(2, 1).run(grid);
+  const SweepResult four = SweepRunner(2, 4).run(grid);
+  EXPECT_EQ(one.to_json(), four.to_json());
+  EXPECT_EQ(one.to_csv(), four.to_csv());
 }
 
 TEST(Artifacts, WriteJsonCreatesParentDirectories) {

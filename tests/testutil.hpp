@@ -1,5 +1,5 @@
-// Shared test fixtures: deterministic static-topology networks and the
-// golden-fingerprint helpers.
+// Shared test fixtures: deterministic static-topology networks, the
+// golden-fingerprint helpers and the peak-RSS probe of the memory bounds.
 //
 // TestNet builds a complete stack (channel, nodes at fixed positions, a
 // chosen routing protocol) so protocol tests can assert on delivery, route
@@ -14,6 +14,7 @@
 #pragma once
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <cstdio>
 #include <cstdlib>
@@ -67,6 +68,17 @@ inline std::string result_fingerprint(const ScenarioResult& r) {
                 static_cast<unsigned long long>(r.retransmissions), r.flows.size(), r.pdr,
                 r.delay_ms, r.nrl, r.avg_hops, r.connectivity);
   return buf;
+}
+
+/// Process-wide peak resident set size in bytes (0 if getrusage fails).
+inline std::uint64_t process_peak_rss_bytes() {
+  struct rusage ru{};
+  if (getrusage(RUSAGE_SELF, &ru) != 0) return 0;
+#if defined(__APPLE__)
+  return static_cast<std::uint64_t>(ru.ru_maxrss);  // bytes on macOS
+#else
+  return static_cast<std::uint64_t>(ru.ru_maxrss) * 1024;  // KiB on Linux
+#endif
 }
 
 class TestNet {

@@ -1,13 +1,11 @@
 // Minimal JSON support shared by the repo's tooling.
 //
-// Three consumers read or write JSON — tools/bench_gate (baselines and sweep
-// artifacts), tools/manet_report (cross-run metric diffs) and the scenario
-// spec loader (src/scenario/spec.*) — and they all talk to producers this
-// repo controls. A strict recursive-descent parser over the JSON grammar is
-// therefore all that is needed: no external dependency, no streaming modes,
-// no lenient extensions. The parser used to live inside bench_gate; it was
-// hoisted here so the spec loader and report tool reuse it instead of
-// growing hand-rolled copies.
+// Two consumers read JSON — tools/manet_report (cross-run metric diffs) and
+// the scenario spec loader (src/scenario/spec.*) — and they both talk to
+// producers this repo controls. A strict recursive-descent parser over the
+// JSON grammar is therefore all that is needed: no external dependency, no
+// streaming modes, no lenient extensions. Living here, it is shared instead
+// of each consumer growing a hand-rolled copy.
 //
 // Every parsed Value records the 1-based source line it started on, so
 // semantic validators (the scenario spec loader) can report

@@ -6,8 +6,9 @@
 // drifts beyond the tolerance. Because every metric is a pure function of
 // (scenario, seed), the default tolerance is 0: a committed baseline must be
 // reproduced exactly, which is the contract the CI scenario job gates on.
-// Profiling fields (wall_s, events_per_sec, rss) are machine noise and are
-// deliberately ignored.
+// Only metric means are compared: the per-run profile (events, peak queue
+// depth, flows) is pinned by the CI job's byte comparison of the whole
+// artifact, and schema-1 artifacts' host timings are ignored.
 //
 // Exit codes: 0 identical within tolerance, 1 drift or shape mismatch
 // (missing/extra cells, metric sets, replication counts), 2 usage/IO/parse

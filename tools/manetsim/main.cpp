@@ -187,9 +187,9 @@ int cmd_run(const char* file, const std::vector<const char*>& flags) {
   const std::string json_path = out_dir + "/" + spec.name + ".json";
   const std::string csv_path = out_dir + "/" + spec.name + ".csv";
   const bool ok = sweep.write_json(json_path) && sweep.write_csv(csv_path);
-  std::printf("\nsweep: %zu cells x %d seeds on %u threads in %.2f s (%.0f events/s)\n",
-              sweep.cells.size(), sweep.seeds_per_cell, sweep.threads, sweep.wall_s,
-              sweep.events_per_sec);
+  std::printf("\nsweep: %zu cells x %d seeds on %u threads, %llu events\n", sweep.cells.size(),
+              sweep.seeds_per_cell, runner.threads(),
+              static_cast<unsigned long long>(sweep.total_events));
   if (ok) std::printf("artifacts: %s %s\n", json_path.c_str(), csv_path.c_str());
   return ok ? 0 : 1;
 }
