@@ -12,20 +12,17 @@ namespace {
 [[nodiscard]] bool seq_newer(std::uint32_t a, std::uint32_t b) {
   return static_cast<std::int32_t>(a - b) > 0;
 }
-
-[[nodiscard]] std::uint64_t rreq_key(NodeId origin, std::uint32_t id) {
-  return (static_cast<std::uint64_t>(origin) << 32) | id;
-}
 }  // namespace
 
 Aodv::Aodv(Node& node, const Config& cfg, RngStream rng)
-    : RoutingProtocol(node), cfg_(cfg), rng_(rng), buffer_(node.sim(), [&node](const Packet& p, DropReason r) { node.drop(p, r); }) {}
+    : RoutingProtocol(node),
+      cfg_(cfg),
+      rng_(rng),
+      seen_(cfg.rreq_id_lifetime),
+      discoveries_(*this, node, [this](NodeId dst, Discovery& d) { rreq_timeout(dst, d); }) {}
 
 void Aodv::start() {
   node_.sim().schedule(seconds(1), [this] { periodic_purge(); });
-  if (cfg_.use_hello) {
-    node_.sim().schedule(broadcast_jitter(rng_) + cfg_.hello_interval, [this] { send_hello(); });
-  }
 }
 
 SimTime Aodv::ring_traversal_time(std::uint8_t ttl) const {
@@ -59,19 +56,12 @@ void Aodv::route_packet(Packet pkt) {
     Rerr rerr;
     const std::uint32_t seq = (it != routes_.end()) ? it->second.dest_seq + 1 : 1;
     rerr.unreachable.emplace_back(dst, seq);
-    Packet out;
-    out.kind = PacketKind::kRoutingControl;
-    out.ip.src = node_.id();
-    out.routing = std::make_unique<Rerr>(rerr);
-    broadcast_control(std::move(out), 1);
+    broadcast_control(node_, std::make_unique<Rerr>(std::move(rerr)), 1);
     return;
   }
-  buffer_.push(std::move(pkt), dst);
-  if (!discovering_.contains(dst)) {
-    Discovery d;
-    d.ttl = cfg_.expanding_ring ? cfg_.ttl_start : cfg_.net_diameter;
-    discovering_.emplace(dst, d);
-    send_rreq(dst);
+  if (Discovery* d = discoveries_.park(std::move(pkt), dst)) {
+    d->ttl = cfg_.expanding_ring ? cfg_.ttl_start : cfg_.net_diameter;
+    send_rreq(dst, *d);
   }
 }
 
@@ -79,8 +69,7 @@ void Aodv::route_packet(Packet pkt) {
 // Route discovery
 // ---------------------------------------------------------------------------
 
-void Aodv::send_rreq(NodeId dst) {
-  auto& d = discovering_.at(dst);
+void Aodv::send_rreq(NodeId dst, Discovery& d) {
   ++seq_;  // §6.1: increment own seq before originating an RREQ
   ++rreq_id_;
 
@@ -94,41 +83,21 @@ void Aodv::send_rreq(NodeId dst) {
     rreq.unknown_dest_seq = false;
   }
   rreq.hop_count = 0;
+  broadcast_control(node_, std::make_unique<Rreq>(rreq), d.ttl);
 
-  rreq_seen_[rreq_key(node_.id(), rreq_id_)] = node_.sim().now() + cfg_.rreq_id_lifetime;
-
-  Packet pkt;
-  pkt.kind = PacketKind::kRoutingControl;
-  pkt.ip.src = node_.id();
-  pkt.routing = std::make_unique<Rreq>(rreq);
-  broadcast_control(std::move(pkt), d.ttl);
-
-  d.timer = node_.sim().schedule(ring_traversal_time(d.ttl), [this, dst] { rreq_timeout(dst); });
+  discoveries_.arm(dst, d, ring_traversal_time(d.ttl));
 }
 
-void Aodv::rreq_timeout(NodeId dst) {
-  auto it = discovering_.find(dst);
-  if (it == discovering_.end()) return;
-  Discovery& d = it->second;
+void Aodv::rreq_timeout(NodeId dst, Discovery& d) {
   if (d.ttl < cfg_.ttl_threshold) {
     // Still in the expanding ring: widen and repeat (does not count as a retry).
     d.ttl = std::min<std::uint8_t>(d.ttl + cfg_.ttl_increment, cfg_.ttl_threshold);
-    send_rreq(dst);
-    return;
-  }
-  if (d.ttl < cfg_.net_diameter) {
+  } else if (d.ttl < cfg_.net_diameter) {
     d.ttl = cfg_.net_diameter;
-    send_rreq(dst);
-    return;
+  } else if (!discoveries_.retry(dst, d, cfg_.rreq_retries)) {
+    return;  // destination unreachable
   }
-  if (d.retries < cfg_.rreq_retries) {
-    ++d.retries;
-    send_rreq(dst);
-    return;
-  }
-  // Destination unreachable.
-  discovering_.erase(it);
-  buffer_.drop_all(dst, DropReason::kNoRoute);
+  send_rreq(dst, d);
 }
 
 // ---------------------------------------------------------------------------
@@ -143,8 +112,6 @@ void Aodv::on_control(const Packet& pkt, NodeId from) {
     handle_rrep(pkt, *rrep, from);
   } else if (const auto* rerr = dynamic_cast<const Rerr*>(pkt.routing.get())) {
     handle_rerr(*rerr, from);
-  } else if (const auto* hello = dynamic_cast<const Hello*>(pkt.routing.get())) {
-    handle_hello(*hello, from);
   }
 }
 
@@ -185,11 +152,7 @@ bool Aodv::update_route(NodeId dst, std::uint32_t seq, bool valid_seq, std::uint
 
 void Aodv::handle_rreq(const Packet& pkt, const Rreq& rreq, NodeId from) {
   if (rreq.origin == node_.id()) return;  // our own flood echoed back
-  const std::uint64_t key = rreq_key(rreq.origin, rreq.rreq_id);
-  if (auto it = rreq_seen_.find(key); it != rreq_seen_.end() && it->second > node_.sim().now()) {
-    return;  // duplicate
-  }
-  rreq_seen_[key] = node_.sim().now() + cfg_.rreq_id_lifetime;
+  if (seen_.seen(rreq.origin, rreq.rreq_id, node_.sim().now())) return;
 
   touch_neighbor(from);
   // Reverse route to the originator (§6.5).
@@ -217,13 +180,9 @@ void Aodv::handle_rreq(const Packet& pkt, const Rreq& rreq, NodeId from) {
 
   // Rebroadcast with decremented TTL.
   if (pkt.ip.ttl <= 1) return;
-  Packet fwd = pkt;
-  --fwd.ip.ttl;
   auto body = std::make_unique<Rreq>(rreq);
   ++body->hop_count;
-  fwd.routing = std::move(body);
-  node_.sim().schedule(broadcast_jitter(rng_),
-                       [this, fwd = std::move(fwd)]() mutable { node_.send_broadcast(std::move(fwd)); });
+  rebroadcast(node_, rng_, pkt, std::move(body));
 }
 
 void Aodv::send_rrep_as_dest(const Rreq& rreq, NodeId back) {
@@ -268,12 +227,7 @@ void Aodv::handle_rrep(const Packet& pkt, const Rrep& rrep, NodeId from) {
   update_route(rrep.dest, rrep.dest_seq, true, hops, from, rrep.lifetime);
 
   if (rrep.origin == node_.id()) {
-    // Discovery complete.
-    if (auto it = discovering_.find(rrep.dest); it != discovering_.end()) {
-      node_.sim().cancel(it->second.timer);
-      discovering_.erase(it);
-    }
-    flush_buffer(rrep.dest);
+    discoveries_.complete(rrep.dest);
     return;
   }
 
@@ -304,18 +258,7 @@ void Aodv::handle_rerr(const Rerr& rerr, NodeId from) {
     rt.precursors.clear();
   }
   if (propagate.unreachable.empty()) return;
-  Packet pkt;
-  pkt.kind = PacketKind::kRoutingControl;
-  pkt.ip.src = node_.id();
-  pkt.routing = std::make_unique<Rerr>(propagate);
-  broadcast_control(std::move(pkt), 1);
-}
-
-void Aodv::handle_hello(const Hello& hello, NodeId from) {
-  hello_heard_[from] = node_.sim().now();
-  touch_neighbor(from);
-  update_route(hello.origin, hello.seq, true, 1, from,
-               static_cast<std::int64_t>(cfg_.allowed_hello_loss) * cfg_.hello_interval);
+  broadcast_control(node_, std::make_unique<Rerr>(std::move(propagate)), 1);
 }
 
 // ---------------------------------------------------------------------------
@@ -337,29 +280,13 @@ void Aodv::on_link_failure(const Packet& pkt, NodeId next_hop) {
   Rerr rerr;
   invalidate_routes_via(next_hop, rerr);
   if (!rerr.unreachable.empty()) {
-    Packet out;
-    out.kind = PacketKind::kRoutingControl;
-    out.ip.src = node_.id();
-    out.routing = std::make_unique<Rerr>(rerr);
-    broadcast_control(std::move(out), 1);
+    broadcast_control(node_, std::make_unique<Rerr>(std::move(rerr)), 1);
   }
   if (pkt.kind != PacketKind::kData) return;  // a lost control packet is just lost
   if (pkt.ip.src == node_.id()) {
     // We originated it: buffer and rediscover.
     Packet retry = pkt;
     route_packet(std::move(retry));
-  } else if (cfg_.local_repair) {
-    // §6.12: buffer the packet here and search for the destination
-    // ourselves; flush_buffer forwards it if the repair succeeds, and the
-    // discovery-failure path drops it with kNoRoute otherwise.
-    const NodeId dst = pkt.ip.dst;
-    buffer_.push(pkt, dst);
-    if (!discovering_.contains(dst)) {
-      Discovery d;
-      d.ttl = cfg_.expanding_ring ? cfg_.ttl_start : cfg_.net_diameter;
-      discovering_.emplace(dst, d);
-      send_rreq(dst);
-    }
   } else {
     node_.drop(pkt, DropReason::kMacRetryLimit);
   }
@@ -370,22 +297,14 @@ void Aodv::on_node_restart() {
   // Own seq_ and rreq_id_ survive (monotonic identity — RFC 3561 §6.1 keeps
   // the sequence number across reboots precisely so stale pre-crash
   // advertisements cannot beat post-restart ones).
-  // manet-lint: order-independent - only cancels timers; no packet is emitted
-  for (auto& [dst, d] : discovering_) node_.sim().cancel(d.timer);
-  discovering_.clear();
+  discoveries_.reset();
+  seen_.clear();
   routes_.clear();
-  rreq_seen_.clear();
-  hello_heard_.clear();
-  buffer_.clear(DropReason::kNodeDown);
 }
 
 // ---------------------------------------------------------------------------
 // Housekeeping
 // ---------------------------------------------------------------------------
-
-void Aodv::flush_buffer(NodeId dst) {
-  for (Packet& pkt : buffer_.take(dst)) route_packet(std::move(pkt));
-}
 
 void Aodv::periodic_purge() {
   const SimTime now = node_.sim().now();
@@ -403,46 +322,7 @@ void Aodv::periodic_purge() {
       ++it;
     }
   }
-  std::erase_if(rreq_seen_, [now](const auto& kv) { return kv.second <= now; });
-  if (cfg_.use_hello) {
-    const SimTime horizon =
-        now - static_cast<std::int64_t>(cfg_.allowed_hello_loss) * cfg_.hello_interval;
-    for (auto& [nbr, last] : hello_heard_) {
-      if (last < horizon) {
-        Rerr rerr;
-        invalidate_routes_via(nbr, rerr);
-        if (!rerr.unreachable.empty()) {
-          Packet out;
-          out.kind = PacketKind::kRoutingControl;
-          out.ip.src = node_.id();
-          out.routing = std::make_unique<Rerr>(rerr);
-          broadcast_control(std::move(out), 1);
-        }
-      }
-    }
-    std::erase_if(hello_heard_, [horizon](const auto& kv) { return kv.second < horizon; });
-  }
   node_.sim().schedule(seconds(1), [this] { periodic_purge(); });
-}
-
-void Aodv::send_hello() {
-  Hello hello;
-  hello.origin = node_.id();
-  hello.seq = seq_;
-  Packet pkt;
-  pkt.kind = PacketKind::kRoutingControl;
-  pkt.ip.src = node_.id();
-  pkt.routing = std::make_unique<Hello>(hello);
-  broadcast_control(std::move(pkt), 1);
-  node_.sim().schedule(cfg_.hello_interval + microseconds(rng_.uniform_int(-50'000, 50'000)),
-                       [this] { send_hello(); });
-}
-
-void Aodv::broadcast_control(Packet pkt, std::uint8_t ttl) {
-  pkt.ip.dst = kBroadcast;
-  pkt.ip.ttl = ttl;
-  pkt.ip.proto = IpProto::kRouting;
-  node_.send_broadcast(std::move(pkt));
 }
 
 void Aodv::unicast_control(Packet pkt, NodeId next_hop) {

@@ -10,20 +10,21 @@
 //     (suppressed by the destination-only flag);
 //   * precursor lists and Route Error (RERR) propagation on link failure,
 //     with link breaks detected via 802.11 link-layer feedback (the CMU
-//     ns-2 configuration this paper family used) — periodic HELLOs are
-//     available behind a config flag but default off;
+//     ns-2 configuration this paper family used);
 //   * a 64-packet / 30 s send buffer during discovery.
-// Omitted (noted in DESIGN.md): gratuitous RREPs, local repair, multicast.
+// Duplicate suppression and the pending-discovery table are the shared
+// on-demand core (routing/on_demand.hpp).
+// Omitted (noted in DESIGN.md): HELLO messages, gratuitous RREPs, local
+// repair, multicast.
 #pragma once
 
 #include <map>
 #include <optional>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "net/node.hpp"
 #include "routing/aodv/aodv_messages.hpp"
-#include "routing/common.hpp"
+#include "routing/on_demand.hpp"
 
 namespace manet::aodv {
 
@@ -43,15 +44,6 @@ struct Config {
   std::uint8_t ttl_threshold = 7;
   /// Allow intermediate nodes with fresh routes to answer RREQs.
   bool intermediate_reply = true;
-  /// RFC 3561 §6.12 local repair: an intermediate node that loses the link
-  /// for a data packet buffers it and runs its own scoped discovery for the
-  /// destination instead of discarding. The RERR is still sent immediately
-  /// (without the 'N' flag subtlety), so upstream reacts either way.
-  bool local_repair = false;
-  /// Periodic HELLO beacons (off: rely on link-layer feedback only).
-  bool use_hello = false;
-  SimTime hello_interval = seconds(1);
-  int allowed_hello_loss = 2;
 };
 
 class Aodv final : public RoutingProtocol {
@@ -72,7 +64,8 @@ class Aodv final : public RoutingProtocol {
     bool valid;
   };
   [[nodiscard]] std::optional<RouteInfo> route_to(NodeId dst) const;
-  [[nodiscard]] std::size_t buffered_packets() { return buffer_.size(); }
+  [[nodiscard]] std::size_t buffered_packets() { return discoveries_.buffered(); }
+  [[nodiscard]] std::size_t seen_requests() const { return seen_.size(); }
 
  private:
   struct Route {
@@ -85,24 +78,16 @@ class Aodv final : public RoutingProtocol {
     std::unordered_set<NodeId> precursors;
   };
 
-  struct Discovery {
-    int retries = 0;
-    std::uint8_t ttl = 0;
-    EventId timer = kInvalidEventId;
-  };
-
   // -- control handling ---------------------------------------------------------
   void handle_rreq(const Packet& pkt, const Rreq& rreq, NodeId from);
   void handle_rrep(const Packet& pkt, const Rrep& rrep, NodeId from);
   void handle_rerr(const Rerr& rerr, NodeId from);
-  void handle_hello(const Hello& hello, NodeId from);
 
   // -- machinery ------------------------------------------------------------
-  void send_rreq(NodeId dst);
-  void rreq_timeout(NodeId dst);
+  void send_rreq(NodeId dst, Discovery& d);
+  void rreq_timeout(NodeId dst, Discovery& d);
   void send_rrep_as_dest(const Rreq& rreq, NodeId back);
   void send_rrep_as_intermediate(const Rreq& rreq, const Route& rt, NodeId back);
-  void broadcast_control(Packet pkt, std::uint8_t ttl);
   void unicast_control(Packet pkt, NodeId next_hop);
   /// Create or refresh the 1-hop route to a neighbour we heard from.
   void touch_neighbor(NodeId nbr);
@@ -110,26 +95,19 @@ class Aodv final : public RoutingProtocol {
   bool update_route(NodeId dst, std::uint32_t seq, bool valid_seq, std::uint8_t hops,
                     NodeId next_hop, SimTime lifetime);
   void invalidate_routes_via(NodeId next_hop, Rerr& out);
-  void flush_buffer(NodeId dst);
   void periodic_purge();
-  void send_hello();
   [[nodiscard]] SimTime ring_traversal_time(std::uint8_t ttl) const;
 
   Config cfg_;
   RngStream rng_;
-  PacketBuffer buffer_;
+  DuplicateFilter seen_;
+  DiscoveryTable discoveries_;
 
   std::uint32_t seq_ = 0;       // own sequence number
   std::uint32_t rreq_id_ = 0;   // own RREQ id counter
-  /// Ordered map: invalidate_routes_via() and periodic_purge() walk the table
-  /// while emitting RERRs, so iteration order reaches the event queue.
+  /// Ordered map: invalidate_routes_via() walks the table while building
+  /// an RERR, so iteration order reaches the packet.
   std::map<NodeId, Route> routes_;
-  std::unordered_map<NodeId, Discovery> discovering_;
-  /// Seen RREQ (origin, id) pairs with expiry, for duplicate suppression.
-  std::unordered_map<std::uint64_t, SimTime> rreq_seen_;
-  /// Last HELLO heard per neighbour (only when use_hello). Ordered map:
-  /// periodic_purge() broadcasts one RERR per silent neighbour in table order.
-  std::map<NodeId, SimTime> hello_heard_;
 };
 
 }  // namespace manet::aodv

@@ -42,13 +42,4 @@ struct Rerr final : RoutingPayloadBase<Rerr> {
   }
 };
 
-/// Hello messages are RREPs with hop_count 0 addressed to TTL-1 broadcast;
-/// we keep a distinct type for clarity (same 20-byte size).
-struct Hello final : RoutingPayloadBase<Hello> {
-  NodeId origin = 0;
-  std::uint32_t seq = 0;
-
-  [[nodiscard]] std::size_t size_bytes() const override { return 20; }
-};
-
 }  // namespace manet::aodv

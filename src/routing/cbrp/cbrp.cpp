@@ -6,15 +6,14 @@
 
 namespace manet::cbrp {
 
-namespace {
-[[nodiscard]] std::uint64_t rreq_key(NodeId origin, std::uint16_t id) {
-  return (static_cast<std::uint64_t>(origin) << 16) | id;
-}
-constexpr SimTime kRreqSeenLifetime = seconds(30);
-}  // namespace
-
 Cbrp::Cbrp(Node& node, const Config& cfg, RngStream rng)
-    : RoutingProtocol(node), cfg_(cfg), rng_(rng), buffer_(node.sim(), [&node](const Packet& p, DropReason r) { node.drop(p, r); }) {}
+    : RoutingProtocol(node),
+      cfg_(cfg),
+      rng_(rng),
+      seen_(seconds(30)),
+      discoveries_(*this, node, [this](NodeId target, Discovery& d) {
+        if (discoveries_.retry(target, d, cfg_.max_retries)) send_rreq(target, d);
+      }) {}
 
 void Cbrp::start() {
   node_.sim().schedule(microseconds(rng_.uniform_int(0, cfg_.hello_interval.ns() / 1000)),
@@ -102,14 +101,7 @@ void Cbrp::send_hello() {
   hello->role = role_;
   hello->head = head_;
   hello->neighbors = neighbor_summaries();
-  Packet pkt;
-  pkt.kind = PacketKind::kRoutingControl;
-  pkt.ip.src = node_.id();
-  pkt.ip.dst = kBroadcast;
-  pkt.ip.ttl = 1;
-  pkt.ip.proto = IpProto::kRouting;
-  pkt.routing = std::move(hello);
-  node_.send_broadcast(std::move(pkt));
+  broadcast_control(node_, std::move(hello), 1);
 
   const std::int64_t q = cfg_.hello_interval.ns() / 4;
   node_.sim().schedule(cfg_.hello_interval + nanoseconds(rng_.uniform_int(-q, q)),
@@ -143,36 +135,20 @@ void Cbrp::originate(Packet pkt) {
   const NodeId dst = pkt.ip.dst;
   // Direct neighbour: no discovery needed (two-hop clusters make this common).
   if (is_bidirectional_neighbor(dst)) {
-    auto sr = std::make_unique<SourceRoute>();
-    sr->path = {node_.id(), dst};
-    sr->next_index = 1;
-    pkt.routing = std::move(sr);
-    node_.send_with_next_hop(std::move(pkt), dst);
+    send_source_routed(node_, std::move(pkt), {node_.id(), dst});
     return;
   }
   const auto it = route_table_.find(dst);
   if (it != route_table_.end() && it->second.expires > node_.sim().now()) {
-    auto sr = std::make_unique<SourceRoute>();
-    sr->path = it->second.path;
-    sr->next_index = 1;
-    const NodeId next = sr->path[1];
-    pkt.routing = std::move(sr);
-    node_.send_with_next_hop(std::move(pkt), next);
+    send_source_routed(node_, std::move(pkt), it->second.path);
     return;
   }
-  buffer_.push(std::move(pkt), dst);
-  if (!discovering_.contains(dst)) {
-    Discovery d;
-    d.req_id = next_req_id_++;
-    discovering_.emplace(dst, d);
-    send_rreq(dst);
-  }
+  if (Discovery* d = discoveries_.park(std::move(pkt), dst)) send_rreq(dst, *d);
 }
 
 void Cbrp::forward_with_route(Packet pkt) {
-  auto* sr = dynamic_cast<SourceRoute*>(pkt.routing.mutate());
-  if (sr == nullptr || sr->next_index >= sr->path.size() ||
-      sr->path[sr->next_index] != node_.id() || sr->next_index + 1 >= sr->path.size()) {
+  SourceRoute* sr = route_to_relay(pkt, node_.id());
+  if (sr == nullptr) {
     node_.drop(pkt, DropReason::kProtocol);
     return;
   }
@@ -195,117 +171,43 @@ void Cbrp::forward_with_route(Packet pkt) {
 // Route discovery
 // ---------------------------------------------------------------------------
 
-void Cbrp::send_rreq(NodeId target) {
-  auto& d = discovering_.at(target);
+void Cbrp::send_rreq(NodeId target, Discovery& d) {
   auto rreq = std::make_unique<Rreq>();
   rreq->origin = node_.id();
   rreq->target = target;
-  rreq->req_id = d.req_id;
+  rreq->req_id = next_req_id_++;
   rreq->record = {node_.id()};
-  rreq_seen_[rreq_key(node_.id(), d.req_id)] = node_.sim().now() + kRreqSeenLifetime;
+  broadcast_control(node_, std::move(rreq), kInitialTtl);
 
-  Packet pkt;
-  pkt.kind = PacketKind::kRoutingControl;
-  pkt.ip.src = node_.id();
-  pkt.ip.dst = kBroadcast;
-  pkt.ip.ttl = kInitialTtl;
-  pkt.ip.proto = IpProto::kRouting;
-  pkt.routing = std::move(rreq);
-  node_.send_broadcast(std::move(pkt));
-
-  SimTime timeout = cfg_.first_timeout;
-  for (int i = 0; i < d.retries && timeout < cfg_.max_timeout; ++i) timeout = 2 * timeout;
-  timeout = std::min(timeout, cfg_.max_timeout);
-  d.timer = node_.sim().schedule(timeout, [this, target] { rreq_timeout(target); });
+  // Every request floods; attempt k (from 0) waits first_timeout * 2^k.
+  discoveries_.arm(target, d, backoff(cfg_.first_timeout, cfg_.max_timeout, d.retries));
 }
 
-void Cbrp::rreq_timeout(NodeId target) {
-  auto it = discovering_.find(target);
-  if (it == discovering_.end()) return;
-  Discovery& d = it->second;
-  ++d.retries;
-  if (d.retries > cfg_.max_retries) {
-    discovering_.erase(it);
-    buffer_.drop_all(target, DropReason::kNoRoute);
-    return;
-  }
-  d.req_id = next_req_id_++;
-  send_rreq(target);
-}
-
-void Cbrp::handle_rreq(const Packet& pkt, const Rreq& rreq, NodeId /*from*/) {
+void Cbrp::handle_rreq(const Packet& pkt, const Rreq& rreq) {
   if (rreq.origin == node_.id()) return;
-  const std::uint64_t key = rreq_key(rreq.origin, rreq.req_id);
-  if (auto it = rreq_seen_.find(key); it != rreq_seen_.end() && it->second > node_.sim().now()) {
-    return;
-  }
-  rreq_seen_[key] = node_.sim().now() + kRreqSeenLifetime;
+  if (seen_.seen(rreq.origin, rreq.req_id, node_.sim().now())) return;
   if (std::find(rreq.record.begin(), rreq.record.end(), node_.id()) != rreq.record.end()) {
     return;
   }
 
   if (rreq.target == node_.id()) {
-    Path full = rreq.record;
-    full.push_back(node_.id());
-    send_rrep(std::move(full));
+    send_back(node_, make_reply<Rrep>(rreq.record, {node_.id()}));
     return;
   }
 
   // CBRP's flooding optimization: only clusterheads and gateways relay.
   if (role_ != Role::kHead && !gateway_) return;
   if (pkt.ip.ttl <= 1) return;
-  Packet fwd = pkt;
-  --fwd.ip.ttl;
   auto body = std::make_unique<Rreq>(rreq);
   body->record.push_back(node_.id());
-  fwd.routing = std::move(body);
-  node_.sim().schedule(broadcast_jitter(rng_), [this, fwd = std::move(fwd)]() mutable {
-    node_.send_broadcast(std::move(fwd));
-  });
-}
-
-void Cbrp::send_rrep(Path path) {
-  MANET_EXPECTS(path.size() >= 2);
-  const auto self_it = std::find(path.begin(), path.end(), node_.id());
-  MANET_ASSERT(self_it != path.end());
-  const auto my_index = static_cast<std::size_t>(self_it - path.begin());
-  MANET_ASSERT(my_index >= 1);
-
-  auto rrep = std::make_unique<Rrep>();
-  rrep->path = std::move(path);
-  rrep->back_index = my_index - 1;
-  const NodeId next = rrep->path[my_index - 1];
-  Packet pkt;
-  pkt.kind = PacketKind::kRoutingControl;
-  pkt.ip.src = node_.id();
-  pkt.ip.dst = rrep->path.front();
-  pkt.routing = std::move(rrep);
-  unicast_control(std::move(pkt), next, kBroadcast);
+  rebroadcast(node_, rng_, pkt, std::move(body));
 }
 
 void Cbrp::handle_rrep(const Rrep& rrep) {
-  if (rrep.back_index == 0 || rrep.path[rrep.back_index] != node_.id()) {
-    if (rrep.path.front() == node_.id()) {
-      const NodeId target = rrep.path.back();
-      route_table_[target] =
-          CachedRoute{rrep.path, node_.sim().now() + cfg_.route_lifetime};
-      if (auto it = discovering_.find(target); it != discovering_.end()) {
-        node_.sim().cancel(it->second.timer);
-        discovering_.erase(it);
-      }
-      flush_buffer(target);
-    }
-    return;
-  }
-  auto body = std::make_unique<Rrep>(rrep);
-  --body->back_index;
-  const NodeId next = body->path[body->back_index];
-  Packet pkt;
-  pkt.kind = PacketKind::kRoutingControl;
-  pkt.ip.src = node_.id();
-  pkt.ip.dst = body->path.front();
-  pkt.routing = std::move(body);
-  unicast_control(std::move(pkt), next, kBroadcast);
+  if (relay_back(node_, rrep) || rrep.path.front() != node_.id()) return;
+  const NodeId target = rrep.path.back();
+  route_table_[target] = CachedRoute{rrep.path, node_.sim().now() + cfg_.route_lifetime};
+  discoveries_.complete(target);
 }
 
 // ---------------------------------------------------------------------------
@@ -327,7 +229,7 @@ std::optional<NodeId> Cbrp::neighbor_reaching(NodeId target, NodeId exclude) con
 
 bool Cbrp::try_local_repair(Packet& pkt, NodeId broken_to) {
   auto* sr = dynamic_cast<SourceRoute*>(pkt.routing.mutate());
-  if (sr == nullptr || sr->repair_count >= cfg_.max_repairs) return false;
+  if (sr == nullptr || sr->repairs >= cfg_.max_repairs) return false;
   // We are path[i]; the link to path[i+1] == broken_to broke. Patch through a
   // neighbour that reaches the broken node (or the node after it, skipping
   // the unreachable hop entirely when possible).
@@ -350,7 +252,7 @@ bool Cbrp::try_local_repair(Packet& pkt, NodeId broken_to) {
                      sr->path.end());
       sr->path = std::move(patched);
       sr->next_index = i + 1;
-      ++sr->repair_count;
+      ++sr->repairs;
       return true;
     }
   }
@@ -362,7 +264,7 @@ bool Cbrp::try_local_repair(Packet& pkt, NodeId broken_to) {
                  sr->path.end());
   sr->path = std::move(patched);
   sr->next_index = i + 1;
-  ++sr->repair_count;
+  ++sr->repairs;
   return true;
 }
 
@@ -395,56 +297,16 @@ void Cbrp::on_link_failure(const Packet& pkt, NodeId next_hop) {
     }
   }
 
-  if (sr->next_index >= 1) {
-    const std::size_t my_index = sr->next_index - 1;
-    if (my_index < sr->path.size() && sr->path[my_index] == node_.id() && my_index >= 1) {
-      send_rerr(sr->path, my_index, next_hop);
-    }
-  }
+  report_broken_link(node_, *sr, next_hop);
   node_.drop(pkt, DropReason::kMacRetryLimit);
 }
 
-void Cbrp::send_rerr(const Path& data_path, std::size_t my_index, NodeId broken_to) {
-  auto rerr = std::make_unique<Rerr>();
-  rerr->broken_from = node_.id();
-  rerr->broken_to = broken_to;
-  rerr->back_path =
-      Path(data_path.begin(), data_path.begin() + static_cast<std::ptrdiff_t>(my_index) + 1);
-  rerr->back_index = my_index;
-  if (rerr->back_path.size() < 2) return;
-  --rerr->back_index;
-  const NodeId next = rerr->back_path[rerr->back_index];
-  Packet pkt;
-  pkt.kind = PacketKind::kRoutingControl;
-  pkt.ip.src = node_.id();
-  pkt.ip.dst = rerr->back_path.front();
-  pkt.routing = std::move(rerr);
-  unicast_control(std::move(pkt), next, kBroadcast);
-}
-
 void Cbrp::handle_rerr(const Rerr& rerr) {
-  if (rerr.back_index == 0 || rerr.back_path[rerr.back_index] != node_.id()) {
-    if (rerr.back_path.front() == node_.id()) {
-      // Invalidate every cached route using the broken link.
-      std::erase_if(route_table_, [&](const auto& kv) {
-        const Path& p = kv.second.path;
-        for (std::size_t i = 0; i + 1 < p.size(); ++i) {
-          if (p[i] == rerr.broken_from && p[i + 1] == rerr.broken_to) return true;
-        }
-        return false;
-      });
-    }
-    return;
-  }
-  auto body = std::make_unique<Rerr>(rerr);
-  --body->back_index;
-  const NodeId next = body->back_path[body->back_index];
-  Packet pkt;
-  pkt.kind = PacketKind::kRoutingControl;
-  pkt.ip.src = node_.id();
-  pkt.ip.dst = body->back_path.front();
-  pkt.routing = std::move(body);
-  unicast_control(std::move(pkt), next, kBroadcast);
+  if (relay_back(node_, rerr) || rerr.path.front() != node_.id()) return;
+  // Invalidate every cached route using the broken link.
+  std::erase_if(route_table_, [&](const auto& kv) {
+    return uses_link(kv.second.path, rerr.broken_from, rerr.broken_to);
+  });
 }
 
 // ---------------------------------------------------------------------------
@@ -454,7 +316,7 @@ void Cbrp::on_control(const Packet& pkt, NodeId from) {
   if (const auto* hello = dynamic_cast<const Hello*>(pkt.routing.get())) {
     handle_hello(*hello, from);
   } else if (const auto* rreq = dynamic_cast<const Rreq*>(pkt.routing.get())) {
-    handle_rreq(pkt, *rreq, from);
+    handle_rreq(pkt, *rreq);
   } else if (const auto* rrep = dynamic_cast<const Rrep*>(pkt.routing.get())) {
     handle_rrep(*rrep);
   } else if (const auto* rerr = dynamic_cast<const Rerr*>(pkt.routing.get())) {
@@ -462,27 +324,14 @@ void Cbrp::on_control(const Packet& pkt, NodeId from) {
   }
 }
 
-void Cbrp::unicast_control(Packet pkt, NodeId next_hop, NodeId /*final_dst*/) {
-  pkt.ip.ttl = kInitialTtl;
-  pkt.ip.proto = IpProto::kRouting;
-  node_.send_with_next_hop(std::move(pkt), next_hop);
-}
-
-void Cbrp::flush_buffer(NodeId dst) {
-  for (Packet& pkt : buffer_.take(dst)) route_packet(std::move(pkt));
-}
-
 void Cbrp::on_node_restart() {
   // Cold reboot: back to an UNDECIDED node with an empty neighbour table —
   // cluster formation restarts from the listening phase, exactly like a
   // node freshly joining the network. next_req_id_ survives (see DSR).
-  // manet-lint: order-independent - only cancels timers; no packet is emitted
-  for (auto& [target, d] : discovering_) node_.sim().cancel(d.timer);
-  discovering_.clear();
+  discoveries_.reset();
+  seen_.clear();
   neighbors_.clear();
   route_table_.clear();
-  rreq_seen_.clear();
-  buffer_.clear(DropReason::kNodeDown);
   role_ = Role::kUndecided;
   head_ = kBroadcast;
   gateway_ = false;

@@ -18,14 +18,15 @@
 //   * local repair on link failure using 2-hop neighbour knowledge, falling
 //     back to a route error to the source;
 //   * a per-source route table built from replies, plus a send buffer.
+// Discovery bookkeeping, duplicate suppression and the source-route
+// messages are the shared on-demand core (routing/on_demand.hpp).
 #pragma once
 
 #include <map>
-#include <unordered_map>
 
 #include "net/node.hpp"
 #include "routing/cbrp/cbrp_messages.hpp"
-#include "routing/common.hpp"
+#include "routing/on_demand.hpp"
 
 namespace manet::cbrp {
 
@@ -63,6 +64,7 @@ class Cbrp final : public RoutingProtocol {
   [[nodiscard]] NodeId head() const { return head_; }
   [[nodiscard]] bool gateway() const { return gateway_; }
   [[nodiscard]] std::vector<NodeId> neighbor_ids() const;
+  [[nodiscard]] std::size_t seen_requests() const { return seen_.size(); }
 
  private:
   struct Neighbor {
@@ -72,11 +74,6 @@ class Cbrp final : public RoutingProtocol {
     SimTime expires = SimTime::zero();
     std::vector<NeighborSummary> their_neighbors;
   };
-  struct Discovery {
-    std::uint16_t req_id = 0;
-    int retries = 0;
-    EventId timer = kInvalidEventId;
-  };
   struct CachedRoute {
     Path path;
     SimTime expires = SimTime::zero();
@@ -85,26 +82,22 @@ class Cbrp final : public RoutingProtocol {
   void send_hello();
   void update_role();
   void handle_hello(const Hello& hello, NodeId from);
-  void handle_rreq(const Packet& pkt, const Rreq& rreq, NodeId from);
+  void handle_rreq(const Packet& pkt, const Rreq& rreq);
   void handle_rrep(const Rrep& rrep);
   void handle_rerr(const Rerr& rerr);
   void originate(Packet pkt);
   void forward_with_route(Packet pkt);
-  void send_rreq(NodeId target);
-  void rreq_timeout(NodeId target);
-  void send_rrep(Path path);
-  void send_rerr(const Path& data_path, std::size_t my_index, NodeId broken_to);
+  void send_rreq(NodeId target, Discovery& d);
   bool try_local_repair(Packet& pkt, NodeId broken_to);
-  void flush_buffer(NodeId dst);
   [[nodiscard]] std::vector<NeighborSummary> neighbor_summaries() const;
   [[nodiscard]] bool is_bidirectional_neighbor(NodeId id) const;
   /// A live neighbour whose own neighbour table contains `target`.
   [[nodiscard]] std::optional<NodeId> neighbor_reaching(NodeId target, NodeId exclude) const;
-  void unicast_control(Packet pkt, NodeId next_hop, NodeId final_dst);
 
   Config cfg_;
   RngStream rng_;
-  PacketBuffer buffer_;
+  DuplicateFilter seen_;
+  DiscoveryTable discoveries_;
 
   Role role_ = Role::kUndecided;
   NodeId head_ = kBroadcast;
@@ -117,9 +110,7 @@ class Cbrp final : public RoutingProtocol {
   // hash order of whatever libstdc++ this host has.
   std::map<NodeId, Neighbor> neighbors_;
   std::map<NodeId, CachedRoute> route_table_;
-  std::unordered_map<NodeId, Discovery> discovering_;
   std::uint16_t next_req_id_ = 1;
-  std::unordered_map<std::uint64_t, SimTime> rreq_seen_;
 };
 
 }  // namespace manet::cbrp

@@ -1,4 +1,6 @@
-// CBRP control messages and the source-route option its data packets carry.
+// CBRP's own control message. Its route requests, replies, errors and the
+// source-route option on its data packets are the shared on-demand messages
+// (routing/on_demand.hpp).
 #pragma once
 
 #include <cstdint>
@@ -9,8 +11,6 @@
 
 namespace manet::cbrp {
 
-using Path = std::vector<NodeId>;
-
 /// Periodic HELLO: the sender's own status plus its full neighbour table —
 /// the message that builds 1- and 2-hop knowledge and the cluster structure.
 struct Hello final : RoutingPayloadBase<Hello> {
@@ -20,47 +20,6 @@ struct Hello final : RoutingPayloadBase<Hello> {
 
   [[nodiscard]] std::size_t size_bytes() const override {
     return 8 + 4 + 7 * neighbors.size();
-  }
-};
-
-struct Rreq final : RoutingPayloadBase<Rreq> {
-  NodeId origin = 0;
-  NodeId target = 0;
-  std::uint16_t req_id = 0;
-  Path record;  ///< traversed nodes (origin first, then heads/gateways)
-
-  [[nodiscard]] std::size_t size_bytes() const override {
-    return 4 + 8 + 4 * record.size();
-  }
-};
-
-struct Rrep final : RoutingPayloadBase<Rrep> {
-  Path path;                   ///< [origin, ..., target]
-  std::size_t back_index = 0;  ///< index of the node currently holding it
-
-  [[nodiscard]] std::size_t size_bytes() const override {
-    return 4 + 6 + 4 * path.size();
-  }
-};
-
-struct Rerr final : RoutingPayloadBase<Rerr> {
-  NodeId broken_from = 0;
-  NodeId broken_to = 0;
-  Path back_path;
-  std::size_t back_index = 0;
-
-  [[nodiscard]] std::size_t size_bytes() const override {
-    return 4 + 12 + 4 * back_path.size();
-  }
-};
-
-struct SourceRoute final : RoutingPayloadBase<SourceRoute> {
-  Path path;
-  std::size_t next_index = 1;
-  int repair_count = 0;
-
-  [[nodiscard]] std::size_t size_bytes() const override {
-    return 4 + 4 + 4 * (path.size() >= 2 ? path.size() - 2 : 0);
   }
 };
 

@@ -6,19 +6,15 @@
 
 namespace manet::dsr {
 
-namespace {
-[[nodiscard]] std::uint64_t rreq_key(NodeId origin, std::uint16_t id) {
-  return (static_cast<std::uint64_t>(origin) << 16) | id;
-}
-constexpr SimTime kRreqSeenLifetime = seconds(30);
-}  // namespace
-
 Dsr::Dsr(Node& node, const Config& cfg, RngStream rng)
     : RoutingProtocol(node),
       cfg_(cfg),
       rng_(rng),
       cache_(node.id(), cfg.cache_capacity, cfg.cache_lifetime),
-      buffer_(node.sim(), [&node](const Packet& p, DropReason r) { node.drop(p, r); }) {}
+      seen_(seconds(30)),
+      discoveries_(*this, node, [this](NodeId target, Discovery& d) {
+        if (discoveries_.retry(target, d, cfg_.max_retries)) send_rreq(target, d);
+      }) {}
 
 void Dsr::start() {
   // DSR is fully reactive: nothing to schedule up front.
@@ -39,33 +35,17 @@ void Dsr::route_packet(Packet pkt) {
 void Dsr::originate(Packet pkt) {
   const NodeId dst = pkt.ip.dst;
   if (auto path = cache_.find(dst, node_.sim().now())) {
-    auto sr = std::make_unique<SourceRoute>();
-    sr->path = std::move(*path);
-    sr->next_index = 1;
-    const NodeId next = sr->path[1];
-    pkt.routing = std::move(sr);
-    node_.send_with_next_hop(std::move(pkt), next);
+    send_source_routed(node_, std::move(pkt), std::move(*path));
     return;
   }
-  buffer_.push(std::move(pkt), dst);
-  if (!discovering_.contains(dst)) {
-    Discovery d;
-    d.req_id = next_req_id_++;
-    discovering_.emplace(dst, d);
-    send_rreq(dst, cfg_.nonprop_first_query);
-  }
+  if (Discovery* d = discoveries_.park(std::move(pkt), dst)) send_rreq(dst, *d);
 }
 
 void Dsr::forward_with_route(Packet pkt) {
-  auto* sr = dynamic_cast<SourceRoute*>(pkt.routing.mutate());
-  if (sr == nullptr) {
-    node_.drop(pkt, DropReason::kProtocol);
-    return;
-  }
   // We are path[next_index]; advance and relay. A stale/corrupt route that
   // does not list us next is discarded.
-  if (sr->next_index >= sr->path.size() || sr->path[sr->next_index] != node_.id() ||
-      sr->next_index + 1 >= sr->path.size()) {
+  SourceRoute* sr = route_to_relay(pkt, node_.id());
+  if (sr == nullptr) {
     node_.drop(pkt, DropReason::kProtocol);
     return;
   }
@@ -87,57 +67,25 @@ void Dsr::cache_suffix_from_self(const Path& path, SimTime now) {
 // Route discovery
 // ---------------------------------------------------------------------------
 
-void Dsr::send_rreq(NodeId target, bool nonprop) {
-  auto& d = discovering_.at(target);
+void Dsr::send_rreq(NodeId target, Discovery& d) {
+  const bool nonprop = d.retries == 0;
   auto rreq = std::make_unique<Rreq>();
   rreq->origin = node_.id();
   rreq->target = target;
-  rreq->req_id = d.req_id;
+  rreq->req_id = next_req_id_++;  // a fresh id per (re)flood
   rreq->record = {node_.id()};
+  broadcast_control(node_, std::move(rreq), nonprop ? 1 : kInitialTtl);
 
-  rreq_seen_[rreq_key(node_.id(), d.req_id)] = node_.sim().now() + kRreqSeenLifetime;
-
-  Packet pkt;
-  pkt.kind = PacketKind::kRoutingControl;
-  pkt.ip.src = node_.id();
-  pkt.ip.dst = kBroadcast;
-  pkt.ip.ttl = nonprop ? 1 : kInitialTtl;
-  pkt.ip.proto = IpProto::kRouting;
-  pkt.routing = std::move(rreq);
-  node_.send_broadcast(std::move(pkt));
-
-  SimTime timeout;
-  if (nonprop) {
-    timeout = cfg_.nonprop_timeout;
-  } else {
-    timeout = cfg_.first_timeout;
-    for (int i = 1; i < d.retries && timeout < cfg_.max_timeout; ++i) timeout = 2 * timeout;
-    timeout = std::min(timeout, cfg_.max_timeout);
-  }
-  d.timer = node_.sim().schedule(timeout, [this, target] { rreq_timeout(target); });
+  // The non-propagating query counts as attempt 0, so flood k (from 1)
+  // waits first_timeout * 2^(k-1).
+  discoveries_.arm(target, d,
+                   nonprop ? cfg_.nonprop_timeout
+                           : backoff(cfg_.first_timeout, cfg_.max_timeout, d.retries - 1));
 }
 
-void Dsr::rreq_timeout(NodeId target) {
-  auto it = discovering_.find(target);
-  if (it == discovering_.end()) return;
-  Discovery& d = it->second;
-  ++d.retries;
-  if (d.retries > cfg_.max_retries) {
-    discovering_.erase(it);
-    buffer_.drop_all(target, DropReason::kNoRoute);
-    return;
-  }
-  d.req_id = next_req_id_++;  // a fresh id per (re)flood
-  send_rreq(target, /*nonprop=*/false);
-}
-
-void Dsr::handle_rreq(const Packet& pkt, const Rreq& rreq, NodeId /*from*/) {
+void Dsr::handle_rreq(const Packet& pkt, const Rreq& rreq) {
   if (rreq.origin == node_.id()) return;
-  const std::uint64_t key = rreq_key(rreq.origin, rreq.req_id);
-  if (auto it = rreq_seen_.find(key); it != rreq_seen_.end() && it->second > node_.sim().now()) {
-    return;
-  }
-  rreq_seen_[key] = node_.sim().now() + kRreqSeenLifetime;
+  if (seen_.seen(rreq.origin, rreq.req_id, node_.sim().now())) return;
   if (std::find(rreq.record.begin(), rreq.record.end(), node_.id()) != rreq.record.end()) {
     return;  // we already forwarded this flood (route record loop)
   }
@@ -151,9 +99,7 @@ void Dsr::handle_rreq(const Packet& pkt, const Rreq& rreq, NodeId /*from*/) {
   }
 
   if (rreq.target == node_.id()) {
-    Path full = rreq.record;
-    full.push_back(node_.id());
-    send_rrep(std::move(full));
+    send_back(node_, make_reply<Rrep>(rreq.record, {node_.id()}));
     return;
   }
 
@@ -161,78 +107,26 @@ void Dsr::handle_rreq(const Packet& pkt, const Rreq& rreq, NodeId /*from*/) {
     if (auto cached = cache_.find(rreq.target, node_.sim().now())) {
       // Splice record + cached path; reply only if the result is loop-free
       // (the draft's requirement to avoid advertising looping routes).
-      Path full = rreq.record;
-      full.insert(full.end(), cached->begin(), cached->end());
-      if (loop_free(full)) {
-        send_rrep(std::move(full));
+      auto rrep = make_reply<Rrep>(rreq.record, *cached);
+      if (loop_free(rrep->path)) {
+        send_back(node_, std::move(rrep));
         return;
       }
     }
   }
 
   if (pkt.ip.ttl <= 1) return;
-  Packet fwd = pkt;
-  --fwd.ip.ttl;
   auto body = std::make_unique<Rreq>(rreq);
   body->record.push_back(node_.id());
-  fwd.routing = std::move(body);
-  node_.sim().schedule(broadcast_jitter(rng_), [this, fwd = std::move(fwd)]() mutable {
-    node_.send_broadcast(std::move(fwd));
-  });
-}
-
-void Dsr::send_rrep(Path path) {
-  MANET_EXPECTS(path.size() >= 2);
-  // We sit somewhere on `path`; the reply travels back towards path.front().
-  const auto self_it = std::find(path.begin(), path.end(), node_.id());
-  MANET_ASSERT(self_it != path.end());
-  const auto my_index = static_cast<std::size_t>(self_it - path.begin());
-  MANET_ASSERT(my_index >= 1);
-
-  auto rrep = std::make_unique<Rrep>();
-  rrep->path = std::move(path);
-  rrep->back_index = my_index - 1;
-  const NodeId next = rrep->path[my_index - 1];
-
-  Packet pkt;
-  pkt.kind = PacketKind::kRoutingControl;
-  pkt.ip.src = node_.id();
-  pkt.ip.dst = rrep->path.front();
-  pkt.ip.ttl = kInitialTtl;
-  pkt.ip.proto = IpProto::kRouting;
-  pkt.routing = std::move(rrep);
-  node_.send_with_next_hop(std::move(pkt), next);
+  rebroadcast(node_, rng_, pkt, std::move(body));
 }
 
 void Dsr::handle_rrep(const Rrep& rrep) {
   // Everyone on the reply path may cache their suffix towards the target.
   cache_suffix_from_self(rrep.path, node_.sim().now());
-
-  if (rrep.back_index == 0 || rrep.path[rrep.back_index] != node_.id()) {
-    if (rrep.path.front() == node_.id()) {
-      // Discovery complete.
-      const NodeId target = rrep.path.back();
-      if (auto it = discovering_.find(target); it != discovering_.end()) {
-        node_.sim().cancel(it->second.timer);
-        discovering_.erase(it);
-      }
-      flush_buffer(target);
-    }
-    return;
+  if (!relay_back(node_, rrep) && rrep.path.front() == node_.id()) {
+    discoveries_.complete(rrep.path.back());
   }
-
-  // Relay towards the origin.
-  auto body = std::make_unique<Rrep>(rrep);
-  --body->back_index;
-  const NodeId next = body->path[body->back_index];
-  Packet pkt;
-  pkt.kind = PacketKind::kRoutingControl;
-  pkt.ip.src = node_.id();
-  pkt.ip.dst = body->path.front();
-  pkt.ip.ttl = kInitialTtl;
-  pkt.ip.proto = IpProto::kRouting;
-  pkt.routing = std::move(body);
-  node_.send_with_next_hop(std::move(pkt), next);
 }
 
 // ---------------------------------------------------------------------------
@@ -250,14 +144,6 @@ void Dsr::on_link_failure(const Packet& pkt, NodeId next_hop) {
     return;
   }
 
-  // Tell the source about the broken link (unless we are the source).
-  if (pkt.ip.src != node_.id() && sr->next_index >= 1) {
-    const std::size_t my_index = sr->next_index - 1;
-    if (my_index < sr->path.size() && sr->path[my_index] == node_.id()) {
-      send_rerr(sr->path, my_index, next_hop);
-    }
-  }
-
   if (pkt.ip.src == node_.id()) {
     // Strip the stale route and re-originate (cache lookup or rediscovery).
     Packet retry = pkt;
@@ -266,94 +152,39 @@ void Dsr::on_link_failure(const Packet& pkt, NodeId next_hop) {
     return;
   }
 
-  if (cfg_.salvage && sr->salvage_count < cfg_.max_salvage) {
-    try_salvage(pkt, next_hop);
-    return;
+  // Tell the source about the broken link, then salvage the packet from our
+  // own cache (a bounded number of times per packet).
+  report_broken_link(node_, *sr, next_hop);
+  if (cfg_.salvage && sr->repairs < cfg_.max_salvage) {
+    if (auto alt = cache_.find(pkt.ip.dst, node_.sim().now())) {
+      send_source_routed(node_, pkt, std::move(*alt), sr->repairs + 1);
+      return;
+    }
   }
   node_.drop(pkt, DropReason::kMacRetryLimit);
 }
 
-void Dsr::try_salvage(Packet pkt, NodeId /*broken_to*/) {
-  const auto* sr = dynamic_cast<const SourceRoute*>(pkt.routing.get());
-  MANET_ASSERT(sr != nullptr);
-  auto alt = cache_.find(pkt.ip.dst, node_.sim().now());
-  if (!alt) {
-    node_.drop(pkt, DropReason::kMacRetryLimit);
-    return;
-  }
-  auto fresh = std::make_unique<SourceRoute>();
-  fresh->path = std::move(*alt);
-  fresh->next_index = 1;
-  fresh->salvage_count = sr->salvage_count + 1;
-  const NodeId next = fresh->path[1];
-  pkt.routing = std::move(fresh);
-  node_.send_with_next_hop(std::move(pkt), next);
-}
-
-void Dsr::send_rerr(const Path& data_path, std::size_t my_index, NodeId broken_to) {
-  auto rerr = std::make_unique<Rerr>();
-  rerr->broken_from = node_.id();
-  rerr->broken_to = broken_to;
-  rerr->back_path = Path(data_path.begin(), data_path.begin() + static_cast<std::ptrdiff_t>(my_index) + 1);
-  rerr->back_index = my_index;
-  if (rerr->back_path.size() < 2) return;
-  --rerr->back_index;
-  const NodeId next = rerr->back_path[rerr->back_index];
-  Packet pkt;
-  pkt.kind = PacketKind::kRoutingControl;
-  pkt.ip.src = node_.id();
-  pkt.ip.dst = rerr->back_path.front();
-  pkt.ip.ttl = kInitialTtl;
-  pkt.ip.proto = IpProto::kRouting;
-  pkt.routing = std::move(rerr);
-  node_.send_with_next_hop(std::move(pkt), next);
-}
-
-void Dsr::handle_rerr(const Rerr& rerr) {
-  cache_.remove_link(rerr.broken_from, rerr.broken_to);
-  if (rerr.back_index == 0 || rerr.back_path[rerr.back_index] != node_.id()) {
-    return;  // reached the source (or a stale copy)
-  }
-  auto body = std::make_unique<Rerr>(rerr);
-  --body->back_index;
-  const NodeId next = body->back_path[body->back_index];
-  Packet pkt;
-  pkt.kind = PacketKind::kRoutingControl;
-  pkt.ip.src = node_.id();
-  pkt.ip.dst = body->back_path.front();
-  pkt.ip.ttl = kInitialTtl;
-  pkt.ip.proto = IpProto::kRouting;
-  pkt.routing = std::move(body);
-  node_.send_with_next_hop(std::move(pkt), next);
-}
-
 // ---------------------------------------------------------------------------
 
-void Dsr::on_control(const Packet& pkt, NodeId from) {
+void Dsr::on_control(const Packet& pkt, NodeId /*from*/) {
   MANET_ASSERT(pkt.routing != nullptr);
   if (const auto* rreq = dynamic_cast<const Rreq*>(pkt.routing.get())) {
-    handle_rreq(pkt, *rreq, from);
+    handle_rreq(pkt, *rreq);
   } else if (const auto* rrep = dynamic_cast<const Rrep*>(pkt.routing.get())) {
     handle_rrep(*rrep);
   } else if (const auto* rerr = dynamic_cast<const Rerr*>(pkt.routing.get())) {
-    handle_rerr(*rerr);
+    cache_.remove_link(rerr->broken_from, rerr->broken_to);
+    relay_back(node_, *rerr);  // on towards the source, unless this is it
   }
-}
-
-void Dsr::flush_buffer(NodeId dst) {
-  for (Packet& pkt : buffer_.take(dst)) route_packet(std::move(pkt));
 }
 
 void Dsr::on_node_restart() {
   // Cold reboot: route cache, pending discoveries, duplicate filter and the
   // send buffer all go. next_req_id_ survives so a post-restart RREQ is not
   // suppressed by a neighbour's stale (origin, req_id) memory of the old one.
-  // manet-lint: order-independent - only cancels timers; no packet is emitted
-  for (auto& [target, d] : discovering_) node_.sim().cancel(d.timer);
-  discovering_.clear();
-  rreq_seen_.clear();
+  discoveries_.reset();
+  seen_.clear();
   cache_.clear();
-  buffer_.clear(DropReason::kNodeDown);
 }
 
 }  // namespace manet::dsr

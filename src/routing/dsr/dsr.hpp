@@ -16,22 +16,21 @@
 //     the packet source, broken link excised from caches, and packet
 //     salvaging from the local cache (bounded per packet);
 //   * a 64-packet / 30 s send buffer.
+// Discovery bookkeeping, duplicate suppression and the source-route
+// messages are the shared on-demand core (routing/on_demand.hpp).
 // Omitted: promiscuous (tap-mode) listening, gratuitous replies for route
 // shortening, flow state.
 #pragma once
 
-#include <unordered_map>
-
 #include "net/node.hpp"
-#include "routing/common.hpp"
-#include "routing/dsr/dsr_messages.hpp"
 #include "routing/dsr/route_cache.hpp"
+#include "routing/on_demand.hpp"
 
 namespace manet::dsr {
 
 struct Config {
-  /// Non-propagating (TTL=1) ring-0 query before network-wide flooding.
-  bool nonprop_first_query = true;
+  /// Every discovery opens with a non-propagating (TTL=1) query that waits
+  /// this long before network-wide flooding.
   SimTime nonprop_timeout = milliseconds(30);
   SimTime first_timeout = milliseconds(500);  // then doubles per retry
   SimTime max_timeout = seconds(10);
@@ -56,38 +55,26 @@ class Dsr final : public RoutingProtocol {
 
   // -- introspection (tests) -------------------------------------------------
   [[nodiscard]] RouteCache& cache() { return cache_; }
-  [[nodiscard]] std::size_t buffered_packets() { return buffer_.size(); }
+  [[nodiscard]] std::size_t buffered_packets() { return discoveries_.buffered(); }
+  [[nodiscard]] std::size_t seen_requests() const { return seen_.size(); }
 
  private:
-  struct Discovery {
-    std::uint16_t req_id = 0;
-    int retries = 0;
-    EventId timer = kInvalidEventId;
-  };
-
   void originate(Packet pkt);
   void forward_with_route(Packet pkt);
-  void send_rreq(NodeId target, bool nonprop);
-  void rreq_timeout(NodeId target);
-  void handle_rreq(const Packet& pkt, const Rreq& rreq, NodeId from);
+  /// The first request of a discovery is non-propagating, the rest flood.
+  void send_rreq(NodeId target, Discovery& d);
+  void handle_rreq(const Packet& pkt, const Rreq& rreq);
   void handle_rrep(const Rrep& rrep);
-  void handle_rerr(const Rerr& rerr);
-  void send_rrep(Path path);
-  void send_rerr(const Path& data_path, std::size_t my_index, NodeId broken_to);
-  void flush_buffer(NodeId dst);
-  void try_salvage(Packet pkt, NodeId broken_to);
   /// Cache the sub-path of `path` starting at self, if self appears.
   void cache_suffix_from_self(const Path& path, SimTime now);
 
   Config cfg_;
   RngStream rng_;
   RouteCache cache_;
-  PacketBuffer buffer_;
+  DuplicateFilter seen_;
+  DiscoveryTable discoveries_;
 
   std::uint16_t next_req_id_ = 1;
-  std::unordered_map<NodeId, Discovery> discovering_;
-  /// Duplicate-RREQ suppression: (origin, req_id) -> expiry.
-  std::unordered_map<std::uint64_t, SimTime> rreq_seen_;
 };
 
 }  // namespace manet::dsr

@@ -13,11 +13,9 @@
 #include <vector>
 
 #include "core/time.hpp"
-#include "packet/packet.hpp"
+#include "routing/on_demand.hpp"
 
 namespace manet::dsr {
-
-using Path = std::vector<NodeId>;  ///< [self, ..., dst], self first
 
 class RouteCache {
  public:
@@ -25,7 +23,7 @@ class RouteCache {
                       SimTime lifetime = seconds(300))
       : self_(self), capacity_(capacity), lifetime_(lifetime) {}
 
-  /// Insert a path that must start at the owning node. Duplicate paths
+  /// Insert a path [self, ..., dst] that must start at the owning node. Duplicate paths
   /// refresh their expiry. Paths with repeated nodes are rejected.
   void add(const Path& path, SimTime now);
 

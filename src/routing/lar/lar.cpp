@@ -6,13 +6,6 @@
 
 namespace manet::lar {
 
-namespace {
-[[nodiscard]] std::uint64_t rreq_key(NodeId origin, std::uint16_t id) {
-  return (static_cast<std::uint64_t>(origin) << 16) | id;
-}
-constexpr SimTime kRreqSeenLifetime = seconds(30);
-}  // namespace
-
 RequestZone request_zone(Vec2 src, Vec2 dst_last, double radius) {
   RequestZone z;
   z.unrestricted = false;
@@ -22,7 +15,13 @@ RequestZone request_zone(Vec2 src, Vec2 dst_last, double radius) {
 }
 
 Lar::Lar(Node& node, const Config& cfg, RngStream rng)
-    : RoutingProtocol(node), cfg_(cfg), rng_(rng), buffer_(node.sim(), [&node](const Packet& p, DropReason r) { node.drop(p, r); }) {}
+    : RoutingProtocol(node),
+      cfg_(cfg),
+      rng_(rng),
+      seen_(seconds(30)),
+      discoveries_(*this, node, [this](NodeId target, Discovery& d) {
+        if (discoveries_.retry(target, d, cfg_.max_retries)) send_rreq(target, d);
+      }) {}
 
 void Lar::start() {}
 
@@ -44,27 +43,15 @@ void Lar::originate(Packet pkt) {
   const NodeId dst = pkt.ip.dst;
   const auto it = routes_.find(dst);
   if (it != routes_.end() && it->second.expires > node_.sim().now()) {
-    auto sr = std::make_unique<SourceRoute>();
-    sr->path = it->second.path;
-    sr->next_index = 1;
-    const NodeId next = sr->path[1];
-    pkt.routing = std::move(sr);
-    node_.send_with_next_hop(std::move(pkt), next);
+    send_source_routed(node_, std::move(pkt), it->second.path);
     return;
   }
-  buffer_.push(std::move(pkt), dst);
-  if (!discovering_.contains(dst)) {
-    Discovery d;
-    d.req_id = next_req_id_++;
-    discovering_.emplace(dst, d);
-    send_rreq(dst, /*zone_limited=*/true);
-  }
+  if (Discovery* d = discoveries_.park(std::move(pkt), dst)) send_rreq(dst, *d);
 }
 
 void Lar::forward_with_route(Packet pkt) {
-  auto* sr = dynamic_cast<SourceRoute*>(pkt.routing.mutate());
-  if (sr == nullptr || sr->next_index >= sr->path.size() ||
-      sr->path[sr->next_index] != node_.id() || sr->next_index + 1 >= sr->path.size()) {
+  SourceRoute* sr = route_to_relay(pkt, node_.id());
+  if (sr == nullptr) {
     node_.drop(pkt, DropReason::kProtocol);
     return;
   }
@@ -77,63 +64,32 @@ void Lar::forward_with_route(Packet pkt) {
 // Discovery
 // ---------------------------------------------------------------------------
 
-void Lar::send_rreq(NodeId target, bool zone_limited) {
-  auto& d = discovering_.at(target);
+void Lar::send_rreq(NodeId target, Discovery& d) {
   auto rreq = std::make_unique<Rreq>();
   rreq->origin = node_.id();
   rreq->target = target;
-  rreq->req_id = d.req_id;
+  rreq->req_id = next_req_id_++;
   rreq->record = {node_.id()};
   rreq->origin_pos = own_position();
 
+  // LAR fallback: after a failed zone-limited attempt, flood unrestricted.
   const auto loc = locations_.find(target);
-  if (zone_limited && loc != locations_.end() &&
+  if (d.retries == 0 && loc != locations_.end() &&
       loc->second.stamp + cfg_.location_lifetime > node_.sim().now()) {
     const double age_s = (node_.sim().now() - loc->second.stamp).sec();
     const double radius =
         std::max(cfg_.min_expected_radius, cfg_.assumed_v_max * age_s + cfg_.min_expected_radius);
     rreq->zone = request_zone(rreq->origin_pos, loc->second.pos, radius);
   }  // else: zone stays unrestricted (no location known -> plain flood)
+  broadcast_control(node_, std::move(rreq), kInitialTtl);
 
-  rreq_seen_[rreq_key(node_.id(), d.req_id)] = node_.sim().now() + kRreqSeenLifetime;
-
-  Packet pkt;
-  pkt.kind = PacketKind::kRoutingControl;
-  pkt.ip.src = node_.id();
-  pkt.ip.dst = kBroadcast;
-  pkt.ip.ttl = kInitialTtl;
-  pkt.ip.proto = IpProto::kRouting;
-  pkt.routing = std::move(rreq);
-  node_.send_broadcast(std::move(pkt));
-
-  SimTime timeout = cfg_.first_timeout;
-  for (int i = 0; i < d.retries && timeout < cfg_.max_timeout; ++i) timeout = 2 * timeout;
-  d.timer = node_.sim().schedule(std::min(timeout, cfg_.max_timeout),
-                                 [this, target] { rreq_timeout(target); });
-}
-
-void Lar::rreq_timeout(NodeId target) {
-  auto it = discovering_.find(target);
-  if (it == discovering_.end()) return;
-  Discovery& d = it->second;
-  ++d.retries;
-  if (d.retries > cfg_.max_retries) {
-    discovering_.erase(it);
-    buffer_.drop_all(target, DropReason::kNoRoute);
-    return;
-  }
-  d.req_id = next_req_id_++;
-  // LAR fallback: after a failed zone-limited attempt, flood unrestricted.
-  send_rreq(target, /*zone_limited=*/false);
+  // Attempt k (from 0) waits first_timeout * 2^k.
+  discoveries_.arm(target, d, backoff(cfg_.first_timeout, cfg_.max_timeout, d.retries));
 }
 
 void Lar::handle_rreq(const Packet& pkt, const Rreq& rreq) {
   if (rreq.origin == node_.id()) return;
-  const std::uint64_t key = rreq_key(rreq.origin, rreq.req_id);
-  if (auto it = rreq_seen_.find(key); it != rreq_seen_.end() && it->second > node_.sim().now()) {
-    return;
-  }
-  rreq_seen_[key] = node_.sim().now() + kRreqSeenLifetime;
+  if (seen_.seen(rreq.origin, rreq.req_id, node_.sim().now())) return;
   if (std::find(rreq.record.begin(), rreq.record.end(), node_.id()) != rreq.record.end()) {
     return;
   }
@@ -142,9 +98,9 @@ void Lar::handle_rreq(const Packet& pkt, const Rreq& rreq) {
   locations_[rreq.origin] = KnownLocation{rreq.origin_pos, node_.sim().now()};
 
   if (rreq.target == node_.id()) {
-    Path full = rreq.record;
-    full.push_back(node_.id());
-    send_rrep(std::move(full));
+    auto rrep = make_reply<Rrep>(rreq.record, {node_.id()});
+    rrep->target_pos = own_position();
+    send_back(node_, std::move(rrep));
     return;
   }
 
@@ -152,65 +108,17 @@ void Lar::handle_rreq(const Packet& pkt, const Rreq& rreq) {
   if (!rreq.zone.contains(own_position())) return;
   if (pkt.ip.ttl <= 1) return;
 
-  Packet fwd = pkt;
-  --fwd.ip.ttl;
   auto body = std::make_unique<Rreq>(rreq);
   body->record.push_back(node_.id());
-  fwd.routing = std::move(body);
-  node_.sim().schedule(broadcast_jitter(rng_), [this, fwd = std::move(fwd)]() mutable {
-    node_.send_broadcast(std::move(fwd));
-  });
-}
-
-void Lar::send_rrep(Path path) {
-  MANET_EXPECTS(path.size() >= 2);
-  const auto self_it = std::find(path.begin(), path.end(), node_.id());
-  MANET_ASSERT(self_it != path.end());
-  const auto my_index = static_cast<std::size_t>(self_it - path.begin());
-  MANET_ASSERT(my_index >= 1);
-
-  auto rrep = std::make_unique<Rrep>();
-  rrep->path = std::move(path);
-  rrep->back_index = my_index - 1;
-  rrep->target_pos = own_position();
-  const NodeId next = rrep->path[my_index - 1];
-
-  Packet pkt;
-  pkt.kind = PacketKind::kRoutingControl;
-  pkt.ip.src = node_.id();
-  pkt.ip.dst = rrep->path.front();
-  pkt.ip.ttl = kInitialTtl;
-  pkt.ip.proto = IpProto::kRouting;
-  pkt.routing = std::move(rrep);
-  node_.send_with_next_hop(std::move(pkt), next);
+  rebroadcast(node_, rng_, pkt, std::move(body));
 }
 
 void Lar::handle_rrep(const Rrep& rrep) {
   locations_[rrep.path.back()] = KnownLocation{rrep.target_pos, node_.sim().now()};
-
-  if (rrep.back_index == 0 || rrep.path[rrep.back_index] != node_.id()) {
-    if (rrep.path.front() == node_.id()) {
-      const NodeId target = rrep.path.back();
-      routes_[target] = CachedRoute{rrep.path, node_.sim().now() + cfg_.route_lifetime};
-      if (auto it = discovering_.find(target); it != discovering_.end()) {
-        node_.sim().cancel(it->second.timer);
-        discovering_.erase(it);
-      }
-      flush_buffer(target);
-    }
-    return;
-  }
-  auto body = std::make_unique<Rrep>(rrep);
-  --body->back_index;
-  const NodeId next = body->path[body->back_index];
-  Packet pkt;
-  pkt.kind = PacketKind::kRoutingControl;
-  pkt.ip.src = node_.id();
-  pkt.ip.dst = body->path.front();
-  pkt.ip.ttl = kInitialTtl;
-  pkt.ip.proto = IpProto::kRouting;
-  pkt.routing = std::move(body);
-  node_.send_with_next_hop(std::move(pkt), next);
+  if (relay_back(node_, rrep) || rrep.path.front() != node_.id()) return;
+  const NodeId target = rrep.path.back();
+  routes_[target] = CachedRoute{rrep.path, node_.sim().now() + cfg_.route_lifetime};
+  discoveries_.complete(target);
 }
 
 // ---------------------------------------------------------------------------
@@ -232,54 +140,16 @@ void Lar::on_link_failure(const Packet& pkt, NodeId next_hop) {
     return;
   }
   // Intermediate node: report to the source; the packet itself is lost.
-  if (sr->next_index >= 1) {
-    const std::size_t my_index = sr->next_index - 1;
-    if (my_index >= 1 && my_index < sr->path.size() && sr->path[my_index] == node_.id()) {
-      auto rerr = std::make_unique<Rerr>();
-      rerr->broken_from = node_.id();
-      rerr->broken_to = next_hop;
-      rerr->back_path = Path(sr->path.begin(),
-                             sr->path.begin() + static_cast<std::ptrdiff_t>(my_index) + 1);
-      rerr->back_index = my_index - 1;
-      const NodeId next = rerr->back_path[rerr->back_index];
-      Packet out;
-      out.kind = PacketKind::kRoutingControl;
-      out.ip.src = node_.id();
-      out.ip.dst = rerr->back_path.front();
-      out.ip.ttl = kInitialTtl;
-      out.ip.proto = IpProto::kRouting;
-      out.routing = std::move(rerr);
-      node_.send_with_next_hop(std::move(out), next);
-    }
-  }
+  report_broken_link(node_, *sr, next_hop);
   node_.drop(pkt, DropReason::kMacRetryLimit);
 }
 
 void Lar::handle_rerr(const Rerr& rerr) {
-  if (rerr.back_index == 0 || rerr.back_path[rerr.back_index] != node_.id()) {
-    if (rerr.back_path.front() == node_.id()) {
-      // Any route through the broken link is suspect; drop routes using it.
-      std::erase_if(routes_, [&](const auto& kv) {
-        const Path& p = kv.second.path;
-        for (std::size_t i = 0; i + 1 < p.size(); ++i) {
-          if (p[i] == rerr.broken_from && p[i + 1] == rerr.broken_to) return true;
-        }
-        return false;
-      });
-    }
-    return;
-  }
-  auto body = std::make_unique<Rerr>(rerr);
-  --body->back_index;
-  const NodeId next = body->back_path[body->back_index];
-  Packet pkt;
-  pkt.kind = PacketKind::kRoutingControl;
-  pkt.ip.src = node_.id();
-  pkt.ip.dst = body->back_path.front();
-  pkt.ip.ttl = kInitialTtl;
-  pkt.ip.proto = IpProto::kRouting;
-  pkt.routing = std::move(body);
-  node_.send_with_next_hop(std::move(pkt), next);
+  if (relay_back(node_, rerr) || rerr.path.front() != node_.id()) return;
+  // Any route through the broken link is suspect; drop routes using it.
+  std::erase_if(routes_, [&](const auto& kv) {
+    return uses_link(kv.second.path, rerr.broken_from, rerr.broken_to);
+  });
 }
 
 void Lar::on_control(const Packet& pkt, NodeId /*from*/) {
@@ -293,21 +163,14 @@ void Lar::on_control(const Packet& pkt, NodeId /*from*/) {
   }
 }
 
-void Lar::flush_buffer(NodeId dst) {
-  for (Packet& pkt : buffer_.take(dst)) route_packet(std::move(pkt));
-}
-
 void Lar::on_node_restart() {
   // Cold reboot: cached routes, learned destination locations (the "GPS
   // last-seen" table), pending discoveries and buffered data all go.
   // next_req_id_ survives (see DSR).
-  // manet-lint: order-independent - only cancels timers; no packet is emitted
-  for (auto& [target, d] : discovering_) node_.sim().cancel(d.timer);
-  discovering_.clear();
+  discoveries_.reset();
+  seen_.clear();
   locations_.clear();
   routes_.clear();
-  rreq_seen_.clear();
-  buffer_.clear(DropReason::kNodeDown);
 }
 
 }  // namespace manet::lar

@@ -13,14 +13,16 @@
 //
 // Positions come from each node's own mobility model — the "GPS receiver".
 // Destination location/timestamps are learned from RREPs (which carry the
-// target's position) and refreshed by data delivery.
+// target's position) and refreshed by data delivery. Discovery bookkeeping,
+// duplicate suppression, route errors and the source-route option are the
+// shared on-demand core (routing/on_demand.hpp).
 #pragma once
 
 #include <unordered_map>
 
 #include "net/node.hpp"
-#include "routing/common.hpp"
 #include "routing/lar/lar_messages.hpp"
+#include "routing/on_demand.hpp"
 
 namespace manet::lar {
 
@@ -54,13 +56,9 @@ class Lar final : public RoutingProtocol {
   // -- introspection (tests) -------------------------------------------------
   [[nodiscard]] bool has_location_for(NodeId dst) const { return locations_.contains(dst); }
   [[nodiscard]] Vec2 own_position();
+  [[nodiscard]] std::size_t seen_requests() const { return seen_.size(); }
 
  private:
-  struct Discovery {
-    std::uint16_t req_id = 0;
-    int retries = 0;
-    EventId timer = kInvalidEventId;
-  };
   struct KnownLocation {
     Vec2 pos;
     SimTime stamp;
@@ -72,23 +70,20 @@ class Lar final : public RoutingProtocol {
 
   void originate(Packet pkt);
   void forward_with_route(Packet pkt);
-  void send_rreq(NodeId target, bool zone_limited);
-  void rreq_timeout(NodeId target);
+  /// The first request of a discovery is zone-limited, the rest flood.
+  void send_rreq(NodeId target, Discovery& d);
   void handle_rreq(const Packet& pkt, const Rreq& rreq);
   void handle_rrep(const Rrep& rrep);
   void handle_rerr(const Rerr& rerr);
-  void send_rrep(Path path);
-  void flush_buffer(NodeId dst);
 
   Config cfg_;
   RngStream rng_;
-  PacketBuffer buffer_;
+  DuplicateFilter seen_;
+  DiscoveryTable discoveries_;
 
   std::uint16_t next_req_id_ = 1;
-  std::unordered_map<NodeId, Discovery> discovering_;
   std::unordered_map<NodeId, KnownLocation> locations_;
   std::unordered_map<NodeId, CachedRoute> routes_;
-  std::unordered_map<std::uint64_t, SimTime> rreq_seen_;
 };
 
 }  // namespace manet::lar

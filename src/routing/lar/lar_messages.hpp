@@ -1,16 +1,15 @@
-// LAR control messages: DSR-style options extended with location fields
-// (8 bytes per coordinate pair, per the LAR paper's format estimates).
+// LAR's route request and reply: the shared on-demand ones extended with
+// location fields (8 bytes per coordinate pair, per the LAR paper's format
+// estimates). Route errors and the source-route option are the shared ones
+// (routing/on_demand.hpp).
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "geom/vec2.hpp"
-#include "packet/packet.hpp"
+#include "routing/on_demand.hpp"
 
 namespace manet::lar {
-
-using Path = std::vector<NodeId>;
 
 /// The request zone carried by zone-limited RREQs.
 struct RequestZone {
@@ -43,26 +42,6 @@ struct Rrep final : RoutingPayloadBase<Rrep> {
 
   [[nodiscard]] std::size_t size_bytes() const override {
     return 4 + 6 + 4 * path.size() + 8;
-  }
-};
-
-struct Rerr final : RoutingPayloadBase<Rerr> {
-  NodeId broken_from = 0;
-  NodeId broken_to = 0;
-  Path back_path;
-  std::size_t back_index = 0;
-
-  [[nodiscard]] std::size_t size_bytes() const override {
-    return 4 + 12 + 4 * back_path.size();
-  }
-};
-
-struct SourceRoute final : RoutingPayloadBase<SourceRoute> {
-  Path path;
-  std::size_t next_index = 1;
-
-  [[nodiscard]] std::size_t size_bytes() const override {
-    return 4 + 4 + 4 * (path.size() >= 2 ? path.size() - 2 : 0);
   }
 };
 

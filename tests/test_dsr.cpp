@@ -44,7 +44,7 @@ TEST(Dsr, DiscoveryPopulatesCache) {
   net.run_for(seconds(3));
   const auto path = as_dsr(net.routing(0)).cache().find(3, net.sim().now());
   ASSERT_TRUE(path.has_value());
-  EXPECT_EQ(*path, (dsr::Path{0, 1, 2, 3}));
+  EXPECT_EQ(*path, (Path{0, 1, 2, 3}));
 }
 
 TEST(Dsr, IntermediateNodesLearnReversePath) {
@@ -128,7 +128,7 @@ TEST(Dsr, RouteErrorReachesSourceAndPurgesLink) {
   EXPECT_EQ(net.stats().data_delivered(), 2u);
   const auto path = as_dsr(net.routing(0)).cache().find(2, net.sim().now());
   ASSERT_TRUE(path.has_value());
-  EXPECT_EQ(*path, (dsr::Path{0, 3, 2}));
+  EXPECT_EQ(*path, (Path{0, 3, 2}));
 }
 
 TEST(Dsr, UnreachableTargetGivesUp) {

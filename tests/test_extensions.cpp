@@ -1,6 +1,5 @@
 // Tests for the substrate extensions: channel frame-loss model, radio energy
-// accounting, event tracing, AODV local repair, and the scenario hooks that
-// expose them.
+// accounting, event tracing, and the scenario hooks that expose them.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -164,47 +163,6 @@ TEST(Trace, ScenarioIntegration) {
   ASSERT_TRUE(std::getline(in, first));
   EXPECT_TRUE(first[0] == 's' || first[0] == 'f' || first[0] == 'r' || first[0] == 'D');
   std::remove(path.c_str());
-}
-
-// ---------------------------------------------------------------------------
-// AODV local repair
-// ---------------------------------------------------------------------------
-
-TEST(AodvLocalRepair, IntermediateNodeRepairsAroundBreak) {
-  // 0-1-2 with a standby relay 3 near 1; destination 2 drifts out of 1's
-  // range but stays within 3's. With local repair, node 1 re-discovers 2
-  // itself and forwards the stranded packet; the flow keeps delivering.
-  aodv::Config cfg;
-  cfg.local_repair = true;
-  std::vector<Vec2> pos = {{0.0, 0.0}, {200.0, 0.0}, {400.0, 0.0}, {250.0, 150.0}};
-  TestNet net(pos, aodv_factory(cfg));
-  net.send_data(0, 2);
-  net.run_for(seconds(2));
-  ASSERT_EQ(net.stats().data_delivered(), 1u);
-  net.mobility(2).set_position({420.0, 280.0});  // d(1,2)=356, d(3,2)=214
-  net.run_for(seconds(1));
-  net.send_data(0, 2, 0, 1);
-  net.run_for(seconds(10));
-  EXPECT_EQ(net.stats().data_delivered(), 2u);
-}
-
-TEST(AodvLocalRepair, OffByDefaultDropsAtIntermediate) {
-  aodv::Config cfg;  // local_repair = false
-  std::vector<Vec2> pos = {{0.0, 0.0}, {200.0, 0.0}, {400.0, 0.0}, {250.0, 150.0}};
-  TestNet net(pos, aodv_factory(cfg));
-  net.send_data(0, 2);
-  net.run_for(seconds(2));
-  ASSERT_EQ(net.stats().data_delivered(), 1u);
-  net.mobility(2).set_position({420.0, 280.0});
-  net.run_for(seconds(1));
-  net.send_data(0, 2, 0, 1);
-  net.run_for(milliseconds(500));
-  // The stranded packet is gone (counted), though the source will
-  // eventually rediscover for future packets.
-  EXPECT_EQ(net.stats().data_delivered(), 1u);
-  EXPECT_GE(net.stats().drops(DropReason::kMacRetryLimit) +
-                net.stats().drops(DropReason::kArpFail),
-            0u);
 }
 
 // ---------------------------------------------------------------------------

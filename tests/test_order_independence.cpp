@@ -21,6 +21,8 @@
 #include <cstdlib>
 #include <string>
 
+#include "testutil.hpp"
+
 namespace manet {
 namespace {
 
@@ -88,6 +90,37 @@ TEST(OrderIndependence, PerSeedMetricsMatchPreConversionGoldens) {
     }
     EXPECT_EQ(fp, kGoldens[i]) << "case " << i
                                << ": container conversion changed simulation behaviour";
+  }
+}
+
+/// A partitioned field: 14 nodes on 1300 m x 1300 m for 60 s. Flows whose
+/// destination sits in another component exhaust every retry, so each
+/// on-demand protocol gives a discovery up and drops its buffered packets
+/// with kNoRoute. DSR needs ~46 s to get there (non-propagating query, then
+/// eight floods backing off to 10 s), longer than any dense case above runs.
+TEST(OrderIndependence, PartitionedFieldGiveUpMatchesGoldens) {
+  const struct {
+    Protocol protocol;
+    const char* golden;
+  } kGiveUpGoldens[] = {
+      {Protocol::kAodv,
+       "events=19735 orig=715 deliv=169 rtx=130 mac=1048 tretx=0 flows=0 pdr=0.236363636364 delay=317.563860408 nrl=0.769230769231 hops=2 conn=0.191176470588"},
+      {Protocol::kDsr,
+       "events=18027 orig=715 deliv=169 rtx=48 mac=1061 tretx=0 flows=0 pdr=0.236363636364 delay=171.816672325 nrl=0.284023668639 hops=2 conn=0.191176470588"},
+      {Protocol::kCbrp,
+       "events=21298 orig=715 deliv=169 rtx=471 mac=891 tretx=0 flows=0 pdr=0.236363636364 delay=723.423644059 nrl=2.78698224852 hops=1.65680473373 conn=0.191176470588"},
+      {Protocol::kLar,
+       "events=17944 orig=715 deliv=169 rtx=50 mac=1053 tretx=0 flows=0 pdr=0.236363636364 delay=168.755385959 nrl=0.295857988166 hops=2 conn=0.191176470588"},
+  };
+  for (const auto& g : kGiveUpGoldens) {
+    ScenarioConfig cfg = config_for({g.protocol, 1});
+    cfg.area = {1300.0, 1300.0};
+    cfg.duration = seconds(60);
+    Scenario run(cfg);
+    const ScenarioResult r = run.run();
+    EXPECT_GT(run.stats().drops(DropReason::kNoRoute), 0u) << to_string(g.protocol);
+    test::expect_golden(test::result_fingerprint(r), g.golden,
+                        std::string(to_string(g.protocol)) + " partitioned field");
   }
 }
 

@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "routing/aodv/aodv_messages.hpp"
-#include "routing/dsr/dsr_messages.hpp"
+#include "routing/on_demand.hpp"
 
 namespace manet {
 namespace {
@@ -42,18 +42,18 @@ TEST(Packet, MutationNeverLeaksToSiblingCopies) {
   // A broadcast: every receiver holds its own copy of one frame. A receiver
   // that rewrites its source route (forwarding) must not perturb siblings.
   Packet frame;
-  auto sr = std::make_unique<dsr::SourceRoute>();
+  auto sr = std::make_unique<SourceRoute>();
   sr->path = {0, 1, 2, 3};
   sr->next_index = 1;
   frame.routing = std::move(sr);
   Packet rx1 = frame;
   Packet rx2 = frame;
-  auto* mut = dynamic_cast<dsr::SourceRoute*>(rx1.routing.mutate());
+  auto* mut = dynamic_cast<SourceRoute*>(rx1.routing.mutate());
   ASSERT_NE(mut, nullptr);
   ++mut->next_index;
   mut->path.push_back(9);
   for (const Packet* p : {&frame, &rx2}) {
-    const auto* s = dynamic_cast<const dsr::SourceRoute*>(p->routing.get());
+    const auto* s = dynamic_cast<const SourceRoute*>(p->routing.get());
     ASSERT_NE(s, nullptr);
     EXPECT_EQ(s->next_index, 1u);
     EXPECT_EQ(s->path.size(), 4u);
@@ -119,7 +119,7 @@ TEST(Packet, DataFrameWithSourceRouteGrows) {
   p.kind = PacketKind::kData;
   p.payload_bytes = 512;
   const std::size_t bare = p.size_bytes();
-  auto sr = std::make_unique<dsr::SourceRoute>();
+  auto sr = std::make_unique<SourceRoute>();
   sr->path = {0, 1, 2, 3, 4};  // three intermediate hops
   p.routing = std::move(sr);
   EXPECT_EQ(p.size_bytes(), bare + 4 + 4 + 4 * 3);
