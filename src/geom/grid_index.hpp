@@ -1,10 +1,11 @@
 // Uniform-grid spatial index.
 //
 // The channel must find "all nodes within carrier-sense range of the
-// transmitter" on every frame. A brute-force scan is O(N) per transmission;
-// with the grid the query is O(nodes in the 3×3 neighbourhood of cells),
-// which is what makes 90-node × 150 s runs fast. Cell size is chosen as the
-// query radius so a radius query touches at most 9 cells.
+// transmitter" for every frame; it queries the grid at most once per sender
+// and refresh epoch (phy/channel.hpp). A brute-force scan is O(N); with the
+// grid the query is O(nodes in the 3×3 neighbourhood of cells), which is
+// what makes 90-node × 150 s runs fast. Cell size is chosen as the query
+// radius so a radius query touches at most 9 cells.
 #pragma once
 
 #include <cstdint>

@@ -22,7 +22,8 @@ class MobilityModel {
   virtual Vec2 position_at(SimTime t) = 0;
 
   /// Upper bound on instantaneous speed (m/s); the channel uses this to size
-  /// the slack on spatial-index queries between refreshes.
+  /// the slack on spatial-index queries between refreshes, so positions must
+  /// be continuous in t: no jump at a leg boundary or wall.
   [[nodiscard]] virtual double max_speed() const = 0;
 };
 

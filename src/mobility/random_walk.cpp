@@ -16,8 +16,8 @@ RandomWalk::RandomWalk(const RandomWalkConfig& cfg, RngStream rng) : cfg_(cfg), 
 }
 
 void RandomWalk::next_leg() {
-  from_ = from_ + velocity_ * (leg_end_ - depart_).sec();
-  from_ = cfg_.area.clamp(from_);
+  // The new leg starts where the old one ended, reflection included.
+  from_ = on_leg(leg_end_);
   depart_ = leg_end_;
   leg_end_ = depart_ + cfg_.step;
   const double speed = rng_.uniform(cfg_.v_min, cfg_.v_max);
@@ -27,6 +27,10 @@ void RandomWalk::next_leg() {
 
 Vec2 RandomWalk::position_at(SimTime t) {
   while (t >= leg_end_) next_leg();
+  return on_leg(t);
+}
+
+Vec2 RandomWalk::on_leg(SimTime t) const {
   Vec2 p = from_ + velocity_ * (t - depart_).sec();
   // Reflect off the boundary; with legs of bounded length one reflection per
   // axis suffices (speed * step < area dimensions for sane configs), but we

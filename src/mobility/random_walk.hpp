@@ -26,6 +26,8 @@ class RandomWalk final : public MobilityModel {
 
  private:
   void next_leg();
+  /// Position at `t` on the current leg, reflected into the area.
+  [[nodiscard]] Vec2 on_leg(SimTime t) const;
 
   RandomWalkConfig cfg_;
   RngStream rng_;

@@ -1,6 +1,7 @@
 #include "phy/channel.hpp"
 
 #include <algorithm>
+#include <span>
 
 #include "core/assert.hpp"
 
@@ -28,9 +29,11 @@ void Channel::add(Transceiver* trx, MobilityModel* mob) {
   trx->attach_channel(this);
   trx_.push_back(trx);
   mob_.push_back(mob);
+  reach_.emplace_back();
   max_speed_ = std::max(max_speed_, mob->max_speed());
   const std::uint32_t gid = grid_.insert(mob->position_at(sim_.now()));
   MANET_ASSERT(gid == trx->id());
+  next_epoch();  // the new node is in no kept reach
 }
 
 void Channel::start() {
@@ -38,18 +41,45 @@ void Channel::start() {
 }
 
 void Channel::refresh_positions() {
+  bool moved = max_speed_ > 0.0;
   // manet-lint: allow-node-scan - periodic 4 Hz grid refresh, not per-event
   for (std::uint32_t i = 0; i < trx_.size(); ++i) {
-    grid_.update(i, mob_[i]->position_at(sim_.now()));
+    const Vec2 p = mob_[i]->position_at(sim_.now());
+    moved = moved || distance2(p, grid_.position(i)) > 0.0;
+    grid_.update(i, p);
   }
+  if (moved) next_epoch();
   sim_.schedule(refresh_, [this] { refresh_positions(); });
+}
+
+void Channel::next_epoch() {
+  ++epoch_;
+  reach_ids_.clear();
+  reach_order_.clear();
 }
 
 Vec2 Channel::position_of(NodeId id) {
   MANET_EXPECTS(id < mob_.size());
   const Vec2 p = mob_[id]->position_at(sim_.now());
-  grid_.update(id, p);
+  if (distance2(p, grid_.position(id)) > 0.0) {
+    // A node of a static field moved: only a teleport does that.
+    if (max_speed_ <= 0.0) next_epoch();
+    grid_.update(id, p);
+  }
   return p;
+}
+
+void Channel::keep_reach(Reach& r, Vec2 src) {
+  const auto n = static_cast<std::uint32_t>(scratch_.size());
+  by_distance_.clear();
+  for (std::uint32_t k = 0; k < n; ++k) {
+    by_distance_.emplace_back(distance2(grid_.position(scratch_[k]), src), k);
+  }
+  std::sort(by_distance_.begin(), by_distance_.end());
+  r.offset = static_cast<std::uint32_t>(reach_ids_.size());
+  r.size = n;
+  reach_ids_.insert(reach_ids_.end(), scratch_.begin(), scratch_.end());
+  for (const auto& [d2, k] : by_distance_) reach_order_.push_back(k);
 }
 
 SimTime Channel::transmit(NodeId sender, const Packet& frame) {
@@ -58,15 +88,26 @@ SimTime Channel::transmit(NodeId sender, const Packet& frame) {
   // A crashed sender radiates nothing. (The node gates its own sends too;
   // this catches MAC events already in flight at the crash instant.)
   if (fault_ != nullptr && fault_->node_down(sender)) return airtime;
-  const Vec2 src = position_of(sender);
+  const Vec2 src = position_of(sender);  // may end a static field's epoch
   const double corrupt_rate = fault_ != nullptr ? fault_->corrupt_rate() : 0.0;
 
-  // Grid query with slack: a node may have moved up to v_max * refresh since
-  // its slot was updated, and the sender itself is exact, hence one factor of
-  // v_max for the candidate plus a safety margin.
-  const double slack = max_speed_ * refresh_.sec() * 2.0 + 1.0;
-  scratch_.clear();
-  grid_.query(src, cfg_.cs_range_m + slack, sender, scratch_);
+  // The sender's reach: kept from its second transmission in this epoch on,
+  // queried afresh into scratch_ before that.
+  Reach& r = reach_[sender];
+  if (r.epoch != epoch_ || r.offset == kNone) {
+    scratch_.clear();
+    grid_.query(src, cfg_.cs_range_m + slack(), sender, scratch_);
+    if (r.epoch == epoch_) {
+      keep_reach(r, src);
+    } else {
+      r.epoch = epoch_;
+      r.offset = kNone;
+    }
+  }
+  const bool kept = r.offset != kNone;
+  const std::uint32_t* const ids = kept ? reach_ids_.data() + r.offset : scratch_.data();
+  const std::uint32_t n = kept ? r.size : static_cast<std::uint32_t>(scratch_.size());
+  if (kept) slot_.assign(n, kNone);
 
   const double rx2 = cfg_.rx_range_m * cfg_.rx_range_m;
   const double cs2 = cfg_.cs_range_m * cfg_.cs_range_m;
@@ -82,14 +123,14 @@ SimTime Channel::transmit(NodeId sender, const Packet& frame) {
   }
   t->airtime = airtime;
   bool copied = false;
-  for (const std::uint32_t id : scratch_) {
+  for (std::uint32_t k = 0; k < n; ++k) {
+    const std::uint32_t id = ids[k];
     // A down receiver absorbs nothing — not even carrier energy; its radio
     // is off. A blacked-out or partition-cut link is silent in both
     // directions. Both checks precede any RNG draw so that fault-free runs
     // consume the loss stream identically with or without a FaultRuntime.
     if (fault_ != nullptr && fault_->node_down(id)) continue;
     const Vec2 dst = mob_[id]->position_at(sim_.now());
-    grid_.update(id, dst);
     if (fault_ != nullptr && fault_->link_blocked(sender, id, src, dst)) continue;
     const double d2 = distance2(src, dst);
     if (d2 > cs2) continue;
@@ -120,6 +161,7 @@ SimTime Channel::transmit(NodeId sender, const Packet& frame) {
       t->frame = frame;
       copied = true;
     }
+    if (kept) slot_[k] = static_cast<std::uint32_t>(t->arrivals.size());
     // Nothing else takes an order number inside this loop, so the arrivals'
     // numbers are contiguous, in candidate-scan order.
     t->arrivals.push_back({sim_.now() + prop, sim_.reserve_order(), trx_[id], decodable});
@@ -128,9 +170,24 @@ SimTime Channel::transmit(NodeId sender, const Packet& frame) {
     release(t);
     return airtime;
   }
-  std::sort(t->arrivals.begin(), t->arrivals.end(), [](const Arrival& a, const Arrival& b) {
+  const auto before = [](const Arrival& a, const Arrival& b) {
     return a.at != b.at ? a.at < b.at : a.start_seq < b.start_seq;
-  });
+  };
+  if (kept) {
+    // Insertion in the cached distance order: each arrival moves past only
+    // the ones it overtook since the query.
+    sorted_.clear();
+    for (const std::uint32_t k : std::span(reach_order_.data() + r.offset, n)) {
+      if (slot_[k] == kNone) continue;
+      sorted_.push_back(t->arrivals[slot_[k]]);
+      for (std::size_t j = sorted_.size() - 1; j > 0 && before(sorted_[j], sorted_[j - 1]); --j) {
+        std::swap(sorted_[j], sorted_[j - 1]);
+      }
+    }
+    std::swap(t->arrivals, sorted_);
+  } else {
+    std::sort(t->arrivals.begin(), t->arrivals.end(), before);
+  }
   const Arrival& first = t->arrivals.front();
   sim_.schedule_at(first.at, first.start_seq, [this, t] { run_start(t); });
   return airtime;
@@ -180,20 +237,16 @@ void Channel::release(Transmission* t) {
   free_.push_back(t);
 }
 
-std::vector<NodeId> Channel::neighbors_of(NodeId id, double radius) {
+void Channel::neighbors_of(NodeId id, double radius, std::vector<NodeId>& out) {
   const Vec2 p = position_of(id);
-  // Refresh candidates exactly, as transmit() does.
-  const double slack = max_speed_ * refresh_.sec() * 2.0 + 1.0;
-  scratch_.clear();
-  grid_.query(p, radius + slack, id, scratch_);
-  std::vector<NodeId> out;
+  // A single query needs one v_max · refresh of slack: the grid slots are
+  // at most one refresh old, and p is exact.
+  out.clear();
+  grid_.query(p, radius + slack(), id, out);
   const double r2 = radius * radius;
-  for (const std::uint32_t cand : scratch_) {
-    const Vec2 q = mob_[cand]->position_at(sim_.now());
-    grid_.update(cand, q);
-    if (distance2(p, q) <= r2) out.push_back(cand);
-  }
-  return out;
+  std::erase_if(out, [&](NodeId cand) {
+    return distance2(p, mob_[cand]->position_at(sim_.now())) > r2;
+  });
 }
 
 }  // namespace manet

@@ -1,41 +1,55 @@
 // The shared wireless channel.
 //
-// Connects all transceivers. On each transmission it finds the nodes within
-// carrier-sense range of the transmitter (grid spatial index + exact
-// distance check), computes per-receiver propagation delays, and delivers
-// energy/frame arrivals at each. Node positions come from the mobility
-// models; the grid is refreshed periodically and queried with a slack margin
-// of 2 · v_max · refresh-interval so candidates are never missed between
-// refreshes.
+// Connects all transceivers. A transmission reaches every node within
+// carrier-sense range of the sender at that instant (exact distances), each
+// after its propagation delay. Candidates come from the sender's *reach*: a
+// grid query around its exact position with radius cs_range + slack, slack =
+// 2 · v_max · refresh + 1 m, kept as ascending ids plus their order by
+// distance at query time. Grid slots are refreshed at 4 Hz (and by
+// position_of()), so a slot is at most one refresh older than any instant of
+// the current *epoch*. A mobile field's epoch ends at every refresh; a static
+// field's ends only when a refresh or position_of() sees a node at a new
+// position (a teleport). Within one epoch a receiver and the sender each move
+// at most v_max · refresh from where the query saw them, so the reach is a
+// superset of every in-range set the sender has in its epoch, and the exact
+// test picks the same receivers a fresh query would. That needs every
+// mobility model to move continuously and no faster than its max_speed().
+// The one jump is a teleport, StaticMobility::set_position: the next
+// refresh sees it, or position_of() of the moved node does first (as when
+// it sends). Until then a frame can miss a node moved into range, for up to
+// one refresh: a sender's kept reach does not list it, nor does a fresh
+// query against its stale slot.
+//
+// A reach is kept from the sender's second transmission in an epoch on; a
+// first one queries into scratch. transmit() walks the reach in id order,
+// so fault masks, RNG draws and order numbers are taken as a fresh query
+// takes them, then emits the arrivals in the cached distance order through
+// an insertion pass keyed by (time, order): an exact sort, linear when
+// nothing has moved.
 //
 // Each transmission gets one pooled record holding its arrivals and one copy
 // of the frame, shared by every decodable arrival. The record runs its
-// arrivals as two chains of events, one of rx_starts and one of accepted
-// rx_ends, and each chain keeps one queue entry at a time: a chain step
-// schedules the next step before it runs its own arrival, so the next step
-// usually takes the root the running event left and sifts one level.
-//
-// Exactness. The run is event-for-event identical to one that schedules
-// every rx_start and rx_end as its own event, the model every golden pins:
-// each still runs as its own event, at the same (time, order).
-//   * transmit() reserves each arrival's order number in its candidate
-//     loop, where scheduling an event for that arrival would take one, and
-//     rx_start() reserves its rx_end's number before the MAC hears of the
-//     arrival, where scheduling the rx_end would. Every other event
-//     therefore gets the number it would get in that model too.
-//   * The start chain walks the arrivals sorted by (time, order). The end
-//     chain walks the accepted arrivals in the same order: every end is its
-//     start plus one airtime, and end numbers are reserved in the order the
-//     starts run, so that is also the ends' (time, order) order.
-//   * Each step is in the queue before its turn: the next start is
-//     scheduled when the previous start runs, and an end when the previous
-//     accepted end runs or, if its own start had not run by then, when that
-//     start runs. Each of those runs strictly earlier in (time, order) than
-//     the step it schedules. Nothing assumes the airtime exceeds the spread
-//     of propagation delays, so ends may interleave with later starts.
+// arrivals as two chains of events, rx_starts and accepted rx_ends, each
+// keeping one queue entry at a time: a step schedules the next step before
+// it runs its own arrival. The run is event-for-event identical to one that
+// schedules every rx_start and rx_end as its own event (the model the
+// goldens pin), at the same (time, order):
+//   * transmit() reserves each arrival's order number in its candidate loop
+//     and rx_start() its rx_end's number before the MAC hears of the arrival,
+//     where scheduling those events would take them.
+//   * The start chain walks the arrivals sorted by (time, order); the end
+//     chain walks the accepted ones in the same order, which is also the
+//     ends' (time, order) order: each end is its start plus one airtime, and
+//     end numbers are reserved in the order the starts run.
+//   * Each step is queued by an event strictly earlier in (time, order): the
+//     previous start, or the previous accepted end, or its own start if that
+//     ran later. Nothing assumes the airtime exceeds the spread of
+//     propagation delays, so ends may interleave with later starts.
 #pragma once
 
+#include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "core/rng.hpp"
@@ -75,12 +89,21 @@ class Channel {
 
   [[nodiscard]] const PhyConfig& config() const { return cfg_; }
 
-  /// Current position of a node (refreshes its grid slot).
+  /// Current position of a node (refreshes its grid slot; on a static
+  /// field a changed position ends the epoch).
   [[nodiscard]] Vec2 position_of(NodeId id);
 
-  /// Ids of nodes within `radius` of node `id` at current time (exact).
-  /// Exposed for tests and for topology dumps in examples.
-  std::vector<NodeId> neighbors_of(NodeId id, double radius);
+  /// Replaces `out` with the ids of the nodes within `radius` of node `id`
+  /// at the current time (exact), in ascending id order. Allocates only
+  /// when `out` must grow.
+  void neighbors_of(NodeId id, double radius, std::vector<NodeId>& out);
+
+  /// As above, into a fresh vector (tests).
+  [[nodiscard]] std::vector<NodeId> neighbors_of(NodeId id, double radius) {
+    std::vector<NodeId> out;
+    neighbors_of(id, radius, out);
+    return out;
+  }
 
   // -- fault injection --------------------------------------------------------
   /// Attach the fault masks (crashed nodes, blacked-out links, corruption
@@ -112,7 +135,21 @@ class Channel {
     bool end_armed = false;
   };
 
+  /// Where a sender's reach lives. `epoch` is the epoch of the sender's
+  /// last transmission; `offset` is kNone after its first transmission in
+  /// that epoch, else the reach's start in `reach_ids_` and `reach_order_`.
+  struct Reach {
+    std::uint32_t epoch = kNone;
+    std::uint32_t offset = kNone;
+    std::uint32_t size = 0;
+  };
+  static constexpr std::uint32_t kNone = UINT32_MAX;
+
+  [[nodiscard]] double slack() const { return max_speed_ * refresh_.sec() * 2.0 + 1.0; }
   void refresh_positions();
+  void next_epoch();
+  /// Keep the query in `scratch_`, made around `src`, as reach `r`.
+  void keep_reach(Reach& r, Vec2 src);
   void run_start(Transmission* t);
   void run_end(Transmission* t);
   void schedule_end(Transmission* t, std::size_t i);
@@ -130,7 +167,14 @@ class Channel {
   double max_speed_ = 0.0;
   std::vector<Transceiver*> trx_;
   std::vector<MobilityModel*> mob_;
-  std::vector<std::uint32_t> scratch_;
+  std::uint32_t epoch_ = 0;
+  std::vector<Reach> reach_;                ///< per node
+  std::vector<std::uint32_t> reach_ids_;    ///< this epoch's kept reaches: ids, ascending,
+  std::vector<std::uint32_t> reach_order_;  ///< and indices into them by distance
+  std::vector<std::uint32_t> scratch_;      ///< the latest fresh query
+  std::vector<std::uint32_t> slot_;         ///< candidate -> its arrival, or kNone
+  std::vector<Arrival> sorted_;             ///< the insertion pass's output
+  std::vector<std::pair<double, std::uint32_t>> by_distance_;  ///< keep_reach's sort
   std::vector<std::unique_ptr<Transmission>> records_;  ///< every record, for ownership
   std::vector<Transmission*> free_;                     ///< the pool
 };

@@ -13,7 +13,8 @@ Cbrp::Cbrp(Node& node, const Config& cfg, RngStream rng)
       seen_(seconds(30)),
       discoveries_(*this, node, [this](NodeId target, Discovery& d) {
         if (discoveries_.retry(target, d, cfg_.max_retries)) send_rreq(target, d);
-      }) {}
+      }),
+      routes_(cfg.route_lifetime) {}
 
 void Cbrp::start() {
   node_.sim().schedule(microseconds(rng_.uniform_int(0, cfg_.hello_interval.ns() / 1000)),
@@ -138,9 +139,8 @@ void Cbrp::originate(Packet pkt) {
     send_source_routed(node_, std::move(pkt), {node_.id(), dst});
     return;
   }
-  const auto it = route_table_.find(dst);
-  if (it != route_table_.end() && it->second.expires > node_.sim().now()) {
-    send_source_routed(node_, std::move(pkt), it->second.path);
+  if (const Path* route = routes_.find(dst, node_.sim().now())) {
+    send_source_routed(node_, std::move(pkt), *route);
     return;
   }
   if (Discovery* d = discoveries_.park(std::move(pkt), dst)) send_rreq(dst, *d);
@@ -205,9 +205,8 @@ void Cbrp::handle_rreq(const Packet& pkt, const Rreq& rreq) {
 
 void Cbrp::handle_rrep(const Rrep& rrep) {
   if (relay_back(node_, rrep) || rrep.path.front() != node_.id()) return;
-  const NodeId target = rrep.path.back();
-  route_table_[target] = CachedRoute{rrep.path, node_.sim().now() + cfg_.route_lifetime};
-  discoveries_.complete(target);
+  routes_.learn(rrep.path, node_.sim().now());
+  discoveries_.complete(rrep.path.back());
 }
 
 // ---------------------------------------------------------------------------
@@ -280,7 +279,7 @@ void Cbrp::on_link_failure(const Packet& pkt, NodeId next_hop) {
   }
 
   if (pkt.ip.src == node_.id()) {
-    route_table_.erase(pkt.ip.dst);
+    routes_.erase(pkt.ip.dst);
     Packet retry = pkt;
     retry.routing = nullptr;
     originate(std::move(retry));
@@ -303,10 +302,7 @@ void Cbrp::on_link_failure(const Packet& pkt, NodeId next_hop) {
 
 void Cbrp::handle_rerr(const Rerr& rerr) {
   if (relay_back(node_, rerr) || rerr.path.front() != node_.id()) return;
-  // Invalidate every cached route using the broken link.
-  std::erase_if(route_table_, [&](const auto& kv) {
-    return uses_link(kv.second.path, rerr.broken_from, rerr.broken_to);
-  });
+  routes_.purge_link(rerr.broken_from, rerr.broken_to);
 }
 
 // ---------------------------------------------------------------------------
@@ -331,7 +327,7 @@ void Cbrp::on_node_restart() {
   discoveries_.reset();
   seen_.clear();
   neighbors_.clear();
-  route_table_.clear();
+  routes_.clear();
   role_ = Role::kUndecided;
   head_ = kBroadcast;
   gateway_ = false;

@@ -74,10 +74,6 @@ class Cbrp final : public RoutingProtocol {
     SimTime expires = SimTime::zero();
     std::vector<NeighborSummary> their_neighbors;
   };
-  struct CachedRoute {
-    Path path;
-    SimTime expires = SimTime::zero();
-  };
 
   void send_hello();
   void update_role();
@@ -109,7 +105,7 @@ class Cbrp final : public RoutingProtocol {
   // picking repair relays, so traversal order must be the id order, not the
   // hash order of whatever libstdc++ this host has.
   std::map<NodeId, Neighbor> neighbors_;
-  std::map<NodeId, CachedRoute> route_table_;
+  SourceRouteTable routes_;
   std::uint16_t next_req_id_ = 1;
 };
 

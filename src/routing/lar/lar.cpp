@@ -21,7 +21,8 @@ Lar::Lar(Node& node, const Config& cfg, RngStream rng)
       seen_(seconds(30)),
       discoveries_(*this, node, [this](NodeId target, Discovery& d) {
         if (discoveries_.retry(target, d, cfg_.max_retries)) send_rreq(target, d);
-      }) {}
+      }),
+      routes_(cfg.route_lifetime) {}
 
 void Lar::start() {}
 
@@ -41,9 +42,8 @@ void Lar::route_packet(Packet pkt) {
 
 void Lar::originate(Packet pkt) {
   const NodeId dst = pkt.ip.dst;
-  const auto it = routes_.find(dst);
-  if (it != routes_.end() && it->second.expires > node_.sim().now()) {
-    send_source_routed(node_, std::move(pkt), it->second.path);
+  if (const Path* route = routes_.find(dst, node_.sim().now())) {
+    send_source_routed(node_, std::move(pkt), *route);
     return;
   }
   if (Discovery* d = discoveries_.park(std::move(pkt), dst)) send_rreq(dst, *d);
@@ -116,9 +116,8 @@ void Lar::handle_rreq(const Packet& pkt, const Rreq& rreq) {
 void Lar::handle_rrep(const Rrep& rrep) {
   locations_[rrep.path.back()] = KnownLocation{rrep.target_pos, node_.sim().now()};
   if (relay_back(node_, rrep) || rrep.path.front() != node_.id()) return;
-  const NodeId target = rrep.path.back();
-  routes_[target] = CachedRoute{rrep.path, node_.sim().now() + cfg_.route_lifetime};
-  discoveries_.complete(target);
+  routes_.learn(rrep.path, node_.sim().now());
+  discoveries_.complete(rrep.path.back());
 }
 
 // ---------------------------------------------------------------------------
@@ -147,9 +146,7 @@ void Lar::on_link_failure(const Packet& pkt, NodeId next_hop) {
 void Lar::handle_rerr(const Rerr& rerr) {
   if (relay_back(node_, rerr) || rerr.path.front() != node_.id()) return;
   // Any route through the broken link is suspect; drop routes using it.
-  std::erase_if(routes_, [&](const auto& kv) {
-    return uses_link(kv.second.path, rerr.broken_from, rerr.broken_to);
-  });
+  routes_.purge_link(rerr.broken_from, rerr.broken_to);
 }
 
 void Lar::on_control(const Packet& pkt, NodeId /*from*/) {

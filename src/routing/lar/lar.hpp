@@ -63,10 +63,6 @@ class Lar final : public RoutingProtocol {
     Vec2 pos;
     SimTime stamp;
   };
-  struct CachedRoute {
-    Path path;
-    SimTime expires;
-  };
 
   void originate(Packet pkt);
   void forward_with_route(Packet pkt);
@@ -83,7 +79,7 @@ class Lar final : public RoutingProtocol {
 
   std::uint16_t next_req_id_ = 1;
   std::unordered_map<NodeId, KnownLocation> locations_;
-  std::unordered_map<NodeId, CachedRoute> routes_;
+  SourceRouteTable routes_;
 };
 
 }  // namespace manet::lar

@@ -32,6 +32,15 @@ void DuplicateFilter::clear() {
   sweep_at_ = kMinSweep;
 }
 
+const Path* SourceRouteTable::find(NodeId dst, SimTime now) const {
+  const auto it = routes_.find(dst);
+  return it != routes_.end() && it->second.expires > now ? &it->second.path : nullptr;
+}
+
+void SourceRouteTable::purge_link(NodeId a, NodeId b) {
+  std::erase_if(routes_, [a, b](const auto& kv) { return uses_link(kv.second.path, a, b); });
+}
+
 DiscoveryTable::DiscoveryTable(RoutingProtocol& owner, Node& node, Timeout on_timeout)
     : owner_(owner),
       node_(node),

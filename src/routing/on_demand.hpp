@@ -7,7 +7,9 @@
 //   * DiscoveryTable: the discoveries in flight and the data parked behind
 //     them — start, timer, give-up, completion, restart;
 //   * the source-route messages of DSR, CBRP and LAR (SourceRoute, Rreq,
-//     Rrep, Rerr) and the reverse-path send of replies and errors.
+//     Rrep, Rerr) and the reverse-path send of replies and errors;
+//   * SourceRouteTable: the per-destination routes CBRP and LAR learn from
+//     replies.
 // What differs stays with each protocol: AODV's expanding ring and sequence
 // numbers, DSR's cache, non-propagating first query and salvaging, CBRP's
 // clusters, route shortening and local repair, LAR's request zones. Nothing
@@ -16,6 +18,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -110,6 +113,45 @@ class DiscoveryTable {
 
 /// First timeout `first`, doubled `doublings` times, capped at `max`.
 [[nodiscard]] SimTime backoff(SimTime first, SimTime max, int doublings);
+
+// ---------------------------------------------------------------------------
+// Learned source routes
+// ---------------------------------------------------------------------------
+
+/// The source routes a node learned from route replies, one per destination,
+/// each usable for `lifetime` after its reply (CBRP and LAR; DSR keeps its
+/// own path cache).
+class SourceRouteTable {
+ public:
+  explicit SourceRouteTable(SimTime lifetime) : lifetime_(lifetime) {}
+
+  /// The route to `dst` (this node first), or nullptr if none was learned
+  /// within the last lifetime.
+  [[nodiscard]] const Path* find(NodeId dst, SimTime now) const;
+
+  /// Learn `path` (this node first) as the route to path.back().
+  void learn(const Path& path, SimTime now) { routes_[path.back()] = {path, now + lifetime_}; }
+
+  /// Forget the route to `dst`: its first hop failed at the source.
+  void erase(NodeId dst) { routes_.erase(dst); }
+
+  /// Forget every route through the directed link a->b (a route error).
+  void purge_link(NodeId a, NodeId b);
+
+  /// Forget everything (node restart).
+  void clear() { routes_.clear(); }
+
+  [[nodiscard]] std::size_t size() const { return routes_.size(); }
+
+ private:
+  struct Entry {
+    Path path;
+    SimTime expires;
+  };
+
+  SimTime lifetime_;
+  std::map<NodeId, Entry> routes_;
+};
 
 // ---------------------------------------------------------------------------
 // Source-route messages (DSR, CBRP; LAR uses SourceRoute and Rerr)

@@ -260,7 +260,8 @@ void Scenario::sample_connectivity() {
       // pair is an edge only within the diffraction range. Open field
       // (urban() == false) takes the plain unit-disk edge.
       const Vec2 pu = phy.urban() ? channel_->position_of(u) : Vec2{};
-      for (const NodeId v : channel_->neighbors_of(u, radius)) {
+      channel_->neighbors_of(u, radius, conn_nbrs_);
+      for (const NodeId v : conn_nbrs_) {
         if (conn_mark_[v] == label) continue;
         if (phy.urban()) {
           const Vec2 pv = channel_->position_of(v);

@@ -224,6 +224,7 @@ class Scenario {
   std::vector<std::uint32_t> conn_mark_;
   std::uint32_t conn_epoch_ = 0;
   std::vector<NodeId> conn_stack_;
+  std::vector<NodeId> conn_nbrs_;  ///< one expansion's neighbours
   bool built_ = false;
 };
 

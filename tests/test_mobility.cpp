@@ -115,6 +115,31 @@ TEST(RandomWalk, StaysInsideArea) {
   }
 }
 
+// Property: no jump anywhere, leg boundaries included. A leg that reflects
+// off a wall must hand the next leg its reflected end point; the channel's
+// query slack assumes no node outruns max_speed().
+class RandomWalkProperty : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(RandomWalkProperty, BoundedSpeedAcrossLegs) {
+  RandomWalkConfig cfg;
+  cfg.area = {300.0, 200.0};  // small, so most legs reflect
+  cfg.v_min = 5.0;
+  cfg.v_max = 20.0;
+  cfg.step = seconds(10);
+  RandomWalk m(cfg, RngStream(GetParam(), "mob", 4));
+  Vec2 prev = m.position_at(SimTime::zero());
+  const SimTime step = milliseconds(5);
+  SimTime t = SimTime::zero();
+  for (int i = 0; i < 40'000; ++i) {
+    t += step;
+    const Vec2 p = m.position_at(t);
+    ASSERT_LE(distance(prev, p), cfg.v_max * step.sec() * 1.0001) << "at t=" << t.sec();
+    prev = p;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, RandomWalkProperty, ::testing::Values(1, 2, 3, 4, 5));
+
 TEST(RandomWalk, Reproducible) {
   RandomWalkConfig cfg;
   RandomWalk a(cfg, RngStream(5));

@@ -1,6 +1,7 @@
 // Tests for the on-demand core shared by AODV, DSR, CBRP and LAR
 // (routing/on_demand.hpp): the duplicate filter's suppression and its bound,
-// alone and inside each protocol, and the retry backoff.
+// alone and inside each protocol, the retry backoff, and the source-route
+// table of CBRP and LAR.
 #include "routing/on_demand.hpp"
 
 #include <gtest/gtest.h>
@@ -47,6 +48,31 @@ TEST(Backoff, DoublesUpToTheCap) {
   EXPECT_EQ(backoff(milliseconds(500), seconds(10), 3), seconds(4));
   EXPECT_EQ(backoff(milliseconds(500), seconds(10), 5), seconds(10));  // 16 s, capped
   EXPECT_EQ(backoff(milliseconds(500), seconds(10), 40), seconds(10));
+}
+
+TEST(SourceRouteTable, LookupHonoursLifetimeAndLinkPurges) {
+  SourceRouteTable t(seconds(60));
+  t.learn({1, 2, 3, 4}, seconds(0));
+  t.learn({1, 5, 6}, seconds(10));
+  ASSERT_NE(t.find(4, seconds(59)), nullptr);
+  EXPECT_EQ(*t.find(4, seconds(59)), (Path{1, 2, 3, 4}));
+  EXPECT_EQ(t.find(4, seconds(60)), nullptr);  // expired...
+  EXPECT_NE(t.find(6, seconds(60)), nullptr);  // ...but only that one
+  EXPECT_EQ(t.find(7, seconds(0)), nullptr);
+  t.learn({1, 3, 4}, seconds(60));  // a newer reply replaces the route
+  EXPECT_EQ(*t.find(4, seconds(61)), (Path{1, 3, 4}));
+  EXPECT_EQ(t.size(), 2u);
+
+  t.purge_link(4, 3);  // the reverse direction is another link
+  EXPECT_EQ(t.size(), 2u);
+  t.purge_link(3, 4);
+  EXPECT_EQ(t.find(4, seconds(61)), nullptr);
+  EXPECT_NE(t.find(6, seconds(61)), nullptr);
+  t.erase(6);
+  EXPECT_EQ(t.size(), 0u);
+  t.learn({1, 2}, seconds(61));
+  t.clear();
+  EXPECT_EQ(t.find(2, seconds(61)), nullptr);
 }
 
 // Each protocol's filter, fed one distinct request every 50 ms for more than

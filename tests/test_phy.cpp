@@ -1,10 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "core/rng.hpp"
 #include "core/simulator.hpp"
+#include "mobility/random_walk.hpp"
+#include "mobility/random_waypoint.hpp"
 #include "mobility/static_mobility.hpp"
 #include "phy/channel.hpp"
 #include "phy/transceiver.hpp"
@@ -290,6 +296,217 @@ TEST(Phy, TransmissionRecordsReturnToPoolWhenDrained) {
   sim.run();
   EXPECT_EQ(channel.transmissions_in_flight(), 0u);
   EXPECT_EQ(trx[1]->frames_received() + trx[1]->frames_corrupted(), 2u);
+}
+
+
+// A static sender keeps its reach once it has sent twice. A node moved into
+// its range must still hear its next frame once a refresh has seen the move:
+// the inward counterpart of MovingNodeChangesConnectivity.
+TEST(Phy, NodeMovedIntoRangeHearsSenderWithKeptReach) {
+  PhyNet net({{0.0, 0.0}, {2000.0, 2000.0}});
+  for (int i = 0; i < 3; ++i) {
+    net.trx[0]->transmit(net.data_frame(0, kBroadcast));
+    net.sim.run_until(net.sim.now() + milliseconds(10));
+  }
+  EXPECT_EQ(net.listeners[1]->busy_starts, 0);
+  net.mobs[1]->set_position({200.0, 0.0});
+  net.sim.run_until(seconds(1));  // allow a refresh
+  net.trx[0]->transmit(net.data_frame(0, kBroadcast));
+  net.sim.run_until(net.sim.now() + seconds(1));
+  EXPECT_EQ(net.listeners[1]->frames.size(), 1u);
+}
+
+// ---------------------------------------------------------------------------
+// Reach oracle: every transmission's arrivals against an O(N) scan
+// ---------------------------------------------------------------------------
+
+using Heard = std::vector<std::pair<NodeId, SimTime>>;
+
+/// Logs each busy edge with its node and instant. With one frame on the air
+/// at a time, every arrival raises exactly one edge, in event order.
+class ArrivalLog : public PhyListener {
+ public:
+  ArrivalLog(const Simulator& sim, NodeId id, Heard* log) : sim_(sim), id_(id), log_(log) {}
+  void phy_busy_start() override { log_->emplace_back(id_, sim_.now()); }
+  void phy_busy_end() override {}
+  void phy_rx(const Packet& /*frame*/) override {}
+
+ private:
+  const Simulator& sim_;
+  NodeId id_;
+  Heard* log_;
+};
+
+/// A channel over caller-owned mobility models whose transmissions are
+/// checked against brute force: send() appends what an O(N) scan of exact
+/// positions says the frame must reach, ordered by (propagation, id), and
+/// the listeners record what it did reach.
+struct OracleNet {
+  OracleNet(std::vector<MobilityModel*> models, Area area) : mobs(std::move(models)) {
+    channel = std::make_unique<Channel>(sim, cfg, area);
+    for (std::size_t i = 0; i < mobs.size(); ++i) {
+      const auto id = static_cast<NodeId>(i);
+      trx.push_back(std::make_unique<Transceiver>(sim, cfg, id));
+      logs.push_back(std::make_unique<ArrivalLog>(sim, id, &heard));
+      trx.back()->set_listener(logs.back().get());
+      channel->add(trx.back().get(), mobs[i]);
+    }
+    channel->start();
+  }
+
+  void send(NodeId s) {
+    const Vec2 src = mobs[s]->position_at(sim.now());
+    const double cs2 = cfg.cs_range_m * cfg.cs_range_m;
+    Heard want;
+    for (NodeId j = 0; j < mobs.size(); ++j) {
+      const double d2 = distance2(src, mobs[j]->position_at(sim.now()));
+      if (j != s && d2 <= cs2) want.emplace_back(j, sim.now() + cfg.propagation(std::sqrt(d2)));
+    }
+    std::stable_sort(want.begin(), want.end(),
+                     [](const auto& a, const auto& b) { return a.second < b.second; });
+    expected.insert(expected.end(), want.begin(), want.end());
+    Packet frame;
+    frame.mac.dst = kBroadcast;
+    channel->transmit(s, frame);
+    ++sent;
+  }
+
+  Simulator sim;
+  PhyConfig cfg;
+  std::vector<MobilityModel*> mobs;
+  std::unique_ptr<Channel> channel;
+  std::vector<std::unique_ptr<Transceiver>> trx;
+  std::vector<std::unique_ptr<ArrivalLog>> logs;
+  Heard heard;
+  Heard expected;
+  int sent = 0;
+};
+
+// A mobile field at v_max, where every refresh ends the epoch. Two senders
+// share eight transmissions an epoch, so most frames reuse a reach kept
+// earlier in the epoch, late in it where the reach is stalest. At every
+// refresh instant one frame goes out at the refresh's own time: scheduled at
+// set-up for odd refreshes, so it runs before the refresh event, and by an
+// event in the previous epoch for even ones, so it runs after. At 400 m/s
+// the slack is 201 m, and a reach sized for one moving end only (half the
+// slack) misses receivers here. `make(i)` builds node i's model.
+template <typename Make>
+void check_mobile_field(const Area& area, Make make) {
+  std::vector<MobilityPtr> models;
+  std::vector<MobilityModel*> mobs;
+  for (std::uint64_t i = 0; i < 60; ++i) {
+    models.push_back(make(i));
+    mobs.push_back(models.back().get());
+  }
+  OracleNet net(mobs, area);
+  const SimTime refresh = milliseconds(250);
+  RngStream rng(9, "oracle-senders");
+  auto sender = [&rng] { return static_cast<NodeId>(rng.uniform_int(0, 1)); };
+  for (int k = 0; k < 60; ++k) {
+    const SimTime epoch = refresh * k;
+    if (k >= 3 && k % 2 == 1) {
+      net.sim.schedule_at(epoch, [&net, s = sender()] { net.send(s); });
+    } else if (k >= 2) {
+      net.sim.schedule_at(epoch - milliseconds(100), [&net, epoch, s = sender()] {
+        net.sim.schedule_at(epoch, [&net, s] { net.send(s); });
+      });
+    }
+    for (const int offset : {15, 45, 75, 105, 135, 165, 195, 225}) {
+      const SimTime at = epoch + milliseconds(offset) +
+                         microseconds(static_cast<std::int64_t>(rng.uniform(0.0, 10000.0)));
+      net.sim.schedule_at(at, [&net, s = sender()] { net.send(s); });
+    }
+  }
+  net.sim.run_until(refresh * 61);
+  EXPECT_EQ(net.sent, 60 * 8 + 58);
+  ASSERT_GT(net.expected.size(), 2000u);
+  ASSERT_EQ(net.heard.size(), net.expected.size());
+  for (std::size_t i = 0; i < net.expected.size(); ++i) {
+    ASSERT_EQ(net.heard[i], net.expected[i]) << "arrival " << i;
+  }
+}
+
+void check_waypoint_field(double v_max) {
+  RandomWaypointConfig rwp;
+  rwp.area = {1500.0, 1500.0};
+  rwp.v_min = 0.95 * v_max;
+  rwp.v_max = v_max;
+  check_mobile_field(rwp.area, [&rwp](std::uint64_t i) -> MobilityPtr {
+    return std::make_unique<RandomWaypoint>(rwp, RngStream(5, "mobility", i));
+  });
+}
+
+TEST(PhyReachOracle, MobileFieldMatchesBruteForceEveryFrame) { check_waypoint_field(20.0); }
+
+TEST(PhyReachOracle, FastMobileFieldMatchesBruteForceEveryFrame) { check_waypoint_field(400.0); }
+
+// Random walk reflects off the walls and turns every 1.1 s, so legs end
+// mid-epoch, often after a reflection. (That a leg hands the next one its
+// reflected end point, with no jump, is RandomWalkProperty's job.)
+TEST(PhyReachOracle, RandomWalkFieldMatchesBruteForceEveryFrame) {
+  RandomWalkConfig rw;
+  rw.area = {1500.0, 1500.0};
+  rw.v_min = 300.0;
+  rw.v_max = 400.0;
+  rw.step = milliseconds(1100);
+  check_mobile_field(rw.area, [&rw](std::uint64_t i) -> MobilityPtr {
+    return std::make_unique<RandomWalk>(rw, RngStream(5, "mobility", i));
+  });
+}
+
+// A static field keeps one epoch until a node is seen at a new position.
+// Nodes are teleported into a sender's range and out of everyone's; each
+// move is seen either by position_of() (as when the moved node sends) or by
+// the next refresh, and the next frame after that must match brute force.
+TEST(PhyReachOracle, StaticFieldWithTeleportsMatchesBruteForce) {
+  const Area area{1500.0, 1500.0};
+  RngStream rng(3, "oracle-static");
+  std::vector<std::unique_ptr<StaticMobility>> models;
+  std::vector<MobilityModel*> mobs;
+  for (int i = 0; i < 30; ++i) {
+    models.push_back(std::make_unique<StaticMobility>(
+        Vec2{rng.uniform(0.0, area.width), rng.uniform(0.0, area.height)}));
+    mobs.push_back(models.back().get());
+  }
+  OracleNet net(mobs, area);
+  const SimTime refresh = milliseconds(250);
+  auto send_at = [&net](SimTime at, NodeId s) {
+    net.sim.schedule_at(at, [&net, s] { net.send(s); });
+    net.sim.run_until(at + milliseconds(10));
+  };
+  int moves = 0;
+  for (int step = 0; step < 200; ++step) {
+    const auto s = static_cast<NodeId>(rng.uniform_int(0, 5));
+    if (step % 5 != 4) {
+      send_at(net.sim.now() + milliseconds(rng.uniform_int(5, 60)), s);
+      continue;
+    }
+    // Teleport a node other than the sender: half the time into the
+    // sender's decode range, else to a far corner, out of range of all.
+    auto x = static_cast<NodeId>(rng.uniform_int(6, 29));
+    const Vec2 here = models[s]->position_at(net.sim.now());
+    const bool inward = step % 10 == 4;
+    const Vec2 to = inward ? area.clamp({here.x + rng.uniform(-150.0, 150.0),
+                                         here.y + rng.uniform(-150.0, 150.0)})
+                           : Vec2{area.width * 4.0, area.height * 4.0};
+    models[x]->set_position(to);
+    ++moves;
+    if (rng.chance(0.5)) {
+      (void)net.channel->position_of(x);
+      send_at(net.sim.now(), s);
+    } else {
+      // The next refresh instant: the refresh was scheduled in the previous
+      // epoch, so it runs before this frame.
+      const SimTime next = refresh * (net.sim.now().ns() / refresh.ns() + 1);
+      send_at(next, s);
+    }
+  }
+  EXPECT_EQ(moves, 40);
+  ASSERT_GT(net.expected.size(), 500u);
+  ASSERT_EQ(net.heard.size(), net.expected.size());
+  for (std::size_t i = 0; i < net.expected.size(); ++i) {
+    ASSERT_EQ(net.heard[i], net.expected[i]) << "arrival " << i;
+  }
 }
 
 }  // namespace

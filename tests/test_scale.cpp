@@ -30,6 +30,7 @@
 #include "core/time.hpp"
 #include "geom/grid_index.hpp"
 #include "mobility/manhattan.hpp"
+#include "mobility/random_waypoint.hpp"
 #include "scenario/builder.hpp"
 #include "scenario/scenario.hpp"
 #include "testutil.hpp"
@@ -100,6 +101,71 @@ TEST(GridIndexProperty, QueryIsSupersetOfExactDiskAtLargeN) {
     grid.update(i, pos[i]);
   }
   check_queries(40);
+}
+
+// Channel::transmit keeps one grid query (a "reach") per sender for a whole
+// refresh epoch. Grid slots are written at the epoch's refresh and, for some
+// nodes, again later (position_of()), never after the query; the sender's
+// own position is exact at the query. With radius cs + 2 * v_max * refresh
+// + 1 m, the reach must contain every node in range of the sender at any
+// instant of the epoch, up to and including the next refresh's instant.
+TEST(GridIndexProperty, ReachIsSupersetOfExactDiskThroughoutItsEpoch) {
+  const Area area{10000.0, 10000.0};
+  const double cs = 550.0;
+  const double v_max = 20.0;
+  const SimTime refresh = milliseconds(250);
+  const double radius = cs + 2.0 * v_max * refresh.sec() + 1.0;
+  const std::uint32_t n = 5000;
+  const int lattice = 6;  // instants per epoch: 0, 50, ..., 250 ms
+  const int epochs = 6;
+
+  RandomWaypointConfig rwp;
+  rwp.area = area;
+  rwp.v_min = 19.0;
+  rwp.v_max = v_max;
+  std::vector<RandomWaypoint> models;
+  models.reserve(n);
+  for (std::uint32_t i = 0; i < n; ++i) models.emplace_back(rwp, RngStream(11, "mobility", i));
+  // pos[e][m][i]: node i at instant m of epoch e (monotone sampling).
+  std::vector<std::vector<std::vector<Vec2>>> pos(
+      epochs, std::vector<std::vector<Vec2>>(lattice, std::vector<Vec2>(n)));
+  for (int e = 0; e < epochs; ++e) {
+    for (int m = 0; m < lattice; ++m) {
+      const SimTime t = refresh * e + nanoseconds(refresh.ns() * m / (lattice - 1));
+      for (std::uint32_t i = 0; i < n; ++i) pos[e][m][i] = models[i].position_at(t);
+    }
+  }
+
+  GridIndex grid(area, cs);
+  for (std::uint32_t i = 0; i < n; ++i) ASSERT_EQ(grid.insert(pos[0][0][i]), i);
+  RngStream rng(13, "reach-fuzz");
+  std::size_t checked = 0;
+  for (int e = 0; e < epochs; ++e) {
+    for (std::uint32_t i = 0; i < n; ++i) grid.update(i, pos[e][0][i]);  // the refresh
+    for (int q = 0; q < 30; ++q) {
+      const auto s = static_cast<std::uint32_t>(rng.uniform_int(0, n - 1));
+      const auto m0 = static_cast<int>(rng.uniform_int(0, lattice - 1));
+      // position_of() calls between the refresh and the query.
+      for (int u = 0; u < 200; ++u) {
+        const auto j = static_cast<std::uint32_t>(rng.uniform_int(0, n - 1));
+        grid.update(j, pos[e][rng.uniform_int(0, m0)][j]);
+      }
+      grid.update(s, pos[e][m0][s]);
+      std::vector<std::uint32_t> reach;
+      grid.query(pos[e][m0][s], radius, s, reach);
+      EXPECT_TRUE(std::is_sorted(reach.begin(), reach.end()));
+      for (int m = 0; m < lattice; ++m) {
+        for (std::uint32_t j = 0; j < n; ++j) {
+          if (j == s || distance2(pos[e][m][s], pos[e][m][j]) > cs * cs) continue;
+          ++checked;
+          ASSERT_TRUE(std::binary_search(reach.begin(), reach.end(), j))
+              << "node " << j << " in range of " << s << " at instant " << m << " of epoch " << e
+              << " is missing from the reach queried at instant " << m0;
+        }
+      }
+    }
+  }
+  EXPECT_GT(checked, 10000u);
 }
 
 // ---------------------------------------------------------------------------
