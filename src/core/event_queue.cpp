@@ -121,11 +121,23 @@ EventQueue::Popped EventQueue::pop() {
   MANET_EXPECTS(!empty());
   discard_cancelled_top();
   MANET_ASSERT(!heap_.empty());
+  return take_top();
+}
+
+std::optional<EventQueue::Popped> EventQueue::pop_due(SimTime until) {
+  if (live_ == 0) return std::nullopt;
+  discard_cancelled_top();
+  MANET_ASSERT(!heap_.empty());
+  if (heap_.front().time > until) return std::nullopt;
+  return take_top();
+}
+
+EventQueue::Popped EventQueue::take_top() {
   const Entry e = heap_.front();
   root_dead_ = true;  // removed by the next insert or discard_cancelled_top()
 
   Slot& s = slots_[e.slot];
-  Popped out{e.time, make_id(e.slot, e.gen), std::move(s.cb)};
+  Popped out{e.time, e.seq, make_id(e.slot, e.gen), std::move(s.cb)};
   s.live = false;
   s.cb.reset();
   free_.push_back(e.slot);

@@ -4,9 +4,10 @@
 // number from one counter, and ties in time are broken by it, so
 // simulations are deterministic regardless of heap internals. schedule()
 // normally takes the next number, but a caller may reserve_seq() a number
-// now and schedule with it later: the event then runs exactly where an
-// event scheduled at reservation time would have run. The channel uses this
-// to keep one queue entry per chain of arrivals instead of one per arrival.
+// now and schedule with it later, or never: the event then runs exactly
+// where an event scheduled at reservation time would have run. The channel
+// reserves two numbers per arrival, and an arrival's step becomes an event
+// under its number only if something observes it (transceiver.hpp).
 //
 // Heap nodes are 24-byte PODs; callbacks live in a slot array addressed by
 // EventId, so sifting never moves a closure. EventIds are generation-stamped
@@ -19,13 +20,14 @@
 //
 // pop() leaves the popped root in place, marked dead. The next schedule()
 // overwrites it and sifts down from the top; anything else that needs the
-// top (next_time, pop, clear) removes the dead root first. An event
+// top (next_time, pop, pop_due, clear) removes the dead root first. An event
 // scheduled while the previous one runs and due just after it, such as a
 // chain re-arming its next step, thus costs a one-level sift instead of a
 // full pop plus a push.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "core/callback.hpp"
@@ -55,6 +57,10 @@ class EventQueue {
 
   /// True iff `seq` has been handed out by reserve_seq() or schedule().
   [[nodiscard]] bool reserved(std::uint64_t seq) const { return seq < next_seq_; }
+
+  /// The number the next schedule() or reserve_seq() will take: one past
+  /// every number handed out so far.
+  [[nodiscard]] std::uint64_t next_seq() const { return next_seq_; }
 
   /// Schedule `cb` at `at` with a sequence number from reserve_seq(). Each
   /// reserved number is used at most once.
@@ -88,10 +94,17 @@ class EventQueue {
   /// Remove and return the earliest live event. Precondition: !empty().
   struct Popped {
     SimTime time;
+    std::uint64_t seq;
     EventId id;
     Callback cb;
   };
   Popped pop();
+
+  /// Remove and return the earliest live event if it is due at or before
+  /// `until`; nothing if the queue is empty or its next event is later. One
+  /// pass over the cancelled entries on top, where next_time() then pop()
+  /// would take two.
+  std::optional<Popped> pop_due(SimTime until);
 
   /// Drop everything (used when tearing down a simulation early).
   void clear();
@@ -136,6 +149,8 @@ class EventQueue {
   void pop_heap_top();
   void drop_dead_root();
   void discard_cancelled_top();
+  /// Pop the live root. Precondition: discard_cancelled_top() left one.
+  Popped take_top();
   void retire(std::uint32_t slot);
 
   std::vector<Entry> heap_;   // 4-ary min-heap by (time, seq)

@@ -27,22 +27,24 @@ EventId Simulator::schedule_at(SimTime at, std::uint64_t seq, EventQueue::Callba
 std::uint64_t Simulator::run_until(SimTime until) {
   stopped_ = false;
   std::uint64_t ran = 0;
-  while (!queue_.empty() && !stopped_) {
-    if (queue_.next_time() > until) break;
-    auto ev = queue_.pop();
+  while (!stopped_) {
+    auto ev = queue_.pop_due(until);
+    if (!ev) break;
     // Executive invariant: simulated time never moves backwards.
-    MANET_ASSERT_MSG(ev.time >= now_, "event-queue time moved backwards: popped t=%lldns at now=%lldns",
-                     static_cast<long long>(ev.time.ns()), static_cast<long long>(now_.ns()));
-    now_ = ev.time;
-    ev.cb();
+    MANET_ASSERT_MSG(ev->time >= now_, "event-queue time moved backwards: popped t=%lldns at now=%lldns",
+                     static_cast<long long>(ev->time.ns()), static_cast<long long>(now_.ns()));
+    now_ = ev->time;
+    order_ = ev->seq;
+    in_event_ = true;
+    ev->cb();
+    in_event_ = false;
     ++ran;
     ++events_executed_;
   }
   // Advance the clock to the horizon even if the queue drained early, so a
-  // subsequent run_until() continues from a consistent point.
-  if (!stopped_ && (queue_.empty() || queue_.next_time() > until)) {
-    if (until > now_ && until != SimTime::max()) now_ = until;
-  }
+  // subsequent run_until() continues from a consistent point. Unless stopped,
+  // the loop ended because nothing is due by `until`.
+  if (!stopped_ && until > now_ && until != SimTime::max()) now_ = until;
   return ran;
 }
 

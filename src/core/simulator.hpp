@@ -5,14 +5,27 @@
 // insertion-seq) order on the calling thread, so a run is a pure function of
 // (scenario, seed). Multi-core use happens one level up: SweepRunner runs
 // independent replications concurrently, one Simulator each.
+//
+// point() names where the run stands in that order: the running event's
+// (time, order), or, outside any event, the instant now after every order
+// number reserved so far. The transceivers compare against it to apply the
+// arrivals they keep without events exactly where those events would run.
 #pragma once
 
+#include <compare>
 #include <cstdint>
 
 #include "core/event_queue.hpp"
 #include "core/time.hpp"
 
 namespace manet {
+
+/// A place in the run's total order of events: (time, order number).
+struct SimPoint {
+  SimTime time;
+  std::uint64_t order = 0;
+  friend auto operator<=>(const SimPoint&, const SimPoint&) = default;
+};
 
 class Simulator {
  public:
@@ -22,6 +35,12 @@ class Simulator {
 
   /// Current simulated time.
   [[nodiscard]] SimTime now() const { return now_; }
+
+  /// The running event's (time, order); outside any event, now after every
+  /// order number reserved so far.
+  [[nodiscard]] SimPoint point() const {
+    return {now_, in_event_ ? order_ : queue_.next_seq()};
+  }
 
   /// Schedule `cb` to run `delay` from now. Negative delays are a contract
   /// violation — the past is immutable.
@@ -67,6 +86,8 @@ class Simulator {
  private:
   EventQueue queue_;
   SimTime now_ = SimTime::zero();
+  std::uint64_t order_ = 0;  ///< the running event's order number
+  bool in_event_ = false;
   bool stopped_ = false;
   std::uint64_t events_executed_ = 0;
 };

@@ -15,6 +15,22 @@ WifiMac::WifiMac(Simulator& sim, const MacConfig& cfg, Transceiver& trx, StatsCo
                  RngStream rng)
     : sim_(sim), cfg_(cfg), trx_(trx), stats_(stats), rng_(rng), cw_(cfg.cw_min) {
   trx_.set_listener(this);
+  trx_.set_contending(false);
+}
+
+void WifiMac::set_state(State s) {
+  state_ = s;
+  trx_.set_contending(s == State::kContend);
+#ifndef NDEBUG
+  MANET_ASSERT_MSG(timers_match_state(), "node %u t=%lldns: a contention timer is pending in state %d",
+                   static_cast<unsigned>(trx_.id()), static_cast<long long>(sim_.now().ns()),
+                   static_cast<int>(s));
+#endif
+}
+
+bool WifiMac::timers_match_state() const {
+  return state_ == State::kContend ||
+         (!sim_.pending(difs_ev_) && !sim_.pending(nav_ev_) && !sim_.pending(backoff_ev_));
 }
 
 // ---------------------------------------------------------------------------
@@ -28,7 +44,7 @@ void WifiMac::enqueue(Packet pkt) {
   pkt.mac.retry = false;
   if (!current_.has_value()) {
     current_ = std::move(pkt);
-    state_ = State::kContend;
+    set_state(State::kContend);
     begin_contention();
     return;
   }
@@ -52,7 +68,7 @@ void WifiMac::reset() {
     if (p.kind == PacketKind::kData) stats_.on_data_dropped(DropReason::kNodeDown);
   }
   ifq_.clear();
-  state_ = State::kIdle;
+  set_state(State::kIdle);
   short_retries_ = long_retries_ = 0;
   cw_ = cfg_.cw_min;
   backoff_slots_ = 0;
@@ -65,12 +81,12 @@ void WifiMac::start_service() {
   // begin serving a new frame before we get here.
   if (current_.has_value()) return;
   if (ifq_.empty()) {
-    state_ = State::kIdle;
+    set_state(State::kIdle);
     return;
   }
   current_ = std::move(ifq_.front());
   ifq_.pop_front();
-  state_ = State::kContend;
+  set_state(State::kContend);
   begin_contention();
 }
 
@@ -85,7 +101,7 @@ bool WifiMac::medium_free() const {
 SimTime WifiMac::idle_since() const {
   // The medium counts as busy through the end of the NAV even if physically
   // quiet, so the DIFS clock starts at whichever is later.
-  return std::max(last_idle_start_, nav_until_);
+  return std::max(trx_.idle_since(), nav_until_);
 }
 
 void WifiMac::begin_contention() { medium_check(); }
@@ -140,10 +156,7 @@ void WifiMac::phy_busy_start() {
   freeze_backoff();
 }
 
-void WifiMac::phy_busy_end() {
-  last_idle_start_ = sim_.now();
-  medium_check();
-}
+void WifiMac::phy_busy_end() { medium_check(); }
 
 void WifiMac::update_nav(SimTime duration) {
   const SimTime until = sim_.now() + duration;
@@ -209,7 +222,7 @@ void WifiMac::transmit_current() {
     rts_frame.mac.duration = 3 * cfg_.sifs + cts_air + data_air + ack_air;
     count_tx(rts_frame);
     const SimTime rts_air = trx_.transmit(rts_frame);
-    state_ = State::kWaitCts;
+    set_state(State::kWaitCts);
     timeout_ev_ = sim_.schedule(
         rts_air + cfg_.sifs + cts_air + 2 * phy.max_propagation() + kTimeoutMargin,
         [this] { cts_timeout(); });
@@ -232,7 +245,7 @@ void WifiMac::transmit_data_frame() {
   p.mac.duration = cfg_.sifs + ack_air;
   count_tx(p);
   const SimTime air = trx_.transmit(p);
-  state_ = State::kWaitAck;
+  set_state(State::kWaitAck);
   timeout_ev_ = sim_.schedule(
       air + cfg_.sifs + ack_air + 2 * phy.max_propagation() + kTimeoutMargin,
       [this] { ack_timeout(); });
@@ -276,7 +289,7 @@ void WifiMac::handle_retry(bool short_stage) {
   }
   cw_ = std::min(cw_ * 2 + 1, cfg_.cw_max);
   backoff_slots_ = static_cast<std::uint32_t>(rng_.uniform_int(0, cw_));
-  state_ = State::kContend;
+  set_state(State::kContend);
   medium_check();
 }
 
@@ -292,7 +305,7 @@ void WifiMac::finish_current(bool success) {
   cw_ = cfg_.cw_min;
   // Post-transmission backoff, for fairness between consecutive frames.
   backoff_slots_ = static_cast<std::uint32_t>(rng_.uniform_int(0, cfg_.cw_min));
-  state_ = State::kIdle;
+  set_state(State::kIdle);
   if (!success && listener_ != nullptr) {
     // 802.11 link-layer feedback: the routing protocol decides whether to
     // salvage, re-route, or drop (and does the drop accounting).
@@ -330,7 +343,7 @@ void WifiMac::phy_rx(const Packet& f) {
       if (f.mac.dst == me) {
         if (state_ == State::kWaitCts) {
           sim_.cancel(timeout_ev_);
-          state_ = State::kSendData;
+          set_state(State::kSendData);
           sim_.schedule(cfg_.sifs, [this] {
             if (state_ == State::kSendData) transmit_data_frame();
           });

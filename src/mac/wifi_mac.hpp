@@ -18,6 +18,17 @@
 //
 // Simplifications (documented in DESIGN.md): no EIFS, no capture effect, a
 // single rate for all frames plus a fixed PLCP preamble.
+//
+// Edges only in contention. The MAC tells its transceiver when it enters and
+// leaves kContend (set_contending), and the transceiver delivers busy and
+// idle edges only in between, so a medium step at a receiver that is not
+// contending costs no event. That is exact because of this contract, checked
+// on every state change in Debug builds (timers_match_state): the DIFS, NAV
+// and backoff timers are pending only in kContend. Outside it, a busy edge
+// would cancel timers that are not pending and freeze a backoff that is not
+// running, and an idle edge would reach a medium_check() that returns at
+// once. What an idle edge also did, record the last idle instant, the
+// transceiver now answers from its ledger (Transceiver::idle_since).
 #pragma once
 
 #include <deque>
@@ -73,7 +84,6 @@ class WifiMac final : public PhyListener {
   void phy_busy_end() override;
   void phy_rx(const Packet& frame) override;
 
- private:
   enum class State : std::uint8_t {
     kIdle,      // nothing in service
     kContend,   // waiting for DIFS/backoff to transmit `current_`
@@ -81,6 +91,15 @@ class WifiMac final : public PhyListener {
     kSendData,  // CTS received, DATA scheduled after SIFS
     kWaitAck,   // DATA sent, awaiting ACK
   };
+  [[nodiscard]] State state() const { return state_; }
+  /// The contract that lets a non-contending MAC skip medium edges: the
+  /// DIFS, NAV and backoff timers are pending only in kContend.
+  [[nodiscard]] bool timers_match_state() const;
+
+ private:
+  /// Every state change goes through here, so the transceiver knows when
+  /// the MAC contends.
+  void set_state(State s);
 
   // -- contention engine ------------------------------------------------------
   void start_service();          // begin serving the next queued frame
@@ -125,7 +144,6 @@ class WifiMac final : public PhyListener {
   SimTime backoff_started_ = SimTime::zero();
 
   SimTime nav_until_ = SimTime::zero();
-  SimTime last_idle_start_ = SimTime::zero();
 
   EventId difs_ev_ = kInvalidEventId;
   EventId nav_ev_ = kInvalidEventId;

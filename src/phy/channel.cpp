@@ -85,6 +85,7 @@ void Channel::keep_reach(Reach& r, Vec2 src) {
 SimTime Channel::transmit(NodeId sender, const Packet& frame) {
   MANET_EXPECTS(sender < trx_.size());
   const SimTime airtime = cfg_.airtime(frame.size_bytes());
+  if (observer_ != nullptr) observer_->on_transmit(sender, frame);
   // A crashed sender radiates nothing. (The node gates its own sends too;
   // this catches MAC events already in flight at the crash instant.)
   if (fault_ != nullptr && fault_->node_down(sender)) return airtime;
@@ -113,16 +114,7 @@ SimTime Channel::transmit(NodeId sender, const Packet& frame) {
   const double cs2 = cfg_.cs_range_m * cfg_.cs_range_m;
   const bool urban = cfg_.urban();
   const double nlos_rx2 = cfg_.nlos_rx_range_m * cfg_.nlos_rx_range_m;
-  Transmission* t = nullptr;
-  if (free_.empty()) {
-    records_.push_back(std::make_unique<Transmission>());
-    t = records_.back().get();
-  } else {
-    t = free_.back();
-    free_.pop_back();
-  }
-  t->airtime = airtime;
-  bool copied = false;
+  Transmission* t = nullptr;  // taken at the first decodable arrival
   for (std::uint32_t k = 0; k < n; ++k) {
     const std::uint32_t id = ids[k];
     // A down receiver absorbs nothing — not even carrier energy; its radio
@@ -157,83 +149,71 @@ SimTime Channel::transmit(NodeId sender, const Packet& frame) {
     }
     // A faded or out-of-range arrival is carrier/interference only.
     const bool decodable = d2 <= rx2 && !faded;
-    if (decodable && !copied) {
-      t->frame = frame;
-      copied = true;
-    }
-    if (kept) slot_[k] = static_cast<std::uint32_t>(t->arrivals.size());
     // Nothing else takes an order number inside this loop, so the arrivals'
     // numbers are contiguous, in candidate-scan order.
-    t->arrivals.push_back({sim_.now() + prop, sim_.reserve_order(), trx_[id], decodable});
+    const SimTime start = sim_.now() + prop;
+    const std::uint64_t start_order = sim_.reserve_order();
+    const std::uint64_t end_order = sim_.reserve_order();
+    if (decodable) {
+      if (t == nullptr) {
+        t = acquire();
+        t->frame = frame;
+      }
+      if (kept) slot_[k] = static_cast<std::uint32_t>(t->ends.size());
+      t->ends.push_back({start + airtime, end_order, trx_[id]});
+    }
+    trx_[id]->add_arrival(start, start_order, end_order, airtime,
+                          decodable ? &t->frame : nullptr);
   }
-  if (t->arrivals.empty()) {
-    release(t);
-    return airtime;
-  }
-  const auto before = [](const Arrival& a, const Arrival& b) {
-    return a.at != b.at ? a.at < b.at : a.start_seq < b.start_seq;
+  if (t == nullptr) return airtime;
+  const auto before = [](const Delivery& a, const Delivery& b) {
+    return a.at != b.at ? a.at < b.at : a.order < b.order;
   };
   if (kept) {
-    // Insertion in the cached distance order: each arrival moves past only
-    // the ones it overtook since the query.
+    // Insertion in the cached distance order: each end moves past only the
+    // ones it overtook since the query.
     sorted_.clear();
     for (const std::uint32_t k : std::span(reach_order_.data() + r.offset, n)) {
       if (slot_[k] == kNone) continue;
-      sorted_.push_back(t->arrivals[slot_[k]]);
+      sorted_.push_back(t->ends[slot_[k]]);
       for (std::size_t j = sorted_.size() - 1; j > 0 && before(sorted_[j], sorted_[j - 1]); --j) {
         std::swap(sorted_[j], sorted_[j - 1]);
       }
     }
-    std::swap(t->arrivals, sorted_);
+    std::swap(t->ends, sorted_);
   } else {
-    std::sort(t->arrivals.begin(), t->arrivals.end(), before);
+    std::sort(t->ends.begin(), t->ends.end(), before);
   }
-  const Arrival& first = t->arrivals.front();
-  sim_.schedule_at(first.at, first.start_seq, [this, t] { run_start(t); });
+  schedule_end(t);
   return airtime;
 }
 
-void Channel::run_start(Transmission* t) {
-  const std::size_t i = t->next_start++;
-  if (t->next_start < t->arrivals.size()) {
-    const Arrival& next = t->arrivals[t->next_start];
-    sim_.schedule_at(next.at, next.start_seq, [this, t] { run_start(t); });
+Channel::Transmission* Channel::acquire() {
+  if (free_.empty()) {
+    records_.push_back(std::make_unique<Transmission>());
+    return records_.back().get();
   }
-  Arrival& a = t->arrivals[i];
-  if (const auto end_seq = a.rx->rx_start(a.decodable ? &t->frame : nullptr, t->airtime)) {
-    a.accepted = true;
-    a.end_seq = *end_seq;
-    if (!t->end_armed) schedule_end(t, i);
-  }
-  if (t->next_start == t->arrivals.size() && !t->end_armed) release(t);
+  Transmission* t = free_.back();
+  free_.pop_back();
+  return t;
+}
+
+void Channel::schedule_end(Transmission* t) {
+  const Delivery& d = t->ends[t->next];
+  sim_.schedule_at(d.at, d.order, [this, t] { run_end(t); });
 }
 
 void Channel::run_end(Transmission* t) {
-  const std::size_t i = t->next_end;
-  t->end_armed = false;
-  // Only arrivals whose start has run can be next; a later accepted start
-  // re-arms the chain itself.
-  for (std::size_t j = i + 1; j < t->next_start; ++j) {
-    if (t->arrivals[j].accepted) {
-      schedule_end(t, j);
-      break;
-    }
-  }
-  const Arrival& a = t->arrivals[i];
-  a.rx->rx_end(a.end_seq);
-  if (t->next_start == t->arrivals.size() && !t->end_armed) release(t);
-}
-
-void Channel::schedule_end(Transmission* t, std::size_t i) {
-  const Arrival& a = t->arrivals[i];
-  t->next_end = i;
-  t->end_armed = true;
-  sim_.schedule_at(a.at + t->airtime, a.end_seq, [this, t] { run_end(t); });
+  const Delivery d = t->ends[t->next++];
+  const bool last = t->next == t->ends.size();
+  if (!last) schedule_end(t);
+  d.rx->end_decodable(d.order);
+  if (last) release(t);
 }
 
 void Channel::release(Transmission* t) {
-  t->arrivals.clear();
-  t->next_start = 0;
+  t->ends.clear();
+  t->next = 0;
   free_.push_back(t);
 }
 

@@ -23,28 +23,26 @@
 // A reach is kept from the sender's second transmission in an epoch on; a
 // first one queries into scratch. transmit() walks the reach in id order,
 // so fault masks, RNG draws and order numbers are taken as a fresh query
-// takes them, then emits the arrivals in the cached distance order through
-// an insertion pass keyed by (time, order): an exact sort, linear when
-// nothing has moved.
+// takes them.
 //
-// Each transmission gets one pooled record holding its arrivals and one copy
-// of the frame, shared by every decodable arrival. The record runs its
-// arrivals as two chains of events, rx_starts and accepted rx_ends, each
-// keeping one queue entry at a time: a step schedules the next step before
-// it runs its own arrival. The run is event-for-event identical to one that
-// schedules every rx_start and rx_end as its own event (the model the
-// goldens pin), at the same (time, order):
-//   * transmit() reserves each arrival's order number in its candidate loop
-//     and rx_start() its rx_end's number before the MAC hears of the arrival,
-//     where scheduling those events would take them.
-//   * The start chain walks the arrivals sorted by (time, order); the end
-//     chain walks the accepted ones in the same order, which is also the
-//     ends' (time, order) order: each end is its start plus one airtime, and
-//     end numbers are reserved in the order the starts run.
-//   * Each step is queued by an event strictly earlier in (time, order): the
-//     previous start, or the previous accepted end, or its own start if that
-//     ran later. Nothing assumes the airtime exceeds the spread of
-//     propagation delays, so ends may interleave with later starts.
+// Each arrival goes into its receiver's energy ledger (transceiver.hpp),
+// with two order numbers transmit() reserves for it in its candidate loop,
+// one for its start and one for its end, in candidate-scan order. Those are
+// the numbers that events scheduled at transmit() for every start and end
+// would take, so each step applies exactly where such an event would run:
+// after a same-instant event scheduled before the frame was sent, before
+// one scheduled after. No arrival schedules anything here; the receiver
+// turns a step into an event only when something observes it.
+//
+// The channel's own events are the decodable ends. Each transmission with a
+// decodable arrival gets one pooled record holding one copy of the frame,
+// which every decodable arrival points into, and the decodable ends sorted
+// by (time, order). The record runs them as a chain that keeps one queue
+// entry at a time: a step schedules the next end at its reserved number,
+// then hands its own end to the receiver. Ends are starts plus one airtime,
+// so the kept reach's distance order sorts them through an insertion pass
+// keyed by (time, order): an exact sort, linear when nothing has moved. A
+// transmission nobody can decode takes no record and no event.
 #pragma once
 
 #include <cstdint>
@@ -62,6 +60,14 @@
 #include "stats/stats.hpp"
 
 namespace manet {
+
+/// Told of every transmission as it starts, before the channel looks at
+/// faults or receivers.
+class TransmitObserver {
+ public:
+  virtual ~TransmitObserver() = default;
+  virtual void on_transmit(NodeId sender, const Packet& frame) = 0;
+};
 
 class Channel {
  public:
@@ -81,8 +87,8 @@ class Channel {
   /// Returns the time on air.
   SimTime transmit(NodeId sender, const Packet& frame);
 
-  /// Transmissions whose arrivals have not all run yet (records out of the
-  /// pool). Zero once the simulator has drained.
+  /// Transmissions whose decodable ends have not all run yet (records out of
+  /// the pool). Zero once the simulator has drained.
   [[nodiscard]] std::size_t transmissions_in_flight() const {
     return records_.size() - free_.size();
   }
@@ -112,27 +118,24 @@ class Channel {
   void set_fault(const FaultRuntime* fault) { fault_ = fault; }
   /// Sink for corruption accounting (optional).
   void set_stats(StatsCollector* stats) { stats_ = stats; }
+  /// Observer of every transmission (optional; the PHY oracle test replays
+  /// a run against an offline model with it).
+  void set_observer(TransmitObserver* o) { observer_ = o; }
 
  private:
-  /// One receiver's arrival of a transmission.
-  struct Arrival {
-    SimTime at;                 ///< rx_start time
-    std::uint64_t start_seq;    ///< rx_start's order
+  /// The end of one decodable arrival, and its receiver.
+  struct Delivery {
+    SimTime at;
+    std::uint64_t order;
     Transceiver* rx;
-    bool decodable;
-    bool accepted = false;      ///< rx_start ran with the radio up
-    std::uint64_t end_seq = 0;  ///< rx_end's order, valid once accepted
   };
 
-  /// One transmission's arrivals, sorted by (at, start_seq), and the frame
-  /// copy its decodable arrivals point into.
+  /// One transmission's frame copy, which its decodable arrivals point
+  /// into, and their ends sorted by (at, order).
   struct Transmission {
     Packet frame;
-    SimTime airtime;
-    std::vector<Arrival> arrivals;
-    std::size_t next_start = 0;  ///< first arrival whose rx_start has not run
-    std::size_t next_end = 0;    ///< the end chain's armed arrival
-    bool end_armed = false;
+    std::vector<Delivery> ends;
+    std::size_t next = 0;  ///< the chain's armed end
   };
 
   /// Where a sender's reach lives. `epoch` is the epoch of the sender's
@@ -150,9 +153,9 @@ class Channel {
   void next_epoch();
   /// Keep the query in `scratch_`, made around `src`, as reach `r`.
   void keep_reach(Reach& r, Vec2 src);
-  void run_start(Transmission* t);
+  [[nodiscard]] Transmission* acquire();
+  void schedule_end(Transmission* t);
   void run_end(Transmission* t);
-  void schedule_end(Transmission* t, std::size_t i);
   void release(Transmission* t);
 
   Simulator& sim_;
@@ -164,6 +167,7 @@ class Channel {
   RngStream shadow_rng_;  ///< urban NLOS draws; untouched in open-field runs
   const FaultRuntime* fault_ = nullptr;
   StatsCollector* stats_ = nullptr;
+  TransmitObserver* observer_ = nullptr;
   double max_speed_ = 0.0;
   std::vector<Transceiver*> trx_;
   std::vector<MobilityModel*> mob_;
@@ -172,8 +176,8 @@ class Channel {
   std::vector<std::uint32_t> reach_ids_;    ///< this epoch's kept reaches: ids, ascending,
   std::vector<std::uint32_t> reach_order_;  ///< and indices into them by distance
   std::vector<std::uint32_t> scratch_;      ///< the latest fresh query
-  std::vector<std::uint32_t> slot_;         ///< candidate -> its arrival, or kNone
-  std::vector<Arrival> sorted_;             ///< the insertion pass's output
+  std::vector<std::uint32_t> slot_;         ///< candidate -> its decodable end, or kNone
+  std::vector<Delivery> sorted_;            ///< the insertion pass's output
   std::vector<std::pair<double, std::uint32_t>> by_distance_;  ///< keep_reach's sort
   std::vector<std::unique_ptr<Transmission>> records_;  ///< every record, for ownership
   std::vector<Transmission*> free_;                     ///< the pool

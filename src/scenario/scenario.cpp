@@ -327,6 +327,9 @@ void Scenario::apply_fault(const FaultEvent& ev) {
 ScenarioResult Scenario::run() {
   build();
   sim_.run_until(cfg_.duration);
+  // Arrivals nothing observed are applied lazily; apply those that ended by
+  // the horizon, so the rx energy counts them.
+  for (auto& node : nodes_) node->transceiver().settle();
   if (trace_) trace_->flush();
 
   ScenarioResult r;

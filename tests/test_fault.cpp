@@ -205,13 +205,13 @@ std::string fingerprint(Protocol p, std::uint64_t seed) {
 }
 
 const char* const kGoldens[] = {
-    "AODV seed=1 events=16577 orig=155 deliv=103 crashes=14 corrupt=43 during=103 after=0 pdr=0.664516129032 repair=174.691716286",
-    "DSR seed=1 events=18674 orig=155 deliv=103 crashes=14 corrupt=45 during=103 after=0 pdr=0.664516129032 repair=163.187730071",
-    "CBRP seed=1 events=13342 orig=155 deliv=76 crashes=14 corrupt=43 during=76 after=0 pdr=0.490322580645 repair=185.7412915",
-    "DSDV seed=1 events=22539 orig=155 deliv=99 crashes=14 corrupt=66 during=99 after=0 pdr=0.638709677419 repair=221.587281357",
-    "OLSR seed=1 events=19890 orig=155 deliv=94 crashes=14 corrupt=38 during=94 after=0 pdr=0.606451612903 repair=210.127528143",
-    "LAR seed=1 events=17597 orig=155 deliv=103 crashes=14 corrupt=45 during=103 after=0 pdr=0.664516129032 repair=159.491294643",
-    "TORA seed=1 events=23547 orig=155 deliv=102 crashes=14 corrupt=62 during=102 after=0 pdr=0.658064516129 repair=158.838976143",
+    "AODV seed=1 events=6571 orig=155 deliv=103 crashes=14 corrupt=43 during=103 after=0 pdr=0.664516129032 repair=174.691716286",
+    "DSR seed=1 events=7182 orig=155 deliv=103 crashes=14 corrupt=45 during=103 after=0 pdr=0.664516129032 repair=163.187730071",
+    "CBRP seed=1 events=5467 orig=155 deliv=76 crashes=14 corrupt=43 during=76 after=0 pdr=0.490322580645 repair=185.7412915",
+    "DSDV seed=1 events=9373 orig=155 deliv=99 crashes=14 corrupt=66 during=99 after=0 pdr=0.638709677419 repair=221.587281357",
+    "OLSR seed=1 events=7979 orig=155 deliv=94 crashes=14 corrupt=38 during=94 after=0 pdr=0.606451612903 repair=210.127528143",
+    "LAR seed=1 events=6998 orig=155 deliv=103 crashes=14 corrupt=45 during=103 after=0 pdr=0.664516129032 repair=159.491294643",
+    "TORA seed=1 events=9438 orig=155 deliv=102 crashes=14 corrupt=62 during=102 after=0 pdr=0.658064516129 repair=158.838976143",
 };
 
 TEST(FaultDeterminism, PerSeedFingerprintsMatchGoldens) {
@@ -256,9 +256,9 @@ TEST(FaultDeterminism, TransportFaultedRunsDeterministicAndPinned) {
     const char* golden;
   } kTransportGoldens[] = {
       {Protocol::kAodv,
-       "events=29697 orig=155 deliv=103 tretx=7 flows=4 crashes=14 pdr=0.664516129032"},
+       "events=11644 orig=155 deliv=103 tretx=7 flows=4 crashes=14 pdr=0.664516129032"},
       {Protocol::kDsdv,
-       "events=34594 orig=155 deliv=99 tretx=13 flows=4 crashes=14 pdr=0.638709677419"},
+       "events=15352 orig=155 deliv=99 tretx=13 flows=4 crashes=14 pdr=0.638709677419"},
   };
   for (const auto& g : kTransportGoldens) {
     const std::string fp = transport_fault_fingerprint(g.protocol, 1);

@@ -192,25 +192,25 @@ TEST(FlowMonitorIntegration, TransportRunsMatchPinnedGoldens) {
     const char* golden;
   } kGoldens[] = {
       {"AODV",
-       "events=60675 orig=155 deliv=155 rtx=32 mac=1612 tretx=1 flows=4 "
+       "events=20350 orig=155 deliv=155 rtx=32 mac=1612 tretx=1 flows=4 "
        "pdr=1 delay=24.4912135355 nrl=0.206451612903 hops=1.66451612903 conn=1"},
       {"DSR",
-       "events=60481 orig=155 deliv=155 rtx=36 mac=1612 tretx=0 flows=4 "
+       "events=20037 orig=155 deliv=155 rtx=36 mac=1612 tretx=0 flows=4 "
        "pdr=1 delay=6.65363146452 nrl=0.232258064516 hops=1.66451612903 conn=1"},
       {"CBRP",
-       "events=71014 orig=155 deliv=155 rtx=233 mac=1735 tretx=0 flows=4 "
+       "events=25998 orig=155 deliv=155 rtx=233 mac=1735 tretx=0 flows=4 "
        "pdr=1 delay=6.29110536774 nrl=1.50322580645 hops=1.66451612903 conn=1"},
       {"DSDV",
-       "events=74292 orig=155 deliv=155 rtx=464 mac=1622 tretx=0 flows=4 "
+       "events=26774 orig=155 deliv=155 rtx=464 mac=1622 tretx=0 flows=4 "
        "pdr=1 delay=6.1661884129 nrl=2.9935483871 hops=1.67741935484 conn=1"},
       {"OLSR",
-       "events=67576 orig=155 deliv=155 rtx=282 mac=1591 tretx=0 flows=4 "
+       "events=23238 orig=155 deliv=155 rtx=282 mac=1591 tretx=0 flows=4 "
        "pdr=1 delay=5.99328171613 nrl=1.81935483871 hops=1.66451612903 conn=1"},
       {"LAR",
-       "events=68359 orig=155 deliv=155 rtx=114 mac=1759 tretx=1 flows=4 "
+       "events=25329 orig=155 deliv=155 rtx=114 mac=1759 tretx=1 flows=4 "
        "pdr=1 delay=26.3854300194 nrl=0.735483870968 hops=1.85161290323 conn=1"},
       {"TORA",
-       "events=74413 orig=155 deliv=155 rtx=489 mac=1600 tretx=1 flows=4 "
+       "events=26503 orig=155 deliv=155 rtx=489 mac=1600 tretx=1 flows=4 "
        "pdr=1 delay=25.1729141161 nrl=3.15483870968 hops=1.66451612903 conn=1"},
   };
   TransportConfig transport;

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "core/simulator.hpp"
@@ -210,6 +213,82 @@ TEST(Mac, RetriesCountEachTransmission) {
   net.sim.run_until(net.sim.now() + seconds(30));
   EXPECT_EQ(net.stats.data_tx(), 0u);  // data frame never launched (no CTS)
   EXPECT_EQ(net.stats.mac_ctrl_tx(), 7u);
+}
+
+// The contract that lets a MAC outside contention skip medium edges: its
+// DIFS, NAV and backoff timers are pending only in kContend. Traffic that
+// takes every state through every exit (CTS and ACK timeouts, retry limits,
+// a CTS that arrives, broadcasts, a crash in each state) runs with a probe
+// that checks the contract on every MAC every 2 us and logs the state
+// changes it sees. Changes inside one event (kWaitAck -> kIdle -> kContend
+// as a queued frame follows an acknowledged one) show as one.
+TEST(Mac, ContentionTimersPendingOnlyWhileContending) {
+  using State = WifiMac::State;
+  std::set<std::pair<State, State>> seen;
+  auto watch = [&seen](MacNet& net, SimTime until) {
+    std::vector<State> last;
+    for (const auto& m : net.macs) last.push_back(m->state());
+    std::function<void()> probe = [&] {
+      for (std::size_t i = 0; i < net.macs.size(); ++i) {
+        const WifiMac& m = *net.macs[i];
+        ASSERT_TRUE(m.timers_match_state()) << "node " << i << " at " << net.sim.now().ns();
+        if (m.state() != last[i]) seen.emplace(last[i], m.state());
+        last[i] = m.state();
+      }
+      if (net.sim.now() < until) net.sim.schedule(microseconds(2), probe);
+    };
+    net.sim.schedule(SimTime::zero(), probe);
+    net.sim.run_until(until);
+  };
+
+  // RTS/CTS: a hidden pair into one hub, plus frames to an absent node.
+  {
+    MacNet net({{0.0, 0.0}, {300.0, 0.0}, {600.0, 0.0}}, MacConfig{},
+               PhyConfig{.rx_range_m = 320.0, .cs_range_m = 400.0});
+    for (int i = 0; i < 6; ++i) {
+      net.send(0, 1);
+      net.send(2, 1);
+    }
+    net.send(1, 77);
+    net.send(1, kBroadcast);
+    // Crash node 0 in the middle of its exchanges, then let it resume.
+    for (const int ms : {3, 7, 12, 18, 25}) {
+      net.sim.schedule(milliseconds(ms) + microseconds(ms * 37), [&net] {
+        net.macs[0]->reset();
+        EXPECT_TRUE(net.macs[0]->timers_match_state());
+        net.send(0, 1);
+      });
+    }
+    watch(net, milliseconds(400));
+  }
+  // Bare data: ACK timeouts towards an absent node, and a busy contender.
+  {
+    MacConfig cfg;
+    cfg.use_rts = false;
+    MacNet net({{0.0, 0.0}, {200.0, 0.0}, {100.0, 100.0}}, cfg);
+    net.send(0, 77);
+    for (int i = 0; i < 4; ++i) {
+      net.send(0, 1);
+      net.send(2, 1);
+      net.send(2, kBroadcast);
+    }
+    net.sim.schedule(milliseconds(2), [&net] { net.macs[2]->reset(); });
+    watch(net, milliseconds(400));
+  }
+  for (const auto& want : std::vector<std::pair<State, State>>{
+           {State::kIdle, State::kContend},
+           {State::kContend, State::kWaitCts},
+           {State::kContend, State::kWaitAck},
+           {State::kContend, State::kIdle},
+           {State::kWaitCts, State::kSendData},
+           {State::kWaitCts, State::kContend},
+           {State::kSendData, State::kWaitAck},
+           {State::kWaitAck, State::kIdle},
+           {State::kWaitAck, State::kContend},
+       }) {
+    EXPECT_TRUE(seen.count(want)) << static_cast<int>(want.first) << " -> "
+                                  << static_cast<int>(want.second);
+  }
 }
 
 }  // namespace

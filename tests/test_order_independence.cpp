@@ -69,14 +69,14 @@ std::string fingerprint(const Case& c) {
 }
 
 const char* const kGoldens[] = {
-    "AODV seed=1 events=31439 orig=155 deliv=154 rtx=32 mac=816 pdr=0.993548387097 delay=7.6273553961 nrl=0.207792207792 hops=1.65584415584",
-    "DSR seed=1 events=31485 orig=155 deliv=155 rtx=36 mac=824 pdr=1 delay=6.59044171613 nrl=0.232258064516 hops=1.66451612903",
-    "CBRP seed=1 events=39827 orig=155 deliv=154 rtx=203 mac=911 pdr=0.993548387097 delay=7.21354788312 nrl=1.31818181818 hops=1.83766233766",
-    "CBRP seed=2 events=45131 orig=144 deliv=144 rtx=208 mac=1051 pdr=1 delay=11.3331642083 nrl=1.44444444444 hops=2.27777777778",
-    "DSDV seed=1 events=44942 orig=155 deliv=155 rtx=471 mac=821 pdr=1 delay=9.90606171613 nrl=3.03870967742 hops=1.67741935484",
-    "OLSR seed=1 events=38390 orig=155 deliv=155 rtx=282 mac=800 pdr=1 delay=5.91669034194 nrl=1.81935483871 hops=1.66451612903",
-    "LAR seed=1 events=31967 orig=155 deliv=154 rtx=58 mac=818 pdr=0.993548387097 delay=6.57177623377 nrl=0.376623376623 hops=1.65584415584",
-    "TORA seed=1 events=32958 orig=155 deliv=126 rtx=420 mac=535 pdr=0.812903225806 delay=7.37855453175 nrl=3.33333333333 hops=1.35714285714",
+    "AODV seed=1 events=10725 orig=155 deliv=154 rtx=32 mac=816 pdr=0.993548387097 delay=7.6273553961 nrl=0.207792207792 hops=1.65584415584",
+    "DSR seed=1 events=10512 orig=155 deliv=155 rtx=36 mac=824 pdr=1 delay=6.59044171613 nrl=0.232258064516 hops=1.66451612903",
+    "CBRP seed=1 events=14605 orig=155 deliv=154 rtx=203 mac=911 pdr=0.993548387097 delay=7.21354788312 nrl=1.31818181818 hops=1.83766233766",
+    "CBRP seed=2 events=11236 orig=144 deliv=144 rtx=208 mac=1051 pdr=1 delay=11.3331642083 nrl=1.44444444444 hops=2.27777777778",
+    "DSDV seed=1 events=16728 orig=155 deliv=155 rtx=471 mac=821 pdr=1 delay=9.90606171613 nrl=3.03870967742 hops=1.67741935484",
+    "OLSR seed=1 events=13465 orig=155 deliv=155 rtx=282 mac=800 pdr=1 delay=5.91669034194 nrl=1.81935483871 hops=1.66451612903",
+    "LAR seed=1 events=10913 orig=155 deliv=154 rtx=58 mac=818 pdr=0.993548387097 delay=6.57177623377 nrl=0.376623376623 hops=1.65584415584",
+    "TORA seed=1 events=11889 orig=155 deliv=126 rtx=420 mac=535 pdr=0.812903225806 delay=7.37855453175 nrl=3.33333333333 hops=1.35714285714",
 };
 
 TEST(OrderIndependence, PerSeedMetricsMatchPreConversionGoldens) {
@@ -104,13 +104,13 @@ TEST(OrderIndependence, PartitionedFieldGiveUpMatchesGoldens) {
     const char* golden;
   } kGiveUpGoldens[] = {
       {Protocol::kAodv,
-       "events=19735 orig=715 deliv=169 rtx=130 mac=1048 tretx=0 flows=0 pdr=0.236363636364 delay=317.563860408 nrl=0.769230769231 hops=2 conn=0.191176470588"},
+       "events=8153 orig=715 deliv=169 rtx=130 mac=1048 tretx=0 flows=0 pdr=0.236363636364 delay=317.563860408 nrl=0.769230769231 hops=2 conn=0.191176470588"},
       {Protocol::kDsr,
-       "events=18027 orig=715 deliv=169 rtx=48 mac=1061 tretx=0 flows=0 pdr=0.236363636364 delay=171.816672325 nrl=0.284023668639 hops=2 conn=0.191176470588"},
+       "events=7055 orig=715 deliv=169 rtx=48 mac=1061 tretx=0 flows=0 pdr=0.236363636364 delay=171.816672325 nrl=0.284023668639 hops=2 conn=0.191176470588"},
       {Protocol::kCbrp,
-       "events=21298 orig=715 deliv=169 rtx=471 mac=891 tretx=0 flows=0 pdr=0.236363636364 delay=723.423644059 nrl=2.78698224852 hops=1.65680473373 conn=0.191176470588"},
+       "events=7944 orig=715 deliv=169 rtx=471 mac=891 tretx=0 flows=0 pdr=0.236363636364 delay=723.423644059 nrl=2.78698224852 hops=1.65680473373 conn=0.191176470588"},
       {Protocol::kLar,
-       "events=17944 orig=715 deliv=169 rtx=50 mac=1053 tretx=0 flows=0 pdr=0.236363636364 delay=168.755385959 nrl=0.295857988166 hops=2 conn=0.191176470588"},
+       "events=7001 orig=715 deliv=169 rtx=50 mac=1053 tretx=0 flows=0 pdr=0.236363636364 delay=168.755385959 nrl=0.295857988166 hops=2 conn=0.191176470588"},
   };
   for (const auto& g : kGiveUpGoldens) {
     ScenarioConfig cfg = config_for({g.protocol, 1});

@@ -9,11 +9,14 @@
 
 #include "core/rng.hpp"
 #include "core/simulator.hpp"
+#include "mac/wifi_mac.hpp"
 #include "mobility/random_walk.hpp"
 #include "mobility/random_waypoint.hpp"
 #include "mobility/static_mobility.hpp"
 #include "phy/channel.hpp"
 #include "phy/transceiver.hpp"
+#include "scenario/builder.hpp"
+#include "scenario/scenario.hpp"
 
 namespace manet {
 namespace {
@@ -507,6 +510,369 @@ TEST(PhyReachOracle, StaticFieldWithTeleportsMatchesBruteForce) {
   for (std::size_t i = 0; i < net.expected.size(); ++i) {
     ASSERT_EQ(net.heard[i], net.expected[i]) << "arrival " << i;
   }
+}
+
+// ---------------------------------------------------------------------------
+// The energy ledger
+// ---------------------------------------------------------------------------
+
+// The set-up of the benchmark's `channel_transmit` cost probe: transceivers
+// with no listener, one transmission at a time, the queue drained after
+// each. Nothing observes a carrier-only arrival, so none is an event; the
+// ledger still holds no more than the arrivals on the air, and nothing once
+// the clock has passed them.
+TEST(PhyLedger, DrainedLedgerHoldsOnlyArrivalsOnTheAir) {
+  Simulator sim;
+  PhyConfig cfg;
+  Channel channel(sim, cfg, Area{1000.0, 1000.0});
+  std::vector<std::unique_ptr<StaticMobility>> mobs;
+  std::vector<std::unique_ptr<Transceiver>> trx;
+  RngStream rng(4, "ledger-drain");
+  for (NodeId i = 0; i < 30; ++i) {
+    mobs.push_back(std::make_unique<StaticMobility>(
+        Vec2{rng.uniform(0.0, 1000.0), rng.uniform(0.0, 1000.0)}));
+    trx.push_back(std::make_unique<Transceiver>(sim, cfg, i));
+    channel.add(trx.back().get(), mobs.back().get());
+  }
+  Packet frame;
+  frame.mac.dst = kBroadcast;
+  std::uint64_t heard = 0;
+  for (int k = 0; k < 300; ++k) {
+    const auto s = static_cast<NodeId>(rng.uniform_int(0, 29));
+    const std::vector<NodeId> reach = channel.neighbors_of(s, cfg.cs_range_m);
+    channel.transmit(s, frame);
+    sim.run();
+    std::size_t held = 0;
+    for (const auto& t : trx) held += t->ledger_size();
+    // Every earlier arrival was dropped when this frame's were appended.
+    ASSERT_LE(held, reach.size()) << "frame " << k;
+    sim.run_until(sim.now() + milliseconds(5));
+    for (const auto& t : trx) {
+      t->settle();
+      ASSERT_EQ(t->ledger_size(), 0u) << "frame " << k << " node " << t->id();
+      ASSERT_FALSE(t->medium_busy());
+    }
+    heard += reach.size();
+  }
+  EXPECT_GT(heard, 1000u);
+  EXPECT_EQ(channel.transmissions_in_flight(), 0u);
+  // Only decodable ends ran as events: far fewer than one per arrival.
+  EXPECT_LT(sim.events_executed(), heard);
+}
+
+// A MAC that starts contending while a carrier-only arrival is on the air
+// sees the medium go idle exactly at that arrival's end, and its first frame
+// (no backoff) goes out one DIFS later. So does one that starts contending
+// at the end's instant, in an event ordered just before the end or just
+// after it.
+TEST(PhyLedger, ContentionEnteredMidReceptionStartsDifsAtTheEnd) {
+  const PhyConfig phy;
+  const MacConfig mac_cfg;
+  const Packet frame = [] {
+    Packet p;
+    p.kind = PacketKind::kData;
+    p.mac.type = MacFrameType::kData;
+    p.mac.dst = kBroadcast;
+    p.payload_bytes = 500;
+    return p;
+  }();
+  const SimTime air = phy.airtime(frame.size_bytes());
+  const SimTime end = phy.propagation(400.0) + air;
+
+  struct SentAt final : TransmitObserver {
+    explicit SentAt(const Simulator& sim) : sim_(sim) {}
+    void on_transmit(NodeId sender, const Packet& /*frame*/) override {
+      if (sender == 1) at.push_back(sim_.now());
+    }
+    const Simulator& sim_;
+    std::vector<SimTime> at;
+  };
+
+  enum class When { kMidReception, kAtEndBefore, kAtEndAfter };
+  for (const When when : {When::kMidReception, When::kAtEndBefore, When::kAtEndAfter}) {
+    Simulator sim;
+    StatsCollector stats;
+    Channel channel(sim, phy, Area{3000.0, 3000.0});
+    StaticMobility m0({0.0, 0.0});
+    StaticMobility m1({400.0, 0.0});  // carrier only from node 0
+    Transceiver t0(sim, phy, 0);
+    Transceiver t1(sim, phy, 1);
+    WifiMac mac(sim, mac_cfg, t1, stats, RngStream(1, "mac", 1));
+    channel.add(&t0, &m0);
+    channel.add(&t1, &m1);
+    SentAt sent(sim);
+    channel.set_observer(&sent);
+    std::vector<std::string> seen;
+    auto enqueue = [&] {
+      Packet p = frame;
+      mac.enqueue(std::move(p));
+    };
+    auto probe = [&](const char* name) {
+      seen.push_back(std::string(name) + (t1.medium_busy() ? ":busy" : ":idle"));
+      if (!t1.medium_busy()) {
+        EXPECT_EQ(t1.idle_since(), end) << name;
+      }
+    };
+    sim.schedule_at(end, [&] {
+      probe("before");
+      if (when == When::kAtEndBefore) enqueue();
+    });
+    t0.transmit(frame);
+    sim.schedule_at(end, [&] {
+      probe("after");
+      if (when == When::kAtEndAfter) enqueue();
+    });
+    if (when == When::kMidReception) sim.schedule_at(end - nanoseconds(air.ns() / 2), enqueue);
+    sim.run();
+    EXPECT_EQ(seen, (std::vector<std::string>{"before:busy", "after:idle"}));
+    ASSERT_EQ(sent.at.size(), 1u) << static_cast<int>(when);
+    EXPECT_EQ(sent.at[0], end + mac_cfg.difs) << static_cast<int>(when);
+  }
+}
+
+// The ledger against an offline model. Every transmission of a run is
+// recorded with every node's position at that instant; afterwards each
+// receiver's arrivals, its own transmissions and its radio's down windows
+// give, as plain time intervals, which frames must be delivered or lost,
+// whether the medium is busy at sampled instants, when it last went idle,
+// and the rx energy at the horizon. Steps of two arrivals at one instant
+// run in the order their frames were sent: that is the order in which the
+// channel reserved their numbers. Such ties are common on the strip: a relay
+// that forwards a frame the instant it ends (the MAC contention defect)
+// starts its frame at a third node exactly when the first ends there, when
+// the three stand in line to within the nanosecond rounding.
+struct OracleArrival {
+  NodeId from;
+  std::size_t tx;  ///< the transmission's index in the log
+  SimTime sent;
+  SimTime start;
+  SimTime end;
+  bool decodable;
+};
+
+struct Delivery {
+  NodeId rx;
+  SimTime at;
+  NodeId from;
+  auto operator<=>(const Delivery&) const = default;
+};
+
+/// Forwards to the MAC and logs each intact frame.
+class DeliveryTap final : public PhyListener {
+ public:
+  DeliveryTap(PhyListener& mac, const Simulator& sim, NodeId id, std::vector<Delivery>* log)
+      : mac_(mac), sim_(sim), id_(id), log_(log) {}
+  void phy_busy_start() override { mac_.phy_busy_start(); }
+  void phy_busy_end() override { mac_.phy_busy_end(); }
+  void phy_rx(const Packet& f) override {
+    log_->push_back({id_, sim_.now(), f.mac.src});
+    mac_.phy_rx(f);
+  }
+
+ private:
+  PhyListener& mac_;
+  const Simulator& sim_;
+  NodeId id_;
+  std::vector<Delivery>* log_;
+};
+
+/// Every transmission: the sender's on-air interval, and an arrival at
+/// every node within carrier-sense range, from exact positions.
+class TransmissionLog final : public TransmitObserver {
+ public:
+  TransmissionLog(Scenario& sc, const PhyConfig& phy)
+      : sc_(sc), phy_(phy), arrivals(sc.size()), sends(sc.size()) {}
+
+  void on_transmit(NodeId sender, const Packet& frame) override {
+    const SimTime now = sc_.sim().now();
+    const SimTime air = phy_.airtime(frame.size_bytes());
+    const std::size_t tx = count_++;
+    sends[sender].emplace_back(now, now + air);
+    const Vec2 src = sc_.node(sender).mobility().position_at(now);
+    for (NodeId j = 0; j < sc_.size(); ++j) {
+      const double d2 = distance2(src, sc_.node(j).mobility().position_at(now));
+      if (j == sender || d2 > phy_.cs_range_m * phy_.cs_range_m) continue;
+      const SimTime start = now + phy_.propagation(std::sqrt(d2));
+      arrivals[j].push_back(
+          {sender, tx, now, start, start + air, d2 <= phy_.rx_range_m * phy_.rx_range_m});
+    }
+  }
+
+ private:
+  Scenario& sc_;
+  PhyConfig phy_;
+  std::size_t count_ = 0;
+
+ public:
+  std::vector<std::vector<OracleArrival>> arrivals;             ///< per receiver
+  std::vector<std::vector<std::pair<SimTime, SimTime>>> sends;  ///< per sender
+};
+
+struct Sample {
+  NodeId node;
+  SimTime at;
+  bool busy;
+  SimTime idle_since;
+};
+
+void check_against_oracle(const ScenarioConfig& cfg) {
+  SCOPED_TRACE(std::string(to_string(cfg.protocol)) + " seed " + std::to_string(cfg.seed));
+  const ScenarioResult plain = Scenario::run_once(cfg);
+
+  Scenario sc(cfg);
+  sc.build();
+  TransmissionLog tx(sc, cfg.phy);
+  sc.channel().set_observer(&tx);
+  std::vector<Delivery> delivered;
+  std::vector<std::unique_ptr<DeliveryTap>> taps;
+  for (NodeId i = 0; i < sc.size(); ++i) {
+    taps.push_back(std::make_unique<DeliveryTap>(sc.node(i).mac(), sc.sim(), i, &delivered));
+    sc.node(i).transceiver().set_listener(taps.back().get());
+  }
+  constexpr int kSamples = 3000;
+  std::vector<Sample> samples;
+  RngStream rng(cfg.seed, "ledger-oracle-probes");
+  for (int k = 0; k < kSamples; ++k) {
+    const SimTime at = nanoseconds(rng.uniform_int(1, cfg.duration.ns() - 1));
+    const auto node = static_cast<NodeId>(rng.uniform_int(0, cfg.num_nodes - 1));
+    sc.sim().schedule_at(at, [&sc, &samples, node] {
+      Transceiver& t = sc.node(node).transceiver();
+      samples.push_back({node, sc.sim().now(), t.medium_busy(), t.idle_since()});
+    });
+  }
+  const ScenarioResult r = sc.run();
+
+  // Looking at the ledger changes nothing: the probed run is the plain one
+  // plus the probes' own events.
+  EXPECT_EQ(r.events, plain.events + kSamples);
+  EXPECT_EQ(r.data_delivered, plain.data_delivered);
+  EXPECT_EQ(r.routing_tx, plain.routing_tx);
+  EXPECT_EQ(r.mac_ctrl_tx, plain.mac_ctrl_tx);
+  EXPECT_EQ(r.delay_ms, plain.delay_ms);
+
+  // Instants at which the oracle cannot tell what the run's order numbers
+  // decide: a transmission, a probe or a crash at the instant of another
+  // step. The runs below have none.
+  std::size_t ties = 0;
+  auto before = [&ties](SimTime a, SimTime b) {
+    if (a == b) ++ties;
+    return a < b;
+  };
+  auto down_at = [&](NodeId j, SimTime t) {
+    for (const auto& [from, to] : sc.fault_plan().down_windows(j)) {
+      if (!before(t, from) && before(t, to)) return true;
+    }
+    return false;
+  };
+
+  std::vector<Delivery> want_rx;
+  double want_rx_air_s = 0.0;
+  std::uint64_t corrupt_total = 0;
+  for (NodeId j = 0; j < sc.size(); ++j) {
+    // Nothing radiates from a down sender or reaches a down receiver, and a
+    // receiver down at an arrival's start ignores it.
+    std::vector<OracleArrival> acc;
+    for (const OracleArrival& a : tx.arrivals[j]) {
+      if (down_at(a.from, a.sent) || down_at(j, a.sent) || down_at(j, a.start)) continue;
+      acc.push_back(a);
+    }
+    const auto& own = tx.sends[j];
+    auto step_before = [](SimTime t, const OracleArrival& x, SimTime u, const OracleArrival& y) {
+      return t != u ? t < u : x.tx < y.tx;
+    };
+    std::sort(acc.begin(), acc.end(), [&](const OracleArrival& x, const OracleArrival& y) {
+      return step_before(x.start, x, y.start, y);
+    });
+    SimTime longest = SimTime::zero();
+    for (const OracleArrival& a : acc) longest = std::max(longest, a.end - a.start);
+    std::uint64_t want_corrupt = 0;
+    for (std::size_t i = 0; i < acc.size(); ++i) {
+      const OracleArrival& a = acc[i];
+      if (before(cfg.duration, a.end)) continue;
+      want_rx_air_s += (a.end - a.start).sec();
+      if (!a.decodable) continue;
+      // Overlap with another accepted arrival: only neighbours in start
+      // order that begin less than the longest airtime apart can.
+      bool lost = false;
+      for (std::size_t k = i; k-- > 0 && acc[k].start + longest >= a.start;) {
+        if (step_before(a.start, a, acc[k].end, acc[k])) lost = true;
+      }
+      if (i + 1 < acc.size() && step_before(acc[i + 1].start, acc[i + 1], a.end, a)) lost = true;
+      // Our own transmissions, in time order: the first that ends after the
+      // start must not begin before the end. One that begins inside the
+      // end's own event (the MAC's reply to the frame) comes after it.
+      const auto first = std::partition_point(
+          own.begin(), own.end(), [&](const auto& t) { return !before(a.start, t.second); });
+      if (first != own.end() && first->first < a.end) lost = true;
+      for (const auto& [from, to] : sc.fault_plan().down_windows(j)) {
+        if (before(a.start, from) && before(from, a.end)) lost = true;
+      }
+      if (lost) {
+        ++want_corrupt;
+      } else {
+        want_rx.push_back({j, a.end, a.from});
+      }
+    }
+    EXPECT_EQ(sc.node(j).transceiver().frames_corrupted(), want_corrupt) << "node " << j;
+    corrupt_total += want_corrupt;
+
+    for (const Sample& p : samples) {
+      if (p.node != j) continue;
+      bool busy = false;
+      SimTime idle = SimTime::zero();
+      auto span = [&](SimTime from, SimTime to) {
+        if (!before(p.at, from) && before(p.at, to)) busy = true;
+        if (!before(p.at, to)) idle = std::max(idle, to);
+      };
+      for (const auto& [t0, t1] : own) span(t0, t1);
+      for (const OracleArrival& a : acc) span(a.start, a.end);
+      EXPECT_EQ(p.busy, busy) << "node " << j << " at " << p.at.ns();
+      if (!busy) {
+        EXPECT_EQ(p.idle_since, idle) << "node " << j << " at " << p.at.ns();
+      }
+    }
+  }
+  std::sort(delivered.begin(), delivered.end());
+  std::sort(want_rx.begin(), want_rx.end());
+  EXPECT_EQ(delivered, want_rx);
+  EXPECT_NEAR(sc.stats().energy_rx_j(), cfg.phy.rx_power_w * want_rx_air_s,
+              1e-9 * sc.stats().energy_rx_j());
+  EXPECT_EQ(ties, 0u);
+  EXPECT_GT(want_rx.size(), 3000u);
+  EXPECT_GT(corrupt_total, 50u);
+  const auto busy_samples = std::count_if(samples.begin(), samples.end(),
+                                          [](const Sample& p) { return p.busy; });
+  EXPECT_GT(busy_samples, kSamples / 20);
+  EXPECT_LT(busy_samples, kSamples - kSamples / 20);
+}
+
+ScenarioConfig trio_cell(Protocol p, std::uint64_t seed) {
+  return ScenarioBuilder()
+      .protocol(p)
+      .seed(seed)
+      .nodes(40)
+      .area(1500.0, 300.0)
+      .speed(0.1, 20.0)
+      .pause(SimTime::zero())
+      .connections(10)
+      .duration(seconds(30))
+      .build();
+}
+
+TEST(PhyLedgerOracle, PaperFieldMatchesIntervalModel) {
+  for (const Protocol p : {Protocol::kAodv, Protocol::kDsr}) {
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) check_against_oracle(trio_cell(p, seed));
+  }
+}
+
+TEST(PhyLedgerOracle, CrashesAndRestartsMatchIntervalModel) {
+  FaultConfig f;
+  f.crash_rate = 1.5;
+  f.downtime_mean = seconds(2);
+  f.window_from = seconds(5);
+  ScenarioConfig cfg = trio_cell(Protocol::kAodv, 1);
+  cfg.fault = f;
+  check_against_oracle(cfg);
 }
 
 }  // namespace

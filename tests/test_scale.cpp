@@ -299,7 +299,7 @@ TEST(UrbanFamily, PinnedGoldenFingerprint) {
   const ScenarioResult r =
       urban_scenario(60).protocol(Protocol::kAodv).seed(1).duration(seconds(20)).run();
   test::expect_golden(result_fingerprint(r),
-                      "events=180728 orig=260 deliv=142 rtx=718 mac=1605 tretx=0 flows=0 "
+                      "events=27266 orig=260 deliv=142 rtx=718 mac=1605 tretx=0 flows=0 "
                       "pdr=0.546153846154 delay=473.727128761 nrl=5.05633802817 "
                       "hops=2.28169014085 conn=0.527272727273",
                       "urban_scenario(60) AODV seed 1");
