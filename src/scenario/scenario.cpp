@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cstdio>
+#include <cstring>
 #include <sstream>
 
 #include "core/assert.hpp"
@@ -354,6 +355,10 @@ ScenarioResult Scenario::run() {
   r.fault_corrupted = stats_.fault_corrupted();
   r.delivered_during_fault = stats_.delivered_during_fault();
   r.delivered_after_fault = stats_.delivered_after_fault();
+  for (const auto& node : nodes_) {
+    r.frames_rx += node->transceiver().frames_received();
+    r.frames_corrupt += node->transceiver().frames_corrupted();
+  }
   // Only the transport transmits segments, so transport-free runs export no
   // rows.
   for (const auto& [id, f] : stats_.flow_monitor().records()) {
@@ -365,6 +370,57 @@ ScenarioResult Scenario::run() {
 ScenarioResult Scenario::run_once(const ScenarioConfig& cfg) {
   Scenario s(cfg);
   return s.run();
+}
+
+namespace {
+
+/// 64-bit FNV-1a over the little-endian bytes of each value added.
+class Fnv {
+ public:
+  void add(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h_ ^= (v >> (8 * i)) & 0xFF;
+      h_ *= 0x100000001b3ULL;
+    }
+  }
+  void add(double d) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &d, sizeof bits);
+    add(bits);
+  }
+  [[nodiscard]] std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_ = 0xcbf29ce484222325ULL;
+};
+
+}  // namespace
+
+std::uint64_t model_digest(const ScenarioResult& r) {
+  Fnv h;
+  // The frame counts enter as doubles: the order and encoding the
+  // benchmark's digests were first recorded with.
+  for (const double d : {r.pdr, r.delay_ms, r.nrl, r.nml, r.throughput_kbps, r.avg_hops,
+                         r.connectivity, r.repair_latency_ms, static_cast<double>(r.frames_rx),
+                         static_cast<double>(r.frames_corrupt)}) {
+    h.add(d);
+  }
+  for (const std::uint64_t v :
+       {r.data_originated, r.data_delivered, r.retransmissions, r.routing_tx, r.mac_ctrl_tx,
+        r.crashes, r.fault_corrupted, r.delivered_during_fault, r.delivered_after_fault}) {
+    h.add(v);
+  }
+  for (const auto& [id, f] : r.flows) {
+    h.add(static_cast<std::uint64_t>(id));
+    for (const std::uint64_t v :
+         {static_cast<std::uint64_t>(f.src), static_cast<std::uint64_t>(f.dst), f.tx_packets,
+          f.tx_bytes, f.rx_packets, f.rx_bytes, f.retransmissions, f.jitter_samples}) {
+      h.add(v);
+    }
+    h.add(f.delay_sum_s);
+    h.add(f.jitter_sum_s);
+  }
+  return h.value();
 }
 
 }  // namespace manet

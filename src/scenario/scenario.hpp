@@ -153,11 +153,25 @@ struct ScenarioResult {
   std::uint64_t delivered_during_fault = 0;
   std::uint64_t delivered_after_fault = 0;
 
+  /// Frames every transceiver decoded / received corrupted, summed at the
+  /// horizon (after the lazy arrivals that ended by then are applied).
+  std::uint64_t frames_rx = 0;
+  std::uint64_t frames_corrupt = 0;
+
   /// Per-flow ledger records of the flows that made a first transmission,
   /// sorted by flow id (empty when the transport is off — keeps
   /// transport-free artifacts byte-identical).
   std::vector<std::pair<std::uint32_t, FlowRecord>> flows;
 };
+
+/// The run's behaviour fingerprint: FNV-1a over every field of `r` that
+/// describes what the model did (metrics, counters, fault outcomes, PHY
+/// frames, flow rows), bit for bit. `events` and `peak_queue_depth` are the
+/// kernel's cost, not behaviour, so a change that only makes the simulator
+/// faster leaves the digest alone. The field order is frozen: benchmark/
+/// keeps a copy that must give the same value, and folds a workload pass's
+/// per-run digests into the `model_digest` it prints.
+[[nodiscard]] std::uint64_t model_digest(const ScenarioResult& r);
 
 class Scenario {
  public:

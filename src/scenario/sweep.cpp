@@ -1,6 +1,7 @@
 #include "scenario/sweep.hpp"
 
 #include <atomic>
+#include <cinttypes>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -76,7 +77,10 @@ std::string SweepResult::to_json() const {
        << ", \"runs\": [";
     for (std::size_t k = 0; k < c.runs.size(); ++k) {
       const RunProfile& r = c.runs[k];
-      os << (k == 0 ? "" : ", ") << "{\"seed\": " << r.seed << ", \"events\": " << r.events
+      char digest[17];
+      std::snprintf(digest, sizeof digest, "%016" PRIx64, r.digest);
+      os << (k == 0 ? "" : ", ") << "{\"seed\": " << r.seed << ", \"digest\": \"" << digest
+         << "\", \"events\": " << r.events
          << ", \"peak_queue_depth\": " << r.peak_queue_depth;
       // FlowMonitor table, present only for transport-enabled runs so
       // transport-free artifacts stay byte-identical to pre-transport ones.
@@ -155,6 +159,7 @@ SweepResult SweepRunner::run(const std::vector<SweepCell>& cells) const {
 
       RunProfile p;
       p.seed = cfg.seed;
+      p.digest = model_digest(r);
       p.events = r.events;
       p.peak_queue_depth = r.peak_queue_depth;
       p.retransmissions = r.retransmissions;

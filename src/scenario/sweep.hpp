@@ -9,10 +9,10 @@
 // ~ total_replications / cores instead of num_cells × slowest_seed.
 //
 // Results are structured, not just printed: SweepResult carries each cell's
-// Aggregate plus per-replication accounting (seed, event count, peak
-// event-queue depth, transport flows), with JSON and CSV emitters so every
-// run leaves a machine-diffable artifact. Host performance (wall-clock,
-// rates, memory) is measured only by benchmark/, never here.
+// Aggregate plus per-replication accounting (seed, behaviour digest, event
+// count, peak event-queue depth, transport flows), with JSON and CSV
+// emitters so every run leaves a machine-diffable artifact. Host performance
+// (wall-clock, rates, memory) is measured only by benchmark/, never here.
 //
 // Determinism: replication (cell c, rep k) always runs config
 // cells[c].config with seed base+k, whatever the thread count — results are
@@ -38,6 +38,7 @@ struct SweepCell {
 /// Deterministic profile of a single replication.
 struct RunProfile {
   std::uint64_t seed = 0;
+  std::uint64_t digest = 0;  ///< model_digest() of the run's result
   std::uint64_t events = 0;
   std::size_t peak_queue_depth = 0;
   /// Reliable-transport accounting, empty/0 when transport is disabled so

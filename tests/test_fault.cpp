@@ -4,29 +4,24 @@
 //   1. The compiled FaultPlan is a pure function of (config, seed): same
 //      seed => byte-identical schedule; events are sorted, crash/restart
 //      strictly alternate, and the quiet warm-up window is respected.
-//   2. A faulted run is deterministic end to end: full per-seed metric
-//      fingerprints (the test_order_independence pattern) are pinned for
-//      every protocol, and the same grid aggregates bit-identically under
-//      1, 2 and 8 sweep workers.
+//   2. A faulted run is deterministic end to end: a repeat run matches in
+//      behaviour and cost, with and without the transport, and the same grid
+//      writes a byte-identical artifact under 1, 2 and 8 sweep workers. The
+//      per-protocol outcomes are pinned in the golden table
+//      (tests/test_goldens.cpp).
 //   3. The invariants faults must preserve: a crashed node neither sends,
 //      forwards nor receives (proved from the event trace against the
 //      plan's own down windows); a restarted node comes back with cold
 //      routing state; injected crashes strictly lower PDR versus the
 //      crash-free control for every protocol.
-//
-// Regenerate the fingerprints after an intentional behaviour change:
-//   MANET_PRINT_GOLDENS=1 ./build/tests/test_fault
-// and paste the printed table over kGoldens below.
 
 #include "fault/fault.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -39,27 +34,13 @@ namespace manet {
 namespace {
 
 using test::TestNet;
+using test::faulted_field;
 using test::line_positions;
+using test::rich_fault_config;
 
 // ---------------------------------------------------------------------------
 // 1. Plan compilation
 // ---------------------------------------------------------------------------
-
-FaultConfig rich_fault_config() {
-  FaultConfig f;
-  f.crash_rate = 1.0;
-  f.downtime_mean = seconds(5);
-  f.link_blackouts = 2;
-  f.blackout_mean = seconds(3);
-  f.corrupt_rate = 0.05;
-  f.corrupt_from = seconds(8);
-  f.corrupt_until = seconds(16);
-  f.partition = true;
-  f.partition_from = seconds(10);
-  f.partition_until = seconds(15);
-  f.window_from = seconds(5);
-  return f;
-}
 
 TEST(FaultPlan, SameSeedCompilesByteIdenticalSchedule) {
   const FaultConfig f = rich_fault_config();
@@ -170,116 +151,41 @@ TEST(FaultRuntime, CorruptWindowSetsAndClearsRate) {
 }
 
 // ---------------------------------------------------------------------------
-// 3. Deterministic faulted runs: per-seed golden fingerprints
+// 3. Deterministic faulted runs (their pinned outcomes are rows of the golden
+//    table, tests/test_goldens.cpp)
 // ---------------------------------------------------------------------------
 
-ScenarioConfig faulted_config(Protocol p, std::uint64_t seed) {
-  ScenarioConfig cfg;
-  cfg.protocol = p;
-  cfg.seed = seed;
-  cfg.num_nodes = 14;
-  cfg.area = {650.0, 650.0};
-  cfg.v_max = 6.0;
-  cfg.num_connections = 4;
-  cfg.duration = seconds(25);
-  cfg.fault = rich_fault_config();
-  return cfg;
-}
-
-std::string fingerprint(Protocol p, std::uint64_t seed) {
-  const auto r = Scenario::run_once(faulted_config(p, seed));
-  char buf[256];
-  std::snprintf(buf, sizeof(buf),
-                "%s seed=%llu events=%llu orig=%llu deliv=%llu crashes=%llu corrupt=%llu "
-                "during=%llu after=%llu pdr=%.12g repair=%.12g",
-                to_string(p), static_cast<unsigned long long>(seed),
-                static_cast<unsigned long long>(r.events),
-                static_cast<unsigned long long>(r.data_originated),
-                static_cast<unsigned long long>(r.data_delivered),
-                static_cast<unsigned long long>(r.crashes),
-                static_cast<unsigned long long>(r.fault_corrupted),
-                static_cast<unsigned long long>(r.delivered_during_fault),
-                static_cast<unsigned long long>(r.delivered_after_fault), r.pdr,
-                r.repair_latency_ms);
-  return buf;
-}
-
-const char* const kGoldens[] = {
-    "AODV seed=1 events=6571 orig=155 deliv=103 crashes=14 corrupt=43 during=103 after=0 pdr=0.664516129032 repair=174.691716286",
-    "DSR seed=1 events=7182 orig=155 deliv=103 crashes=14 corrupt=45 during=103 after=0 pdr=0.664516129032 repair=163.187730071",
-    "CBRP seed=1 events=5467 orig=155 deliv=76 crashes=14 corrupt=43 during=76 after=0 pdr=0.490322580645 repair=185.7412915",
-    "DSDV seed=1 events=9373 orig=155 deliv=99 crashes=14 corrupt=66 during=99 after=0 pdr=0.638709677419 repair=221.587281357",
-    "OLSR seed=1 events=7979 orig=155 deliv=94 crashes=14 corrupt=38 during=94 after=0 pdr=0.606451612903 repair=210.127528143",
-    "LAR seed=1 events=6998 orig=155 deliv=103 crashes=14 corrupt=45 during=103 after=0 pdr=0.664516129032 repair=159.491294643",
-    "TORA seed=1 events=9438 orig=155 deliv=102 crashes=14 corrupt=62 during=102 after=0 pdr=0.658064516129 repair=158.838976143",
-};
-
-TEST(FaultDeterminism, PerSeedFingerprintsMatchGoldens) {
-  static_assert(std::size(kProtocols) == std::size(kGoldens));
-  for (std::size_t i = 0; i < std::size(kProtocols); ++i) {
-    test::expect_golden(fingerprint(kProtocols[i].id, 1), kGoldens[i],
-                        std::string(kProtocols[i].name) + " faulted run");
-  }
-}
-
 TEST(FaultDeterminism, RepeatFaultedRunIsBitIdentical) {
-  EXPECT_EQ(fingerprint(Protocol::kAodv, 9), fingerprint(Protocol::kAodv, 9));
+  const ScenarioConfig cfg = faulted_field(Protocol::kAodv, 9);
+  test::expect_same_run(Scenario::run_once(cfg), Scenario::run_once(cfg), "AODV seed 9");
 }
 
 // The reliable transport under fire: crashes mid-flow exercise the
 // cold-reset + epoch machinery inside a full scenario (RTO timers firing on
 // down nodes, aborted incarnations, receivers adopting fresh epochs), and
 // the whole thing must still be a pure function of (scenario, seed).
-ScenarioConfig transport_faulted_config(Protocol p, std::uint64_t seed) {
-  ScenarioConfig cfg = faulted_config(p, seed);
-  cfg.transport.enabled = true;
-  return cfg;
-}
-
-std::string transport_fault_fingerprint(Protocol p, std::uint64_t seed) {
-  const auto r = Scenario::run_once(transport_faulted_config(p, seed));
-  char buf[256];
-  std::snprintf(buf, sizeof(buf),
-                "events=%llu orig=%llu deliv=%llu tretx=%llu flows=%zu crashes=%llu "
-                "pdr=%.12g",
-                static_cast<unsigned long long>(r.events),
-                static_cast<unsigned long long>(r.data_originated),
-                static_cast<unsigned long long>(r.data_delivered),
-                static_cast<unsigned long long>(r.retransmissions), r.flows.size(),
-                static_cast<unsigned long long>(r.crashes), r.pdr);
-  return buf;
-}
-
-TEST(FaultDeterminism, TransportFaultedRunsDeterministicAndPinned) {
-  const struct {
-    Protocol protocol;
-    const char* golden;
-  } kTransportGoldens[] = {
-      {Protocol::kAodv,
-       "events=11644 orig=155 deliv=103 tretx=7 flows=4 crashes=14 pdr=0.664516129032"},
-      {Protocol::kDsdv,
-       "events=15352 orig=155 deliv=99 tretx=13 flows=4 crashes=14 pdr=0.638709677419"},
-  };
-  for (const auto& g : kTransportGoldens) {
-    const std::string fp = transport_fault_fingerprint(g.protocol, 1);
-    test::expect_golden(fp, g.golden,
-                        std::string(to_string(g.protocol)) + " transport faulted run");
+TEST(FaultDeterminism, TransportFaultedRunsReplayIdentically) {
+  for (const Protocol p : {Protocol::kAodv, Protocol::kDsdv}) {
+    ScenarioConfig cfg = faulted_field(p, 1);
+    cfg.transport.enabled = true;
+    const ScenarioResult first = Scenario::run_once(cfg);
     // Bit-identical on replay: timers, aborts and epochs are all replayable.
-    EXPECT_EQ(transport_fault_fingerprint(g.protocol, 1), fp) << to_string(g.protocol);
+    test::expect_same_run(first, Scenario::run_once(cfg), to_string(p));
     // Non-vacuous: the run really crashed nodes while flows were up, and the
     // transport really retransmitted around the outages.
-    const auto r = Scenario::run_once(transport_faulted_config(g.protocol, 1));
-    EXPECT_GT(r.crashes, 0u);
-    EXPECT_GT(r.retransmissions, 0u);
-    EXPECT_FALSE(r.flows.empty());
+    EXPECT_GT(first.crashes, 0u) << to_string(p);
+    EXPECT_GT(first.retransmissions, 0u) << to_string(p);
+    EXPECT_FALSE(first.flows.empty()) << to_string(p);
   }
 }
 
-TEST(FaultDeterminism, SweepAggregatesIdenticalUnder1And2And8Workers) {
+// The artifact carries every run's digest and cost, so byte equality of the
+// JSON is the whole determinism claim.
+TEST(FaultDeterminism, SweepArtifactIdenticalUnder1And2And8Workers) {
   std::vector<SweepCell> cells;
   for (const Protocol p : {Protocol::kAodv, Protocol::kDsdv}) {
     for (const double crash : {0.0, 1.0}) {
-      auto cfg = faulted_config(p, 1);
+      auto cfg = faulted_field(p, 1);
       cfg.duration = seconds(20);
       cfg.fault.crash_rate = crash;
       char label[48];
@@ -287,26 +193,9 @@ TEST(FaultDeterminism, SweepAggregatesIdenticalUnder1And2And8Workers) {
       cells.push_back({label, cfg});
     }
   }
-  const SweepResult one = SweepRunner(/*seeds=*/2, /*threads=*/1).run(cells);
-  const SweepResult two = SweepRunner(2, 2).run(cells);
-  const SweepResult eight = SweepRunner(2, 8).run(cells);
-  ASSERT_EQ(one.cells.size(), cells.size());
-  for (const SweepResult* other : {&two, &eight}) {
-    ASSERT_EQ(other->cells.size(), one.cells.size());
-    for (std::size_t i = 0; i < one.cells.size(); ++i) {
-      EXPECT_EQ(one.cells[i].label, other->cells[i].label);
-      EXPECT_EQ(one.cells[i].aggregate.total_events, other->cells[i].aggregate.total_events);
-      const Aggregate& a = one.cells[i].aggregate;
-      const Aggregate& b = other->cells[i].aggregate;
-      a.for_each([&](const char* name, const Metric& ma) {
-        b.for_each([&](const char* bname, const Metric& mb) {
-          if (std::string_view(name) != bname) return;
-          EXPECT_DOUBLE_EQ(ma.mean, mb.mean) << name;
-          EXPECT_DOUBLE_EQ(ma.se, mb.se) << name;
-        });
-      });
-    }
-  }
+  const std::string one = SweepRunner(/*seeds=*/2, /*threads=*/1).run(cells).to_json();
+  EXPECT_EQ(SweepRunner(2, 2).run(cells).to_json(), one);
+  EXPECT_EQ(SweepRunner(2, 8).run(cells).to_json(), one);
 }
 
 // ---------------------------------------------------------------------------
@@ -320,7 +209,7 @@ TEST(FaultDeterminism, SweepAggregatesIdenticalUnder1And2And8Workers) {
 // node/channel gating).
 TEST(FaultInvariant, NoTraceActivityFromCrashedNodes) {
   const std::string path = testing::TempDir() + "fault_invariant.tr";
-  ScenarioConfig cfg = faulted_config(Protocol::kAodv, 11);
+  ScenarioConfig cfg = faulted_field(Protocol::kAodv, 11);
   cfg.trace_path = path;
   Scenario s(cfg);
   const auto r = s.run();
@@ -383,14 +272,7 @@ TEST(FaultInvariant, RestartComesBackWithColdRoutingState) {
 }
 
 TEST(FaultInvariant, CorruptionWindowCorruptsFramesAndIsCounted) {
-  ScenarioConfig cfg;
-  cfg.protocol = Protocol::kAodv;
-  cfg.seed = 2;
-  cfg.num_nodes = 14;
-  cfg.area = {650.0, 650.0};
-  cfg.v_max = 6.0;
-  cfg.num_connections = 4;
-  cfg.duration = seconds(25);
+  ScenarioConfig cfg = test::dense_field(Protocol::kAodv, 2);
   cfg.fault.corrupt_rate = 0.2;
   const auto r = Scenario::run_once(cfg);
   EXPECT_GT(r.fault_corrupted, 0u);

@@ -7,9 +7,9 @@
 //      its packet count.
 //   3. Integration: a transport-enabled scenario per protocol, plus a
 //      crashed one; the per-flow sums must reconcile exactly with the run's
-//      aggregate counters, transport-off runs must export no flow rows, and
-//      a pinned golden fingerprint per protocol holds transport runs
-//      byte-exact.
+//      aggregate counters, and transport-off runs must export no flow rows.
+//      One transport run per protocol is pinned in the golden table
+//      (tests/test_goldens.cpp).
 
 #include "stats/flow_monitor.hpp"
 
@@ -22,7 +22,6 @@
 #include "core/time.hpp"
 #include "scenario/builder.hpp"
 #include "scenario/scenario.hpp"
-#include "testutil.hpp"
 #include "transport/transport.hpp"
 
 namespace manet {
@@ -181,54 +180,6 @@ TEST(FlowMonitorIntegration, TransportOffRunsCarryNoFlowRecords) {
   EXPECT_TRUE(r.flows.empty());
   EXPECT_EQ(r.retransmissions, 0u);
   EXPECT_GT(r.data_delivered, 0u);
-}
-
-TEST(FlowMonitorIntegration, TransportRunsMatchPinnedGoldens) {
-  // The transport's cross-node feedback loops (ACKs, RTO timers, closed-loop
-  // sources) pinned byte-exact per protocol, so silent behaviour drift in
-  // any layer under them fails here.
-  const struct {
-    const char* protocol;
-    const char* golden;
-  } kGoldens[] = {
-      {"AODV",
-       "events=20350 orig=155 deliv=155 rtx=32 mac=1612 tretx=1 flows=4 "
-       "pdr=1 delay=24.4912135355 nrl=0.206451612903 hops=1.66451612903 conn=1"},
-      {"DSR",
-       "events=20037 orig=155 deliv=155 rtx=36 mac=1612 tretx=0 flows=4 "
-       "pdr=1 delay=6.65363146452 nrl=0.232258064516 hops=1.66451612903 conn=1"},
-      {"CBRP",
-       "events=25998 orig=155 deliv=155 rtx=233 mac=1735 tretx=0 flows=4 "
-       "pdr=1 delay=6.29110536774 nrl=1.50322580645 hops=1.66451612903 conn=1"},
-      {"DSDV",
-       "events=26774 orig=155 deliv=155 rtx=464 mac=1622 tretx=0 flows=4 "
-       "pdr=1 delay=6.1661884129 nrl=2.9935483871 hops=1.67741935484 conn=1"},
-      {"OLSR",
-       "events=23238 orig=155 deliv=155 rtx=282 mac=1591 tretx=0 flows=4 "
-       "pdr=1 delay=5.99328171613 nrl=1.81935483871 hops=1.66451612903 conn=1"},
-      {"LAR",
-       "events=25329 orig=155 deliv=155 rtx=114 mac=1759 tretx=1 flows=4 "
-       "pdr=1 delay=26.3854300194 nrl=0.735483870968 hops=1.85161290323 conn=1"},
-      {"TORA",
-       "events=26503 orig=155 deliv=155 rtx=489 mac=1600 tretx=1 flows=4 "
-       "pdr=1 delay=25.1729141161 nrl=3.15483870968 hops=1.66451612903 conn=1"},
-  };
-  TransportConfig transport;
-  transport.enabled = true;
-  for (const auto& g : kGoldens) {
-    const ScenarioResult r = ScenarioBuilder()
-                                 .protocol(g.protocol)
-                                 .seed(1)
-                                 .nodes(14)
-                                 .area(650.0, 650.0)
-                                 .speed(0.1, 6.0)
-                                 .connections(4)
-                                 .duration(seconds(25))
-                                 .transport(transport)
-                                 .run();
-    test::expect_golden(test::result_fingerprint(r), g.golden, g.protocol);
-    EXPECT_FALSE(r.flows.empty()) << g.protocol;
-  }
 }
 
 }  // namespace

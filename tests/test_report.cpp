@@ -138,5 +138,15 @@ TEST(Report, BaselineZeroDeltaRendersNa) {
   EXPECT_NE(r.render(Options{}).find("n/a"), std::string::npos);
 }
 
+// A tolerance no drift can exceed turns the gate off, so the CLI rejects it
+// before reading either file (the paths need not exist).
+TEST(Report, NonFiniteOrNegativeToleranceIsAUsageError) {
+  for (const char* flag : {"--tolerance=nan", "--tolerance=inf", "--tolerance=-inf",
+                           "--tolerance=-0.5", "--tolerance="}) {
+    const char* argv[] = {"manet_report", "a.json", "b.json", flag};
+    EXPECT_EQ(run_cli(4, argv), 2) << flag;
+  }
+}
+
 }  // namespace
 }  // namespace manet::report

@@ -7,12 +7,13 @@
 //      superset of the exact in-range set, in ascending id order — the
 //      invariant that lets Channel::transmit cull candidates grid-locally
 //      without ever missing a receiver.
-//   2. Manhattan mobility determinism: per-seed golden fingerprints (pinned
-//      byte-exact), street-constrained positions, and pure-function-of-time
-//      replay.
-//   3. The urban family: all registered protocols run it unchanged, a
-//      pinned golden fingerprint holds its behaviour byte-exact, and faulted
-//      urban runs (crash + restart) replay identically — restart safety.
+//   2. Manhattan mobility determinism: street-constrained positions and
+//      pure-function-of-time replay (per-seed trajectories are pinned in
+//      tests/test_goldens.cpp).
+//   3. The urban family: all registered protocols run it unchanged, the
+//      canyon model changes the outcome, and faulted urban runs (crash +
+//      restart) replay identically — restart safety. Its outcome is a row
+//      of the golden table.
 //   4. A 5000-node city completes a short run with bounded memory per node
 //      (the structural end of the 10k acceptance run, which lives in
 //      scenarios/fig_scale.json).
@@ -21,8 +22,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -172,48 +171,6 @@ TEST(GridIndexProperty, ReachIsSupersetOfExactDiskThroughoutItsEpoch) {
 // 2. Manhattan mobility determinism
 // ---------------------------------------------------------------------------
 
-/// Fingerprint: positions of one model sampled on a fixed time lattice.
-std::string manhattan_fingerprint(std::uint64_t seed) {
-  ManhattanConfig cfg;
-  cfg.area = Area{1000.0, 1000.0};
-  Manhattan m(cfg, RngStream(seed, "mobility", 0));
-  std::string fp;
-  for (int t = 0; t <= 40; t += 10) {
-    const Vec2 p = m.position_at(seconds(t));
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%d:(%.9g,%.9g) ", t, p.x, p.y);
-    fp += buf;
-  }
-  return fp;
-}
-
-TEST(ManhattanDeterminism, PerSeedGoldenFingerprints) {
-  // Pinned byte-exact. Any diff means seeded Manhattan trajectories changed
-  // — which silently invalidates every urban golden and the fig_scale
-  // baseline. Regenerate (and re-baseline) only for a deliberate model
-  // change: MANET_PRINT_GOLDENS=1 ./test_scale prints fresh lines.
-  const struct {
-    std::uint64_t seed;
-    const char* golden;
-  } kGoldens[] = {
-      {1, "0:(200,800) 10:(101.323166,800) 20:(2.64633289,800) 30:(0,909.644786) "
-          "40:(0,996.612748) "},
-      {2, "0:(800,800) 10:(800,732.081267) 20:(800,664.162534) 30:(791.780769,600) "
-          "40:(643.16249,600) "},
-      {3, "0:(800,200) 10:(862.151542,200) 20:(924.303085,200) 30:(986.454627,200) "
-          "40:(1000,304.195031) "},
-  };
-  if (std::getenv("MANET_PRINT_GOLDENS") != nullptr) {
-    for (const auto& g : kGoldens) {
-      std::printf("{%llu, \"%s\"},\n", static_cast<unsigned long long>(g.seed),
-                  manhattan_fingerprint(g.seed).c_str());
-    }
-  }
-  for (const auto& g : kGoldens) {
-    EXPECT_EQ(manhattan_fingerprint(g.seed), g.golden) << "seed " << g.seed;
-  }
-}
-
 TEST(ManhattanDeterminism, PositionsStayOnStreets) {
   ManhattanConfig cfg;
   cfg.area = Area{1000.0, 1000.0};
@@ -257,8 +214,6 @@ TEST(ManhattanDeterminism, PureFunctionOfTimeAcrossSamplingPatterns) {
 // 3. The urban scenario family
 // ---------------------------------------------------------------------------
 
-using test::result_fingerprint;
-
 TEST(UrbanFamily, BuilderWiresTheStreetCanyonModel) {
   const ScenarioConfig cfg = urban_scenario(200).build();
   EXPECT_EQ(cfg.mobility, MobilityKind::kManhattan);
@@ -287,22 +242,9 @@ TEST(UrbanFamily, ShadowingActuallyBites) {
   ScenarioBuilder b = urban_scenario(40).protocol(Protocol::kAodv).seed(2).duration(seconds(20));
   const ScenarioResult on = b.run();
   const ScenarioResult off = ScenarioBuilder::from(b.build()).urban(0.0).run();
-  EXPECT_NE(result_fingerprint(on), result_fingerprint(off));
+  EXPECT_NE(model_digest(on), model_digest(off));
   // NLOS pruning can only remove oracle edges.
   EXPECT_LE(on.connectivity, off.connectivity);
-}
-
-TEST(UrbanFamily, PinnedGoldenFingerprint) {
-  // Byte-exact anchor for the whole urban stack (Manhattan mobility, canyon
-  // shadowing, grid-local PHY). Regenerate only for a deliberate model
-  // change: MANET_PRINT_GOLDENS=1 ./test_scale prints the fresh literal.
-  const ScenarioResult r =
-      urban_scenario(60).protocol(Protocol::kAodv).seed(1).duration(seconds(20)).run();
-  test::expect_golden(result_fingerprint(r),
-                      "events=27266 orig=260 deliv=142 rtx=718 mac=1605 tretx=0 flows=0 "
-                      "pdr=0.546153846154 delay=473.727128761 nrl=5.05633802817 "
-                      "hops=2.28169014085 conn=0.527272727273",
-                      "urban_scenario(60) AODV seed 1");
 }
 
 TEST(UrbanFamily, FaultedRunsReplayIdentically) {
@@ -314,8 +256,7 @@ TEST(UrbanFamily, FaultedRunsReplayIdentically) {
       urban_scenario(40).protocol(Protocol::kAodv).seed(5).duration(seconds(20)).fault(fault);
   const ScenarioResult first = b.run();
   const ScenarioResult again = b.run();
-  EXPECT_EQ(result_fingerprint(again), result_fingerprint(first))
-      << "faulted urban run not replay-safe";
+  test::expect_same_run(first, again, "faulted urban run not replay-safe");
   EXPECT_GT(first.crashes, 0u) << "fault plan produced no crashes; restart path untested";
 }
 

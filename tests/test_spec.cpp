@@ -22,6 +22,7 @@
 #include "core/rng.hpp"
 #include "scenario/builder.hpp"
 #include "scenario/scenario.hpp"
+#include "testutil.hpp"
 
 namespace manet {
 namespace {
@@ -683,7 +684,7 @@ TEST(SpecTwins, RunPerProtocolIsByteIdentical) {
   ASSERT_TRUE(s.ok()) << s.error_report();
   ASSERT_EQ(s.cells.size(), 7u);
   for (const SweepCell& cell : s.cells) {
-    ScenarioConfig twin;  // test_order_independence's config_for, via builder
+    ScenarioConfig twin;  // test::dense_field(), via builder
     {
       const ProtocolEntry* e = find_protocol(cell.label);
       ASSERT_NE(e, nullptr) << cell.label;
@@ -698,17 +699,7 @@ TEST(SpecTwins, RunPerProtocolIsByteIdentical) {
                  .build();
     }
     ASSERT_EQ(fingerprint(cell.config), fingerprint(twin)) << cell.label;
-    const ScenarioResult a = Scenario::run_once(cell.config);
-    const ScenarioResult b = Scenario::run_once(twin);
-    EXPECT_EQ(a.events, b.events) << cell.label;
-    EXPECT_EQ(a.data_originated, b.data_originated) << cell.label;
-    EXPECT_EQ(a.data_delivered, b.data_delivered) << cell.label;
-    EXPECT_EQ(a.routing_tx, b.routing_tx) << cell.label;
-    EXPECT_EQ(a.mac_ctrl_tx, b.mac_ctrl_tx) << cell.label;
-    EXPECT_EQ(a.pdr, b.pdr) << cell.label;
-    EXPECT_EQ(a.delay_ms, b.delay_ms) << cell.label;
-    EXPECT_EQ(a.nrl, b.nrl) << cell.label;
-    EXPECT_EQ(a.avg_hops, b.avg_hops) << cell.label;
+    test::expect_same_run(Scenario::run_once(cell.config), Scenario::run_once(twin), cell.label);
   }
 }
 

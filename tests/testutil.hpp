@@ -1,27 +1,25 @@
 // Shared test fixtures: deterministic static-topology networks, the
-// golden-fingerprint helpers and the peak-RSS probe of the memory bounds.
+// 14-node field and fault mix the golden table and the fault suite share,
+// the replay comparison and the peak-RSS probe of the memory bounds.
 //
 // TestNet builds a complete stack (channel, nodes at fixed positions, a
 // chosen routing protocol) so protocol tests can assert on delivery, route
 // shape, and control traffic over hand-crafted topologies (lines, grids,
 // stars) instead of random scenarios.
 //
-// result_fingerprint() + expect_golden() are the one shared vocabulary for
-// the pinned byte-exact determinism suites (test_flow_monitor, test_scale,
-// test_fault): every observable a run produces rendered as one exact-match
-// string, and one regeneration protocol (MANET_PRINT_GOLDENS=1) for all of
-// them.
+// A run's outcome splits into behaviour and cost. Behaviour is
+// model_digest() (src/scenario/scenario.hpp): what the model did, bit for
+// bit. Cost is the kernel's work: events executed and peak queue depth.
+// Every pinned run lives in one table, tests/test_goldens.cpp, with one
+// column for each; expect_same_run() compares two runs on both.
 #pragma once
 
 #include <gtest/gtest.h>
 #include <sys/resource.h>
 
-#include <cstdio>
-#include <cstdlib>
 #include <functional>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "core/simulator.hpp"
@@ -34,40 +32,53 @@
 
 namespace manet::test {
 
-/// True when the run should print fresh golden literals instead of asserting
-/// (deliberate model changes: MANET_PRINT_GOLDENS=1 ./test_x, then paste).
-inline bool print_goldens() { return std::getenv("MANET_PRINT_GOLDENS") != nullptr; }
-
-/// Byte-compare `got` against a pinned golden literal; under
-/// MANET_PRINT_GOLDENS, print the fresh literal (tagged with `context` so it
-/// can be pasted back into the right table row) and skip the assertion.
-inline void expect_golden(const std::string& got, std::string_view golden,
-                          const std::string& context) {
-  if (print_goldens()) {
-    std::printf("\"%s\",  // %s\n", got.c_str(), context.c_str());
-    return;
-  }
-  EXPECT_EQ(got, std::string(golden))
-      << context << " (deliberate change? MANET_PRINT_GOLDENS=1 prints fresh literals)";
+/// Two runs of one config must agree on behaviour and on cost: any
+/// difference means hidden global state (a static RNG, a leaked cache) or a
+/// thread-count dependence.
+inline void expect_same_run(const ScenarioResult& a, const ScenarioResult& b,
+                            const std::string& context) {
+  EXPECT_EQ(model_digest(a), model_digest(b)) << context;
+  EXPECT_EQ(a.events, b.events) << context;
+  EXPECT_EQ(a.peak_queue_depth, b.peak_queue_depth) << context;
 }
 
-/// Everything observable a run produces, as one exact-match string — the
-/// shared fingerprint of the transport, urban, and fault determinism
-/// suites. Includes the transport counters; transport-off runs render them
-/// as tretx=0 flows=0, so pre-transport fingerprints extend, not fork.
-inline std::string result_fingerprint(const ScenarioResult& r) {
-  char buf[320];
-  std::snprintf(buf, sizeof(buf),
-                "events=%llu orig=%llu deliv=%llu rtx=%llu mac=%llu tretx=%llu flows=%zu "
-                "pdr=%.12g delay=%.12g nrl=%.12g hops=%.12g conn=%.12g",
-                static_cast<unsigned long long>(r.events),
-                static_cast<unsigned long long>(r.data_originated),
-                static_cast<unsigned long long>(r.data_delivered),
-                static_cast<unsigned long long>(r.routing_tx),
-                static_cast<unsigned long long>(r.mac_ctrl_tx),
-                static_cast<unsigned long long>(r.retransmissions), r.flows.size(), r.pdr,
-                r.delay_ms, r.nrl, r.avg_hops, r.connectivity);
-  return buf;
+/// The dense 14-node field most pinned runs use: 650 m x 650 m, 6 m/s,
+/// 4 CBR flows, 25 s.
+inline ScenarioConfig dense_field(Protocol p, std::uint64_t seed) {
+  ScenarioConfig cfg;
+  cfg.protocol = p;
+  cfg.seed = seed;
+  cfg.num_nodes = 14;
+  cfg.area = {650.0, 650.0};
+  cfg.v_max = 6.0;
+  cfg.num_connections = 4;
+  cfg.duration = seconds(25);
+  return cfg;
+}
+
+/// Every fault kind at once: crashes, link blackouts, a corruption window
+/// and a partition, all after a 5 s quiet warm-up.
+inline FaultConfig rich_fault_config() {
+  FaultConfig f;
+  f.crash_rate = 1.0;
+  f.downtime_mean = seconds(5);
+  f.link_blackouts = 2;
+  f.blackout_mean = seconds(3);
+  f.corrupt_rate = 0.05;
+  f.corrupt_from = seconds(8);
+  f.corrupt_until = seconds(16);
+  f.partition = true;
+  f.partition_from = seconds(10);
+  f.partition_until = seconds(15);
+  f.window_from = seconds(5);
+  return f;
+}
+
+/// dense_field() under rich_fault_config().
+inline ScenarioConfig faulted_field(Protocol p, std::uint64_t seed) {
+  ScenarioConfig cfg = dense_field(p, seed);
+  cfg.fault = rich_fault_config();
+  return cfg;
 }
 
 /// Process-wide peak resident set size in bytes (0 if getrusage fails).

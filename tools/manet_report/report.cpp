@@ -159,8 +159,11 @@ int run_cli(int argc, const char* const* argv) {
     if (std::strncmp(arg, "--tolerance=", 12) == 0) {
       char* end = nullptr;
       opt.tolerance = std::strtod(arg + 12, &end);
-      if (end == arg + 12 || *end != '\0' || opt.tolerance < 0.0) {
-        std::fprintf(stderr, "manet_report: --tolerance must be a number >= 0, got \"%s\"\n",
+      // NaN and infinity would turn the gate off: no drift exceeds them.
+      if (end == arg + 12 || *end != '\0' || !std::isfinite(opt.tolerance) ||
+          opt.tolerance < 0.0) {
+        std::fprintf(stderr,
+                     "manet_report: --tolerance must be a finite number >= 0, got \"%s\"\n",
                      arg + 12);
         return 2;
       }
