@@ -83,6 +83,9 @@ class Simulator {
   /// High-water mark of pending events over the run (profiling).
   [[nodiscard]] std::size_t peak_queue_size() const { return queue_.peak_size(); }
 
+  /// The next packet uid of this run: 1, 2, ... (Packet::uid()).
+  [[nodiscard]] std::uint64_t mint_uid() { return ++last_uid_; }
+
  private:
   EventQueue queue_;
   SimTime now_ = SimTime::zero();
@@ -90,6 +93,7 @@ class Simulator {
   bool in_event_ = false;
   bool stopped_ = false;
   std::uint64_t events_executed_ = 0;
+  std::uint64_t last_uid_ = 0;
 };
 
 }  // namespace manet

@@ -13,7 +13,7 @@ constexpr SimTime kTimeoutMargin = microseconds(5);
 
 WifiMac::WifiMac(Simulator& sim, const MacConfig& cfg, Transceiver& trx, StatsCollector& stats,
                  RngStream rng)
-    : sim_(sim), cfg_(cfg), trx_(trx), stats_(stats), rng_(rng), cw_(cfg.cw_min) {
+    : sim_(sim), cfg_(cfg), trx_(trx), stats_(stats), rng_(rng), cw_(kCwMin) {
   trx_.set_listener(this);
   trx_.set_contending(false);
 }
@@ -70,7 +70,7 @@ void WifiMac::reset() {
   ifq_.clear();
   set_state(State::kIdle);
   short_retries_ = long_retries_ = 0;
-  cw_ = cfg_.cw_min;
+  cw_ = kCwMin;
   backoff_slots_ = 0;
   nav_until_ = SimTime::zero();
   rx_last_seq_.clear();
@@ -118,10 +118,10 @@ void WifiMac::medium_check() {
     return;
   }
   const SimTime idle_for = sim_.now() - idle_since();
-  if (idle_for >= cfg_.difs) {
+  if (idle_for >= kDifs) {
     difs_elapsed();
   } else {
-    difs_ev_ = sim_.schedule(cfg_.difs - idle_for, [this] { difs_elapsed(); });
+    difs_ev_ = sim_.schedule(kDifs - idle_for, [this] { difs_elapsed(); });
   }
 }
 
@@ -133,7 +133,7 @@ void WifiMac::difs_elapsed() {
   }
   backoff_started_ = sim_.now();
   backoff_ev_ =
-      sim_.schedule(cfg_.slot * static_cast<std::int64_t>(backoff_slots_), [this] { backoff_done(); });
+      sim_.schedule(kSlot * static_cast<std::int64_t>(backoff_slots_), [this] { backoff_done(); });
 }
 
 void WifiMac::backoff_done() {
@@ -146,7 +146,7 @@ void WifiMac::freeze_backoff() {
   if (!sim_.pending(backoff_ev_)) return;
   sim_.cancel(backoff_ev_);
   const auto elapsed =
-      static_cast<std::uint32_t>((sim_.now() - backoff_started_) / cfg_.slot);
+      static_cast<std::uint32_t>((sim_.now() - backoff_started_) / kSlot);
   backoff_slots_ -= std::min(elapsed, backoff_slots_);
 }
 
@@ -193,7 +193,7 @@ void WifiMac::transmit_current() {
   MANET_ASSERT(current_.has_value());
   if (trx_.transmitting()) {
     // We are mid-way through sending a CTS/ACK response; try again shortly.
-    difs_ev_ = sim_.schedule(cfg_.slot, [this] { medium_check(); });
+    difs_ev_ = sim_.schedule(kSlot, [this] { medium_check(); });
     return;
   }
   const PhyConfig& phy = trx_.config();
@@ -219,12 +219,12 @@ void WifiMac::transmit_current() {
     rts_frame.mac.type = MacFrameType::kRts;
     rts_frame.mac.src = trx_.id();
     rts_frame.mac.dst = p.mac.dst;
-    rts_frame.mac.duration = 3 * cfg_.sifs + cts_air + data_air + ack_air;
+    rts_frame.mac.duration = 3 * kSifs + cts_air + data_air + ack_air;
     count_tx(rts_frame);
     const SimTime rts_air = trx_.transmit(rts_frame);
     set_state(State::kWaitCts);
     timeout_ev_ = sim_.schedule(
-        rts_air + cfg_.sifs + cts_air + 2 * phy.max_propagation() + kTimeoutMargin,
+        rts_air + kSifs + cts_air + 2 * phy.max_propagation() + kTimeoutMargin,
         [this] { cts_timeout(); });
   } else {
     transmit_data_frame();
@@ -242,17 +242,17 @@ void WifiMac::transmit_data_frame() {
   Packet p = *current_;
   p.mac.retry = (short_retries_ + long_retries_) > 0;
   const SimTime ack_air = phy.airtime(kMacAckBytes);
-  p.mac.duration = cfg_.sifs + ack_air;
+  p.mac.duration = kSifs + ack_air;
   count_tx(p);
   const SimTime air = trx_.transmit(p);
   set_state(State::kWaitAck);
   timeout_ev_ = sim_.schedule(
-      air + cfg_.sifs + ack_air + 2 * phy.max_propagation() + kTimeoutMargin,
+      air + kSifs + ack_air + 2 * phy.max_propagation() + kTimeoutMargin,
       [this] { ack_timeout(); });
 }
 
 void WifiMac::schedule_response(Packet frame) {
-  sim_.schedule(cfg_.sifs, [this, frame] {
+  sim_.schedule(kSifs, [this, frame] {
     if (trx_.transmitting()) return;  // lost the race to our own transmission
     if (trx_.down()) return;          // crashed during the SIFS gap
     count_tx(frame);
@@ -281,13 +281,13 @@ void WifiMac::ack_timeout() {
 void WifiMac::handle_retry(bool short_stage) {
   MANET_ASSERT(current_.has_value());
   int& counter = short_stage ? short_retries_ : long_retries_;
-  const int limit = short_stage ? cfg_.short_retry_limit : cfg_.long_retry_limit;
+  const int limit = short_stage ? kShortRetryLimit : kLongRetryLimit;
   ++counter;
   if (counter >= limit) {
     finish_current(false);
     return;
   }
-  cw_ = std::min(cw_ * 2 + 1, cfg_.cw_max);
+  cw_ = std::min(cw_ * 2 + 1, kCwMax);
   backoff_slots_ = static_cast<std::uint32_t>(rng_.uniform_int(0, cw_));
   set_state(State::kContend);
   medium_check();
@@ -302,9 +302,9 @@ void WifiMac::finish_current(bool success) {
   Packet done = std::move(*current_);
   current_.reset();
   short_retries_ = long_retries_ = 0;
-  cw_ = cfg_.cw_min;
+  cw_ = kCwMin;
   // Post-transmission backoff, for fairness between consecutive frames.
-  backoff_slots_ = static_cast<std::uint32_t>(rng_.uniform_int(0, cfg_.cw_min));
+  backoff_slots_ = static_cast<std::uint32_t>(rng_.uniform_int(0, kCwMin));
   set_state(State::kIdle);
   if (!success && listener_ != nullptr) {
     // 802.11 link-layer feedback: the routing protocol decides whether to
@@ -333,7 +333,7 @@ void WifiMac::phy_rx(const Packet& f) {
         cts.mac.type = MacFrameType::kCts;
         cts.mac.src = me;
         cts.mac.dst = f.mac.src;
-        const SimTime remaining = f.mac.duration - cfg_.sifs - cts_air;
+        const SimTime remaining = f.mac.duration - kSifs - cts_air;
         cts.mac.duration = std::max(remaining, SimTime::zero());
         schedule_response(cts);
       }
@@ -344,7 +344,7 @@ void WifiMac::phy_rx(const Packet& f) {
         if (state_ == State::kWaitCts) {
           sim_.cancel(timeout_ev_);
           set_state(State::kSendData);
-          sim_.schedule(cfg_.sifs, [this] {
+          sim_.schedule(kSifs, [this] {
             if (state_ == State::kSendData) transmit_data_frame();
           });
         }

@@ -56,6 +56,18 @@ class MacListener {
 
 class WifiMac final : public PhyListener {
  public:
+  // IEEE 802.11 DSSS DCF timing, as configured in the ns-2 CMU wireless
+  // stack (2 Mbit/s WaveLAN).
+  static constexpr SimTime kSlot = microseconds(20);
+  static constexpr SimTime kSifs = microseconds(10);
+  static constexpr SimTime kDifs = kSifs + 2 * kSlot;
+  static constexpr std::uint32_t kCwMin = 31;
+  static constexpr std::uint32_t kCwMax = 1023;
+  /// Attempts for the RTS stage, or for data sent without RTS.
+  static constexpr int kShortRetryLimit = 7;
+  /// Attempts for the data stage after a successful RTS/CTS handshake.
+  static constexpr int kLongRetryLimit = 4;
+
   WifiMac(Simulator& sim, const MacConfig& cfg, Transceiver& trx, StatsCollector& stats,
           RngStream rng);
 

@@ -26,8 +26,8 @@ void GaussMarkov::advance_step() {
   step_start_ += cfg_.step;
 
   // Steer the mean direction towards the interior when near an edge.
-  if (pos_.x < cfg_.edge_margin || pos_.x > cfg_.area.width - cfg_.edge_margin ||
-      pos_.y < cfg_.edge_margin || pos_.y > cfg_.area.height - cfg_.edge_margin) {
+  if (pos_.x < kEdgeMargin || pos_.x > cfg_.area.width - kEdgeMargin ||
+      pos_.y < kEdgeMargin || pos_.y > cfg_.area.height - kEdgeMargin) {
     const Vec2 center{cfg_.area.width / 2.0, cfg_.area.height / 2.0};
     mean_direction_ = std::atan2(center.y - pos_.y, center.x - pos_.x);
   }
@@ -35,10 +35,10 @@ void GaussMarkov::advance_step() {
   const double a = cfg_.alpha;
   const double noise_w = std::sqrt(std::max(0.0, 1.0 - a * a));
   speed_ = a * speed_ + (1.0 - a) * cfg_.mean_speed +
-           noise_w * rng_.normal(0.0, cfg_.speed_stddev);
+           noise_w * rng_.normal(0.0, kSpeedStddev);
   speed_ = std::clamp(speed_, 0.0, cfg_.max_speed);
   direction_ = a * direction_ + (1.0 - a) * mean_direction_ +
-               noise_w * rng_.normal(0.0, cfg_.direction_stddev);
+               noise_w * rng_.normal(0.0, kDirectionStddev);
   step_velocity_ = {speed_ * std::cos(direction_), speed_ * std::sin(direction_)};
 }
 

@@ -24,16 +24,17 @@ struct GaussMarkovConfig {
   Area area{1000.0, 1000.0};
   double alpha = 0.85;          ///< memory (0 = random walk, 1 = straight line)
   double mean_speed = 10.0;     ///< long-term mean speed, m/s
-  double speed_stddev = 3.0;    ///< speed noise
-  double direction_stddev = 0.6;  ///< direction noise, radians
   double max_speed = 25.0;      ///< hard clamp (channel slack bound)
   SimTime step = seconds(1);    ///< update granularity
-  /// Distance from an edge at which the mean direction turns inward.
-  double edge_margin = 50.0;
 };
 
 class GaussMarkov final : public MobilityModel {
  public:
+  static constexpr double kSpeedStddev = 3.0;      ///< speed noise, m/s
+  static constexpr double kDirectionStddev = 0.6;  ///< direction noise, radians
+  /// Distance from an edge at which the mean direction turns inward.
+  static constexpr double kEdgeMargin = 50.0;
+
   GaussMarkov(const GaussMarkovConfig& cfg, RngStream rng);
 
   Vec2 position_at(SimTime t) override;

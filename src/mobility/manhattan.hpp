@@ -15,12 +15,18 @@
 
 namespace manet {
 
-struct ManhattanConfig {
-  Area area{1000.0, 1000.0};
+/// The street layout: what a scenario chooses (ScenarioConfig::manhattan).
+struct ManhattanStreets {
   double block = 200.0;  ///< street spacing, metres
+  double p_turn = 0.5;   ///< probability of turning at an intersection
+};
+
+/// The model's parameters: the streets, plus the area and speed range that
+/// a scenario takes from its own fields.
+struct ManhattanConfig : ManhattanStreets {
+  Area area{1000.0, 1000.0};
   double v_min = 1.0;    ///< m/s
   double v_max = 15.0;   ///< m/s
-  double p_turn = 0.5;   ///< probability of turning at an intersection
 };
 
 class Manhattan final : public MobilityModel {

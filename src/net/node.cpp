@@ -24,6 +24,7 @@ Node::Node(Simulator& sim, StatsCollector& stats, Channel& channel, NodeId id,
 }
 
 void Node::originate(Packet pkt) {
+  stamp(pkt);
   pkt.kind = PacketKind::kData;
   pkt.ip.src = id_;
   pkt.ip.ttl = kInitialTtl;
@@ -46,6 +47,7 @@ void Node::originate(Packet pkt) {
 }
 
 void Node::transport_send(Packet pkt) {
+  stamp(pkt);
   pkt.kind = PacketKind::kData;
   pkt.ip.src = id_;
   pkt.ip.ttl = kInitialTtl;
@@ -81,6 +83,7 @@ void Node::restart() {
 }
 
 void Node::send_with_next_hop(Packet pkt, NodeId next_hop) {
+  stamp(pkt);
   if (down_) {
     // Routing timers may still fire while down; their output goes nowhere.
     drop(pkt, DropReason::kNodeDown);
@@ -90,12 +93,17 @@ void Node::send_with_next_hop(Packet pkt, NodeId next_hop) {
 }
 
 void Node::send_broadcast(Packet pkt) {
+  stamp(pkt);
   if (down_) {
     drop(pkt, DropReason::kNodeDown);
     return;
   }
   pkt.mac.dst = kBroadcast;
   mac_.enqueue(std::move(pkt));
+}
+
+void Node::stamp(Packet& pkt) {
+  if (pkt.uid() == 0) pkt.set_uid(sim_.mint_uid());
 }
 
 void Node::drop(const Packet& pkt, DropReason r) {

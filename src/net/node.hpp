@@ -101,6 +101,9 @@ class Node final : public MacListener {
   friend class ReliableTransport;
 
   void deliver_to_sink(const Packet& pkt);
+  /// Give a packet entering the network layer here its run-unique uid,
+  /// unless it already has one (a forwarded copy).
+  void stamp(Packet& pkt);
 
   /// Sink-side duplicate filter key. Bit budget: 20 bits each for flow,
   /// source id and sequence number — ample for any scenario here (flows and

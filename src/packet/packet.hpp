@@ -191,15 +191,18 @@ enum class PacketKind : std::uint8_t {
 
 class Packet {
  public:
-  Packet();
+  Packet() = default;
   Packet(const Packet& o) = default;
   Packet& operator=(const Packet& o) = default;
   Packet(Packet&&) noexcept = default;
   Packet& operator=(Packet&&) noexcept = default;
 
-  /// Globally unique id (fresh per construction; preserved by copies so a
-  /// frame and its per-receiver copies correlate in logs).
+  /// Run-unique id, minted by the run's Simulator where the packet first
+  /// enters the network layer (Node); 0 before that, and for MAC and ARP
+  /// frames. Copies keep it, so a packet's per-receiver and forwarded copies
+  /// correlate in traces.
   [[nodiscard]] std::uint64_t uid() const { return uid_; }
+  void set_uid(std::uint64_t uid) { uid_ = uid; }
 
   PacketKind kind = PacketKind::kData;
   MacHeader mac;
@@ -221,7 +224,7 @@ class Packet {
   [[nodiscard]] std::size_t size_bytes() const;
 
  private:
-  std::uint64_t uid_;
+  std::uint64_t uid_ = 0;
 };
 
 }  // namespace manet

@@ -76,7 +76,7 @@ class Channel {
           SimTime refresh = milliseconds(250), std::uint64_t seed = 1);
 
   /// Register a node. Transceiver ids must be dense and registered in order
-  /// (0, 1, 2, ...); the ScenarioBuilder guarantees this. The channel does
+  /// (0, 1, 2, ...); Scenario::build guarantees this. The channel does
   /// not own either object.
   void add(Transceiver* trx, MobilityModel* mob);
 

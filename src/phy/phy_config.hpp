@@ -15,20 +15,17 @@
 namespace manet {
 
 struct PhyConfig {
+  static constexpr SimTime kPreamble = microseconds(192);  ///< PLCP preamble+header at 1 Mbit/s
+  static constexpr double kPropagationMps = 3e8;           ///< speed of light
+
   double data_rate_bps = 2e6;    ///< payload bit rate
   double rx_range_m = 250.0;     ///< frames decodable within this distance
   double cs_range_m = 550.0;     ///< energy detectable (interferes) within this
-  SimTime preamble = microseconds(192);  ///< PLCP preamble+header at 1 Mbit/s
-  double propagation_mps = 3e8;  ///< speed of light
 
   /// Independent per-frame loss probability at each receiver — a stand-in
   /// for fading/shadowing on top of the unit-disk model (0 = ideal channel).
   /// Lost frames still carry energy (they interfere and trip carrier sense).
   double frame_loss_rate = 0.0;
-
-  // Energy model (ns-2 WaveLAN-style defaults, joules = watts x seconds).
-  double tx_power_w = 1.4;  ///< transmit power draw
-  double rx_power_w = 1.0;  ///< receive power draw
 
   // -- urban obstacle/shadowing model (off by default) -------------------------
   // A street-canyon approximation for the Manhattan-grid scenario family:
@@ -56,12 +53,12 @@ struct PhyConfig {
   /// Time on air for a frame of `bytes`.
   [[nodiscard]] SimTime airtime(std::size_t bytes) const {
     const double tx_s = static_cast<double>(bytes) * 8.0 / data_rate_bps;
-    return preamble + seconds_f(tx_s);
+    return kPreamble + seconds_f(tx_s);
   }
 
   /// One-way propagation delay over `meters`.
   [[nodiscard]] SimTime propagation(double meters) const {
-    return seconds_f(meters / propagation_mps);
+    return seconds_f(meters / kPropagationMps);
   }
 
   /// Upper bound on propagation delay within carrier-sense range; used for

@@ -42,7 +42,7 @@ SimTime Transceiver::transmit(const Packet& frame) {
     if (a.started) a.corrupted = true;
   }
   const SimTime airtime = channel_->transmit(id_, frame);
-  if (stats_ != nullptr) stats_->on_tx_energy(cfg_.tx_power_w * airtime.sec());
+  if (stats_ != nullptr) stats_->on_tx_energy(kTxPowerW * airtime.sec());
   sim_.schedule(airtime, [this] { tx_end(); });
   if (!was_busy && edges_wanted()) listener_->phy_busy_start();
   return airtime;
@@ -172,7 +172,7 @@ void Transceiver::apply_carrier_end(std::size_t i, bool notify) {
   ledger_.pop_back();
   --rx_energy_;
   MANET_ASSERT(rx_energy_ >= 0);
-  if (stats_ != nullptr) stats_->on_rx_energy(cfg_.rx_power_w * (a.end.time - a.start.time).sec());
+  if (stats_ != nullptr) stats_->on_rx_energy(kRxPowerW * (a.end.time - a.start.time).sec());
   if (!busy()) went_idle(a.end.time, notify);
 }
 
@@ -193,7 +193,7 @@ void Transceiver::finish_decodable(const Arrival& a) {
   // 1. The energy falls.
   --rx_energy_;
   MANET_ASSERT(rx_energy_ >= 0);
-  if (stats_ != nullptr) stats_->on_rx_energy(cfg_.rx_power_w * (a.end.time - a.start.time).sec());
+  if (stats_ != nullptr) stats_->on_rx_energy(kRxPowerW * (a.end.time - a.start.time).sec());
   // 2. The frame goes up, or is counted lost. A frame whose tail overlapped
   // our own transmission is also lost.
   if (a.corrupted || transmitting_) {

@@ -74,6 +74,10 @@ class PhyListener {
 
 class Transceiver {
  public:
+  // Energy model (ns-2 WaveLAN-style draws, joules = watts x seconds).
+  static constexpr double kTxPowerW = 1.4;  ///< transmit power draw
+  static constexpr double kRxPowerW = 1.0;  ///< receive power draw
+
   Transceiver(Simulator& sim, const PhyConfig& cfg, NodeId id);
 
   void attach_channel(Channel* ch) { channel_ = ch; }

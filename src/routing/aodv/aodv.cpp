@@ -18,7 +18,7 @@ Aodv::Aodv(Node& node, const Config& cfg, RngStream rng)
     : RoutingProtocol(node),
       cfg_(cfg),
       rng_(rng),
-      seen_(cfg.rreq_id_lifetime),
+      seen_(kRreqIdLifetime),
       discoveries_(*this, node, [this](NodeId dst, Discovery& d) { rreq_timeout(dst, d); }) {}
 
 void Aodv::start() {
@@ -28,7 +28,7 @@ void Aodv::start() {
 SimTime Aodv::ring_traversal_time(std::uint8_t ttl) const {
   // RING_TRAVERSAL_TIME = 2 * NODE_TRAVERSAL_TIME * (TTL + TIMEOUT_BUFFER),
   // TIMEOUT_BUFFER = 2.
-  return 2 * static_cast<std::int64_t>(ttl + 2) * cfg_.node_traversal_time;
+  return 2 * static_cast<std::int64_t>(ttl + 2) * kNodeTraversalTime;
 }
 
 // ---------------------------------------------------------------------------
@@ -40,11 +40,11 @@ void Aodv::route_packet(Packet pkt) {
   auto it = routes_.find(dst);
   if (it != routes_.end() && it->second.valid && it->second.expires > node_.sim().now()) {
     Route& rt = it->second;
-    rt.expires = std::max(rt.expires, node_.sim().now() + cfg_.active_route_timeout);
+    rt.expires = std::max(rt.expires, node_.sim().now() + kActiveRouteTimeout);
     // Keep the route towards the packet's source alive too (§6.2).
     if (auto sit = routes_.find(pkt.ip.src); sit != routes_.end() && sit->second.valid) {
       sit->second.expires =
-          std::max(sit->second.expires, node_.sim().now() + cfg_.active_route_timeout);
+          std::max(sit->second.expires, node_.sim().now() + kActiveRouteTimeout);
     }
     node_.send_with_next_hop(std::move(pkt), rt.next_hop);
     return;
@@ -60,7 +60,7 @@ void Aodv::route_packet(Packet pkt) {
     return;
   }
   if (Discovery* d = discoveries_.park(std::move(pkt), dst)) {
-    d->ttl = cfg_.expanding_ring ? cfg_.ttl_start : cfg_.net_diameter;
+    d->ttl = cfg_.expanding_ring ? kTtlStart : kNetDiameter;
     send_rreq(dst, *d);
   }
 }
@@ -89,12 +89,12 @@ void Aodv::send_rreq(NodeId dst, Discovery& d) {
 }
 
 void Aodv::rreq_timeout(NodeId dst, Discovery& d) {
-  if (d.ttl < cfg_.ttl_threshold) {
+  if (d.ttl < kTtlThreshold) {
     // Still in the expanding ring: widen and repeat (does not count as a retry).
-    d.ttl = std::min<std::uint8_t>(d.ttl + cfg_.ttl_increment, cfg_.ttl_threshold);
-  } else if (d.ttl < cfg_.net_diameter) {
-    d.ttl = cfg_.net_diameter;
-  } else if (!discoveries_.retry(dst, d, cfg_.rreq_retries)) {
+    d.ttl = std::min<std::uint8_t>(d.ttl + kTtlIncrement, kTtlThreshold);
+  } else if (d.ttl < kNetDiameter) {
+    d.ttl = kNetDiameter;
+  } else if (!discoveries_.retry(dst, d, kRreqRetries)) {
     return;  // destination unreachable
   }
   send_rreq(dst, d);
@@ -124,7 +124,7 @@ void Aodv::touch_neighbor(NodeId nbr) {
     // Sequence number unknown for a route learned implicitly (§6.2).
     if (rt.hops > 1) rt.valid_seq = false;
   }
-  rt.expires = std::max(rt.expires, node_.sim().now() + cfg_.active_route_timeout);
+  rt.expires = std::max(rt.expires, node_.sim().now() + kActiveRouteTimeout);
 }
 
 bool Aodv::update_route(NodeId dst, std::uint32_t seq, bool valid_seq, std::uint8_t hops,
@@ -158,7 +158,7 @@ void Aodv::handle_rreq(const Packet& pkt, const Rreq& rreq, NodeId from) {
   // Reverse route to the originator (§6.5).
   update_route(rreq.origin, rreq.origin_seq, true,
                static_cast<std::uint8_t>(rreq.hop_count + 1), from,
-               ring_traversal_time(cfg_.net_diameter));
+               ring_traversal_time(kNetDiameter));
 
   if (rreq.dest == node_.id()) {
     // §6.6.1: our seq must be at least the one in the RREQ.
@@ -191,7 +191,7 @@ void Aodv::send_rrep_as_dest(const Rreq& rreq, NodeId back) {
   rrep.dest = node_.id();
   rrep.dest_seq = seq_;
   rrep.hop_count = 0;
-  rrep.lifetime = cfg_.my_route_timeout;
+  rrep.lifetime = kMyRouteTimeout;
   Packet pkt;
   pkt.kind = PacketKind::kRoutingControl;
   pkt.ip.src = node_.id();
@@ -241,7 +241,7 @@ void Aodv::handle_rrep(const Packet& pkt, const Rrep& rrep, NodeId from) {
   // Precursor bookkeeping: the node we forward to will use us towards dest.
   routes_[rrep.dest].precursors.insert(rit->second.next_hop);
   rit->second.expires =
-      std::max(rit->second.expires, node_.sim().now() + cfg_.active_route_timeout);
+      std::max(rit->second.expires, node_.sim().now() + kActiveRouteTimeout);
   unicast_control(std::move(fwd), rit->second.next_hop);
 }
 
@@ -253,7 +253,7 @@ void Aodv::handle_rerr(const Rerr& rerr, NodeId from) {
     Route& rt = it->second;
     rt.valid = false;
     rt.dest_seq = std::max(rt.dest_seq, seq);
-    rt.expires = node_.sim().now() + cfg_.delete_period;
+    rt.expires = node_.sim().now() + kDeletePeriod;
     if (!rt.precursors.empty()) propagate.unreachable.emplace_back(dst, rt.dest_seq);
     rt.precursors.clear();
   }
@@ -270,7 +270,7 @@ void Aodv::invalidate_routes_via(NodeId next_hop, Rerr& out) {
     if (!rt.valid || rt.next_hop != next_hop) continue;
     rt.valid = false;
     ++rt.dest_seq;  // §6.11: increment so stale routes lose freshness contests
-    rt.expires = node_.sim().now() + cfg_.delete_period;
+    rt.expires = node_.sim().now() + kDeletePeriod;
     if (!rt.precursors.empty() || dst == next_hop) out.unreachable.emplace_back(dst, rt.dest_seq);
     rt.precursors.clear();
   }
@@ -313,7 +313,7 @@ void Aodv::periodic_purge() {
       if (it->second.valid) {
         // Expired active route: invalidate first, delete after DELETE_PERIOD.
         it->second.valid = false;
-        it->second.expires = now + cfg_.delete_period;
+        it->second.expires = now + kDeletePeriod;
         ++it;
       } else {
         it = routes_.erase(it);

@@ -29,25 +29,28 @@
 namespace manet::aodv {
 
 struct Config {
-  SimTime active_route_timeout = seconds(10);  // with LL feedback (ns-2 value)
-  SimTime my_route_timeout = seconds(20);      // 2 * active_route_timeout
-  SimTime node_traversal_time = milliseconds(40);
-  std::uint8_t net_diameter = 35;
-  int rreq_retries = 2;
-  SimTime rreq_id_lifetime = seconds(6);  // PATH_DISCOVERY_TIME
-  SimTime delete_period = seconds(15);
-  // Expanding-ring search (RFC defaults); disabled -> every RREQ is
-  // network-wide (ablation scenarios/abl_aodv_ers.json).
+  /// Expanding-ring search; disabled -> every RREQ is network-wide
+  /// (ablation scenarios/abl_aodv_ers.json).
   bool expanding_ring = true;
-  std::uint8_t ttl_start = 1;
-  std::uint8_t ttl_increment = 2;
-  std::uint8_t ttl_threshold = 7;
   /// Allow intermediate nodes with fresh routes to answer RREQs.
   bool intermediate_reply = true;
 };
 
 class Aodv final : public RoutingProtocol {
  public:
+  // RFC 3561 §10 defaults; ACTIVE_ROUTE_TIMEOUT is ns-2's value with
+  // link-layer feedback.
+  static constexpr SimTime kActiveRouteTimeout = seconds(10);
+  static constexpr SimTime kMyRouteTimeout = 2 * kActiveRouteTimeout;
+  static constexpr SimTime kNodeTraversalTime = milliseconds(40);
+  static constexpr std::uint8_t kNetDiameter = 35;
+  static constexpr int kRreqRetries = 2;
+  static constexpr SimTime kRreqIdLifetime = seconds(6);  ///< PATH_DISCOVERY_TIME
+  static constexpr SimTime kDeletePeriod = seconds(15);
+  static constexpr std::uint8_t kTtlStart = 1;
+  static constexpr std::uint8_t kTtlIncrement = 2;
+  static constexpr std::uint8_t kTtlThreshold = 7;
+
   Aodv(Node& node, const Config& cfg, RngStream rng);
 
   void start() override;

@@ -12,12 +12,12 @@ Cbrp::Cbrp(Node& node, const Config& cfg, RngStream rng)
       rng_(rng),
       seen_(seconds(30)),
       discoveries_(*this, node, [this](NodeId target, Discovery& d) {
-        if (discoveries_.retry(target, d, cfg_.max_retries)) send_rreq(target, d);
+        if (discoveries_.retry(target, d, kMaxRetries)) send_rreq(target, d);
       }),
-      routes_(cfg.route_lifetime) {}
+      routes_(kRouteLifetime) {}
 
 void Cbrp::start() {
-  node_.sim().schedule(microseconds(rng_.uniform_int(0, cfg_.hello_interval.ns() / 1000)),
+  node_.sim().schedule(microseconds(rng_.uniform_int(0, kHelloInterval.ns() / 1000)),
                        [this] { send_hello(); });
 }
 
@@ -52,7 +52,7 @@ void Cbrp::update_role() {
   const auto nbrs = neighbor_summaries();
   if (role_ == Role::kHead) {
     if (head_contested(node_.id(), nbrs)) {
-      if (++contested_rounds_ >= cfg_.contention_rounds) {
+      if (++contested_rounds_ >= kContentionRounds) {
         role_ = Role::kMember;
         head_ = pick_head(nbrs);
         contested_rounds_ = 0;
@@ -65,7 +65,7 @@ void Cbrp::update_role() {
     // Listen before electing: self-election is only allowed once we have
     // had a chance to hear our neighbourhood. Joining an existing head is
     // always allowed.
-    if (decided == Role::kHead && hello_rounds_ < cfg_.listen_rounds) {
+    if (decided == Role::kHead && hello_rounds_ < kListenRounds) {
       decided = Role::kUndecided;
     }
     role_ = decided;
@@ -104,8 +104,8 @@ void Cbrp::send_hello() {
   hello->neighbors = neighbor_summaries();
   broadcast_control(node_, std::move(hello), 1);
 
-  const std::int64_t q = cfg_.hello_interval.ns() / 4;
-  node_.sim().schedule(cfg_.hello_interval + nanoseconds(rng_.uniform_int(-q, q)),
+  const std::int64_t q = kHelloInterval.ns() / 4;
+  node_.sim().schedule(kHelloInterval + nanoseconds(rng_.uniform_int(-q, q)),
                        [this] { send_hello(); });
 }
 
@@ -113,7 +113,7 @@ void Cbrp::handle_hello(const Hello& hello, NodeId from) {
   Neighbor& nb = neighbors_[from];
   nb.role = hello.role;
   nb.head = hello.head;
-  nb.expires = node_.sim().now() + cfg_.neighb_hold;
+  nb.expires = node_.sim().now() + kNeighbHold;
   nb.their_neighbors = hello.neighbors;
   nb.lists_us = std::any_of(
       hello.neighbors.begin(), hello.neighbors.end(),
@@ -153,13 +153,12 @@ void Cbrp::forward_with_route(Packet pkt) {
     return;
   }
   std::size_t next = sr->next_index + 1;
-  if (cfg_.route_shortening) {
-    // Skip ahead to the furthest listed node we can reach directly.
-    for (std::size_t j = sr->path.size() - 1; j > next; --j) {
-      if (is_bidirectional_neighbor(sr->path[j])) {
-        next = j;
-        break;
-      }
+  // Route shortening: skip ahead to the furthest listed node we can reach
+  // directly.
+  for (std::size_t j = sr->path.size() - 1; j > next; --j) {
+    if (is_bidirectional_neighbor(sr->path[j])) {
+      next = j;
+      break;
     }
   }
   sr->next_index = next;
@@ -179,8 +178,8 @@ void Cbrp::send_rreq(NodeId target, Discovery& d) {
   rreq->record = {node_.id()};
   broadcast_control(node_, std::move(rreq), kInitialTtl);
 
-  // Every request floods; attempt k (from 0) waits first_timeout * 2^k.
-  discoveries_.arm(target, d, backoff(cfg_.first_timeout, cfg_.max_timeout, d.retries));
+  // Every request floods; attempt k (from 0) waits kFirstTimeout * 2^k.
+  discoveries_.arm(target, d, backoff(kFirstTimeout, kMaxTimeout, d.retries));
 }
 
 void Cbrp::handle_rreq(const Packet& pkt, const Rreq& rreq) {
@@ -228,7 +227,7 @@ std::optional<NodeId> Cbrp::neighbor_reaching(NodeId target, NodeId exclude) con
 
 bool Cbrp::try_local_repair(Packet& pkt, NodeId broken_to) {
   auto* sr = dynamic_cast<SourceRoute*>(pkt.routing.mutate());
-  if (sr == nullptr || sr->repairs >= cfg_.max_repairs) return false;
+  if (sr == nullptr || sr->repairs >= kMaxRepairs) return false;
   // We are path[i]; the link to path[i+1] == broken_to broke. Patch through a
   // neighbour that reaches the broken node (or the node after it, skipping
   // the unreachable hop entirely when possible).

@@ -31,25 +31,26 @@
 namespace manet::cbrp {
 
 struct Config {
-  SimTime hello_interval = seconds(2);
-  SimTime neighb_hold = seconds(6);
-  /// Consecutive contested HELLO rounds before a head steps down.
-  int contention_rounds = 3;
-  /// HELLO rounds spent listening (remaining UNDECIDED) before a node may
-  /// elect itself head — without this, every node's first hello fires with
-  /// an empty neighbour table and the whole network self-elects at once.
-  int listen_rounds = 2;
-  SimTime first_timeout = milliseconds(500);  // doubles per retry
-  SimTime max_timeout = seconds(10);
-  int max_retries = 6;
-  SimTime route_lifetime = seconds(60);
-  bool route_shortening = true;
   bool local_repair = true;
-  int max_repairs = 2;
 };
 
 class Cbrp final : public RoutingProtocol {
  public:
+  // draft-ietf-manet-cbrp-spec timers.
+  static constexpr SimTime kHelloInterval = seconds(2);
+  static constexpr SimTime kNeighbHold = seconds(6);
+  /// Consecutive contested HELLO rounds before a head steps down.
+  static constexpr int kContentionRounds = 3;
+  /// HELLO rounds spent listening (remaining UNDECIDED) before a node may
+  /// elect itself head — without this, every node's first hello fires with
+  /// an empty neighbour table and the whole network self-elects at once.
+  static constexpr int kListenRounds = 2;
+  static constexpr SimTime kFirstTimeout = milliseconds(500);  ///< doubles per retry
+  static constexpr SimTime kMaxTimeout = seconds(10);
+  static constexpr int kMaxRetries = 6;
+  static constexpr SimTime kRouteLifetime = seconds(60);
+  static constexpr int kMaxRepairs = 2;
+
   Cbrp(Node& node, const Config& cfg, RngStream rng);
 
   void start() override;

@@ -10,8 +10,7 @@ namespace {
 }
 }  // namespace
 
-Dsdv::Dsdv(Node& node, const Config& cfg, RngStream rng)
-    : RoutingProtocol(node), cfg_(cfg), rng_(rng) {}
+Dsdv::Dsdv(Node& node, RngStream rng) : RoutingProtocol(node), rng_(rng) {}
 
 void Dsdv::start() {
   // Stagger first dumps across nodes to avoid a synchronized startup storm.
@@ -35,13 +34,13 @@ void Dsdv::send_full_update() {
   broadcast_update(std::move(entries));
   // Jitter each period by up to ±1 s, as real implementations do.
   const SimTime jitter = microseconds(rng_.uniform_int(-1'000'000, 1'000'000));
-  node_.sim().schedule(cfg_.full_update_interval + jitter, [this] { send_full_update(); });
+  node_.sim().schedule(kFullUpdateInterval + jitter, [this] { send_full_update(); });
 }
 
 void Dsdv::schedule_triggered_update() {
   if (trigger_pending_) return;
   trigger_pending_ = true;
-  const SimTime earliest = last_triggered_ + cfg_.triggered_min_interval;
+  const SimTime earliest = last_triggered_ + kTriggeredMinInterval;
   const SimTime delay = std::max(SimTime::zero(), earliest - node_.sim().now()) +
                         broadcast_jitter(rng_);
   node_.sim().schedule(delay, [this] { send_triggered_update(); });

@@ -36,14 +36,12 @@ struct Update final : RoutingPayloadBase<Update> {
   [[nodiscard]] std::size_t size_bytes() const override { return 8 + 12 * entries.size(); }
 };
 
-struct Config {
-  SimTime full_update_interval = seconds(15);
-  SimTime triggered_min_interval = seconds(1);
-};
-
 class Dsdv final : public RoutingProtocol {
  public:
-  Dsdv(Node& node, const Config& cfg, RngStream rng);
+  static constexpr SimTime kFullUpdateInterval = seconds(15);
+  static constexpr SimTime kTriggeredMinInterval = seconds(1);
+
+  Dsdv(Node& node, RngStream rng);
 
   void start() override;
   void route_packet(Packet pkt) override;
@@ -74,7 +72,6 @@ class Dsdv final : public RoutingProtocol {
   void handle_update(const Update& upd, NodeId from);
   void mark_broken_via(NodeId next_hop);
 
-  Config cfg_;
   RngStream rng_;
   std::uint32_t own_seq_ = 0;  // even numbers: destination-generated
   /// Ordered map: full and triggered updates serialize the table in iteration

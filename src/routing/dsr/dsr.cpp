@@ -10,10 +10,10 @@ Dsr::Dsr(Node& node, const Config& cfg, RngStream rng)
     : RoutingProtocol(node),
       cfg_(cfg),
       rng_(rng),
-      cache_(node.id(), cfg.cache_capacity, cfg.cache_lifetime),
+      cache_(node.id(), kCacheCapacity, kCacheLifetime),
       seen_(seconds(30)),
       discoveries_(*this, node, [this](NodeId target, Discovery& d) {
-        if (discoveries_.retry(target, d, cfg_.max_retries)) send_rreq(target, d);
+        if (discoveries_.retry(target, d, kMaxRetries)) send_rreq(target, d);
       }) {}
 
 void Dsr::start() {
@@ -77,10 +77,9 @@ void Dsr::send_rreq(NodeId target, Discovery& d) {
   broadcast_control(node_, std::move(rreq), nonprop ? 1 : kInitialTtl);
 
   // The non-propagating query counts as attempt 0, so flood k (from 1)
-  // waits first_timeout * 2^(k-1).
+  // waits kFirstTimeout * 2^(k-1).
   discoveries_.arm(target, d,
-                   nonprop ? cfg_.nonprop_timeout
-                           : backoff(cfg_.first_timeout, cfg_.max_timeout, d.retries - 1));
+                   nonprop ? kNonpropTimeout : backoff(kFirstTimeout, kMaxTimeout, d.retries - 1));
 }
 
 void Dsr::handle_rreq(const Packet& pkt, const Rreq& rreq) {
@@ -155,7 +154,7 @@ void Dsr::on_link_failure(const Packet& pkt, NodeId next_hop) {
   // Tell the source about the broken link, then salvage the packet from our
   // own cache (a bounded number of times per packet).
   report_broken_link(node_, *sr, next_hop);
-  if (cfg_.salvage && sr->repairs < cfg_.max_salvage) {
+  if (cfg_.salvage && sr->repairs < kMaxSalvage) {
     if (auto alt = cache_.find(pkt.ip.dst, node_.sim().now())) {
       send_source_routed(node_, pkt, std::move(*alt), sr->repairs + 1);
       return;

@@ -29,21 +29,22 @@
 namespace manet::dsr {
 
 struct Config {
-  /// Every discovery opens with a non-propagating (TTL=1) query that waits
-  /// this long before network-wide flooding.
-  SimTime nonprop_timeout = milliseconds(30);
-  SimTime first_timeout = milliseconds(500);  // then doubles per retry
-  SimTime max_timeout = seconds(10);
-  int max_retries = 8;
   bool intermediate_reply = true;  ///< replies from caches (ablation knob)
   bool salvage = true;
-  int max_salvage = 2;
-  std::size_t cache_capacity = 64;
-  SimTime cache_lifetime = seconds(300);
 };
 
 class Dsr final : public RoutingProtocol {
  public:
+  /// Every discovery opens with a non-propagating (TTL=1) query that waits
+  /// this long before network-wide flooding.
+  static constexpr SimTime kNonpropTimeout = milliseconds(30);
+  static constexpr SimTime kFirstTimeout = milliseconds(500);  ///< then doubles per retry
+  static constexpr SimTime kMaxTimeout = seconds(10);
+  static constexpr int kMaxRetries = 8;
+  static constexpr int kMaxSalvage = 2;
+  static constexpr std::size_t kCacheCapacity = 64;
+  static constexpr SimTime kCacheLifetime = seconds(300);
+
   Dsr(Node& node, const Config& cfg, RngStream rng);
 
   void start() override;

@@ -20,7 +20,7 @@ Lar::Lar(Node& node, const Config& cfg, RngStream rng)
       rng_(rng),
       seen_(seconds(30)),
       discoveries_(*this, node, [this](NodeId target, Discovery& d) {
-        if (discoveries_.retry(target, d, cfg_.max_retries)) send_rreq(target, d);
+        if (discoveries_.retry(target, d, kMaxRetries)) send_rreq(target, d);
       }),
       routes_(cfg.route_lifetime) {}
 
@@ -75,7 +75,7 @@ void Lar::send_rreq(NodeId target, Discovery& d) {
   // LAR fallback: after a failed zone-limited attempt, flood unrestricted.
   const auto loc = locations_.find(target);
   if (d.retries == 0 && loc != locations_.end() &&
-      loc->second.stamp + cfg_.location_lifetime > node_.sim().now()) {
+      loc->second.stamp + kLocationLifetime > node_.sim().now()) {
     const double age_s = (node_.sim().now() - loc->second.stamp).sec();
     const double radius =
         std::max(cfg_.min_expected_radius, cfg_.assumed_v_max * age_s + cfg_.min_expected_radius);
@@ -83,8 +83,8 @@ void Lar::send_rreq(NodeId target, Discovery& d) {
   }  // else: zone stays unrestricted (no location known -> plain flood)
   broadcast_control(node_, std::move(rreq), kInitialTtl);
 
-  // Attempt k (from 0) waits first_timeout * 2^k.
-  discoveries_.arm(target, d, backoff(cfg_.first_timeout, cfg_.max_timeout, d.retries));
+  // Attempt k (from 0) waits kFirstTimeout * 2^k.
+  discoveries_.arm(target, d, backoff(kFirstTimeout, kMaxTimeout, d.retries));
 }
 
 void Lar::handle_rreq(const Packet& pkt, const Rreq& rreq) {

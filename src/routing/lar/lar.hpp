@@ -31,19 +31,20 @@ namespace manet::lar {
 [[nodiscard]] RequestZone request_zone(Vec2 src, Vec2 dst_last, double radius);
 
 struct Config {
-  SimTime first_timeout = milliseconds(500);  // doubles per retry
-  SimTime max_timeout = seconds(10);
-  int max_retries = 6;
   /// Expected-zone radius floor, so a fresh location still allows movement.
   double min_expected_radius = 250.0;
   /// Speed bound used to grow the expected zone with location age.
   double assumed_v_max = 20.0;
   SimTime route_lifetime = seconds(60);
-  SimTime location_lifetime = seconds(120);
 };
 
 class Lar final : public RoutingProtocol {
  public:
+  static constexpr SimTime kFirstTimeout = milliseconds(500);  ///< doubles per retry
+  static constexpr SimTime kMaxTimeout = seconds(10);
+  static constexpr int kMaxRetries = 6;
+  static constexpr SimTime kLocationLifetime = seconds(120);
+
   Lar(Node& node, const Config& cfg, RngStream rng);
 
   void start() override;

@@ -9,9 +9,9 @@ Olsr::Olsr(Node& node, const Config& cfg, RngStream rng)
 
 void Olsr::start() {
   // Desynchronize: first emissions are uniformly spread over one interval.
-  node_.sim().schedule(microseconds(rng_.uniform_int(0, cfg_.hello_interval.ns() / 1000)),
+  node_.sim().schedule(microseconds(rng_.uniform_int(0, kHelloInterval.ns() / 1000)),
                        [this] { send_hello(); });
-  node_.sim().schedule(microseconds(rng_.uniform_int(0, cfg_.tc_interval.ns() / 1000)),
+  node_.sim().schedule(microseconds(rng_.uniform_int(0, kTcInterval.ns() / 1000)),
                        [this] { send_tc(); });
   node_.sim().schedule(seconds(1), [this] { expire_links(); });
 }
@@ -105,8 +105,8 @@ void Olsr::send_hello() {
   node_.send_broadcast(std::move(pkt));
 
   // Next emission with +-25% jitter (RFC recommends up to interval/4).
-  const std::int64_t q = cfg_.hello_interval.ns() / 4;
-  node_.sim().schedule(cfg_.hello_interval + nanoseconds(rng_.uniform_int(-q, q)),
+  const std::int64_t q = kHelloInterval.ns() / 4;
+  node_.sim().schedule(kHelloInterval + nanoseconds(rng_.uniform_int(-q, q)),
                        [this] { send_hello(); });
 }
 
@@ -127,8 +127,8 @@ void Olsr::send_tc() {
     pkt.routing = std::move(tc);
     node_.send_broadcast(std::move(pkt));
   }
-  const std::int64_t q = cfg_.tc_interval.ns() / 4;
-  node_.sim().schedule(cfg_.tc_interval + nanoseconds(rng_.uniform_int(-q, q)),
+  const std::int64_t q = kTcInterval.ns() / 4;
+  node_.sim().schedule(kTcInterval + nanoseconds(rng_.uniform_int(-q, q)),
                        [this] { send_tc(); });
 }
 
@@ -189,7 +189,7 @@ void Olsr::handle_tc(const Packet& pkt, const Tc& tc, NodeId from) {
     if (seen.msg_seq == tc.msg_seq && seen.expires > now) return;  // duplicate
   }
   std::erase_if(o.seen, [now](const SeenTc& seen) { return seen.expires <= now; });
-  o.seen.push_back(SeenTc{tc.msg_seq, now + cfg_.dup_hold});
+  o.seen.push_back(SeenTc{tc.msg_seq, now + kDupHold});
 
   // Process: accept only non-stale ANSNs (§9.5).
   const bool stale = o.expires > now && static_cast<std::int16_t>(tc.ansn - o.ansn) < 0;
@@ -199,7 +199,7 @@ void Olsr::handle_tc(const Packet& pkt, const Tc& tc, NodeId from) {
       routes_dirty_ = true;
     }
     o.ansn = tc.ansn;
-    o.expires = now + cfg_.topology_hold;
+    o.expires = now + kTopologyHold;
   }
   // Forwarding rule (§3.4): retransmit iff the previous hop selected us as
   // MPR (or classic flooding for the ablation), link to sender symmetric,

@@ -77,11 +77,7 @@ struct Tc final : RoutingPayloadBase<Tc> {
 };
 
 struct Config {
-  SimTime hello_interval = seconds(2);
-  SimTime tc_interval = seconds(5);
-  SimTime neighb_hold = seconds(6);    // 3 * hello_interval
-  SimTime topology_hold = seconds(15);  // 3 * tc_interval
-  SimTime dup_hold = seconds(30);
+  SimTime neighb_hold = seconds(6);  // 3 * Olsr::kHelloInterval
   /// When false, TCs are flooded classically (every node retransmits) —
   /// the abl_olsr_mpr ablation quantifying the MPR optimization.
   bool mpr_flooding = true;
@@ -89,6 +85,12 @@ struct Config {
 
 class Olsr final : public RoutingProtocol {
  public:
+  // RFC 3626 §18.3 emission intervals and holding times.
+  static constexpr SimTime kHelloInterval = seconds(2);
+  static constexpr SimTime kTcInterval = seconds(5);
+  static constexpr SimTime kTopologyHold = 3 * kTcInterval;
+  static constexpr SimTime kDupHold = seconds(30);
+
   /// Entries held, for bounding state in tests. Counts include expired
   /// entries not yet dropped.
   struct StateEntries {
@@ -147,8 +149,8 @@ class Olsr final : public RoutingProtocol {
     std::uint16_t ansn = 0;
     SimTime expires = SimTime::zero();  ///< of the topology tuple
     std::vector<NodeId> selectors;      ///< as last accepted
-    /// Its TCs received within dup_hold, in arrival order; at most about
-    /// dup_hold / (0.75 * tc_interval) = 8 are live.
+    /// Its TCs received within kDupHold, in arrival order; at most about
+    /// kDupHold / (0.75 * kTcInterval) = 8 are live.
     std::vector<SeenTc> seen;
   };
 

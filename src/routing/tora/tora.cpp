@@ -6,14 +6,13 @@
 
 namespace manet::tora {
 
-Tora::Tora(Node& node, const Config& cfg, RngStream rng)
+Tora::Tora(Node& node, RngStream rng)
     : RoutingProtocol(node),
-      cfg_(cfg),
       rng_(rng),
       buffer_(node.sim(), [&node](const Packet& p, DropReason r) { node.drop(p, r); }) {}
 
 void Tora::start() {
-  node_.sim().schedule(microseconds(rng_.uniform_int(0, cfg_.beacon_interval.ns() / 1000)),
+  node_.sim().schedule(microseconds(rng_.uniform_int(0, kBeaconInterval.ns() / 1000)),
                        [this] { send_beacon(); });
   node_.sim().schedule(seconds(1), [this] { purge_neighbors(); });
 }
@@ -24,8 +23,8 @@ void Tora::start() {
 
 void Tora::send_beacon() {
   broadcast_control(std::make_unique<Beacon>());
-  const std::int64_t q = cfg_.beacon_interval.ns() / 4;
-  node_.sim().schedule(cfg_.beacon_interval + nanoseconds(rng_.uniform_int(-q, q)),
+  const std::int64_t q = kBeaconInterval.ns() / 4;
+  node_.sim().schedule(kBeaconInterval + nanoseconds(rng_.uniform_int(-q, q)),
                        [this] { send_beacon(); });
 }
 
@@ -131,7 +130,7 @@ void Tora::broadcast_control(std::unique_ptr<RoutingPayload> body) {
 void Tora::send_qry(NodeId dst) {
   DestState& st = dests_[dst];
   const SimTime now = node_.sim().now();
-  if (now - st.last_qry < cfg_.qry_min_interval) return;  // rate limit
+  if (now - st.last_qry < kQryMinInterval) return;  // rate limit
   st.last_qry = now;
   auto qry = std::make_unique<Qry>();
   qry->dst = dst;
@@ -227,7 +226,7 @@ void Tora::maybe_reverse(NodeId dst, DestState& st) {
 }
 
 void Tora::on_control(const Packet& pkt, NodeId from) {
-  neighbors_[from] = node_.sim().now() + cfg_.neighbor_hold;
+  neighbors_[from] = node_.sim().now() + kNeighborHold;
   if (const auto* qry = dynamic_cast<const Qry*>(pkt.routing.get())) {
     handle_qry(*qry, from);
   } else if (const auto* upd = dynamic_cast<const Upd*>(pkt.routing.get())) {

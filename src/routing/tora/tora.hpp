@@ -58,17 +58,15 @@ struct Beacon final : RoutingPayloadBase<Beacon> {
   [[nodiscard]] std::size_t size_bytes() const override { return 8; }
 };
 
-struct Config {
-  SimTime beacon_interval = seconds(1);
-  SimTime neighbor_hold = seconds(3);
-  /// Re-broadcast QRY at most this often per destination while routes are
-  /// still required (rate limit against QRY storms).
-  SimTime qry_min_interval = milliseconds(500);
-};
-
 class Tora final : public RoutingProtocol {
  public:
-  Tora(Node& node, const Config& cfg, RngStream rng);
+  static constexpr SimTime kBeaconInterval = seconds(1);
+  static constexpr SimTime kNeighborHold = seconds(3);
+  /// Re-broadcast QRY at most this often per destination while routes are
+  /// still required (rate limit against QRY storms).
+  static constexpr SimTime kQryMinInterval = milliseconds(500);
+
+  Tora(Node& node, RngStream rng);
 
   void start() override;
   void route_packet(Packet pkt) override;
@@ -107,7 +105,6 @@ class Tora final : public RoutingProtocol {
   void maybe_reverse(NodeId dst, DestState& st);
   [[nodiscard]] bool neighbor_alive(NodeId nbr) const;
 
-  Config cfg_;
   RngStream rng_;
   PacketBuffer buffer_;
   // Ordered maps: purge_neighbors() and on_neighbor_lost() emit control

@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "core/assert.hpp"
+#include "mobility/gauss_markov.hpp"
 #include "mobility/random_walk.hpp"
 #include "mobility/random_waypoint.hpp"
 #include "mobility/static_mobility.hpp"
@@ -128,7 +129,7 @@ void Scenario::build() {
           break;
         }
         case MobilityKind::kGaussMarkov: {
-          GaussMarkovConfig gm = cfg_.gauss_markov;
+          GaussMarkovConfig gm;
           gm.area = cfg_.area;
           gm.mean_speed = 0.5 * (cfg_.v_min + cfg_.v_max);
           gm.max_speed = cfg_.v_max * 1.25;
@@ -136,10 +137,8 @@ void Scenario::build() {
           break;
         }
         case MobilityKind::kManhattan: {
-          ManhattanConfig mh = cfg_.manhattan;
-          mh.area = cfg_.area;
-          mh.v_min = std::max(cfg_.v_min, 0.5);
-          mh.v_max = cfg_.v_max;
+          const ManhattanConfig mh{cfg_.manhattan, cfg_.area, std::max(cfg_.v_min, 0.5),
+                                   cfg_.v_max};
           mob = mobility_pool_.make<Manhattan>(mh, mrng);
           break;
         }

@@ -19,7 +19,6 @@
 #include "core/simulator.hpp"
 #include "fault/fault.hpp"
 #include "mac/mac_config.hpp"
-#include "mobility/gauss_markov.hpp"
 #include "mobility/manhattan.hpp"
 #include "mobility/mobility_pool.hpp"
 #include "net/node.hpp"
@@ -72,10 +71,9 @@ struct ScenarioConfig {
   double v_max = 20.0;        ///< m/s
   SimTime pause = SimTime::zero();
   SimTime mobility_warmup = seconds(1000);
-  /// Extra knobs for the non-waypoint models (area/speed fields above are
-  /// copied over these at build time).
-  GaussMarkovConfig gauss_markov;
-  ManhattanConfig manhattan;
+  /// The Manhattan model's street layout; it takes its area and speeds from
+  /// the fields above.
+  ManhattanStreets manhattan;
 
   // Traffic (Table I).
   std::uint32_t num_connections = 10;
@@ -114,10 +112,8 @@ struct ScenarioConfig {
   aodv::Config aodv;
   dsr::Config dsr;
   cbrp::Config cbrp;
-  dsdv::Config dsdv;
   olsr::Config olsr;
   lar::Config lar;
-  tora::Config tora;
 
   /// Render the Table-I parameter block (examples/quickstart prints it).
   [[nodiscard]] std::string parameter_table() const;
@@ -247,15 +243,17 @@ struct ProtocolEntry {
   Protocol id;
   /// Canonical uppercase name ("AODV"); also the name() the instances report.
   const char* name;
-  /// Instantiate the protocol for `node` from its own config block in `cfg`.
+  /// Instantiate the protocol for `node` from its own config block in `cfg`,
+  /// if it has one.
   std::unique_ptr<RoutingProtocol> (*make)(Node& node, const ScenarioConfig& cfg, RngStream rng);
 };
 
-/// The factory of every row: protocol P built from its config block `Block`.
-template <class P, auto Block>
-[[nodiscard]] std::unique_ptr<RoutingProtocol> make_routing(Node& node, const ScenarioConfig& cfg,
-                                                            RngStream rng) {
-  return std::make_unique<P>(node, cfg.*Block, rng);
+/// The factory of every row: protocol P built from its config block, when
+/// `Block...` names one, or from the node and RNG alone.
+template <class P, auto... Block>
+[[nodiscard]] std::unique_ptr<RoutingProtocol> make_routing(
+    Node& node, [[maybe_unused]] const ScenarioConfig& cfg, RngStream rng) {
+  return std::make_unique<P>(node, cfg.*Block..., rng);
 }
 
 /// Every implemented protocol, indexed by Protocol: the paper's five plus LAR
@@ -266,10 +264,10 @@ inline constexpr ProtocolEntry kProtocols[] = {
     {Protocol::kAodv, "AODV", &make_routing<aodv::Aodv, &ScenarioConfig::aodv>},
     {Protocol::kDsr, "DSR", &make_routing<dsr::Dsr, &ScenarioConfig::dsr>},
     {Protocol::kCbrp, "CBRP", &make_routing<cbrp::Cbrp, &ScenarioConfig::cbrp>},
-    {Protocol::kDsdv, "DSDV", &make_routing<dsdv::Dsdv, &ScenarioConfig::dsdv>},
+    {Protocol::kDsdv, "DSDV", &make_routing<dsdv::Dsdv>},
     {Protocol::kOlsr, "OLSR", &make_routing<olsr::Olsr, &ScenarioConfig::olsr>},
     {Protocol::kLar, "LAR", &make_routing<lar::Lar, &ScenarioConfig::lar>},
-    {Protocol::kTora, "TORA", &make_routing<tora::Tora, &ScenarioConfig::tora>},
+    {Protocol::kTora, "TORA", &make_routing<tora::Tora>},
 };
 static_assert(
     [] {

@@ -11,9 +11,9 @@ using test::TestNet;
 using test::grid_positions;
 using test::line_positions;
 
-TestNet::ProtocolFactory dsdv_factory(dsdv::Config cfg = {}) {
-  return [cfg](Node& n, std::uint64_t seed) {
-    return std::make_unique<dsdv::Dsdv>(n, cfg, RngStream(seed, "routing", n.id()));
+TestNet::ProtocolFactory dsdv_factory() {
+  return [](Node& n, std::uint64_t seed) {
+    return std::make_unique<dsdv::Dsdv>(n, RngStream(seed, "routing", n.id()));
   };
 }
 

@@ -58,7 +58,10 @@ void expect_loop_free(Scenario& sc, NodeId dst, std::vector<std::uint64_t>& mark
       path.push_back(*nh);
       if (mark[*nh] == stamp) {
         std::string hops;
-        for (const NodeId v : path) hops += " " + std::to_string(v);
+        for (const NodeId v : path) {
+          hops += ' ';
+          hops += std::to_string(v);
+        }
         ADD_FAILURE() << where << ": routing loop toward " << dst << ":" << hops;
         return;
       }

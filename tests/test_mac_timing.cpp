@@ -72,7 +72,7 @@ TEST(MacTiming, BroadcastLatencyIsDifsPlusAirtime) {
   net.sim.run_until(seconds(1));
   ASSERT_EQ(net.listeners[1]->deliveries.size(), 1u);
   // Idle medium, first frame: no backoff. Delivery at DIFS + airtime + prop.
-  const SimTime expected = net.mac_cfg.difs + net.phy.airtime(frame_bytes);
+  const SimTime expected = WifiMac::kDifs + net.phy.airtime(frame_bytes);
   const SimTime got = net.listeners[1]->deliveries[0];
   EXPECT_GE(got, expected);
   EXPECT_LE(got, expected + kSlack);
@@ -86,9 +86,9 @@ TEST(MacTiming, UnicastLatencyMatchesRtsCtsBudget) {
   net.sim.run_until(seconds(1));
   ASSERT_EQ(net.listeners[1]->deliveries.size(), 1u);
   // DIFS + RTS + SIFS + CTS + SIFS + DATA (delivery happens at DATA rx end).
-  const SimTime expected = net.mac_cfg.difs + net.phy.airtime(kMacRtsBytes) +
-                           net.mac_cfg.sifs + net.phy.airtime(kMacCtsBytes) +
-                           net.mac_cfg.sifs + net.phy.airtime(frame_bytes);
+  const SimTime expected = WifiMac::kDifs + net.phy.airtime(kMacRtsBytes) +
+                           WifiMac::kSifs + net.phy.airtime(kMacCtsBytes) +
+                           WifiMac::kSifs + net.phy.airtime(frame_bytes);
   const SimTime got = net.listeners[1]->deliveries[0];
   EXPECT_GE(got, expected);
   EXPECT_LE(got, expected + 2 * kSlack);
@@ -111,7 +111,7 @@ TEST(MacTiming, NoRtsPathIsFaster) {
   // Savings = RTS + CTS airtime + 2 SIFS (modulo the random post-backoff,
   // absent here since it is the first frame).
   const SimTime expected_saving = with.phy.airtime(kMacRtsBytes) +
-                                  with.phy.airtime(kMacCtsBytes) + 2 * with.mac_cfg.sifs;
+                                  with.phy.airtime(kMacCtsBytes) + 2 * WifiMac::kSifs;
   EXPECT_GE(saved, expected_saving - kSlack);
   EXPECT_LE(saved, expected_saving + kSlack);
 }
@@ -124,13 +124,13 @@ TEST(MacTiming, SecondFrameWaitsForPostBackoff) {
   ASSERT_EQ(net.listeners[1]->deliveries.size(), 2u);
   const SimTime gap = net.listeners[1]->deliveries[1] - net.listeners[1]->deliveries[0];
   // At least ACK turnaround + DIFS; at most plus cw_min slots of backoff.
-  const SimTime floor = net.mac_cfg.sifs + net.phy.airtime(kMacAckBytes) + net.mac_cfg.difs;
+  const SimTime floor = WifiMac::kSifs + net.phy.airtime(kMacAckBytes) + WifiMac::kDifs;
   const SimTime ceiling = floor +
-                          net.mac_cfg.slot * static_cast<std::int64_t>(net.mac_cfg.cw_min) +
+                          WifiMac::kSlot * static_cast<std::int64_t>(WifiMac::kCwMin) +
                           net.phy.airtime(100 + kMacDataHeaderBytes + kIpHeaderBytes +
                                           kUdpHeaderBytes) +
                           net.phy.airtime(kMacRtsBytes) + net.phy.airtime(kMacCtsBytes) +
-                          2 * net.mac_cfg.sifs + kSlack;
+                          2 * WifiMac::kSifs + kSlack;
   EXPECT_GE(gap, floor);
   EXPECT_LE(gap, ceiling);
 }
@@ -145,15 +145,15 @@ TEST(MacTiming, RetryFailureTimeIsBounded) {
   const SimTime failed_at = net.listeners[0]->failures[0];
   const SimTime rts_air = net.phy.airtime(kMacRtsBytes);
   const SimTime cts_air = net.phy.airtime(kMacCtsBytes);
-  const SimTime per_try_floor = net.mac_cfg.difs + rts_air + net.mac_cfg.sifs + cts_air;
+  const SimTime per_try_floor = WifiMac::kDifs + rts_air + WifiMac::kSifs + cts_air;
   EXPECT_GE(failed_at, 7 * per_try_floor);
   // Worst case: every backoff draw maxes out (CW doubles 31 -> 1023).
   SimTime worst = SimTime::zero();
-  std::uint32_t cw = net.mac_cfg.cw_min;
+  std::uint32_t cw = WifiMac::kCwMin;
   for (int attempt = 0; attempt < 7; ++attempt) {
     worst += per_try_floor + milliseconds(1) /* timeout margin */ +
-             net.mac_cfg.slot * static_cast<std::int64_t>(cw);
-    cw = std::min(cw * 2 + 1, net.mac_cfg.cw_max);
+             WifiMac::kSlot * static_cast<std::int64_t>(cw);
+    cw = std::min(cw * 2 + 1, WifiMac::kCwMax);
   }
   EXPECT_LE(failed_at, worst);
 }

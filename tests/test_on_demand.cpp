@@ -109,7 +109,7 @@ RoutingPayloadPtr source_routed_rreq(NodeId origin, std::uint32_t id) {
 
 TEST(DuplicateFilterInProtocols, SizeBoundedByTheLastLifetimeOfFloods) {
   const FloodCase cases[] = {
-      {"AODV", aodv::Config{}.rreq_id_lifetime, factory_of<aodv::Aodv, aodv::Config>(),
+      {"AODV", aodv::Aodv::kRreqIdLifetime, factory_of<aodv::Aodv, aodv::Config>(),
        [](NodeId origin, std::uint32_t id) -> RoutingPayloadPtr {
          auto r = std::make_unique<aodv::Rreq>();
          r->rreq_id = id;

@@ -8,11 +8,6 @@
 namespace manet {
 namespace {
 
-TEST(Packet, FreshUidsAreUnique) {
-  Packet a, b;
-  EXPECT_NE(a.uid(), b.uid());
-}
-
 TEST(Packet, CopyPreservesUid) {
   Packet a;
   const Packet b = a;  // NOLINT(performance-unnecessary-copy-initialization)

@@ -626,7 +626,7 @@ TEST(PhyLedger, ContentionEnteredMidReceptionStartsDifsAtTheEnd) {
     sim.run();
     EXPECT_EQ(seen, (std::vector<std::string>{"before:busy", "after:idle"}));
     ASSERT_EQ(sent.at.size(), 1u) << static_cast<int>(when);
-    EXPECT_EQ(sent.at[0], end + mac_cfg.difs) << static_cast<int>(when);
+    EXPECT_EQ(sent.at[0], end + WifiMac::kDifs) << static_cast<int>(when);
   }
 }
 
@@ -835,7 +835,7 @@ void check_against_oracle(const ScenarioConfig& cfg) {
   std::sort(delivered.begin(), delivered.end());
   std::sort(want_rx.begin(), want_rx.end());
   EXPECT_EQ(delivered, want_rx);
-  EXPECT_NEAR(sc.stats().energy_rx_j(), cfg.phy.rx_power_w * want_rx_air_s,
+  EXPECT_NEAR(sc.stats().energy_rx_j(), Transceiver::kRxPowerW * want_rx_air_s,
               1e-9 * sc.stats().energy_rx_j());
   EXPECT_EQ(ties, 0u);
   EXPECT_GT(want_rx.size(), 3000u);

@@ -8,6 +8,8 @@
 
 #include <string>
 
+#include "scenario/spec.hpp"
+
 namespace manet::report {
 namespace {
 
@@ -136,6 +138,20 @@ TEST(Report, BaselineZeroDeltaRendersNa) {
   const Result r = compare(parse(base), parse(cur), Options{});
   EXPECT_EQ(r.drifted, 1);
   EXPECT_NE(r.render(Options{}).find("n/a"), std::string::npos);
+}
+
+// The parser recurses once per nesting level, so depth is bounded: a file of
+// 100,000 '[' is a parse error, not a stack overflow, in both readers.
+TEST(Json, DeepNestingIsAnErrorNotACrash) {
+  const std::string deep(100000, '[');
+  json::Value v;
+  std::string err;
+  EXPECT_FALSE(json::parse(deep, v, err));
+  EXPECT_NE(err.find("JSON parse error (line 1): nested deeper than"), std::string::npos) << err;
+
+  const spec::ScenarioSpec s = spec::load_string(deep, "deep.json");
+  ASSERT_FALSE(s.ok());
+  EXPECT_NE(s.error_report().find("nested deeper than"), std::string::npos) << s.error_report();
 }
 
 // A tolerance no drift can exceed turns the gate off, so the CLI rejects it

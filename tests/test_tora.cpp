@@ -10,9 +10,9 @@ namespace {
 using test::TestNet;
 using test::line_positions;
 
-TestNet::ProtocolFactory tora_factory(tora::Config cfg = {}) {
-  return [cfg](Node& n, std::uint64_t seed) {
-    return std::make_unique<tora::Tora>(n, cfg, RngStream(seed, "routing", n.id()));
+TestNet::ProtocolFactory tora_factory() {
+  return [](Node& n, std::uint64_t seed) {
+    return std::make_unique<tora::Tora>(n, RngStream(seed, "routing", n.id()));
   };
 }
 

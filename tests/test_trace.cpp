@@ -7,6 +7,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -165,6 +166,54 @@ TEST(Trace, ScenarioEmitsFaultLifecycle) {
     ++n;
   }
   EXPECT_GT(n, 100u);
+}
+
+ScenarioConfig small_traced_run(const std::string& path) {
+  ScenarioConfig cfg;
+  cfg.seed = 3;
+  cfg.num_nodes = 12;
+  cfg.area = {600.0, 600.0};
+  cfg.num_connections = 3;
+  cfg.duration = seconds(25);
+  cfg.trace_path = path;
+  return cfg;
+}
+
+// Uids are minted per run, not per process: a second identical run in the
+// same process writes the same file, uids included.
+TEST(Trace, IdenticalRunsInOneProcessWriteIdenticalFiles) {
+  const std::string a = temp_path("trace_twin_a.tr");
+  const std::string b = temp_path("trace_twin_b.tr");
+  (void)Scenario::run_once(small_traced_run(a));
+  (void)Scenario::run_once(small_traced_run(b));
+  const std::string text = slurp(a);
+  EXPECT_GT(lines_of(text).size(), 100u);
+  EXPECT_EQ(text, slurp(b));
+}
+
+// Each originated packet gets its own nonzero uid; the copies that are
+// forwarded and received keep it.
+TEST(Trace, OriginatedPacketsCarryDistinctUids) {
+  const std::string path = temp_path("trace_uids.tr");
+  (void)Scenario::run_once(small_traced_run(path));
+  std::set<std::uint64_t> sent;
+  std::vector<std::uint64_t> received;
+  for (const std::string& line : lines_of(slurp(path))) {
+    char ev = 0;
+    unsigned long long uid = 0;
+    char type[8] = {};
+    if (std::sscanf(line.c_str(), "%c %*f %*s RTR %llu %7s", &ev, &uid, type) != 3) continue;
+    if (std::string(type) != "cbr") continue;
+    if (ev == 's') {
+      EXPECT_NE(uid, 0u) << line;
+      EXPECT_TRUE(sent.insert(uid).second) << "uid sent twice: " << line;
+    } else if (ev == 'r') {
+      received.push_back(uid);
+    }
+  }
+  EXPECT_GE(sent.size(), 2u);
+  ASSERT_FALSE(received.empty());
+  for (const std::uint64_t uid : received) EXPECT_TRUE(sent.contains(uid)) << uid;
 }
 
 }  // namespace

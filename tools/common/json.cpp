@@ -11,6 +11,11 @@ namespace manet::json {
 
 namespace {
 
+/// Arrays and objects nested deeper than this are rejected: the descent
+/// recurses once per level, so an unbounded depth lets a hostile file
+/// overflow the stack. Artifacts and scenario files nest a few levels.
+constexpr int kMaxDepth = 256;
+
 class Parser {
  public:
   Parser(std::string_view text, std::string& err) : s_(text), err_(err) {}
@@ -26,6 +31,7 @@ class Parser {
   std::string_view s_;
   std::size_t pos_ = 0;
   int line_ = 1;
+  int depth_ = 0;  ///< arrays and objects open around the current value
   std::string& err_;
 
   bool fail(const std::string& what) {
@@ -55,8 +61,16 @@ class Parser {
     if (pos_ >= s_.size()) return fail("unexpected end of input");
     out.line = line_;
     switch (s_[pos_]) {
-      case '{': return object(out);
-      case '[': return array(out);
+      case '{':
+      case '[': {
+        if (depth_ == kMaxDepth) {
+          return fail("nested deeper than " + std::to_string(kMaxDepth) + " levels");
+        }
+        ++depth_;
+        const bool ok = s_[pos_] == '{' ? object(out) : array(out);
+        --depth_;
+        return ok;
+      }
       case '"': out.kind = Value::Kind::kString; return string(out.str);
       case 't': return keyword("true", out, Value::Kind::kBool, true);
       case 'f': return keyword("false", out, Value::Kind::kBool, false);

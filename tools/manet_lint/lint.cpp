@@ -687,7 +687,10 @@ struct Suppressions {
 /// spellings.
 [[nodiscard]] bool in_path(const std::string& path, std::string_view dir) {
   if (path.rfind(dir, 0) == 0) return true;
-  return path.find("/" + std::string(dir)) != std::string::npos;
+  for (std::size_t at = path.find(dir, 1); at != std::string::npos; at = path.find(dir, at + 1)) {
+    if (path[at - 1] == '/') return true;
+  }
+  return false;
 }
 
 /// Does this scan unit schedule events, transmit, or implement routing state?
