@@ -64,6 +64,8 @@ struct FaultConfig {
   [[nodiscard]] bool enabled() const {
     return crash_rate > 0.0 || link_blackouts > 0 || corrupt_rate > 0.0 || partition;
   }
+
+  friend bool operator==(const FaultConfig&, const FaultConfig&) = default;
 };
 
 enum class FaultEventKind : std::uint8_t {

@@ -32,6 +32,8 @@ struct Area {
   double width = 0.0;
   double height = 0.0;
 
+  friend constexpr bool operator==(const Area&, const Area&) = default;
+
   [[nodiscard]] constexpr bool contains(Vec2 p) const {
     return p.x >= 0.0 && p.x <= width && p.y >= 0.0 && p.y <= height;
   }

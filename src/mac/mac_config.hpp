@@ -14,6 +14,8 @@ struct MacConfig {
   /// entirely (ablation scenarios/abl_rtscts.json).
   std::size_t rts_threshold = 0;
   bool use_rts = true;
+
+  friend bool operator==(const MacConfig&, const MacConfig&) = default;
 };
 
 }  // namespace manet

@@ -19,6 +19,8 @@ namespace manet {
 struct ManhattanStreets {
   double block = 200.0;  ///< street spacing, metres
   double p_turn = 0.5;   ///< probability of turning at an intersection
+
+  friend bool operator==(const ManhattanStreets&, const ManhattanStreets&) = default;
 };
 
 /// The model's parameters: the streets, plus the area and speed range that

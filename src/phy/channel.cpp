@@ -145,7 +145,7 @@ SimTime Channel::transmit(NodeId sender, const Packet& frame) {
       // Channel corruption: the frame still arrives as interference (the
       // carrier-only path below), it just cannot be decoded.
       faded = true;
-      if (stats_ != nullptr) stats_->on_fault_corruption(frame.kind == PacketKind::kData);
+      if (stats_ != nullptr) stats_->on_fault_corruption();
     }
     // A faded or out-of-range arrival is carrier/interference only.
     const bool decodable = d2 <= rx2 && !faded;

@@ -104,13 +104,6 @@ class Channel {
   /// when `out` must grow.
   void neighbors_of(NodeId id, double radius, std::vector<NodeId>& out);
 
-  /// As above, into a fresh vector (tests).
-  [[nodiscard]] std::vector<NodeId> neighbors_of(NodeId id, double radius) {
-    std::vector<NodeId> out;
-    neighbors_of(id, radius, out);
-    return out;
-  }
-
   // -- fault injection --------------------------------------------------------
   /// Attach the fault masks (crashed nodes, blacked-out links, corruption
   /// rate). Null (the default) means no faults; transmit() then takes its

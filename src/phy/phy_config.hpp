@@ -64,6 +64,8 @@ struct PhyConfig {
   /// Upper bound on propagation delay within carrier-sense range; used for
   /// MAC timeout sizing.
   [[nodiscard]] SimTime max_propagation() const { return propagation(cs_range_m); }
+
+  friend bool operator==(const PhyConfig&, const PhyConfig&) = default;
 };
 
 }  // namespace manet

@@ -34,6 +34,8 @@ struct Config {
   bool expanding_ring = true;
   /// Allow intermediate nodes with fresh routes to answer RREQs.
   bool intermediate_reply = true;
+
+  friend bool operator==(const Config&, const Config&) = default;
 };
 
 class Aodv final : public RoutingProtocol {

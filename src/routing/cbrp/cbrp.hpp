@@ -32,6 +32,8 @@ namespace manet::cbrp {
 
 struct Config {
   bool local_repair = true;
+
+  friend bool operator==(const Config&, const Config&) = default;
 };
 
 class Cbrp final : public RoutingProtocol {

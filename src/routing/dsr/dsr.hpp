@@ -31,6 +31,8 @@ namespace manet::dsr {
 struct Config {
   bool intermediate_reply = true;  ///< replies from caches (ablation knob)
   bool salvage = true;
+
+  friend bool operator==(const Config&, const Config&) = default;
 };
 
 class Dsr final : public RoutingProtocol {

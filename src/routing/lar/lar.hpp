@@ -36,6 +36,8 @@ struct Config {
   /// Speed bound used to grow the expected zone with location age.
   double assumed_v_max = 20.0;
   SimTime route_lifetime = seconds(60);
+
+  friend bool operator==(const Config&, const Config&) = default;
 };
 
 class Lar final : public RoutingProtocol {

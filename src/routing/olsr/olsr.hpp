@@ -81,6 +81,8 @@ struct Config {
   /// When false, TCs are flooded classically (every node retransmits) —
   /// the abl_olsr_mpr ablation quantifying the MPR optimization.
   bool mpr_flooding = true;
+
+  friend bool operator==(const Config&, const Config&) = default;
 };
 
 class Olsr final : public RoutingProtocol {

@@ -1,12 +1,10 @@
-// Fluent scenario construction with build-time validation.
+// Fluent scenario construction: setters over a staged ScenarioConfig.
 //
-// ScenarioConfig is a plain struct, and poking its fields directly defers
-// every mistake (negative speed, a fault window past the end of the run, an
-// inconsistent transport window) to whatever assertion happens to trip first
-// mid-build — or to silently nonsensical results. ScenarioBuilder is
-// the supported construction path: chain setters, then build() validates the
-// whole config at once and reports the offending values in the contract
-// message, or run() to validate and execute in one step.
+// The builder only names the fields a caller sets; it checks nothing. The
+// scenario contract (check() in scenario.hpp) is enforced where every run
+// starts: Scenario's constructor aborts on a config that breaks it, with the
+// offending values in the contract message, whether the config came from
+// build(), from a scenario file or from field pokes.
 //
 //   const ScenarioResult r = ScenarioBuilder()
 //                                .protocol("DSR")
@@ -15,34 +13,17 @@
 //                                .pause(seconds(30))
 //                                .run();
 //
-// check() is the scenario contract, written once: every range and
-// cross-field rule on ScenarioConfig. build() aborts on its errors; the
-// scenario-file loader (spec.hpp) reports them recoverably, anchored at the
-// JSON value that wrote the blamed field.
-//
-// Every setter has a with() escape hatch for knobs too niche to earn one.
+// Knobs without a setter are plain field writes on the built config.
 // Direct aggregate construction of ScenarioConfig outside src/scenario/ is
 // flagged by manet_lint (scenario-config-aggregate).
 #pragma once
 
-#include <functional>
 #include <string>
 #include <string_view>
-#include <utility>
-#include <vector>
 
 #include "scenario/scenario.hpp"
 
 namespace manet {
-
-/// One violation of the scenario contract.
-struct ConfigError {
-  /// The ScenarioConfig member path the message blames: "num_nodes",
-  /// "phy.frame_loss_rate", "fault.window_from", ...
-  std::string field;
-  /// What is wrong, naming the offending value ("must be >= 2, got 1").
-  std::string message;
-};
 
 class ScenarioBuilder {
  public:
@@ -51,13 +32,13 @@ class ScenarioBuilder {
 
   /// Start from an existing config (migration path for code that still
   /// assembles ScenarioConfig by hand, and for sweeping variations of a
-  /// validated base).
+  /// base).
   [[nodiscard]] static ScenarioBuilder from(const ScenarioConfig& cfg);
 
   // -- protocol ---------------------------------------------------------------
   ScenarioBuilder& protocol(Protocol p);
-  /// By name, case-insensitive ("dsr" matches "DSR"). Unknown names are
-  /// reported by check() with the full list of protocol names.
+  /// By name, case-insensitive ("dsr" matches "DSR"). An unknown name aborts
+  /// with a contract message that lists every protocol name.
   ScenarioBuilder& protocol(std::string_view name);
 
   // -- topology & mobility ----------------------------------------------------
@@ -71,23 +52,15 @@ class ScenarioBuilder {
 
   // -- traffic ----------------------------------------------------------------
   ScenarioBuilder& connections(std::uint32_t count);
-  ScenarioBuilder& payload(std::size_t bytes);
-  ScenarioBuilder& traffic(TrafficKind kind);
-  ScenarioBuilder& cbr_interval(SimTime interval);
-  /// Reliable transport between app and net (closed-loop traffic); the
-  /// config's RTO/cwnd/buffer bounds are validated by check().
+  /// Reliable transport between app and net (closed-loop traffic).
   ScenarioBuilder& transport(const TransportConfig& transport);
 
   // -- run shape --------------------------------------------------------------
   ScenarioBuilder& duration(SimTime duration);
   ScenarioBuilder& fault(const FaultConfig& fault);
   ScenarioBuilder& trace(std::string path);
-  ScenarioBuilder& measure_connectivity(bool on);
 
   // -- stack ------------------------------------------------------------------
-  ScenarioBuilder& phy(const PhyConfig& phy);
-  ScenarioBuilder& mac(const MacConfig& mac);
-  ScenarioBuilder& frame_loss(double rate);
   /// Urban street-canyon shadowing (see PhyConfig): NLOS pairs decode only
   /// within `nlos_range_m` and suffer an extra `nlos_loss` probability of
   /// loss. `street_width_m` = 0 turns the model off. Usually combined with
@@ -95,18 +68,7 @@ class ScenarioBuilder {
   ScenarioBuilder& urban(double street_width_m, double nlos_range_m = 75.0,
                          double nlos_loss = 0.0);
 
-  /// Escape hatch for knobs without a dedicated setter (per-protocol config
-  /// blocks, mobility-model extras). Runs immediately on the staged config.
-  ScenarioBuilder& with(const std::function<void(ScenarioConfig&)>& fn);
-
-  /// Every violation of the scenario contract by the staged config, in rule
-  /// order; empty when it is valid. Single-field ranges always apply;
-  /// cross-field rules only where the fields they relate are in use
-  /// (mobile nodes, traffic, transport, faults, the urban model).
-  [[nodiscard]] std::vector<ConfigError> check() const;
-
-  /// check() the staged config and return it. Any error fails a
-  /// MANET_CONTRACT whose message lists every error as "field: message".
+  /// The staged config, unchecked: Scenario checks it when a run starts.
   [[nodiscard]] ScenarioConfig build() const;
 
   /// build() and run the scenario once.
@@ -114,7 +76,6 @@ class ScenarioBuilder {
 
  private:
   ScenarioConfig cfg_;
-  std::string protocol_name_;  ///< deferred by-name lookup; resolved in build()
 };
 
 /// The urban (Manhattan-grid) scenario family: street-constrained mobility

@@ -14,8 +14,7 @@
 #include <string_view>
 #include <vector>
 
-#include "app/cbr.hpp"
-#include "app/onoff.hpp"
+#include "app/traffic.hpp"
 #include "core/simulator.hpp"
 #include "fault/fault.hpp"
 #include "mac/mac_config.hpp"
@@ -100,12 +99,6 @@ struct ScenarioConfig {
   /// When non-empty, write an ns-2-style event trace to this path.
   std::string trace_path;
 
-  /// Sample ground-truth connectivity (is each flow's (src,dst) pair
-  /// connected in the instantaneous unit-disk graph?) once per second. The
-  /// resulting fraction is the oracle upper bound on PDR — a partitioned
-  /// network caps every protocol — reported as ScenarioResult::connectivity.
-  bool measure_connectivity = true;
-
   // Stack.
   PhyConfig phy;
   MacConfig mac;
@@ -117,7 +110,26 @@ struct ScenarioConfig {
 
   /// Render the Table-I parameter block (examples/quickstart prints it).
   [[nodiscard]] std::string parameter_table() const;
+
+  friend bool operator==(const ScenarioConfig&, const ScenarioConfig&) = default;
 };
+
+/// One violation of the scenario contract.
+struct ConfigError {
+  /// The ScenarioConfig member path the message blames: "num_nodes",
+  /// "phy.frame_loss_rate", "fault.window_from", ...
+  std::string field;
+  /// What is wrong, naming the offending value ("must be >= 2, got 1").
+  std::string message;
+};
+
+/// The scenario contract, written once: every range and cross-field rule on
+/// ScenarioConfig. Returns every violation in rule order; empty when `cfg`
+/// is valid. Single-field ranges always apply; cross-field rules only where
+/// the fields they relate are in use (mobile nodes, traffic, transport,
+/// faults, the urban model). Scenario's constructor aborts on any error;
+/// the scenario-file loader (spec.hpp) and manetsim report them.
+[[nodiscard]] std::vector<ConfigError> check(const ScenarioConfig& cfg);
 
 /// Summary of one finished run.
 struct ScenarioResult {
@@ -128,8 +140,9 @@ struct ScenarioResult {
   double throughput_kbps = 0.0;
   double avg_hops = 0.0;
   /// Fraction of (flow, sample) pairs whose endpoints were connected in the
-  /// instantaneous radio graph — the oracle PDR upper bound (1.0 when
-  /// connectivity measurement is disabled).
+  /// instantaneous radio graph, sampled once per second from the traffic
+  /// start — the oracle PDR upper bound, since a partitioned network caps
+  /// every protocol (1.0 when no sample was taken: a run without flows).
   double connectivity = 1.0;
   std::uint64_t data_originated = 0;
   std::uint64_t data_delivered = 0;
@@ -171,6 +184,8 @@ struct ScenarioResult {
 
 class Scenario {
  public:
+  /// Aborts when check(cfg) reports any error, listing each as
+  /// "field: message".
   explicit Scenario(const ScenarioConfig& cfg);
 
   /// Build the network (idempotent; run() calls it if needed).
@@ -218,8 +233,7 @@ class Scenario {
   std::vector<std::unique_ptr<RoutingProtocol>> protocols_;
   // Declared after nodes_ (they hold Node&): destroyed first.
   std::vector<std::unique_ptr<ReliableTransport>> transports_;
-  std::vector<std::unique_ptr<CbrSource>> sources_;
-  std::vector<std::unique_ptr<OnOffSource>> onoff_sources_;
+  std::vector<std::unique_ptr<TrafficSource>> sources_;
   std::unique_ptr<TraceWriter> trace_;
   FaultPlan fault_plan_;
   FaultRuntime fault_runtime_;

@@ -30,7 +30,7 @@ std::string fmt_g(double v) {
 /// Error sink + the typed accessors every section walker shares. These
 /// checks are the ones that belong to reading external input: JSON kinds,
 /// integer-ness and whether a number fits the type of the field it lands
-/// in. Every range and cross-field rule is ScenarioBuilder::check()'s.
+/// in. Every range and cross-field rule is check()'s (scenario.hpp).
 class Checker {
  public:
   explicit Checker(std::vector<Error>& errs) : errs_(errs) {}
@@ -317,7 +317,6 @@ void apply_settings(Checker& c, const Value& o, const std::string& path, Staged&
       {Key("protocol"), Key("seed", "seed", cfg.seed), Key("nodes", "num_nodes", cfg.num_nodes),
        Key("area_m"), Key("static", "static_nodes", cfg.static_nodes),
        Key("duration_s", "duration", cfg.duration),
-       Key("measure_connectivity", "measure_connectivity", cfg.measure_connectivity),
        Key("trace"), Key("mobility"), Key("traffic"), Key("radio"), Key("mac"), Key("urban"),
        Key("fault"), Key("transport"), Key("aodv"), Key("dsr"), Key("olsr")},
       [&](const std::string& k, const Value& v, const std::string& p) {
@@ -387,24 +386,22 @@ struct Axis {
 constexpr const char* kAxisParams = "pause, vmax, nodes, sources, crash, loss, rate";
 
 /// Copy the urban Manhattan family's derived fields onto the cell, reusing
-/// urban_scenario() so the city-size math has exactly one home. The copy goes
-/// through with(), not build(): a bad node count is the per-cell check()'s to
-/// report.
+/// urban_scenario() so the city-size math has exactly one home. A bad node
+/// count is the per-cell check()'s to report.
 void apply_urban_family(Checker& c, const AxisValue& a, Staged& s) {
   std::uint32_t n = 0;
   if (!c.integer(*a.value, a.key, n)) return;
   ScenarioConfig& cfg = s.cfg;
-  urban_scenario(n).with([&cfg](ScenarioConfig& u) {
-    cfg.num_nodes = u.num_nodes;
-    cfg.area = u.area;
-    cfg.mobility = u.mobility;
-    cfg.v_min = u.v_min;
-    cfg.v_max = u.v_max;
-    cfg.num_connections = u.num_connections;
-    cfg.phy.street_width_m = u.phy.street_width_m;
-    cfg.phy.nlos_rx_range_m = u.phy.nlos_rx_range_m;
-    cfg.phy.nlos_loss_rate = u.phy.nlos_loss_rate;
-  });
+  const ScenarioConfig u = urban_scenario(n).build();
+  cfg.num_nodes = u.num_nodes;
+  cfg.area = u.area;
+  cfg.mobility = u.mobility;
+  cfg.v_min = u.v_min;
+  cfg.v_max = u.v_max;
+  cfg.num_connections = u.num_connections;
+  cfg.phy.street_width_m = u.phy.street_width_m;
+  cfg.phy.nlos_rx_range_m = u.phy.nlos_rx_range_m;
+  cfg.phy.nlos_loss_rate = u.phy.nlos_loss_rate;
   for (const char* field :
        {"num_nodes", "area.width", "area.height", "mobility", "v_min", "v_max", "num_connections",
         "phy.street_width_m", "phy.nlos_rx_range_m", "phy.nlos_loss_rate"}) {
@@ -719,7 +716,7 @@ ScenarioSpec load_string(const std::string& text, const std::string& filename) {
   // JSON value that wrote the field it blames; a field left at its default
   // is anchored at the cell.
   for (const auto& [label, cell] : staged) {
-    for (const ConfigError& e : ScenarioBuilder::from(cell.cfg).check()) {
+    for (const ConfigError& e : check(cell.cfg)) {
       const auto it = cell.anchors.find(e.field);
       if (it != cell.anchors.end()) {
         c.fail_at(it->second.line, it->second.key, e.message);

@@ -18,8 +18,7 @@
 //     "output": {"dir": "results"},
 //     "base": {                               // defaults = Table I
 //       "protocol": "AODV", "seed": 1, "nodes": 40, "area_m": [1500, 300],
-//       "static": false, "duration_s": 150,
-//       "measure_connectivity": true, "trace": "path.tr",
+//       "static": false, "duration_s": 150, "trace": "path.tr",
 //       "mobility": {"model": "waypoint|walk|gauss-markov|manhattan",
 //                    "v_min_mps": 0.1, "v_max_mps": 20, "pause_s": 0,
 //                    "warmup_s": 1000, "block_m": 200, "p_turn": 0.5},
@@ -69,10 +68,11 @@
 // checks only what belongs to reading JSON: kinds, integer-ness, whether a
 // number fits its field's type, names (keys, enums, protocols, axes),
 // rate_pps/interval_ms exclusivity, label uniqueness and the header. The
-// scenario contract is ScenarioBuilder::check()'s alone: the loader runs it
-// on every expanded cell and anchors each error at the JSON value that wrote
-// the blamed field, or at the cell when no value did. A spec that loads
-// clean therefore builds.
+// scenario contract is check()'s (scenario.hpp) alone: the loader runs it on
+// every expanded cell and anchors each error at the JSON value that wrote
+// the blamed field, or at the cell when no value did. Every cell of a spec
+// that loads clean therefore runs: Scenario's constructor checks the same
+// contract.
 
 #include <string>
 #include <vector>

@@ -71,10 +71,7 @@ class StatsCollector {
   // -- fault injection -------------------------------------------------------
   void on_node_crash() { ++crashes_; }
   /// A decodable frame was corrupted by the channel fault process.
-  void on_fault_corruption(bool data_frame) {
-    ++fault_corrupted_;
-    if (data_frame) ++fault_corrupted_data_;
-  }
+  void on_fault_corruption() { ++fault_corrupted_; }
   /// A connectivity fault (crash, link blackout, partition) began/healed.
   /// Corruption windows are deliberately not counted: they degrade links
   /// without severing them, so they don't define an outage to recover from.
@@ -83,7 +80,6 @@ class StatsCollector {
 
   [[nodiscard]] std::uint64_t crashes() const { return crashes_; }
   [[nodiscard]] std::uint64_t fault_corrupted() const { return fault_corrupted_; }
-  [[nodiscard]] std::uint64_t fault_corrupted_data() const { return fault_corrupted_data_; }
   [[nodiscard]] std::uint64_t delivered_during_fault() const { return delivered_during_fault_; }
   [[nodiscard]] std::uint64_t delivered_after_fault() const { return delivered_after_fault_; }
   /// Mean time from a fault healing to the next successful data delivery —
@@ -161,7 +157,6 @@ class StatsCollector {
   // Fault accounting.
   std::uint64_t crashes_ = 0;
   std::uint64_t fault_corrupted_ = 0;
-  std::uint64_t fault_corrupted_data_ = 0;
   std::uint64_t delivered_during_fault_ = 0;
   std::uint64_t delivered_after_fault_ = 0;
   int active_faults_ = 0;

@@ -37,7 +37,7 @@ namespace manet {
 
 class Node;
 
-/// Knobs of the reliable transport; validated by ScenarioBuilder.
+/// Knobs of the reliable transport; validated by check() (scenario.hpp).
 struct TransportConfig {
   bool enabled = false;  ///< off: apps originate open-loop UDP as before
   SimTime rto_initial = milliseconds(1000);
@@ -47,6 +47,8 @@ struct TransportConfig {
   std::uint32_t cwnd_max = 32;    ///< additive increase stops here
   std::uint32_t max_retx = 7;     ///< per-segment retransmissions before giving up
   std::uint32_t buffer_packets = 64;  ///< send-buffer bound (closed-loop backpressure)
+
+  friend bool operator==(const TransportConfig&, const TransportConfig&) = default;
 };
 
 class ReliableTransport {

@@ -2,11 +2,10 @@
 // ON/OFF burst behaviour, and source behaviour when its node crashes
 // mid-flow (fault injection).
 
-#include "app/cbr.hpp"
+#include "app/traffic.hpp"
 
 #include <gtest/gtest.h>
 
-#include "app/onoff.hpp"
 #include "routing/aodv/aodv.hpp"
 #include "testutil.hpp"
 
@@ -22,8 +21,8 @@ TestNet::ProtocolFactory aodv_factory() {
   };
 }
 
-CbrSource::Config cbr_config(NodeId dst) {
-  CbrSource::Config cfg;
+TrafficSource::Config cbr_config(NodeId dst) {
+  TrafficSource::Config cfg;
   cfg.dst = dst;
   cfg.interval = milliseconds(100);
   cfg.start = seconds(1);
@@ -33,7 +32,7 @@ CbrSource::Config cbr_config(NodeId dst) {
 
 TEST(Cbr, SendsAtFixedIntervalFromStart) {
   TestNet net(line_positions(2), aodv_factory());
-  CbrSource src(net.node(0), cbr_config(1));
+  TrafficSource src(net.node(0), cbr_config(1), RngStream(7, "onoff", 0));
   src.start();
   // Nothing before the start time.
   net.sim().run_until(milliseconds(999));
@@ -46,7 +45,7 @@ TEST(Cbr, SendsAtFixedIntervalFromStart) {
 
 TEST(Cbr, StopBoundaryIsInclusive) {
   TestNet net(line_positions(2), aodv_factory());
-  CbrSource src(net.node(0), cbr_config(1));
+  TrafficSource src(net.node(0), cbr_config(1), RngStream(7, "onoff", 0));
   src.start();
   net.run_for(seconds(5));
   // 1.0 .. 2.0 s inclusive at 100 ms spacing: 11 packets, then the first
@@ -60,7 +59,7 @@ TEST(Cbr, CrashedSourceMidFlowCountsAgainstPdrAndResumes) {
   TestNet net(line_positions(2), aodv_factory());
   auto cfg = cbr_config(1);
   cfg.stop = seconds(10);
-  CbrSource src(net.node(0), cfg);
+  TrafficSource src(net.node(0), cfg, RngStream(7, "onoff", 0));
   src.start();
 
   net.sim().run_until(milliseconds(2050));
@@ -90,7 +89,7 @@ TEST(Cbr, CrashedDestinationReceivesNothing) {
   TestNet net(line_positions(2), aodv_factory());
   auto cfg = cbr_config(1);
   cfg.stop = seconds(10);
-  CbrSource src(net.node(0), cfg);
+  TrafficSource src(net.node(0), cfg, RngStream(7, "onoff", 0));
   src.start();
   net.sim().run_until(milliseconds(2050));
   const auto delivered_before = net.stats().data_delivered();
@@ -102,8 +101,8 @@ TEST(Cbr, CrashedDestinationReceivesNothing) {
   EXPECT_GT(net.stats().data_delivered(), delivered_before);
 }
 
-OnOffSource::Config onoff_config(NodeId dst) {
-  OnOffSource::Config cfg;
+TrafficSource::Config onoff_config(NodeId dst) {
+  TrafficSource::Config cfg;
   cfg.dst = dst;
   cfg.interval = milliseconds(50);
   cfg.burst_mean = seconds(1);
@@ -115,7 +114,7 @@ OnOffSource::Config onoff_config(NodeId dst) {
 
 TEST(OnOff, AlternatesBurstsWithIdlePeriods) {
   TestNet net(line_positions(2), aodv_factory());
-  OnOffSource src(net.node(0), onoff_config(1), RngStream(7, "onoff", 0));
+  TrafficSource src(net.node(0), onoff_config(1), RngStream(7, "onoff", 0));
   src.start();
   net.sim().run_until(milliseconds(999));
   EXPECT_FALSE(src.sending());
@@ -134,7 +133,7 @@ TEST(OnOff, SameSeedIsReproducible) {
   std::uint32_t sent[2];
   for (int i = 0; i < 2; ++i) {
     TestNet net(line_positions(2), aodv_factory());
-    OnOffSource src(net.node(0), onoff_config(1), RngStream(7, "onoff", 0));
+    TrafficSource src(net.node(0), onoff_config(1), RngStream(7, "onoff", 0));
     src.start();
     net.run_for(seconds(30));
     sent[i] = src.packets_sent();
@@ -146,7 +145,7 @@ TEST(OnOff, StopsAtStopTime) {
   TestNet net(line_positions(2), aodv_factory());
   auto cfg = onoff_config(1);
   cfg.stop = seconds(3);
-  OnOffSource src(net.node(0), cfg, RngStream(7, "onoff", 0));
+  TrafficSource src(net.node(0), cfg, RngStream(7, "onoff", 0));
   src.start();
   net.run_for(seconds(4));
   const auto at_stop = src.packets_sent();

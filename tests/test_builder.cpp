@@ -1,13 +1,13 @@
 // ScenarioBuilder: the fluent construction path must stage exactly the same
-// config a careful hand-assembly produces, resolve protocol names through
-// the protocol table, and reject invalid configs at build() with the offending
+// config a careful hand-assembly produces and resolve protocol names through
+// the protocol table. The scenario contract, check(), is pinned here too:
+// Scenario rejects invalid configs where the run starts, with the offending
 // values in the contract message (death tests — contracts abort).
 
 #include "scenario/builder.hpp"
 
 #include <gtest/gtest.h>
 
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -41,12 +41,8 @@ TEST(ScenarioBuilder, SettersStageExactlyTheNamedFields) {
                                  .speed(0.5, 15.0)
                                  .pause(seconds(30))
                                  .connections(20)
-                                 .payload(256)
-                                 .traffic(TrafficKind::kOnOff)
-                                 .cbr_interval(seconds_f(0.5))
                                  .duration(seconds(90))
                                  .trace("/tmp/t.tr")
-                                 .frame_loss(0.05)
                                  .build();
   EXPECT_EQ(cfg.protocol, Protocol::kOlsr);
   EXPECT_EQ(cfg.seed, 7u);
@@ -58,12 +54,8 @@ TEST(ScenarioBuilder, SettersStageExactlyTheNamedFields) {
   EXPECT_EQ(cfg.v_max, 15.0);
   EXPECT_EQ(cfg.pause, seconds(30));
   EXPECT_EQ(cfg.num_connections, 20u);
-  EXPECT_EQ(cfg.payload_bytes, 256u);
-  EXPECT_EQ(cfg.traffic, TrafficKind::kOnOff);
-  EXPECT_EQ(cfg.cbr_interval, seconds_f(0.5));
   EXPECT_EQ(cfg.duration, seconds(90));
   EXPECT_EQ(cfg.trace_path, "/tmp/t.tr");
-  EXPECT_EQ(cfg.phy.frame_loss_rate, 0.05);
 }
 
 TEST(ScenarioBuilder, ProtocolByNameIsCaseInsensitive) {
@@ -78,15 +70,6 @@ TEST(ScenarioBuilder, LaterProtocolSetterWins) {
             Protocol::kLar);
   EXPECT_EQ(ScenarioBuilder().protocol("lar").protocol(Protocol::kDsdv).build().protocol,
             Protocol::kDsdv);
-}
-
-TEST(ScenarioBuilder, WithEscapeHatchReachesNestedKnobs) {
-  const ScenarioConfig cfg = ScenarioBuilder()
-                                 .with([](ScenarioConfig& c) { c.aodv.expanding_ring = false; })
-                                 .with([](ScenarioConfig& c) { c.mac.use_rts = false; })
-                                 .build();
-  EXPECT_FALSE(cfg.aodv.expanding_ring);
-  EXPECT_FALSE(cfg.mac.use_rts);
 }
 
 TEST(ScenarioBuilder, FromExistingConfigPreservesEveryField) {
@@ -114,197 +97,198 @@ TEST(ScenarioBuilder, FaultSetterStagesTheFaultPlan) {
 }
 
 // ---------------------------------------------------------------------------
-// Validation: build() must reject nonsense loudly, naming the bad value.
+// Validation: a run must reject nonsense loudly, naming the bad value.
 // ---------------------------------------------------------------------------
 
 TEST(ScenarioBuilderDeathTest, UnknownProtocolNameListsRegisteredOnes) {
-  EXPECT_DEATH((void)ScenarioBuilder().protocol("ospf").build(), "unknown protocol.*AODV");
+  EXPECT_DEATH((void)ScenarioBuilder().protocol("ospf"), "unknown protocol.*AODV");
 }
 
 TEST(ScenarioBuilderDeathTest, RejectsTooFewNodes) {
-  EXPECT_DEATH((void)ScenarioBuilder().nodes(1).build(), "num_nodes");
+  const ScenarioConfig cfg = ScenarioBuilder().nodes(1).build();
+  EXPECT_DEATH({ Scenario s(cfg); }, "num_nodes");
 }
 
 TEST(ScenarioBuilderDeathTest, RejectsNonPositiveArea) {
-  EXPECT_DEATH((void)ScenarioBuilder().area(0.0, 300.0).build(), "area");
+  const ScenarioConfig cfg = ScenarioBuilder().area(0.0, 300.0).build();
+  EXPECT_DEATH({ Scenario s(cfg); }, "area");
 }
 
 TEST(ScenarioBuilderDeathTest, RejectsNonPositiveDuration) {
-  EXPECT_DEATH((void)ScenarioBuilder().duration(SimTime::zero()).build(), "duration");
+  const ScenarioConfig cfg = ScenarioBuilder().duration(SimTime::zero()).build();
+  EXPECT_DEATH({ Scenario s(cfg); }, "duration");
 }
 
 TEST(ScenarioBuilderDeathTest, RejectsInvertedSpeedRange) {
-  EXPECT_DEATH((void)ScenarioBuilder().speed(5.0, 1.0).build(), "v_m");
+  const ScenarioConfig cfg = ScenarioBuilder().speed(5.0, 1.0).build();
+  EXPECT_DEATH({ Scenario s(cfg); }, "v_m");
 }
 
 TEST(ScenarioBuilderDeathTest, RejectsFrameLossOutsideUnitInterval) {
-  EXPECT_DEATH((void)ScenarioBuilder().frame_loss(1.5).build(), "loss");
+  ScenarioConfig cfg = ScenarioBuilder().build();
+  cfg.phy.frame_loss_rate = 1.5;
+  EXPECT_DEATH({ Scenario s(cfg); }, "loss");
 }
 
 TEST(ScenarioBuilderDeathTest, RejectsFaultWindowPastEndOfRun) {
   FaultConfig fault;
   fault.crash_rate = 0.5;
   fault.window_from = seconds(500);  // run only lasts 150 s
-  EXPECT_DEATH((void)ScenarioBuilder().fault(fault).build(), "window");
+  const ScenarioConfig cfg = ScenarioBuilder().fault(fault).build();
+  EXPECT_DEATH({ Scenario s(cfg); }, "window");
 }
 
 // ---------------------------------------------------------------------------
-// The scenario contract, one row per rule: check() names the field, build()
+// The scenario contract, one row per rule: check() names the field, Scenario
 // dies on it, and the same value in a scenario file comes back as a loader
 // error anchored at that value's line.
 // ---------------------------------------------------------------------------
 
 struct ContractRule {
-  const char* field;                                ///< what check() must blame
-  std::function<void(ScenarioBuilder&)> violate;    ///< stages a violating value
+  const char* field;                 ///< what check() must blame
+  void (*violate)(ScenarioConfig&);  ///< pokes a violating value
   const char* json;  ///< the same violation as `base` settings, on one line
   const char* key;   ///< where the loader must anchor it
 };
 
-std::function<void(ScenarioBuilder&)> cfg(void (*edit)(ScenarioConfig&)) {
-  return [edit](ScenarioBuilder& b) { b.with(edit); };
-}
-
 const std::vector<ContractRule>& contract_rules() {
   static const std::vector<ContractRule> rules = {
-      {"protocol", [](ScenarioBuilder& b) { b.protocol("ospf"); }, R"("protocol": "ospf")",
-       "base.protocol"},
-      {"num_nodes", cfg([](ScenarioConfig& c) { c.num_nodes = 1; }), R"("nodes": 1)",
+      {"num_nodes", [](ScenarioConfig& c) { c.num_nodes = 1; }, R"("nodes": 1)",
        "base.nodes"},
-      {"area.width", cfg([](ScenarioConfig& c) { c.area.width = 0.0; }), R"("area_m": [0, 300])",
+      {"area.width", [](ScenarioConfig& c) { c.area.width = 0.0; }, R"("area_m": [0, 300])",
        "base.area_m[0]"},
-      {"area.height", cfg([](ScenarioConfig& c) { c.area.height = -1.0; }),
+      {"area.height", [](ScenarioConfig& c) { c.area.height = -1.0; },
        R"("area_m": [300, -1])", "base.area_m[1]"},
-      {"duration", cfg([](ScenarioConfig& c) { c.duration = SimTime::zero(); }),
+      {"duration", [](ScenarioConfig& c) { c.duration = SimTime::zero(); },
        R"("duration_s": 0)", "base.duration_s"},
-      {"v_min", cfg([](ScenarioConfig& c) { c.v_min = -1.0; }),
+      {"v_min", [](ScenarioConfig& c) { c.v_min = -1.0; },
        R"("mobility": {"v_min_mps": -1})", "base.mobility.v_min_mps"},
-      {"v_max", cfg([](ScenarioConfig& c) { c.v_max = -1.0; }),
+      {"v_max", [](ScenarioConfig& c) { c.v_max = -1.0; },
        R"("static": true, "mobility": {"v_max_mps": -1})", "base.mobility.v_max_mps"},
-      {"pause", cfg([](ScenarioConfig& c) { c.pause = seconds(-1); }),
+      {"pause", [](ScenarioConfig& c) { c.pause = seconds(-1); },
        R"("mobility": {"pause_s": -1})", "base.mobility.pause_s"},
-      {"mobility_warmup", cfg([](ScenarioConfig& c) { c.mobility_warmup = seconds(-1); }),
+      {"mobility_warmup", [](ScenarioConfig& c) { c.mobility_warmup = seconds(-1); },
        R"("mobility": {"warmup_s": -1})", "base.mobility.warmup_s"},
-      {"manhattan.block", cfg([](ScenarioConfig& c) { c.manhattan.block = 0.0; }),
+      {"manhattan.block", [](ScenarioConfig& c) { c.manhattan.block = 0.0; },
        R"("mobility": {"block_m": 0})", "base.mobility.block_m"},
-      {"manhattan.p_turn", cfg([](ScenarioConfig& c) { c.manhattan.p_turn = 1.5; }),
+      {"manhattan.p_turn", [](ScenarioConfig& c) { c.manhattan.p_turn = 1.5; },
        R"("mobility": {"p_turn": 1.5})", "base.mobility.p_turn"},
-      {"v_max", cfg([](ScenarioConfig& c) { c.v_min = 9.0, c.v_max = 3.0; }),
+      {"v_max", [](ScenarioConfig& c) { c.v_min = 9.0, c.v_max = 3.0; },
        R"("mobility": {"v_min_mps": 9, "v_max_mps": 3})", "base.mobility.v_max_mps"},
-      {"payload_bytes", cfg([](ScenarioConfig& c) { c.payload_bytes = 0; }),
+      {"payload_bytes", [](ScenarioConfig& c) { c.payload_bytes = 0; },
        R"("traffic": {"payload_bytes": 0})", "base.traffic.payload_bytes"},
-      {"cbr_interval", cfg([](ScenarioConfig& c) { c.cbr_interval = SimTime::zero(); }),
+      {"cbr_interval", [](ScenarioConfig& c) { c.cbr_interval = SimTime::zero(); },
        R"("traffic": {"interval_ms": 0})", "base.traffic.interval_ms"},
-      {"cbr_start", cfg([](ScenarioConfig& c) { c.cbr_start = seconds(-1); }),
+      {"cbr_start", [](ScenarioConfig& c) { c.cbr_start = seconds(-1); },
        R"("traffic": {"start_s": -1})", "base.traffic.start_s"},
-      {"cbr_start_window", cfg([](ScenarioConfig& c) { c.cbr_start_window = seconds(-1); }),
+      {"cbr_start_window", [](ScenarioConfig& c) { c.cbr_start_window = seconds(-1); },
        R"("traffic": {"start_window_s": -1})", "base.traffic.start_window_s"},
-      {"onoff_burst_mean", cfg([](ScenarioConfig& c) { c.onoff_burst_mean = SimTime::zero(); }),
+      {"onoff_burst_mean", [](ScenarioConfig& c) { c.onoff_burst_mean = SimTime::zero(); },
        R"("traffic": {"burst_mean_s": 0})", "base.traffic.burst_mean_s"},
-      {"onoff_idle_mean", cfg([](ScenarioConfig& c) { c.onoff_idle_mean = SimTime::zero(); }),
+      {"onoff_idle_mean", [](ScenarioConfig& c) { c.onoff_idle_mean = SimTime::zero(); },
        R"("traffic": {"idle_mean_s": 0})", "base.traffic.idle_mean_s"},
-      {"cbr_start", cfg([](ScenarioConfig& c) { c.cbr_start = seconds(200); }),
+      {"cbr_start", [](ScenarioConfig& c) { c.cbr_start = seconds(200); },
        R"("traffic": {"start_s": 200})", "base.traffic.start_s"},
       {"transport.rto_initial",
-       cfg([](ScenarioConfig& c) { c.transport.rto_initial = SimTime::zero(); }),
+       [](ScenarioConfig& c) { c.transport.rto_initial = SimTime::zero(); },
        R"("transport": {"rto_initial_ms": 0})", "base.transport.rto_initial_ms"},
-      {"transport.rto_min", cfg([](ScenarioConfig& c) { c.transport.rto_min = SimTime::zero(); }),
+      {"transport.rto_min", [](ScenarioConfig& c) { c.transport.rto_min = SimTime::zero(); },
        R"("transport": {"rto_min_ms": 0})", "base.transport.rto_min_ms"},
-      {"transport.rto_max", cfg([](ScenarioConfig& c) { c.transport.rto_max = SimTime::zero(); }),
+      {"transport.rto_max", [](ScenarioConfig& c) { c.transport.rto_max = SimTime::zero(); },
        R"("transport": {"rto_max_ms": 0})", "base.transport.rto_max_ms"},
-      {"transport.cwnd_init", cfg([](ScenarioConfig& c) { c.transport.cwnd_init = 0; }),
+      {"transport.cwnd_init", [](ScenarioConfig& c) { c.transport.cwnd_init = 0; },
        R"("transport": {"cwnd_init": 0})", "base.transport.cwnd_init"},
-      {"transport.cwnd_max", cfg([](ScenarioConfig& c) { c.transport.cwnd_max = 0; }),
+      {"transport.cwnd_max", [](ScenarioConfig& c) { c.transport.cwnd_max = 0; },
        R"("transport": {"cwnd_max": 0})", "base.transport.cwnd_max"},
-      {"transport.max_retx", cfg([](ScenarioConfig& c) { c.transport.max_retx = 0; }),
+      {"transport.max_retx", [](ScenarioConfig& c) { c.transport.max_retx = 0; },
        R"("transport": {"max_retx": 0})", "base.transport.max_retx"},
-      {"transport.buffer_packets", cfg([](ScenarioConfig& c) { c.transport.buffer_packets = 0; }),
+      {"transport.buffer_packets", [](ScenarioConfig& c) { c.transport.buffer_packets = 0; },
        R"("transport": {"buffer_packets": 0})", "base.transport.buffer_packets"},
-      {"transport.rto_min", cfg([](ScenarioConfig& c) {
+      {"transport.rto_min", [](ScenarioConfig& c) {
          c.transport.enabled = true, c.transport.rto_min = seconds(2);
-       }),
+       },
        R"("transport": {"enabled": true, "rto_min_ms": 2000})", "base.transport.rto_min_ms"},
-      {"transport.rto_max", cfg([](ScenarioConfig& c) {
+      {"transport.rto_max", [](ScenarioConfig& c) {
          c.transport.enabled = true, c.transport.rto_max = milliseconds(500);
-       }),
+       },
        R"("transport": {"enabled": true, "rto_max_ms": 500})", "base.transport.rto_max_ms"},
-      {"transport.cwnd_init", cfg([](ScenarioConfig& c) {
+      {"transport.cwnd_init", [](ScenarioConfig& c) {
          c.transport.enabled = true, c.transport.cwnd_init = 8, c.transport.cwnd_max = 4;
-       }),
+       },
        R"("transport": {"enabled": true, "cwnd_init": 8, "cwnd_max": 4})",
        "base.transport.cwnd_init"},
-      {"transport.buffer_packets", cfg([](ScenarioConfig& c) {
+      {"transport.buffer_packets", [](ScenarioConfig& c) {
          c.transport.enabled = true, c.transport.buffer_packets = 8;
-       }),
+       },
        R"("transport": {"enabled": true, "buffer_packets": 8})", "base.transport.buffer_packets"},
-      {"phy.data_rate_bps", cfg([](ScenarioConfig& c) { c.phy.data_rate_bps = 0.0; }),
+      {"phy.data_rate_bps", [](ScenarioConfig& c) { c.phy.data_rate_bps = 0.0; },
        R"("radio": {"data_rate_bps": 0})", "base.radio.data_rate_bps"},
-      {"phy.rx_range_m", cfg([](ScenarioConfig& c) { c.phy.rx_range_m = 0.0; }),
+      {"phy.rx_range_m", [](ScenarioConfig& c) { c.phy.rx_range_m = 0.0; },
        R"("radio": {"rx_range_m": 0})", "base.radio.rx_range_m"},
-      {"phy.cs_range_m", cfg([](ScenarioConfig& c) { c.phy.cs_range_m = 0.0; }),
+      {"phy.cs_range_m", [](ScenarioConfig& c) { c.phy.cs_range_m = 0.0; },
        R"("radio": {"cs_range_m": 0})", "base.radio.cs_range_m"},
-      {"phy.frame_loss_rate", cfg([](ScenarioConfig& c) { c.phy.frame_loss_rate = 1.0; }),
+      {"phy.frame_loss_rate", [](ScenarioConfig& c) { c.phy.frame_loss_rate = 1.0; },
        R"("radio": {"frame_loss_rate": 1})", "base.radio.frame_loss_rate"},
-      {"phy.street_width_m", cfg([](ScenarioConfig& c) { c.phy.street_width_m = -1.0; }),
+      {"phy.street_width_m", [](ScenarioConfig& c) { c.phy.street_width_m = -1.0; },
        R"("urban": {"street_width_m": -1})", "base.urban.street_width_m"},
-      {"phy.nlos_rx_range_m", cfg([](ScenarioConfig& c) { c.phy.nlos_rx_range_m = 0.0; }),
+      {"phy.nlos_rx_range_m", [](ScenarioConfig& c) { c.phy.nlos_rx_range_m = 0.0; },
        R"("urban": {"nlos_range_m": 0})", "base.urban.nlos_range_m"},
-      {"phy.nlos_loss_rate", cfg([](ScenarioConfig& c) { c.phy.nlos_loss_rate = 1.0; }),
+      {"phy.nlos_loss_rate", [](ScenarioConfig& c) { c.phy.nlos_loss_rate = 1.0; },
        R"("urban": {"nlos_loss": 1})", "base.urban.nlos_loss"},
-      {"phy.nlos_rx_range_m", cfg([](ScenarioConfig& c) {
+      {"phy.nlos_rx_range_m", [](ScenarioConfig& c) {
          c.phy.street_width_m = 20.0, c.phy.nlos_rx_range_m = 400.0;
-       }),
+       },
        R"("urban": {"street_width_m": 20, "nlos_range_m": 400})", "base.urban.nlos_range_m"},
-      {"mac.ifq_capacity", cfg([](ScenarioConfig& c) { c.mac.ifq_capacity = 0; }),
+      {"mac.ifq_capacity", [](ScenarioConfig& c) { c.mac.ifq_capacity = 0; },
        R"("mac": {"ifq_capacity": 0})", "base.mac.ifq_capacity"},
-      {"fault.crash_rate", cfg([](ScenarioConfig& c) { c.fault.crash_rate = -1.0; }),
+      {"fault.crash_rate", [](ScenarioConfig& c) { c.fault.crash_rate = -1.0; },
        R"("fault": {"crash_rate": -1})", "base.fault.crash_rate"},
       {"fault.downtime_mean",
-       cfg([](ScenarioConfig& c) { c.fault.downtime_mean = SimTime::zero(); }),
+       [](ScenarioConfig& c) { c.fault.downtime_mean = SimTime::zero(); },
        R"("fault": {"downtime_mean_s": 0})", "base.fault.downtime_mean_s"},
-      {"fault.link_blackouts", cfg([](ScenarioConfig& c) { c.fault.link_blackouts = -1; }),
+      {"fault.link_blackouts", [](ScenarioConfig& c) { c.fault.link_blackouts = -1; },
        R"("fault": {"link_blackouts": -1})", "base.fault.link_blackouts"},
       {"fault.blackout_mean",
-       cfg([](ScenarioConfig& c) { c.fault.blackout_mean = SimTime::zero(); }),
+       [](ScenarioConfig& c) { c.fault.blackout_mean = SimTime::zero(); },
        R"("fault": {"blackout_mean_s": 0})", "base.fault.blackout_mean_s"},
-      {"fault.corrupt_rate", cfg([](ScenarioConfig& c) { c.fault.corrupt_rate = 1.5; }),
+      {"fault.corrupt_rate", [](ScenarioConfig& c) { c.fault.corrupt_rate = 1.5; },
        R"("fault": {"corrupt_rate": 1.5})", "base.fault.corrupt_rate"},
-      {"fault.corrupt_from", cfg([](ScenarioConfig& c) { c.fault.corrupt_from = seconds(-1); }),
+      {"fault.corrupt_from", [](ScenarioConfig& c) { c.fault.corrupt_from = seconds(-1); },
        R"("fault": {"corrupt_from_s": -1})", "base.fault.corrupt_from_s"},
-      {"fault.corrupt_until", cfg([](ScenarioConfig& c) { c.fault.corrupt_until = seconds(-1); }),
+      {"fault.corrupt_until", [](ScenarioConfig& c) { c.fault.corrupt_until = seconds(-1); },
        R"("fault": {"corrupt_until_s": -1})", "base.fault.corrupt_until_s"},
-      {"fault.partition_frac", cfg([](ScenarioConfig& c) { c.fault.partition_frac = 1.5; }),
+      {"fault.partition_frac", [](ScenarioConfig& c) { c.fault.partition_frac = 1.5; },
        R"("fault": {"partition_frac": 1.5})", "base.fault.partition_frac"},
-      {"fault.partition_from", cfg([](ScenarioConfig& c) { c.fault.partition_from = seconds(-1); }),
+      {"fault.partition_from", [](ScenarioConfig& c) { c.fault.partition_from = seconds(-1); },
        R"("fault": {"partition_from_s": -1})", "base.fault.partition_from_s"},
       {"fault.partition_until",
-       cfg([](ScenarioConfig& c) { c.fault.partition_until = seconds(-1); }),
+       [](ScenarioConfig& c) { c.fault.partition_until = seconds(-1); },
        R"("fault": {"partition_until_s": -1})", "base.fault.partition_until_s"},
-      {"fault.window_from", cfg([](ScenarioConfig& c) { c.fault.window_from = seconds(-1); }),
+      {"fault.window_from", [](ScenarioConfig& c) { c.fault.window_from = seconds(-1); },
        R"("fault": {"window_from_s": -1})", "base.fault.window_from_s"},
-      {"fault.window_from", cfg([](ScenarioConfig& c) {
+      {"fault.window_from", [](ScenarioConfig& c) {
          c.fault.crash_rate = 1.0, c.fault.window_from = seconds(500);
-       }),
+       },
        R"("fault": {"crash_rate": 1, "window_from_s": 500})", "base.fault.window_from_s"},
-      {"fault.corrupt_from", cfg([](ScenarioConfig& c) {
+      {"fault.corrupt_from", [](ScenarioConfig& c) {
          c.fault.corrupt_rate = 0.1, c.fault.corrupt_from = seconds(500);
-       }),
+       },
        R"("fault": {"corrupt_rate": 0.1, "corrupt_from_s": 500})", "base.fault.corrupt_from_s"},
-      {"fault.corrupt_until", cfg([](ScenarioConfig& c) {
+      {"fault.corrupt_until", [](ScenarioConfig& c) {
          c.fault.corrupt_rate = 0.1, c.fault.corrupt_from = seconds(20),
          c.fault.corrupt_until = seconds(10);
-       }),
+       },
        R"("fault": {"corrupt_rate": 0.1, "corrupt_from_s": 20, "corrupt_until_s": 10})",
        "base.fault.corrupt_until_s"},
-      {"fault.partition_from", cfg([](ScenarioConfig& c) {
+      {"fault.partition_from", [](ScenarioConfig& c) {
          c.fault.partition = true, c.fault.partition_from = seconds(500);
-       }),
+       },
        R"("fault": {"partition": true, "partition_from_s": 500})",
        "base.fault.partition_from_s"},
-      {"fault.partition_until", cfg([](ScenarioConfig& c) {
+      {"fault.partition_until", [](ScenarioConfig& c) {
          c.fault.partition = true, c.fault.partition_from = seconds(20),
          c.fault.partition_until = seconds(10);
-       }),
+       },
        R"("fault": {"partition": true, "partition_from_s": 20, "partition_until_s": 10})",
        "base.fault.partition_until_s"},
   };
@@ -314,12 +298,12 @@ const std::vector<ContractRule>& contract_rules() {
 TEST(ScenarioContractDeathTest, EveryRuleIsReportedEnforcedAndAnchored) {
   for (const ContractRule& rule : contract_rules()) {
     SCOPED_TRACE(std::string(rule.field) + " <- " + rule.json);
-    ScenarioBuilder b;
-    rule.violate(b);
+    ScenarioConfig cfg = ScenarioBuilder().build();
+    rule.violate(cfg);
     bool reported = false;
-    for (const ConfigError& e : b.check()) reported = reported || e.field == rule.field;
+    for (const ConfigError& e : check(cfg)) reported = reported || e.field == rule.field;
     EXPECT_TRUE(reported);
-    EXPECT_DEATH((void)b.build(), rule.field);
+    EXPECT_DEATH({ Scenario s(cfg); }, rule.field);
 
     const spec::ScenarioSpec s = spec::load_string(
         std::string("{\n\"name\": \"c\",\n\"base\": {\n") + rule.json + "\n}\n}", "f.json");

@@ -171,14 +171,14 @@ TEST(Trace, ScenarioIntegration) {
 
 TEST(OnOffTraffic, SendsInBursts) {
   TestNet net(line_positions(2), aodv_factory());
-  OnOffSource::Config cfg;
+  TrafficSource::Config cfg;
   cfg.dst = 1;
   cfg.interval = milliseconds(100);
   cfg.burst_mean = seconds(2);
   cfg.idle_mean = seconds(2);
   cfg.start = seconds(1);
   cfg.stop = seconds(60);
-  OnOffSource src(net.node(0), cfg, RngStream(3, "onoff", 0));
+  TrafficSource src(net.node(0), cfg, RngStream(3, "onoff", 0));
   src.start();
   net.run_for(seconds(61));
   const auto sent = src.packets_sent();
@@ -191,11 +191,12 @@ TEST(OnOffTraffic, SendsInBursts) {
 
 TEST(OnOffTraffic, StopsAtStopTime) {
   TestNet net(line_positions(2), aodv_factory());
-  OnOffSource::Config cfg;
+  TrafficSource::Config cfg;
   cfg.dst = 1;
+  cfg.burst_mean = seconds(5);
   cfg.start = seconds(1);
   cfg.stop = seconds(5);
-  OnOffSource src(net.node(0), cfg, RngStream(4, "onoff", 0));
+  TrafficSource src(net.node(0), cfg, RngStream(4, "onoff", 0));
   src.start();
   net.run_for(seconds(5));
   const auto at_stop = src.packets_sent();

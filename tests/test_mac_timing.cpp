@@ -97,21 +97,22 @@ TEST(MacTiming, UnicastLatencyMatchesRtsCtsBudget) {
 TEST(MacTiming, NoRtsPathIsFaster) {
   MacConfig no_rts;
   no_rts.use_rts = false;
-  TimingNet with(200.0);
-  TimingNet without(200.0, no_rts);
-  Packet a = with.data(512, 1);
-  Packet b = without.data(512, 1);
-  with.macs[0]->enqueue(std::move(a));
-  without.macs[0]->enqueue(std::move(b));
-  with.sim.run_until(seconds(1));
-  without.sim.run_until(seconds(1));
-  ASSERT_EQ(with.listeners[1]->deliveries.size(), 1u);
-  ASSERT_EQ(without.listeners[1]->deliveries.size(), 1u);
-  const SimTime saved = with.listeners[1]->deliveries[0] - without.listeners[1]->deliveries[0];
+  TimingNet with_rts(200.0);
+  TimingNet without_rts(200.0, no_rts);
+  Packet a = with_rts.data(512, 1);
+  Packet b = without_rts.data(512, 1);
+  with_rts.macs[0]->enqueue(std::move(a));
+  without_rts.macs[0]->enqueue(std::move(b));
+  with_rts.sim.run_until(seconds(1));
+  without_rts.sim.run_until(seconds(1));
+  ASSERT_EQ(with_rts.listeners[1]->deliveries.size(), 1u);
+  ASSERT_EQ(without_rts.listeners[1]->deliveries.size(), 1u);
+  const SimTime saved =
+      with_rts.listeners[1]->deliveries[0] - without_rts.listeners[1]->deliveries[0];
   // Savings = RTS + CTS airtime + 2 SIFS (modulo the random post-backoff,
   // absent here since it is the first frame).
-  const SimTime expected_saving = with.phy.airtime(kMacRtsBytes) +
-                                  with.phy.airtime(kMacCtsBytes) + 2 * WifiMac::kSifs;
+  const SimTime expected_saving = with_rts.phy.airtime(kMacRtsBytes) +
+                                  with_rts.phy.airtime(kMacCtsBytes) + 2 * WifiMac::kSifs;
   EXPECT_GE(saved, expected_saving - kSlack);
   EXPECT_LE(saved, expected_saving + kSlack);
 }

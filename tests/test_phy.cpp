@@ -190,7 +190,8 @@ TEST(Phy, BroadcastReachesAllInRange) {
 
 TEST(Phy, NeighborsOfUsesExactPositions) {
   PhyNet net({{0.0, 0.0}, {249.0, 0.0}, {251.0, 0.0}});
-  const auto nbrs = net.channel->neighbors_of(0, 250.0);
+  std::vector<NodeId> nbrs;
+  net.channel->neighbors_of(0, 250.0, nbrs);
   EXPECT_EQ(nbrs, (std::vector<NodeId>{1}));
 }
 
@@ -217,7 +218,8 @@ TEST(Phy, EquidistantReceiversRunInCandidateScanOrder) {
     logs.push_back(std::make_unique<OrderLog>(i, &starts, &frames));
     net.trx[i]->set_listener(logs.back().get());
   }
-  const std::vector<NodeId> scan = net.channel->neighbors_of(2, 550.0);
+  std::vector<NodeId> scan;
+  net.channel->neighbors_of(2, 550.0, scan);
   ASSERT_EQ(scan.size(), 4u);
   net.channel->transmit(2, net.data_frame(2, kBroadcast));
   net.sim.run_until(seconds(1));
@@ -539,7 +541,8 @@ TEST(PhyLedger, DrainedLedgerHoldsOnlyArrivalsOnTheAir) {
   std::uint64_t heard = 0;
   for (int k = 0; k < 300; ++k) {
     const auto s = static_cast<NodeId>(rng.uniform_int(0, 29));
-    const std::vector<NodeId> reach = channel.neighbors_of(s, cfg.cs_range_m);
+    std::vector<NodeId> reach;
+    channel.neighbors_of(s, cfg.cs_range_m, reach);
     channel.transmit(s, frame);
     sim.run();
     std::size_t held = 0;

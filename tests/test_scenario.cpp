@@ -133,11 +133,13 @@ TEST(Scenario, ConnectivityOracleSeesPartitions) {
   EXPECT_LE(r.pdr, r.connectivity + 0.05);
 }
 
-TEST(Scenario, ConnectivityMeasurementCanBeDisabled) {
-  auto cfg = small_config(Protocol::kDsdv);
-  cfg.measure_connectivity = false;
-  const auto r = Scenario::run_once(cfg);
-  EXPECT_DOUBLE_EQ(r.connectivity, 1.0);
+// The contract holds wherever a config comes from: a field poked after
+// build() is checked where the run starts, not only by the builder.
+TEST(ScenarioDeathTest, ConfigPokedAfterBuildIsCheckedWhereTheRunStarts) {
+  ScenarioConfig cfg = ScenarioBuilder().nodes(15).duration(seconds(30)).build();
+  cfg.fault.crash_rate = 1.0;
+  cfg.fault.window_from = seconds(40);  // opens after the 30 s run ends
+  EXPECT_DEATH((void)Scenario::run_once(cfg), "invalid scenario config:.*fault.window_from");
 }
 
 // The connectivity oracle recomputed independently: a second, identical

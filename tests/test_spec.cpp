@@ -2,7 +2,7 @@
 // grids ScenarioBuilder builds (same labels, same configs — which makes the
 // runs byte-identical, since a run is a pure function of (config, seed)),
 // every shipped scenario file must load, and every schema violation must
-// come back as a line-anchored Error instead of the builder's contract abort.
+// come back as a line-anchored Error instead of Scenario's contract abort.
 
 #include "scenario/spec.hpp"
 
@@ -10,7 +10,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -39,44 +38,6 @@ bool has_error(const spec::ScenarioSpec& s, const std::string& needle) {
   return false;
 }
 
-/// Every config field the simulation reads, as one exact-match string.
-/// Two configs with equal fingerprints produce byte-identical runs.
-std::string fingerprint(const ScenarioConfig& c) {
-  char buf[1024];
-  std::snprintf(
-      buf, sizeof buf,
-      "proto=%d seed=%llu n=%u area=%g,%g static=%d mob=%d v=%g,%g pause=%lld warmup=%lld "
-      "man_block=%g man_pturn=%g conn=%u payload=%zu traffic=%d cbr=%lld start=%lld "
-      "startw=%lld burst=%lld idle=%lld dur=%lld conn_meas=%d trace=%s "
-      "phy=%g,%g,%g,%g urban=%g,%g,%g mac_rts=%d,%zu,%zu "
-      "fault=%g,%lld,%d,%lld,%g,%lld,%lld,%d,%g,%lld,%lld,%lld "
-      "tp=%d,%lld,%lld,%lld,%u,%u,%u,%u",
-      static_cast<int>(c.protocol), static_cast<unsigned long long>(c.seed), c.num_nodes,
-      c.area.width, c.area.height, c.static_nodes ? 1 : 0, static_cast<int>(c.mobility), c.v_min,
-      c.v_max, static_cast<long long>(c.pause.ns()),
-      static_cast<long long>(c.mobility_warmup.ns()), c.manhattan.block, c.manhattan.p_turn,
-      c.num_connections, c.payload_bytes, static_cast<int>(c.traffic),
-      static_cast<long long>(c.cbr_interval.ns()), static_cast<long long>(c.cbr_start.ns()),
-      static_cast<long long>(c.cbr_start_window.ns()),
-      static_cast<long long>(c.onoff_burst_mean.ns()),
-      static_cast<long long>(c.onoff_idle_mean.ns()), static_cast<long long>(c.duration.ns()),
-      c.measure_connectivity ? 1 : 0, c.trace_path.c_str(), c.phy.data_rate_bps,
-      c.phy.rx_range_m, c.phy.cs_range_m, c.phy.frame_loss_rate, c.phy.street_width_m,
-      c.phy.nlos_rx_range_m, c.phy.nlos_loss_rate, c.mac.use_rts ? 1 : 0, c.mac.rts_threshold,
-      c.mac.ifq_capacity, c.fault.crash_rate, static_cast<long long>(c.fault.downtime_mean.ns()),
-      c.fault.link_blackouts, static_cast<long long>(c.fault.blackout_mean.ns()),
-      c.fault.corrupt_rate, static_cast<long long>(c.fault.corrupt_from.ns()),
-      static_cast<long long>(c.fault.corrupt_until.ns()), c.fault.partition ? 1 : 0,
-      c.fault.partition_frac, static_cast<long long>(c.fault.partition_from.ns()),
-      static_cast<long long>(c.fault.partition_until.ns()),
-      static_cast<long long>(c.fault.window_from.ns()), c.transport.enabled ? 1 : 0,
-      static_cast<long long>(c.transport.rto_initial.ns()),
-      static_cast<long long>(c.transport.rto_min.ns()),
-      static_cast<long long>(c.transport.rto_max.ns()), c.transport.cwnd_init,
-      c.transport.cwnd_max, c.transport.max_retx, c.transport.buffer_packets);
-  return buf;
-}
-
 // -- happy path --------------------------------------------------------------
 
 TEST(SpecLoader, MinimalSpecYieldsOneTableOneCell) {
@@ -87,7 +48,7 @@ TEST(SpecLoader, MinimalSpecYieldsOneTableOneCell) {
   EXPECT_EQ(s.out_dir, "results");
   ASSERT_EQ(s.cells.size(), 1u);
   EXPECT_EQ(s.cells[0].label, "AODV");
-  EXPECT_EQ(fingerprint(s.cells[0].config), fingerprint(ScenarioBuilder().build()));
+  EXPECT_EQ(s.cells[0].config, ScenarioBuilder().build());
 }
 
 TEST(SpecLoader, FullSchemaRoundTrip) {
@@ -103,7 +64,6 @@ TEST(SpecLoader, FullSchemaRoundTrip) {
       "area_m": [800, 600],
       "static": false,
       "duration_s": 90,
-      "measure_connectivity": false,
       "trace": "t.tr",
       "mobility": {"model": "manhattan", "v_min_mps": 1, "v_max_mps": 12,
                    "pause_s": 5, "warmup_s": 500, "block_m": 100, "p_turn": 0.25},
@@ -150,7 +110,6 @@ TEST(SpecLoader, FullSchemaRoundTrip) {
   EXPECT_EQ(c.onoff_burst_mean, seconds(3));
   EXPECT_EQ(c.onoff_idle_mean, seconds(4));
   EXPECT_EQ(c.duration, seconds(90));
-  EXPECT_FALSE(c.measure_connectivity);
   EXPECT_EQ(c.trace_path, "t.tr");
   EXPECT_EQ(c.phy.data_rate_bps, 1e6);
   EXPECT_EQ(c.phy.rx_range_m, 200.0);
@@ -622,10 +581,10 @@ TEST(SpecHostileInput, MutatedScenariosNeverAbortAndAcceptOnlyValidCells) {
       if (!s.ok()) continue;
       ++accepted;
       for (const SweepCell& cell : s.cells) {
-        const std::vector<ConfigError> errors = ScenarioBuilder::from(cell.config).check();
+        const std::vector<ConfigError> errors = check(cell.config);
         EXPECT_TRUE(errors.empty()) << file << " step " << step << " cell " << cell.label << ": "
                                     << errors.front().field << ": " << errors.front().message;
-        (void)ScenarioBuilder::from(cell.config).build();
+        Scenario accepted_cell(cell.config);
       }
     }
   }
@@ -652,8 +611,8 @@ TEST(ShippedScenarios, EveryFileLoadsIsNamedAfterItsStemAndHasCells) {
 
 // -- DSL == ScenarioBuilder twins --------------------------------------------
 // The DSL's derived expansions must build exactly the configs their
-// ScenarioBuilder spelling builds. Config fingerprints equal => per-seed
-// runs are byte-identical (a run is a pure function of (config, seed)).
+// ScenarioBuilder spelling builds. Equal configs => per-seed runs are
+// byte-identical (a run is a pure function of (config, seed)).
 
 TEST(SpecTwins, UrbanFamilyMatchesUrbanScenario) {
   const auto s = spec::load_file(scenario_path("urban_city.json"));
@@ -663,7 +622,7 @@ TEST(SpecTwins, UrbanFamilyMatchesUrbanScenario) {
   for (const Protocol p : {Protocol::kAodv, Protocol::kDsr}) {
     for (const std::uint32_t n : {40u, 200u}) {
       const ScenarioConfig twin = urban_scenario(n).protocol(p).seed(1).build();
-      EXPECT_EQ(fingerprint(s.cells[i].config), fingerprint(twin)) << s.cells[i].label;
+      EXPECT_EQ(s.cells[i].config, twin) << s.cells[i].label;
       ++i;
     }
   }
@@ -698,7 +657,7 @@ TEST(SpecTwins, RunPerProtocolIsByteIdentical) {
                  .duration(seconds(25))
                  .build();
     }
-    ASSERT_EQ(fingerprint(cell.config), fingerprint(twin)) << cell.label;
+    ASSERT_EQ(cell.config, twin) << cell.label;
     test::expect_same_run(Scenario::run_once(cell.config), Scenario::run_once(twin), cell.label);
   }
 }

@@ -36,7 +36,7 @@ const std::vector<RuleInfo> kRules = {
     {"MLNT009", "bad-suppression", "",
      "manet-lint suppression with unknown tag or missing rationale"},
     {"MLNT010", "scenario-config-aggregate", "allow-scenario-config",
-     "brace-constructing ScenarioConfig bypasses ScenarioBuilder validation"},
+     "positional ScenarioConfig init silently misassigns fields when they are reordered"},
     {"MLNT011", "mutable-global-state", "allow-global-state",
      "mutable namespace-scope/static state in src/ races concurrent replications"},
     {"MLNT014", "missing-restart-override", "allow-no-restart",
@@ -810,9 +810,9 @@ void check(const std::string& path, const std::vector<LineView>& lines,
     }
     if (mlnt010_applies && has_scenario_aggregate(code)) {
       add("MLNT010", n,
-          "brace-constructing ScenarioConfig bypasses build-time validation and breaks on any "
-          "field reorder; chain ScenarioBuilder setters and build() instead (or annotate "
-          "`// manet-lint: allow-scenario-config - <why>`)");
+          "brace-constructing ScenarioConfig assigns fields by position, so reordering them "
+          "silently misassigns values; chain ScenarioBuilder setters and build() instead (or "
+          "annotate `// manet-lint: allow-scenario-config - <why>`)");
     }
     if (mlnt015_applies && has_full_node_scan(code)) {
       add("MLNT015", n,

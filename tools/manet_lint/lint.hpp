@@ -15,7 +15,7 @@
 //   MLNT007 missing-pragma-once  header without #pragma once
 //   MLNT008 float-equality       ==/!= against floating-point literals
 //   MLNT009 bad-suppression      malformed or rationale-free suppression
-//   MLNT010 scenario-config-aggregate  brace-construction bypassing builder
+//   MLNT010 scenario-config-aggregate  positional brace-construction
 //
 // Structural rules. These are scope-aware: a lightweight tokenizer tracks
 // namespace/class/function nesting, so the checker knows a `static` inside a

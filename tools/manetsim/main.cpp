@@ -27,7 +27,6 @@
 #include <string_view>
 #include <vector>
 
-#include "scenario/builder.hpp"
 #include "scenario/scenario.hpp"
 #include "scenario/spec.hpp"
 #include "scenario/sweep.hpp"
@@ -76,7 +75,7 @@ bool parse_seconds(const char* s, double& out) {
 std::string check_cells(const std::vector<manet::SweepCell>& cells, const std::string& cause) {
   std::string report;
   for (const manet::SweepCell& cell : cells) {
-    for (const manet::ConfigError& e : manet::ScenarioBuilder::from(cell.config).check()) {
+    for (const manet::ConfigError& e : manet::check(cell.config)) {
       report += cause + ": cell \"" + cell.label + "\": " + e.field + ": " + e.message + "\n";
     }
   }
