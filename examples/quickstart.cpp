@@ -1,5 +1,6 @@
-// Quickstart: simulate 50 mobile nodes running AODV for 150 seconds and
-// print the four canonical metrics. Pass any protocol name to compare (the
+// Quickstart: simulate 50 mobile nodes running AODV for 150 seconds, print
+// the whole config (describe(): Table I and every other field) and the four
+// canonical metrics. Pass any protocol name to compare (the
 // lookup is case-insensitive and rejects typos with the full list of
 // protocol names).
 //
@@ -19,7 +20,7 @@ int main(int argc, char** argv) {
 
   std::printf("manetsim quickstart — %s, %u nodes, %g s\n\n",
               manet::to_string(cfg.protocol), cfg.num_nodes, cfg.duration.sec());
-  std::printf("%s\n", cfg.parameter_table().c_str());
+  std::printf("%s\n", manet::describe(cfg).c_str());
 
   manet::Scenario scenario(cfg);
   const manet::ScenarioResult r = scenario.run();

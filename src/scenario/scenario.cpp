@@ -2,10 +2,11 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cstdarg>
 #include <cstdio>
 #include <cstring>
-#include <sstream>
+#include <limits>
 #include <type_traits>
 
 #include "core/assert.hpp"
@@ -13,6 +14,7 @@
 #include "mobility/random_walk.hpp"
 #include "mobility/random_waypoint.hpp"
 #include "mobility/static_mobility.hpp"
+#include "scenario/fields.hpp"
 
 namespace manet {
 
@@ -60,29 +62,6 @@ std::string protocol_names() {
   return out;
 }
 
-std::string ScenarioConfig::parameter_table() const {
-  std::ostringstream os;
-  os << "Parameter            | Value\n";
-  os << "---------------------+---------------------------\n";
-  os << "Connection type      | " << to_string(traffic) << "\n";
-  os << "Simulation area      | " << area.width << " x " << area.height << " m\n";
-  os << "Transmission range   | " << phy.rx_range_m << " m\n";
-  os << "Carrier-sense range  | " << phy.cs_range_m << " m\n";
-  os << "Link bandwidth       | " << phy.data_rate_bps / 1e6 << " Mbit/s\n";
-  os << "Packet size          | " << payload_bytes << " bytes\n";
-  os << "Number of nodes      | " << num_nodes << "\n";
-  os << "Duration             | " << duration.sec() << " s\n";
-  os << "Pause time           | " << pause.sec() << " s\n";
-  os << "Node speed           | " << v_min << " - " << v_max << " m/s\n";
-  os << "CBR start            | " << cbr_start.sec() << " s (staggered +"
-     << cbr_start_window.sec() << " s)\n";
-  os << "CBR rate             | " << 1.0 / cbr_interval.sec() << " packets/s\n";
-  os << "Number of connections| " << num_connections << "\n";
-  os << "Mobility model       | " << (static_nodes ? "static" : to_string(mobility)) << "\n";
-  os << "Interface queue      | " << mac.ifq_capacity << " packets, drop-tail\n";
-  return os.str();
-}
-
 std::unique_ptr<RoutingProtocol> make_protocol(const ScenarioConfig& cfg, Node& node) {
   const auto i = static_cast<std::size_t>(cfg.protocol);
   MANET_EXPECTS_MSG(i < std::size(kProtocols), "no protocol for enum value %u",
@@ -112,147 +91,149 @@ std::string show(T v) {
   return std::to_string(v);
 }
 
-/// The error list check() fills. require() words a single-field range as
-/// "must be <constraint>, got <value>"; fail() takes a cross-field message.
-struct Rules {
-  template <typename T>
-  void require(bool ok, const char* field, const char* constraint, T got) {
-    if (!ok) fail(field, std::string("must be ") + constraint + ", got " + show(got));
+/// A range as check() words it: "> 0", ">= 2", "in [0, 1)".
+std::string constraint(const Range& r) {
+  if (r.hi == std::numeric_limits<double>::infinity()) {
+    return (r.lo_open ? "> " : ">= ") + show(r.lo);
   }
-  void fail(const char* field, std::string message) {
-    errors.push_back(ConfigError{field, std::move(message)});
+  return "in " + std::string(r.lo_open ? "(" : "[") + show(r.lo) + ", " + show(r.hi) +
+         (r.hi_open ? ")" : "]");
+}
+
+/// A field's value as a number, for its range.
+template <typename T>
+double number(const T& v) {
+  if constexpr (std::is_same_v<T, SimTime>) {
+    return v.sec();
+  } else {
+    return static_cast<double>(v);
   }
-  std::vector<ConfigError> errors;
-};
+}
+
+/// describe()'s rendering of a value: show()'s, but a double in full (the
+/// shortest decimal that reads back as it) and a bool by name.
+template <typename T>
+std::string exact(const T& v) {
+  if constexpr (std::is_same_v<T, double>) {
+    char buf[32];
+    return std::string(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+  } else if constexpr (std::is_same_v<T, SimTime>) {
+    // ns / 1e9 is the double nearest the exact seconds (sec() multiplies
+    // by 1e-9, which is not exact: 1000 s would print as 1000.0000000000001).
+    return exact(static_cast<double>(v.ns()) / 1e9) + "s";
+  } else if constexpr (std::is_same_v<T, bool>) {
+    return v ? "true" : "false";
+  } else {
+    return show(v);
+  }
+}
 
 }  // namespace
 
 std::vector<ConfigError> check(const ScenarioConfig& c) {
   const SimTime zero = SimTime::zero();
-  Rules r;
+  std::vector<ConfigError> errors;
+  const auto fail = [&errors](const char* field, std::string message) {
+    errors.push_back(ConfigError{field, std::move(message)});
+  };
 
-  // -- topology, mobility, run length -----------------------------------------
-  r.require(c.num_nodes >= 2, "num_nodes", ">= 2", c.num_nodes);
-  r.require(c.area.width > 0.0, "area.width", "> 0", c.area.width);
-  r.require(c.area.height > 0.0, "area.height", "> 0", c.area.height);
-  r.require(c.duration > zero, "duration", "> 0", c.duration);
-  r.require(c.v_min >= 0.0, "v_min", ">= 0", c.v_min);
-  r.require(c.v_max >= 0.0, "v_max", ">= 0", c.v_max);
-  r.require(c.pause >= zero, "pause", ">= 0", c.pause);
-  r.require(c.mobility_warmup >= zero, "mobility_warmup", ">= 0", c.mobility_warmup);
-  r.require(c.manhattan.block > 0.0, "manhattan.block", "> 0", c.manhattan.block);
-  r.require(c.manhattan.p_turn >= 0.0 && c.manhattan.p_turn <= 1.0, "manhattan.p_turn",
-            "in [0, 1]", c.manhattan.p_turn);
-  if (!c.static_nodes && c.v_max < c.v_min) {
-    r.fail("v_max", format("need 0 <= v_min <= v_max, got v_min=%g v_max=%g m/s", c.v_min,
-                           c.v_max));
+  // -- single-field ranges: "must be <range>, got <value>" --------------------
+  for (const Field& f : kFields) {
+    if (!f.range) continue;
+    f.visit(c, [&](const auto& v) {
+      if (!f.range->contains(number(v))) {
+        fail(f.path, "must be " + constraint(*f.range) + ", got " + show(v));
+      }
+    });
   }
 
-  // -- traffic ----------------------------------------------------------------
-  r.require(c.payload_bytes >= 1, "payload_bytes", ">= 1", c.payload_bytes);
-  r.require(c.cbr_interval > zero, "cbr_interval", "> 0", c.cbr_interval);
-  r.require(c.cbr_start >= zero, "cbr_start", ">= 0", c.cbr_start);
-  r.require(c.cbr_start_window >= zero, "cbr_start_window", ">= 0", c.cbr_start_window);
-  r.require(c.onoff_burst_mean > zero, "onoff_burst_mean", "> 0", c.onoff_burst_mean);
-  r.require(c.onoff_idle_mean > zero, "onoff_idle_mean", "> 0", c.onoff_idle_mean);
+  // -- mobility and traffic ---------------------------------------------------
+  if (!c.static_nodes && c.v_max < c.v_min) {
+    fail("v_max", format("need 0 <= v_min <= v_max, got v_min=%g v_max=%g m/s", c.v_min,
+                         c.v_max));
+  }
   if (c.num_connections > 0 && c.cbr_start > c.duration) {
-    r.fail("cbr_start", format("traffic starts at %.3fs, after the run ends at %.3fs",
-                               c.cbr_start.sec(), c.duration.sec()));
+    fail("cbr_start", format("traffic starts at %.3fs, after the run ends at %.3fs",
+                             c.cbr_start.sec(), c.duration.sec()));
   }
 
   // -- transport --------------------------------------------------------------
   const TransportConfig& t = c.transport;
-  r.require(t.rto_initial > zero, "transport.rto_initial", "> 0", t.rto_initial);
-  r.require(t.rto_min > zero, "transport.rto_min", "> 0", t.rto_min);
-  r.require(t.rto_max > zero, "transport.rto_max", "> 0", t.rto_max);
-  r.require(t.cwnd_init >= 1, "transport.cwnd_init", ">= 1", t.cwnd_init);
-  r.require(t.cwnd_max >= 1, "transport.cwnd_max", ">= 1", t.cwnd_max);
-  r.require(t.max_retx >= 1, "transport.max_retx", ">= 1", t.max_retx);
-  r.require(t.buffer_packets >= 1, "transport.buffer_packets", ">= 1", t.buffer_packets);
   if (t.enabled) {
     if (t.rto_min > t.rto_initial || t.rto_initial > t.rto_max) {
-      r.fail(t.rto_min > t.rto_initial ? "transport.rto_min" : "transport.rto_max",
-             format("transport rto bounds need 0 < rto_min <= rto_initial <= rto_max, got "
-                    "min=%.3fs initial=%.3fs max=%.3fs",
-                    t.rto_min.sec(), t.rto_initial.sec(), t.rto_max.sec()));
+      fail(t.rto_min > t.rto_initial ? "transport.rto_min" : "transport.rto_max",
+           format("transport rto bounds need 0 < rto_min <= rto_initial <= rto_max, got "
+                  "min=%.3fs initial=%.3fs max=%.3fs",
+                  t.rto_min.sec(), t.rto_initial.sec(), t.rto_max.sec()));
     }
     if (t.cwnd_init > t.cwnd_max) {
-      r.fail("transport.cwnd_init",
-             format("transport cwnd needs 1 <= cwnd_init <= cwnd_max, got init=%u max=%u",
-                    t.cwnd_init, t.cwnd_max));
+      fail("transport.cwnd_init",
+           format("transport cwnd needs 1 <= cwnd_init <= cwnd_max, got init=%u max=%u",
+                  t.cwnd_init, t.cwnd_max));
     }
     if (t.buffer_packets < t.cwnd_max) {
-      r.fail("transport.buffer_packets",
-             format("transport.buffer_packets must be >= cwnd_max, got buffer=%u cwnd_max=%u",
-                    t.buffer_packets, t.cwnd_max));
+      fail("transport.buffer_packets",
+           format("transport.buffer_packets must be >= cwnd_max, got buffer=%u cwnd_max=%u",
+                  t.buffer_packets, t.cwnd_max));
     }
   }
 
-  // -- radio and MAC ----------------------------------------------------------
+  // -- radio ------------------------------------------------------------------
   const PhyConfig& phy = c.phy;
-  r.require(phy.data_rate_bps > 0.0, "phy.data_rate_bps", "> 0", phy.data_rate_bps);
-  r.require(phy.rx_range_m > 0.0, "phy.rx_range_m", "> 0", phy.rx_range_m);
-  r.require(phy.cs_range_m > 0.0, "phy.cs_range_m", "> 0", phy.cs_range_m);
-  r.require(phy.frame_loss_rate >= 0.0 && phy.frame_loss_rate < 1.0, "phy.frame_loss_rate",
-            "in [0, 1)", phy.frame_loss_rate);
-  r.require(phy.street_width_m >= 0.0, "phy.street_width_m", ">= 0", phy.street_width_m);
-  r.require(phy.nlos_rx_range_m > 0.0, "phy.nlos_rx_range_m", "> 0", phy.nlos_rx_range_m);
-  r.require(phy.nlos_loss_rate >= 0.0 && phy.nlos_loss_rate < 1.0, "phy.nlos_loss_rate",
-            "in [0, 1)", phy.nlos_loss_rate);
   if (phy.urban() && phy.nlos_rx_range_m > phy.rx_range_m) {
-    r.fail("phy.nlos_rx_range_m",
-           format("nlos_rx_range_m must be in (0, rx_range], got %g (rx_range %g)",
-                  phy.nlos_rx_range_m, phy.rx_range_m));
+    fail("phy.nlos_rx_range_m",
+         format("nlos_rx_range_m must be in (0, rx_range], got %g (rx_range %g)",
+                phy.nlos_rx_range_m, phy.rx_range_m));
   }
-  r.require(c.mac.ifq_capacity >= 1, "mac.ifq_capacity", ">= 1", c.mac.ifq_capacity);
 
   // -- faults -----------------------------------------------------------------
   const FaultConfig& f = c.fault;
-  r.require(f.crash_rate >= 0.0, "fault.crash_rate", ">= 0", f.crash_rate);
-  r.require(f.downtime_mean > zero, "fault.downtime_mean", "> 0", f.downtime_mean);
-  r.require(f.link_blackouts >= 0, "fault.link_blackouts", ">= 0", f.link_blackouts);
-  r.require(f.blackout_mean > zero, "fault.blackout_mean", "> 0", f.blackout_mean);
-  r.require(f.corrupt_rate >= 0.0 && f.corrupt_rate <= 1.0, "fault.corrupt_rate", "in [0, 1]",
-            f.corrupt_rate);
-  r.require(f.corrupt_from >= zero, "fault.corrupt_from", ">= 0", f.corrupt_from);
-  r.require(f.corrupt_until >= zero, "fault.corrupt_until", ">= 0", f.corrupt_until);
-  r.require(f.partition_frac >= 0.0 && f.partition_frac <= 1.0, "fault.partition_frac",
-            "in [0, 1]", f.partition_frac);
-  r.require(f.partition_from >= zero, "fault.partition_from", ">= 0", f.partition_from);
-  r.require(f.partition_until >= zero, "fault.partition_until", ">= 0", f.partition_until);
-  r.require(f.window_from >= zero, "fault.window_from", ">= 0", f.window_from);
   if (f.enabled()) {
     if (f.window_from >= c.duration) {
-      r.fail("fault.window_from", format("fault window opens at %.3fs, after the run ends at %.3fs",
-                                         f.window_from.sec(), c.duration.sec()));
+      fail("fault.window_from", format("fault window opens at %.3fs, after the run ends at %.3fs",
+                                       f.window_from.sec(), c.duration.sec()));
     }
     // Explicit fault windows must open inside the run and close after they
     // open (a zero `until` means "until end of run").
     if (f.corrupt_rate > 0.0) {
       if (f.corrupt_from >= c.duration) {
-        r.fail("fault.corrupt_from",
-               format("corruption window opens at %.3fs, after the run ends at %.3fs",
-                      f.corrupt_from.sec(), c.duration.sec()));
+        fail("fault.corrupt_from",
+             format("corruption window opens at %.3fs, after the run ends at %.3fs",
+                    f.corrupt_from.sec(), c.duration.sec()));
       }
       if (f.corrupt_until != zero && f.corrupt_until <= f.corrupt_from) {
-        r.fail("fault.corrupt_until", format("corruption window [%.3fs, %.3fs) is empty",
-                                             f.corrupt_from.sec(), f.corrupt_until.sec()));
+        fail("fault.corrupt_until", format("corruption window [%.3fs, %.3fs) is empty",
+                                           f.corrupt_from.sec(), f.corrupt_until.sec()));
       }
     }
     if (f.partition) {
       if (f.partition_from >= c.duration) {
-        r.fail("fault.partition_from",
-               format("partition opens at %.3fs, after the run ends at %.3fs",
-                      f.partition_from.sec(), c.duration.sec()));
+        fail("fault.partition_from",
+             format("partition opens at %.3fs, after the run ends at %.3fs",
+                    f.partition_from.sec(), c.duration.sec()));
       }
       if (f.partition_until != zero && f.partition_until <= f.partition_from) {
-        r.fail("fault.partition_until", format("partition window [%.3fs, %.3fs) is empty",
-                                               f.partition_from.sec(), f.partition_until.sec()));
+        fail("fault.partition_until", format("partition window [%.3fs, %.3fs) is empty",
+                                             f.partition_from.sec(), f.partition_until.sec()));
       }
     }
   }
+  return errors;
+}
 
-  return std::move(r.errors);
+std::string describe(const ScenarioConfig& c) {
+  std::string out;
+  const auto line = [&out](std::string_view path, const std::string& value) {
+    out.append(path).append(" = ").append(value) += '\n';
+  };
+  line("protocol", to_string(c.protocol));
+  line("mobility", to_string(c.mobility));
+  line("traffic", to_string(c.traffic));
+  line("trace_path", '"' + c.trace_path + '"');
+  for (const Field& f : kFields) {
+    line(f.path, f.visit(c, [](const auto& v) { return exact(v); }));
+  }
+  return out;
 }
 
 Scenario::Scenario(const ScenarioConfig& cfg) : cfg_(cfg) {

@@ -108,9 +108,6 @@ struct ScenarioConfig {
   olsr::Config olsr;
   lar::Config lar;
 
-  /// Render the Table-I parameter block (examples/quickstart prints it).
-  [[nodiscard]] std::string parameter_table() const;
-
   friend bool operator==(const ScenarioConfig&, const ScenarioConfig&) = default;
 };
 
@@ -124,12 +121,20 @@ struct ConfigError {
 };
 
 /// The scenario contract, written once: every range and cross-field rule on
-/// ScenarioConfig. Returns every violation in rule order; empty when `cfg`
-/// is valid. Single-field ranges always apply; cross-field rules only where
-/// the fields they relate are in use (mobile nodes, traffic, transport,
-/// faults, the urban model). Scenario's constructor aborts on any error;
-/// the scenario-file loader (spec.hpp) and manetsim report them.
+/// ScenarioConfig. Returns every violation, the single-field ranges of the
+/// field table (fields.hpp) in row order first; empty when `cfg` is valid.
+/// Single-field ranges always apply; cross-field rules only where the
+/// fields they relate are in use (mobile nodes, traffic, transport, faults,
+/// the urban model). Scenario's constructor aborts on any error; the
+/// scenario-file loader (spec.hpp) and manetsim report them.
 [[nodiscard]] std::vector<ConfigError> check(const ScenarioConfig& cfg);
+
+/// The whole config, one "path = value" line per field: protocol, mobility,
+/// traffic and trace_path, then every row of the field table in order.
+/// Values are exact (shortest round-trip decimals, times in seconds), so
+/// two configs print alike only when they are equal. examples/quickstart
+/// prints it; tests print failing configs with it.
+[[nodiscard]] std::string describe(const ScenarioConfig& cfg);
 
 /// Summary of one finished run.
 struct ScenarioResult {

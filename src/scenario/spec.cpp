@@ -3,16 +3,18 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <functional>
+#include <initializer_list>
 #include <limits>
 #include <map>
 #include <set>
 #include <sstream>
+#include <string_view>
 #include <type_traits>
 #include <utility>
 
 #include "common/json.hpp"
 #include "scenario/builder.hpp"
+#include "scenario/fields.hpp"
 
 namespace manet::spec {
 
@@ -65,10 +67,34 @@ class Checker {
     return true;
   }
 
-  bool boolean(const Value& v, const std::string& key, bool& out) {
-    if (!expect_kind(v, Value::Kind::kBool, key)) return false;
-    out = v.boolean;
-    return true;
+  /// One of `names`, stored as its value; otherwise an error naming them
+  /// all ("unknown <what> \"x\" (expected: a, b)").
+  template <typename E>
+  bool choice(const Value& v, const std::string& key, const char* what,
+              std::initializer_list<std::pair<std::string_view, E>> names, E& out) {
+    std::string s;
+    if (!str(v, key, s)) return false;
+    for (const auto& [name, value] : names) {
+      if (s == name) {
+        out = value;
+        return true;
+      }
+    }
+    std::string expected;
+    for (const auto& n : names) expected.append(expected.empty() ? "" : ", ").append(n.first);
+    fail(v, key, "unknown " + std::string(what) + " \"" + s + "\" (expected: " + expected + ")");
+    return false;
+  }
+
+  /// A protocol name, matched case-insensitively; nullptr when unknown.
+  const ProtocolEntry* protocol(const Value& v, const std::string& key) {
+    std::string name;
+    if (!str(v, key, name)) return nullptr;
+    const ProtocolEntry* e = find_protocol(name);
+    if (e == nullptr) {
+      fail(v, key, "unknown protocol \"" + name + "\" (registered: " + protocol_names() + ")");
+    }
+    return e;
   }
 
   /// An integer that fits T.
@@ -93,12 +119,6 @@ class Checker {
     return true;
   }
 
-  /// A time in units of `unit_s` seconds (1 for *_s keys, 1e-3 for *_ms).
-  bool sim_time(const Value& v, const std::string& key, double unit_s, SimTime& out) {
-    double x = 0.0;
-    return num(v, key, x) && fit_seconds(v, key, x * unit_s, out);
-  }
-
   /// A packets/s rate as the interval between packets. 0 pps has no
   /// interval; it becomes interval 0, which check() rejects.
   bool rate(const Value& v, const std::string& key, SimTime& out) {
@@ -107,7 +127,7 @@ class Checker {
     return num(v, key, x) && fit_seconds(v, key, x == 0.0 ? 0.0 : 1.0 / x, out);
   }
 
- private:
+  /// `s` seconds as a time, when it fits one.
   bool fit_seconds(const Value& v, const std::string& key, double s, SimTime& out) {
     if (std::abs(s) > kMaxSeconds) {
       fail(v, key, "must be a time within +-9e9 s, got " + fmt_g(s) + " s");
@@ -117,6 +137,7 @@ class Checker {
     return true;
   }
 
+ private:
   std::vector<Error>& errs_;
 };
 
@@ -136,200 +157,114 @@ struct Staged {
   }
 };
 
-/// One key of a schema object. A plain key names the ScenarioConfig member
-/// it writes, both as the path check() reports and as the member itself
-/// (`unit_s` scales a time key to seconds: 1e-3 for *_ms). A key with no
-/// member is special: its section walker reads it.
-struct Key {
-  explicit Key(const char* key_name) : name(key_name) {}
-
-  template <typename T>
-  Key(const char* key_name, const char* member_path, T& out, double unit_s = 1.0)
-      : name(key_name),
-        field(member_path),
-        read([&out, unit_s](Checker& c, const Value& v, const std::string& p) {
-          if constexpr (std::is_same_v<T, SimTime>) {
-            return c.sim_time(v, p, unit_s, out);
-          } else if constexpr (std::is_same_v<T, bool>) {
-            return c.boolean(v, p, out);
-          } else if constexpr (std::is_same_v<T, double>) {
-            return c.num(v, p, out);
-          } else {
-            return c.integer(v, p, out);
-          }
-        }) {}
-
-  const char* name;
-  const char* field = nullptr;
-  std::function<bool(Checker&, const Value&, const std::string&)> read;
-};
-
-/// Read `v` (at key path `p`) into `key`'s member and anchor it there.
-void read_key(Checker& c, Staged& s, const Key& key, const Value& v, const std::string& p) {
-  if (key.read(c, v, p)) s.wrote(key.field, v, p);
+/// Read `v` (at key path `p`) into field `f` and anchor it there.
+void read_field(Checker& c, Staged& s, const Field& f, const Value& v, const std::string& p) {
+  const bool ok = f.visit(s.cfg, [&]<typename T>(T& out) {
+    if constexpr (std::is_same_v<T, SimTime>) {
+      double x = 0.0;  // in units of f.unit seconds
+      return c.num(v, p, x) && c.fit_seconds(v, p, x * f.unit, out);
+    } else if constexpr (std::is_same_v<T, bool>) {
+      if (!c.expect_kind(v, Value::Kind::kBool, p)) return false;
+      out = v.boolean;
+      return true;
+    } else if constexpr (std::is_same_v<T, double>) {
+      return c.num(v, p, out);
+    } else {
+      return c.integer(v, p, out);
+    }
+  });
+  if (ok) s.wrote(f.path, v, p);
 }
 
-using Special = std::function<void(const std::string& k, const Value& v, const std::string& p)>;
-
-/// Walk schema object `o` at `path`: plain keys are read into their members,
-/// special ones go to `special`, and any other key is an error naming the
-/// accepted set, so typos fail loudly instead of silently running the
-/// default.
-void apply_object(Checker& c, Staged& s, const Value& o, const std::string& path,
-                  const std::vector<Key>& keys, const Special& special = nullptr) {
+/// Walk schema object `o` at `path`: each key of `keys` goes to `on_key`
+/// with its key path, and any other key is an error naming the accepted
+/// set, so typos fail loudly instead of silently running the default.
+template <typename OnKey>
+void walk(Checker& c, const Value& o, const std::string& path,
+          const std::vector<std::string_view>& keys, OnKey&& on_key) {
   if (!c.expect_kind(o, Value::Kind::kObject, path)) return;
   for (const auto& [k, v] : o.object) {
-    const std::string p = path + "." + k;
-    const auto key =
-        std::find_if(keys.begin(), keys.end(), [&k](const Key& x) { return k == x.name; });
-    if (key == keys.end()) {
-      std::string expected;
-      for (const Key& x : keys) expected += (expected.empty() ? "" : ", ") + std::string(x.name);
-      c.fail(v, p, "unknown key (expected: " + expected + ")");
-    } else if (key->read) {
-      read_key(c, s, *key, v, p);
+    const std::string p = path.empty() ? k : path + "." + k;
+    if (std::ranges::find(keys, k) != keys.end()) {
+      on_key(std::string_view(k), v, p);
     } else {
-      special(k, v, p);
+      std::string expected;
+      for (const std::string_view x : keys) expected.append(expected.empty() ? "" : ", ").append(x);
+      c.fail(v, p, "unknown key (expected: " + expected + ")");
     }
   }
 }
 
+/// Walk settings section `section` ("" for the settings object itself):
+/// each row of the section is read from its key, and the hand-read `keys`
+/// go to `special`.
+template <typename Special>
+void apply_section(Checker& c, Staged& s, const Value& o, const std::string& path,
+                   std::string_view section, std::vector<std::string_view> keys,
+                   Special&& special) {
+  std::vector<const Field*> rows;
+  for (const Field& f : kFields) {
+    if (f.section != nullptr && f.section == section) {
+      rows.push_back(&f);
+      keys.emplace_back(f.key);
+    }
+  }
+  walk(c, o, path, keys, [&](std::string_view k, const Value& v, const std::string& p) {
+    const auto row = std::ranges::find_if(rows, [&](const Field* f) { return f->key == k; });
+    if (row != rows.end()) {
+      read_field(c, s, **row, v, p);
+    } else {
+      special(k, v, p);
+    }
+  });
+}
+
 // -- section walkers ---------------------------------------------------------
-// One function per schema object, each a table of its keys.
+// A section's plain keys are its field rows; these read the rest.
 
 void apply_mobility(Checker& c, const Value& o, const std::string& path, Staged& s) {
-  ScenarioConfig& cfg = s.cfg;
-  apply_object(c, s, o, path,
-               {Key("model"), Key("v_min_mps", "v_min", cfg.v_min),
-                Key("v_max_mps", "v_max", cfg.v_max), Key("pause_s", "pause", cfg.pause),
-                Key("warmup_s", "mobility_warmup", cfg.mobility_warmup),
-                Key("block_m", "manhattan.block", cfg.manhattan.block),
-                Key("p_turn", "manhattan.p_turn", cfg.manhattan.p_turn)},
-               [&](const std::string&, const Value& v, const std::string& p) {
-                 std::string m;
-                 if (!c.str(v, p, m)) return;
-                 if (m == "waypoint") {
-                   cfg.mobility = MobilityKind::kRandomWaypoint;
-                 } else if (m == "walk") {
-                   cfg.mobility = MobilityKind::kRandomWalk;
-                 } else if (m == "gauss-markov") {
-                   cfg.mobility = MobilityKind::kGaussMarkov;
-                 } else if (m == "manhattan") {
-                   cfg.mobility = MobilityKind::kManhattan;
-                 } else {
-                   c.fail(v, p,
-                          "unknown mobility model \"" + m +
-                              "\" (expected: waypoint, walk, gauss-markov, manhattan)");
-                 }
-               });
+  apply_section(c, s, o, path, "mobility", {"model"},
+                [&](std::string_view, const Value& v, const std::string& p) {
+                  (void)c.choice(v, p, "mobility model",
+                                 {{"waypoint", MobilityKind::kRandomWaypoint},
+                                  {"walk", MobilityKind::kRandomWalk},
+                                  {"gauss-markov", MobilityKind::kGaussMarkov},
+                                  {"manhattan", MobilityKind::kManhattan}},
+                                 s.cfg.mobility);
+                });
 }
 
 void apply_traffic(Checker& c, const Value& o, const std::string& path, Staged& s) {
-  ScenarioConfig& cfg = s.cfg;
   if (o.find("rate_pps") != nullptr && o.find("interval_ms") != nullptr) {
     c.fail(*o.find("interval_ms"), path + ".interval_ms", "mutually exclusive with rate_pps");
   }
-  apply_object(c, s, o, path,
-               {Key("kind"), Key("connections", "num_connections", cfg.num_connections),
-                Key("payload_bytes", "payload_bytes", cfg.payload_bytes), Key("rate_pps"),
-                Key("interval_ms", "cbr_interval", cfg.cbr_interval, 1e-3),
-                Key("start_s", "cbr_start", cfg.cbr_start),
-                Key("start_window_s", "cbr_start_window", cfg.cbr_start_window),
-                Key("burst_mean_s", "onoff_burst_mean", cfg.onoff_burst_mean),
-                Key("idle_mean_s", "onoff_idle_mean", cfg.onoff_idle_mean)},
-               [&](const std::string& k, const Value& v, const std::string& p) {
-                 if (k == "rate_pps") {
-                   if (c.rate(v, p, cfg.cbr_interval)) s.wrote("cbr_interval", v, p);
-                   return;
-                 }
-                 std::string kind;
-                 if (!c.str(v, p, kind)) return;
-                 if (kind == "cbr") {
-                   cfg.traffic = TrafficKind::kCbr;
-                 } else if (kind == "onoff") {
-                   cfg.traffic = TrafficKind::kOnOff;
-                 } else {
-                   c.fail(v, p, "unknown traffic kind \"" + kind + "\" (expected: cbr, onoff)");
-                 }
-               });
+  apply_section(c, s, o, path, "traffic", {"kind", "rate_pps"},
+                [&](std::string_view k, const Value& v, const std::string& p) {
+                  if (k == "kind") {
+                    (void)c.choice(v, p, "traffic kind",
+                                   {{"cbr", TrafficKind::kCbr}, {"onoff", TrafficKind::kOnOff}},
+                                   s.cfg.traffic);
+                  } else if (c.rate(v, p, s.cfg.cbr_interval)) {
+                    s.wrote("cbr_interval", v, p);
+                  }
+                });
 }
 
-void apply_radio(Checker& c, const Value& o, const std::string& path, Staged& s) {
-  PhyConfig& phy = s.cfg.phy;
-  apply_object(c, s, o, path,
-               {Key("data_rate_bps", "phy.data_rate_bps", phy.data_rate_bps),
-                Key("rx_range_m", "phy.rx_range_m", phy.rx_range_m),
-                Key("cs_range_m", "phy.cs_range_m", phy.cs_range_m),
-                Key("frame_loss_rate", "phy.frame_loss_rate", phy.frame_loss_rate)});
-}
-
-void apply_mac(Checker& c, const Value& o, const std::string& path, Staged& s) {
-  MacConfig& mac = s.cfg.mac;
-  apply_object(c, s, o, path,
-               {Key("use_rts", "mac.use_rts", mac.use_rts),
-                Key("rts_threshold_bytes", "mac.rts_threshold", mac.rts_threshold),
-                Key("ifq_capacity", "mac.ifq_capacity", mac.ifq_capacity)});
-}
-
-void apply_urban(Checker& c, const Value& o, const std::string& path, Staged& s) {
-  PhyConfig& phy = s.cfg.phy;
-  apply_object(c, s, o, path,
-               {Key("street_width_m", "phy.street_width_m", phy.street_width_m),
-                Key("nlos_range_m", "phy.nlos_rx_range_m", phy.nlos_rx_range_m),
-                Key("nlos_loss", "phy.nlos_loss_rate", phy.nlos_loss_rate)});
-}
-
-void apply_fault(Checker& c, const Value& o, const std::string& path, Staged& s) {
-  FaultConfig& f = s.cfg.fault;
-  apply_object(c, s, o, path,
-               {Key("crash_rate", "fault.crash_rate", f.crash_rate),
-                Key("downtime_mean_s", "fault.downtime_mean", f.downtime_mean),
-                Key("link_blackouts", "fault.link_blackouts", f.link_blackouts),
-                Key("blackout_mean_s", "fault.blackout_mean", f.blackout_mean),
-                Key("corrupt_rate", "fault.corrupt_rate", f.corrupt_rate),
-                Key("corrupt_from_s", "fault.corrupt_from", f.corrupt_from),
-                Key("corrupt_until_s", "fault.corrupt_until", f.corrupt_until),
-                Key("partition", "fault.partition", f.partition),
-                Key("partition_frac", "fault.partition_frac", f.partition_frac),
-                Key("partition_from_s", "fault.partition_from", f.partition_from),
-                Key("partition_until_s", "fault.partition_until", f.partition_until),
-                Key("window_from_s", "fault.window_from", f.window_from)});
-}
-
-void apply_transport(Checker& c, const Value& o, const std::string& path, Staged& s) {
-  TransportConfig& t = s.cfg.transport;
-  apply_object(c, s, o, path,
-               {Key("enabled", "transport.enabled", t.enabled),
-                Key("rto_initial_ms", "transport.rto_initial", t.rto_initial, 1e-3),
-                Key("rto_min_ms", "transport.rto_min", t.rto_min, 1e-3),
-                Key("rto_max_ms", "transport.rto_max", t.rto_max, 1e-3),
-                Key("cwnd_init", "transport.cwnd_init", t.cwnd_init),
-                Key("cwnd_max", "transport.cwnd_max", t.cwnd_max),
-                Key("max_retx", "transport.max_retx", t.max_retx),
-                Key("buffer_packets", "transport.buffer_packets", t.buffer_packets)});
-}
-
-/// The shared settings object: `base` and each explicit cell's `set`.
+/// The shared settings object: `base` and each explicit cell's `set`. Its
+/// sections are those the rows name, in row order.
 void apply_settings(Checker& c, const Value& o, const std::string& path, Staged& s) {
   ScenarioConfig& cfg = s.cfg;
-  apply_object(
-      c, s, o, path,
-      {Key("protocol"), Key("seed", "seed", cfg.seed), Key("nodes", "num_nodes", cfg.num_nodes),
-       Key("area_m"), Key("static", "static_nodes", cfg.static_nodes),
-       Key("duration_s", "duration", cfg.duration),
-       Key("trace"), Key("mobility"), Key("traffic"), Key("radio"), Key("mac"), Key("urban"),
-       Key("fault"), Key("transport"), Key("aodv"), Key("dsr"), Key("olsr")},
-      [&](const std::string& k, const Value& v, const std::string& p) {
+  std::vector<std::string_view> keys = {"protocol", "area_m", "trace"};
+  for (const Field& f : kFields) {
+    if (f.section != nullptr && *f.section != '\0' &&
+        std::ranges::find(keys, f.section) == keys.end()) {
+      keys.emplace_back(f.section);
+    }
+  }
+  apply_section(
+      c, s, o, path, "", keys, [&](std::string_view k, const Value& v, const std::string& p) {
         if (k == "protocol") {
-          std::string name;
-          if (!c.str(v, p, name)) return;
-          const ProtocolEntry* e = find_protocol(name);
-          if (e == nullptr) {
-            c.fail(v, p,
-                   "unknown protocol \"" + name + "\" (registered: " + protocol_names() + ")");
-          } else {
-            cfg.protocol = e->id;
-          }
+          if (const ProtocolEntry* e = c.protocol(v, p)) cfg.protocol = e->id;
         } else if (k == "area_m") {
           if (!c.expect_kind(v, Value::Kind::kArray, p)) return;
           if (v.array.size() != 2) {
@@ -338,39 +273,38 @@ void apply_settings(Checker& c, const Value& o, const std::string& path, Staged&
                        " element(s)");
             return;
           }
-          read_key(c, s, Key("area_m", "area.width", cfg.area.width), v.array[0], p + "[0]");
-          read_key(c, s, Key("area_m", "area.height", cfg.area.height), v.array[1], p + "[1]");
+          read_field(c, s, field("area.width"), v.array[0], p + "[0]");
+          read_field(c, s, field("area.height"), v.array[1], p + "[1]");
         } else if (k == "trace") {
           (void)c.str(v, p, cfg.trace_path);
         } else if (k == "mobility") {
           apply_mobility(c, v, p, s);
         } else if (k == "traffic") {
           apply_traffic(c, v, p, s);
-        } else if (k == "radio") {
-          apply_radio(c, v, p, s);
-        } else if (k == "mac") {
-          apply_mac(c, v, p, s);
-        } else if (k == "urban") {
-          apply_urban(c, v, p, s);
-        } else if (k == "fault") {
-          apply_fault(c, v, p, s);
-        } else if (k == "transport") {
-          apply_transport(c, v, p, s);
-        } else if (k == "aodv") {
-          apply_object(c, s, v, p,
-                       {Key("expanding_ring", "aodv.expanding_ring", cfg.aodv.expanding_ring)});
-        } else if (k == "dsr") {
-          apply_object(
-              c, s, v, p,
-              {Key("intermediate_reply", "dsr.intermediate_reply", cfg.dsr.intermediate_reply)});
-        } else if (k == "olsr") {
-          apply_object(c, s, v, p,
-                       {Key("mpr_flooding", "olsr.mpr_flooding", cfg.olsr.mpr_flooding)});
+        } else {
+          apply_section(c, s, v, p, k, {}, [](auto&&...) {});
         }
       });
 }
 
 // -- sweep axes --------------------------------------------------------------
+
+/// A sweep axis param: the field row its values are read into, or none for
+/// the two read by hand (vmax, rate).
+struct AxisParam {
+  const char* name;  ///< label segment ("pause" -> "AODV/pause:0")
+  const Field* field;
+};
+
+constexpr AxisParam kAxisParams[] = {
+    {"pause", &field("pause")},
+    {"vmax", nullptr},
+    {"nodes", &field("num_nodes")},
+    {"sources", &field("num_connections")},
+    {"crash", &field("fault.crash_rate")},
+    {"loss", &field("phy.frame_loss_rate")},
+    {"rate", nullptr},
+};
 
 struct AxisValue {
   const Value* value = nullptr;
@@ -378,12 +312,11 @@ struct AxisValue {
 };
 
 struct Axis {
-  std::string param;          ///< label segment ("pause" -> "AODV/pause:0")
-  bool urban_family = false;  ///< values are urban_scenario() node counts
+  std::string param;                  ///< label segment; any name for a family
+  const AxisParam* known = nullptr;   ///< kAxisParams row; none for a family
+  bool urban_family = false;          ///< values are urban_scenario() node counts
   std::vector<AxisValue> values;
 };
-
-constexpr const char* kAxisParams = "pause, vmax, nodes, sources, crash, loss, rate";
 
 /// Copy the urban Manhattan family's derived fields onto the cell, reusing
 /// urban_scenario() so the city-size math has exactly one home. A bad node
@@ -414,8 +347,8 @@ void apply_axis(Checker& c, const Axis& axis, const AxisValue& a, Staged& s) {
   const Value& v = *a.value;
   if (axis.urban_family) {
     apply_urban_family(c, a, s);
-  } else if (axis.param == "pause") {
-    read_key(c, s, Key("pause", "pause", cfg.pause), v, a.key);
+  } else if (axis.known->field != nullptr) {
+    read_field(c, s, *axis.known->field, v, a.key);
   } else if (axis.param == "vmax") {
     // The mobility figures' x-axis: the 0 column is the static network.
     double x = 0.0;
@@ -426,18 +359,81 @@ void apply_axis(Checker& c, const Axis& axis, const AxisValue& a, Staged& s) {
       cfg.v_max = x;
       s.wrote("v_max", v, a.key);
     }
-  } else if (axis.param == "nodes") {
-    read_key(c, s, Key("nodes", "num_nodes", cfg.num_nodes), v, a.key);
-  } else if (axis.param == "sources") {
-    read_key(c, s, Key("sources", "num_connections", cfg.num_connections), v, a.key);
-  } else if (axis.param == "crash") {
-    read_key(c, s, Key("crash", "fault.crash_rate", cfg.fault.crash_rate), v, a.key);
-  } else if (axis.param == "loss") {
-    read_key(c, s, Key("loss", "phy.frame_loss_rate", cfg.phy.frame_loss_rate), v, a.key);
-  } else if (axis.param == "rate") {
-    // Offered load in packets/s per flow, the paper family's x-axis for the
-    // load-collapse figures (same conversion as traffic.rate_pps).
+  } else {
+    // "rate": offered load in packets/s per flow, the paper family's x-axis
+    // for the load-collapse figures (same conversion as traffic.rate_pps).
     if (c.rate(v, a.key, cfg.cbr_interval)) s.wrote("cbr_interval", v, a.key);
+  }
+}
+
+/// One `sweep.axes` entry, appended to `axes` when it is well formed.
+void read_axis(Checker& c, const Value& av, const std::string& pi, std::vector<Axis>& axes) {
+  Axis axis;
+  const Value* values = nullptr;
+  walk(c, av, pi, {"param", "values", "family"},
+       [&](std::string_view k, const Value& v, const std::string& p) {
+         if (k == "param") {
+           (void)c.str(v, p, axis.param);
+         } else if (k == "values") {
+           if (c.expect_kind(v, Value::Kind::kArray, p)) values = &v;
+         } else {
+           (void)c.choice(v, p, "scenario family", {{"urban", true}}, axis.urban_family);
+         }
+       });
+  if (axis.param.empty()) {
+    c.fail(av, pi, "required key \"param\" is missing");
+    return;
+  }
+  if (!axis.urban_family) {
+    axis.known = std::ranges::find(kAxisParams, std::string_view(axis.param), &AxisParam::name);
+    if (axis.known == std::end(kAxisParams)) {
+      std::string names;
+      for (const AxisParam& a : kAxisParams) names.append(names.empty() ? "" : ", ").append(a.name);
+      c.fail(av, pi + ".param",
+             "unknown sweep param \"" + axis.param + "\" (expected: " + names +
+                 "; or set \"family\": \"urban\")");
+      return;
+    }
+  }
+  if (values == nullptr || values->array.empty()) {
+    c.fail(av, pi, "required key \"values\" must be a non-empty array of numbers");
+    return;
+  }
+  for (std::size_t j = 0; j < values->array.size(); ++j) {
+    const Value& vv = values->array[j];
+    const std::string pv = pi + ".values[" + std::to_string(j) + "]";
+    if (c.expect_kind(vv, Value::Kind::kNumber, pv)) axis.values.push_back({&vv, pv});
+  }
+  axes.push_back(std::move(axis));
+}
+
+/// A labelled cell of `sweep.cells`: its settings apply on top of `base`.
+struct ExplicitCell {
+  std::string label;
+  const Value* set = nullptr;
+};
+
+/// One `sweep.cells` entry, appended to `cells` when it has a label.
+void read_cell(Checker& c, const Value& cv, const std::string& pi,
+               std::vector<ExplicitCell>& cells) {
+  ExplicitCell cell;
+  walk(c, cv, pi, {"label", "set"}, [&](std::string_view k, const Value& v, const std::string& p) {
+    if (k == "set") {
+      cell.set = &v;
+      return;
+    }
+    std::string s;
+    if (!c.str(v, p, s)) return;
+    if (s.empty()) {
+      c.fail(v, p, "must be non-empty");
+    } else {
+      cell.label = std::move(s);
+    }
+  });
+  if (cell.label.empty()) {
+    c.fail(cv, pi, "required key \"label\" is missing");
+  } else {
+    cells.push_back(cell);
   }
 }
 
@@ -488,58 +484,47 @@ ScenarioSpec load_string(const std::string& text, const std::string& filename) {
 
   Staged base;
   const Value* sweep = nullptr;
-
-  for (const auto& [k, v] : root.object) {
-    if (k == "name") {
-      std::string s;
-      if (c.str(v, "name", s)) {
-        if (!valid_name(s)) {
-          c.fail(v, "name",
-                 "must be non-empty [A-Za-z0-9._-] (it keys the results/<name>.* artifacts), "
-                 "got \"" +
-                     s + "\"");
-        } else {
-          spec.name = std::move(s);
-        }
-      }
-    } else if (k == "description") {
-      std::string s;
-      if (c.str(v, "description", s)) spec.description = std::move(s);
-    } else if (k == "seeds") {
-      long long n = 0;
-      if (c.integer(v, "seeds", n)) {
-        if (n >= 1 && n <= kMaxSeeds) {
-          spec.seeds = static_cast<int>(n);
-        } else {
-          c.fail(v, "seeds",
-                 "must be in [1, " + std::to_string(kMaxSeeds) + "], got " + std::to_string(n));
-        }
-      }
-    } else if (k == "output") {
-      if (!c.expect_kind(v, Value::Kind::kObject, "output")) continue;
-      for (const auto& [ok, ov] : v.object) {
-        if (ok == "dir") {
-          std::string s;
-          if (c.str(ov, "output.dir", s)) {
-            if (s.empty()) {
-              c.fail(ov, "output.dir", "must be a non-empty path");
-            } else {
-              spec.out_dir = std::move(s);
-            }
-          }
-        } else {
-          c.fail(ov, "output." + ok, "unknown key (expected: dir)");
-        }
-      }
-    } else if (k == "base") {
-      apply_settings(c, v, "base", base);
-    } else if (k == "sweep") {
-      sweep = &v;
-    } else {
-      c.fail(v, k,
-             "unknown key (expected: name, description, seeds, output, base, sweep)");
-    }
-  }
+  walk(c, root, "", {"name", "description", "seeds", "output", "base", "sweep"},
+       [&](std::string_view k, const Value& v, const std::string& p) {
+         if (k == "name") {
+           std::string s;
+           if (!c.str(v, p, s)) return;
+           if (!valid_name(s)) {
+             c.fail(v, p,
+                    "must be non-empty [A-Za-z0-9._-] (it keys the results/<name>.* artifacts), "
+                    "got \"" +
+                        s + "\"");
+           } else {
+             spec.name = std::move(s);
+           }
+         } else if (k == "description") {
+           std::string s;
+           if (c.str(v, p, s)) spec.description = std::move(s);
+         } else if (k == "seeds") {
+           long long n = 0;
+           if (!c.integer(v, p, n)) return;
+           if (n >= 1 && n <= kMaxSeeds) {
+             spec.seeds = static_cast<int>(n);
+           } else {
+             c.fail(v, p,
+                    "must be in [1, " + std::to_string(kMaxSeeds) + "], got " + std::to_string(n));
+           }
+         } else if (k == "output") {
+           walk(c, v, p, {"dir"}, [&](std::string_view, const Value& dv, const std::string& dp) {
+             std::string s;
+             if (!c.str(dv, dp, s)) return;
+             if (s.empty()) {
+               c.fail(dv, dp, "must be a non-empty path");
+             } else {
+               spec.out_dir = std::move(s);
+             }
+           });
+         } else if (k == "base") {
+           apply_settings(c, v, p, base);
+         } else {
+           sweep = &v;
+         }
+       });
 
   if (root.find("name") == nullptr) {
     c.fail_at(root.line, "name", "required key is missing");
@@ -550,114 +535,30 @@ ScenarioSpec load_string(const std::string& text, const std::string& filename) {
   // outermost, so a figure's artifact lists each protocol's series in turn.
   std::vector<std::pair<std::string, Protocol>> protocols;
   std::vector<Axis> axes;
-  struct ExplicitCell {
-    std::string label;
-    const Value* set = nullptr;
-  };
   std::vector<ExplicitCell> explicit_cells;
   const int sweep_line = sweep != nullptr ? sweep->line : root.line;
 
-  if (sweep != nullptr && c.expect_kind(*sweep, Value::Kind::kObject, "sweep")) {
-    for (const auto& [k, v] : sweep->object) {
-      const std::string p = "sweep." + k;
-      if (k == "protocols") {
-        if (!c.expect_kind(v, Value::Kind::kArray, p)) continue;
-        if (v.array.empty()) c.fail(v, p, "must list at least one protocol");
-        for (std::size_t i = 0; i < v.array.size(); ++i) {
-          const std::string pi = p + "[" + std::to_string(i) + "]";
-          std::string s;
-          if (!c.str(v.array[i], pi, s)) continue;
-          const ProtocolEntry* e = find_protocol(s);
-          if (e == nullptr) {
-            c.fail(v.array[i], pi,
-                   "unknown protocol \"" + s + "\" (registered: " + protocol_names() + ")");
-          } else {
-            protocols.emplace_back(e->name, e->id);
-          }
-        }
-      } else if (k == "axes") {
-        if (!c.expect_kind(v, Value::Kind::kArray, p)) continue;
-        for (std::size_t i = 0; i < v.array.size(); ++i) {
-          const Value& av = v.array[i];
-          const std::string pi = p + "[" + std::to_string(i) + "]";
-          if (!c.expect_kind(av, Value::Kind::kObject, pi)) continue;
-          Axis axis;
-          const Value* values = nullptr;
-          for (const auto& [ak, avv] : av.object) {
-            const std::string pa = pi + "." + ak;
-            if (ak == "param") {
-              (void)c.str(avv, pa, axis.param);
-            } else if (ak == "values") {
-              if (c.expect_kind(avv, Value::Kind::kArray, pa)) values = &avv;
-            } else if (ak == "family") {
-              std::string s;
-              if (c.str(avv, pa, s)) {
-                if (s == "urban") {
-                  axis.urban_family = true;
-                } else {
-                  c.fail(avv, pa, "unknown scenario family \"" + s + "\" (expected: urban)");
-                }
-              }
-            } else {
-              c.fail(avv, pa, "unknown key (expected: param, values, family)");
-            }
-          }
-          if (axis.param.empty()) {
-            c.fail(av, pi, "required key \"param\" is missing");
-            continue;
-          }
-          if (!axis.urban_family && axis.param != "pause" && axis.param != "vmax" &&
-              axis.param != "nodes" && axis.param != "sources" && axis.param != "crash" &&
-              axis.param != "loss" && axis.param != "rate") {
-            c.fail(av, pi + ".param",
-                   "unknown sweep param \"" + axis.param + "\" (expected: " + kAxisParams +
-                       "; or set \"family\": \"urban\")");
-            continue;
-          }
-          if (values == nullptr || values->array.empty()) {
-            c.fail(av, pi, "required key \"values\" must be a non-empty array of numbers");
-            continue;
-          }
-          for (std::size_t j = 0; j < values->array.size(); ++j) {
-            const Value& vv = values->array[j];
-            const std::string pv = pi + ".values[" + std::to_string(j) + "]";
-            if (c.expect_kind(vv, Value::Kind::kNumber, pv)) axis.values.push_back({&vv, pv});
-          }
-          axes.push_back(std::move(axis));
-        }
-      } else if (k == "cells") {
-        if (!c.expect_kind(v, Value::Kind::kArray, p)) continue;
-        for (std::size_t i = 0; i < v.array.size(); ++i) {
-          const Value& cv = v.array[i];
-          const std::string pi = p + "[" + std::to_string(i) + "]";
-          if (!c.expect_kind(cv, Value::Kind::kObject, pi)) continue;
-          ExplicitCell cell;
-          for (const auto& [ck, cvv] : cv.object) {
-            if (ck == "label") {
-              std::string s;
-              if (c.str(cvv, pi + ".label", s)) {
-                if (s.empty()) {
-                  c.fail(cvv, pi + ".label", "must be non-empty");
-                } else {
-                  cell.label = std::move(s);
-                }
-              }
-            } else if (ck == "set") {
-              cell.set = &cvv;
-            } else {
-              c.fail(cvv, pi + "." + ck, "unknown key (expected: label, set)");
-            }
-          }
-          if (cell.label.empty()) {
-            c.fail(cv, pi, "required key \"label\" is missing");
-            continue;
-          }
-          explicit_cells.push_back(cell);
-        }
-      } else {
-        c.fail(v, p, "unknown key (expected: protocols, axes, cells)");
-      }
-    }
+  if (sweep != nullptr) {
+    walk(c, *sweep, "sweep", {"protocols", "axes", "cells"},
+         [&](std::string_view k, const Value& v, const std::string& p) {
+           if (!c.expect_kind(v, Value::Kind::kArray, p)) return;
+           if (k == "protocols" && v.array.empty()) c.fail(v, p, "must list at least one protocol");
+           for (std::size_t i = 0; i < v.array.size(); ++i) {
+             const Value& e = v.array[i];
+             const std::string pi = p + "[" + std::to_string(i) + "]";
+             if (k == "protocols") {
+               if (const ProtocolEntry* entry = c.protocol(e, pi)) {
+                 protocols.emplace_back(entry->name, entry->id);
+               }
+             } else if (c.expect_kind(e, Value::Kind::kObject, pi)) {
+               if (k == "axes") {
+                 read_axis(c, e, pi, axes);
+               } else {
+                 read_cell(c, e, pi, explicit_cells);
+               }
+             }
+           }
+         });
   }
 
   // Default protocol list: the base config's protocol, under its canonical

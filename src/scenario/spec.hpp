@@ -9,7 +9,11 @@
 // validated ScenarioConfigs; a run is a pure function of (config, seed), so
 // the same file reproduces the same per-seed results on any machine.
 //
-// Schema (all keys optional unless noted; unknown keys are errors):
+// Schema (all keys optional unless noted; unknown keys and keys repeated
+// within one object are errors). Each plain key of a settings section is a
+// row of the field table (fields.hpp), which names the ScenarioConfig
+// member it sets, its unit and its range; the rest (protocol, area_m,
+// trace, mobility.model, traffic.kind, traffic.rate_pps) are read by hand.
 //
 //   {
 //     "name": "fig_pause_throughput",        // required; keys results/<name>.*
@@ -49,7 +53,8 @@
 //     }
 //   }
 //
-// Axis params (cell labels read "PROTO/param:value"):
+// Axis params (cell labels read "PROTO/param:value"); pause, nodes, sources,
+// crash and loss read their values into a field table row:
 //   pause    pause time, seconds                     (>= 0)
 //   vmax     node max speed, m/s; <= 0 means static  (mobility suite)
 //   nodes    node count                              (integer >= 2)
@@ -67,7 +72,8 @@
 // render compiler-style "file:line: key: message" lines. The loader itself
 // checks only what belongs to reading JSON: kinds, integer-ness, whether a
 // number fits its field's type, names (keys, enums, protocols, axes),
-// rate_pps/interval_ms exclusivity, label uniqueness and the header. The
+// repeated keys, rate_pps/interval_ms exclusivity, label uniqueness and the
+// header. The
 // scenario contract is check()'s (scenario.hpp) alone: the loader runs it on
 // every expanded cell and anchors each error at the JSON value that wrote
 // the blamed field, or at the cell when no value did. Every cell of a spec

@@ -8,27 +8,22 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
-#include <vector>
+#include <string_view>
 
 #include "fault/fault.hpp"
+#include "scenario/fields.hpp"
 #include "scenario/scenario.hpp"
 #include "scenario/spec.hpp"
+#include "testutil.hpp"
 
 namespace manet {
 namespace {
 
 TEST(ScenarioBuilder, DefaultBuildMatchesTableOneDefaults) {
-  const ScenarioConfig built = ScenarioBuilder().build();
   const ScenarioConfig defaults;
-  EXPECT_EQ(built.protocol, defaults.protocol);
-  EXPECT_EQ(built.num_nodes, defaults.num_nodes);
-  EXPECT_EQ(built.area.width, defaults.area.width);
-  EXPECT_EQ(built.area.height, defaults.area.height);
-  EXPECT_EQ(built.v_min, defaults.v_min);
-  EXPECT_EQ(built.v_max, defaults.v_max);
-  EXPECT_EQ(built.duration, defaults.duration);
-  EXPECT_EQ(built.num_connections, defaults.num_connections);
+  EXPECT_EQ(ScenarioBuilder().build(), defaults);
 }
 
 TEST(ScenarioBuilder, SettersStageExactlyTheNamedFields) {
@@ -139,177 +134,117 @@ TEST(ScenarioBuilderDeathTest, RejectsFaultWindowPastEndOfRun) {
 }
 
 // ---------------------------------------------------------------------------
-// The scenario contract, one row per rule: check() names the field, Scenario
-// dies on it, and the same value in a scenario file comes back as a loader
-// error anchored at that value's line.
+// The scenario contract, one row per rule: a scenario file that breaks it
+// loads with an error anchored at the offending value's line and key, check()
+// blames the field, and Scenario dies on the loaded config.
 // ---------------------------------------------------------------------------
 
-struct ContractRule {
-  const char* field;                 ///< what check() must blame
-  void (*violate)(ScenarioConfig&);  ///< pokes a violating value
-  const char* json;  ///< the same violation as `base` settings, on one line
-  const char* key;   ///< where the loader must anchor it
+struct Violation {
+  const char* field;  ///< what check() must blame: a field table path
+  const char* json;   ///< the violation as `base` settings, on one line
+  /// Where the loader anchors it, under "base.", when not at the field's key.
+  const char* key = nullptr;
 };
 
-const std::vector<ContractRule>& contract_rules() {
-  static const std::vector<ContractRule> rules = {
-      {"num_nodes", [](ScenarioConfig& c) { c.num_nodes = 1; }, R"("nodes": 1)",
-       "base.nodes"},
-      {"area.width", [](ScenarioConfig& c) { c.area.width = 0.0; }, R"("area_m": [0, 300])",
-       "base.area_m[0]"},
-      {"area.height", [](ScenarioConfig& c) { c.area.height = -1.0; },
-       R"("area_m": [300, -1])", "base.area_m[1]"},
-      {"duration", [](ScenarioConfig& c) { c.duration = SimTime::zero(); },
-       R"("duration_s": 0)", "base.duration_s"},
-      {"v_min", [](ScenarioConfig& c) { c.v_min = -1.0; },
-       R"("mobility": {"v_min_mps": -1})", "base.mobility.v_min_mps"},
-      {"v_max", [](ScenarioConfig& c) { c.v_max = -1.0; },
-       R"("static": true, "mobility": {"v_max_mps": -1})", "base.mobility.v_max_mps"},
-      {"pause", [](ScenarioConfig& c) { c.pause = seconds(-1); },
-       R"("mobility": {"pause_s": -1})", "base.mobility.pause_s"},
-      {"mobility_warmup", [](ScenarioConfig& c) { c.mobility_warmup = seconds(-1); },
-       R"("mobility": {"warmup_s": -1})", "base.mobility.warmup_s"},
-      {"manhattan.block", [](ScenarioConfig& c) { c.manhattan.block = 0.0; },
-       R"("mobility": {"block_m": 0})", "base.mobility.block_m"},
-      {"manhattan.p_turn", [](ScenarioConfig& c) { c.manhattan.p_turn = 1.5; },
-       R"("mobility": {"p_turn": 1.5})", "base.mobility.p_turn"},
-      {"v_max", [](ScenarioConfig& c) { c.v_min = 9.0, c.v_max = 3.0; },
-       R"("mobility": {"v_min_mps": 9, "v_max_mps": 3})", "base.mobility.v_max_mps"},
-      {"payload_bytes", [](ScenarioConfig& c) { c.payload_bytes = 0; },
-       R"("traffic": {"payload_bytes": 0})", "base.traffic.payload_bytes"},
-      {"cbr_interval", [](ScenarioConfig& c) { c.cbr_interval = SimTime::zero(); },
-       R"("traffic": {"interval_ms": 0})", "base.traffic.interval_ms"},
-      {"cbr_start", [](ScenarioConfig& c) { c.cbr_start = seconds(-1); },
-       R"("traffic": {"start_s": -1})", "base.traffic.start_s"},
-      {"cbr_start_window", [](ScenarioConfig& c) { c.cbr_start_window = seconds(-1); },
-       R"("traffic": {"start_window_s": -1})", "base.traffic.start_window_s"},
-      {"onoff_burst_mean", [](ScenarioConfig& c) { c.onoff_burst_mean = SimTime::zero(); },
-       R"("traffic": {"burst_mean_s": 0})", "base.traffic.burst_mean_s"},
-      {"onoff_idle_mean", [](ScenarioConfig& c) { c.onoff_idle_mean = SimTime::zero(); },
-       R"("traffic": {"idle_mean_s": 0})", "base.traffic.idle_mean_s"},
-      {"cbr_start", [](ScenarioConfig& c) { c.cbr_start = seconds(200); },
-       R"("traffic": {"start_s": 200})", "base.traffic.start_s"},
-      {"transport.rto_initial",
-       [](ScenarioConfig& c) { c.transport.rto_initial = SimTime::zero(); },
-       R"("transport": {"rto_initial_ms": 0})", "base.transport.rto_initial_ms"},
-      {"transport.rto_min", [](ScenarioConfig& c) { c.transport.rto_min = SimTime::zero(); },
-       R"("transport": {"rto_min_ms": 0})", "base.transport.rto_min_ms"},
-      {"transport.rto_max", [](ScenarioConfig& c) { c.transport.rto_max = SimTime::zero(); },
-       R"("transport": {"rto_max_ms": 0})", "base.transport.rto_max_ms"},
-      {"transport.cwnd_init", [](ScenarioConfig& c) { c.transport.cwnd_init = 0; },
-       R"("transport": {"cwnd_init": 0})", "base.transport.cwnd_init"},
-      {"transport.cwnd_max", [](ScenarioConfig& c) { c.transport.cwnd_max = 0; },
-       R"("transport": {"cwnd_max": 0})", "base.transport.cwnd_max"},
-      {"transport.max_retx", [](ScenarioConfig& c) { c.transport.max_retx = 0; },
-       R"("transport": {"max_retx": 0})", "base.transport.max_retx"},
-      {"transport.buffer_packets", [](ScenarioConfig& c) { c.transport.buffer_packets = 0; },
-       R"("transport": {"buffer_packets": 0})", "base.transport.buffer_packets"},
-      {"transport.rto_min", [](ScenarioConfig& c) {
-         c.transport.enabled = true, c.transport.rto_min = seconds(2);
-       },
-       R"("transport": {"enabled": true, "rto_min_ms": 2000})", "base.transport.rto_min_ms"},
-      {"transport.rto_max", [](ScenarioConfig& c) {
-         c.transport.enabled = true, c.transport.rto_max = milliseconds(500);
-       },
-       R"("transport": {"enabled": true, "rto_max_ms": 500})", "base.transport.rto_max_ms"},
-      {"transport.cwnd_init", [](ScenarioConfig& c) {
-         c.transport.enabled = true, c.transport.cwnd_init = 8, c.transport.cwnd_max = 4;
-       },
-       R"("transport": {"enabled": true, "cwnd_init": 8, "cwnd_max": 4})",
-       "base.transport.cwnd_init"},
-      {"transport.buffer_packets", [](ScenarioConfig& c) {
-         c.transport.enabled = true, c.transport.buffer_packets = 8;
-       },
-       R"("transport": {"enabled": true, "buffer_packets": 8})", "base.transport.buffer_packets"},
-      {"phy.data_rate_bps", [](ScenarioConfig& c) { c.phy.data_rate_bps = 0.0; },
-       R"("radio": {"data_rate_bps": 0})", "base.radio.data_rate_bps"},
-      {"phy.rx_range_m", [](ScenarioConfig& c) { c.phy.rx_range_m = 0.0; },
-       R"("radio": {"rx_range_m": 0})", "base.radio.rx_range_m"},
-      {"phy.cs_range_m", [](ScenarioConfig& c) { c.phy.cs_range_m = 0.0; },
-       R"("radio": {"cs_range_m": 0})", "base.radio.cs_range_m"},
-      {"phy.frame_loss_rate", [](ScenarioConfig& c) { c.phy.frame_loss_rate = 1.0; },
-       R"("radio": {"frame_loss_rate": 1})", "base.radio.frame_loss_rate"},
-      {"phy.street_width_m", [](ScenarioConfig& c) { c.phy.street_width_m = -1.0; },
-       R"("urban": {"street_width_m": -1})", "base.urban.street_width_m"},
-      {"phy.nlos_rx_range_m", [](ScenarioConfig& c) { c.phy.nlos_rx_range_m = 0.0; },
-       R"("urban": {"nlos_range_m": 0})", "base.urban.nlos_range_m"},
-      {"phy.nlos_loss_rate", [](ScenarioConfig& c) { c.phy.nlos_loss_rate = 1.0; },
-       R"("urban": {"nlos_loss": 1})", "base.urban.nlos_loss"},
-      {"phy.nlos_rx_range_m", [](ScenarioConfig& c) {
-         c.phy.street_width_m = 20.0, c.phy.nlos_rx_range_m = 400.0;
-       },
-       R"("urban": {"street_width_m": 20, "nlos_range_m": 400})", "base.urban.nlos_range_m"},
-      {"mac.ifq_capacity", [](ScenarioConfig& c) { c.mac.ifq_capacity = 0; },
-       R"("mac": {"ifq_capacity": 0})", "base.mac.ifq_capacity"},
-      {"fault.crash_rate", [](ScenarioConfig& c) { c.fault.crash_rate = -1.0; },
-       R"("fault": {"crash_rate": -1})", "base.fault.crash_rate"},
-      {"fault.downtime_mean",
-       [](ScenarioConfig& c) { c.fault.downtime_mean = SimTime::zero(); },
-       R"("fault": {"downtime_mean_s": 0})", "base.fault.downtime_mean_s"},
-      {"fault.link_blackouts", [](ScenarioConfig& c) { c.fault.link_blackouts = -1; },
-       R"("fault": {"link_blackouts": -1})", "base.fault.link_blackouts"},
-      {"fault.blackout_mean",
-       [](ScenarioConfig& c) { c.fault.blackout_mean = SimTime::zero(); },
-       R"("fault": {"blackout_mean_s": 0})", "base.fault.blackout_mean_s"},
-      {"fault.corrupt_rate", [](ScenarioConfig& c) { c.fault.corrupt_rate = 1.5; },
-       R"("fault": {"corrupt_rate": 1.5})", "base.fault.corrupt_rate"},
-      {"fault.corrupt_from", [](ScenarioConfig& c) { c.fault.corrupt_from = seconds(-1); },
-       R"("fault": {"corrupt_from_s": -1})", "base.fault.corrupt_from_s"},
-      {"fault.corrupt_until", [](ScenarioConfig& c) { c.fault.corrupt_until = seconds(-1); },
-       R"("fault": {"corrupt_until_s": -1})", "base.fault.corrupt_until_s"},
-      {"fault.partition_frac", [](ScenarioConfig& c) { c.fault.partition_frac = 1.5; },
-       R"("fault": {"partition_frac": 1.5})", "base.fault.partition_frac"},
-      {"fault.partition_from", [](ScenarioConfig& c) { c.fault.partition_from = seconds(-1); },
-       R"("fault": {"partition_from_s": -1})", "base.fault.partition_from_s"},
-      {"fault.partition_until",
-       [](ScenarioConfig& c) { c.fault.partition_until = seconds(-1); },
-       R"("fault": {"partition_until_s": -1})", "base.fault.partition_until_s"},
-      {"fault.window_from", [](ScenarioConfig& c) { c.fault.window_from = seconds(-1); },
-       R"("fault": {"window_from_s": -1})", "base.fault.window_from_s"},
-      {"fault.window_from", [](ScenarioConfig& c) {
-         c.fault.crash_rate = 1.0, c.fault.window_from = seconds(500);
-       },
-       R"("fault": {"crash_rate": 1, "window_from_s": 500})", "base.fault.window_from_s"},
-      {"fault.corrupt_from", [](ScenarioConfig& c) {
-         c.fault.corrupt_rate = 0.1, c.fault.corrupt_from = seconds(500);
-       },
-       R"("fault": {"corrupt_rate": 0.1, "corrupt_from_s": 500})", "base.fault.corrupt_from_s"},
-      {"fault.corrupt_until", [](ScenarioConfig& c) {
-         c.fault.corrupt_rate = 0.1, c.fault.corrupt_from = seconds(20),
-         c.fault.corrupt_until = seconds(10);
-       },
-       R"("fault": {"corrupt_rate": 0.1, "corrupt_from_s": 20, "corrupt_until_s": 10})",
-       "base.fault.corrupt_until_s"},
-      {"fault.partition_from", [](ScenarioConfig& c) {
-         c.fault.partition = true, c.fault.partition_from = seconds(500);
-       },
-       R"("fault": {"partition": true, "partition_from_s": 500})",
-       "base.fault.partition_from_s"},
-      {"fault.partition_until", [](ScenarioConfig& c) {
-         c.fault.partition = true, c.fault.partition_from = seconds(20),
-         c.fault.partition_until = seconds(10);
-       },
-       R"("fault": {"partition": true, "partition_from_s": 20, "partition_until_s": 10})",
-       "base.fault.partition_until_s"},
-  };
-  return rules;
+const Violation kViolations[] = {
+    {"num_nodes", R"("nodes": 1)"},
+    {"area.width", R"("area_m": [0, 300])", "area_m[0]"},
+    {"area.height", R"("area_m": [300, -1])", "area_m[1]"},
+    {"duration", R"("duration_s": 0)"},
+    {"v_min", R"("mobility": {"v_min_mps": -1})"},
+    {"v_max", R"("static": true, "mobility": {"v_max_mps": -1})"},
+    {"pause", R"("mobility": {"pause_s": -1})"},
+    {"mobility_warmup", R"("mobility": {"warmup_s": -1})"},
+    {"manhattan.block", R"("mobility": {"block_m": 0})"},
+    {"manhattan.p_turn", R"("mobility": {"p_turn": 1.5})"},
+    {"v_max", R"("mobility": {"v_min_mps": 9, "v_max_mps": 3})"},
+    {"payload_bytes", R"("traffic": {"payload_bytes": 0})"},
+    {"cbr_interval", R"("traffic": {"interval_ms": 0})"},
+    {"cbr_start", R"("traffic": {"start_s": -1})"},
+    {"cbr_start_window", R"("traffic": {"start_window_s": -1})"},
+    {"onoff_burst_mean", R"("traffic": {"burst_mean_s": 0})"},
+    {"onoff_idle_mean", R"("traffic": {"idle_mean_s": 0})"},
+    {"cbr_start", R"("traffic": {"start_s": 200})"},
+    {"transport.rto_initial", R"("transport": {"rto_initial_ms": 0})"},
+    {"transport.rto_min", R"("transport": {"rto_min_ms": 0})"},
+    {"transport.rto_max", R"("transport": {"rto_max_ms": 0})"},
+    {"transport.cwnd_init", R"("transport": {"cwnd_init": 0})"},
+    {"transport.cwnd_max", R"("transport": {"cwnd_max": 0})"},
+    {"transport.max_retx", R"("transport": {"max_retx": 0})"},
+    {"transport.buffer_packets", R"("transport": {"buffer_packets": 0})"},
+    {"transport.rto_min", R"("transport": {"enabled": true, "rto_min_ms": 2000})"},
+    {"transport.rto_max", R"("transport": {"enabled": true, "rto_max_ms": 500})"},
+    {"transport.cwnd_init", R"("transport": {"enabled": true, "cwnd_init": 8, "cwnd_max": 4})"},
+    {"transport.buffer_packets", R"("transport": {"enabled": true, "buffer_packets": 8})"},
+    {"phy.data_rate_bps", R"("radio": {"data_rate_bps": 0})"},
+    {"phy.rx_range_m", R"("radio": {"rx_range_m": 0})"},
+    {"phy.cs_range_m", R"("radio": {"cs_range_m": 0})"},
+    {"phy.frame_loss_rate", R"("radio": {"frame_loss_rate": 1})"},
+    {"phy.street_width_m", R"("urban": {"street_width_m": -1})"},
+    {"phy.nlos_rx_range_m", R"("urban": {"nlos_range_m": 0})"},
+    {"phy.nlos_loss_rate", R"("urban": {"nlos_loss": 1})"},
+    {"phy.nlos_rx_range_m", R"("urban": {"street_width_m": 20, "nlos_range_m": 400})"},
+    {"mac.ifq_capacity", R"("mac": {"ifq_capacity": 0})"},
+    {"fault.crash_rate", R"("fault": {"crash_rate": -1})"},
+    {"fault.downtime_mean", R"("fault": {"downtime_mean_s": 0})"},
+    {"fault.link_blackouts", R"("fault": {"link_blackouts": -1})"},
+    {"fault.blackout_mean", R"("fault": {"blackout_mean_s": 0})"},
+    {"fault.corrupt_rate", R"("fault": {"corrupt_rate": 1.5})"},
+    {"fault.corrupt_from", R"("fault": {"corrupt_from_s": -1})"},
+    {"fault.corrupt_until", R"("fault": {"corrupt_until_s": -1})"},
+    {"fault.partition_frac", R"("fault": {"partition_frac": 1.5})"},
+    {"fault.partition_from", R"("fault": {"partition_from_s": -1})"},
+    {"fault.partition_until", R"("fault": {"partition_until_s": -1})"},
+    {"fault.window_from", R"("fault": {"window_from_s": -1})"},
+    {"fault.window_from", R"("fault": {"crash_rate": 1, "window_from_s": 500})"},
+    {"fault.corrupt_from", R"("fault": {"corrupt_rate": 0.1, "corrupt_from_s": 500})"},
+    {"fault.corrupt_until",
+     R"("fault": {"corrupt_rate": 0.1, "corrupt_from_s": 20, "corrupt_until_s": 10})"},
+    {"fault.partition_from", R"("fault": {"partition": true, "partition_from_s": 500})"},
+    {"fault.partition_until",
+     R"("fault": {"partition": true, "partition_from_s": 20, "partition_until_s": 10})"},
+};
+
+/// The settings key path a violation is anchored at: the rule's own, else
+/// the row's ("mobility.v_max_mps", "nodes").
+std::string key_path(const Violation& rule, const Field& row) {
+  if (rule.key != nullptr) return rule.key;
+  const std::string section = row.section;
+  return (section.empty() ? "" : section + ".") + row.key;
 }
 
 TEST(ScenarioContractDeathTest, EveryRuleIsReportedEnforcedAndAnchored) {
-  for (const ContractRule& rule : contract_rules()) {
+  for (const Violation& rule : kViolations) {
     SCOPED_TRACE(std::string(rule.field) + " <- " + rule.json);
-    ScenarioConfig cfg = ScenarioBuilder().build();
-    rule.violate(cfg);
-    bool reported = false;
-    for (const ConfigError& e : check(cfg)) reported = reported || e.field == rule.field;
-    EXPECT_TRUE(reported);
-    EXPECT_DEATH({ Scenario s(cfg); }, rule.field);
+    const Field* row = test::find_field(rule.field);
+    ASSERT_NE(row, nullptr);
+    ASSERT_TRUE(rule.key != nullptr || row->key != nullptr);
+    const std::string anchor = "base." + key_path(rule, *row);
 
     const spec::ScenarioSpec s = spec::load_string(
         std::string("{\n\"name\": \"c\",\n\"base\": {\n") + rule.json + "\n}\n}", "f.json");
     bool anchored = false;
-    for (const spec::Error& e : s.errors) anchored = anchored || (e.line == 4 && e.key == rule.key);
+    for (const spec::Error& e : s.errors) {
+      anchored = anchored || (e.line == 4 && e.key == anchor);
+    }
     EXPECT_TRUE(anchored) << s.error_report();
+
+    ASSERT_EQ(s.cells.size(), 1u);
+    const ScenarioConfig& cfg = s.cells[0].config;
+    bool reported = false;
+    for (const ConfigError& e : check(cfg)) reported = reported || e.field == rule.field;
+    EXPECT_TRUE(reported);
+    EXPECT_DEATH({ Scenario run(cfg); }, rule.field);
+  }
+}
+
+// A field with a range cannot land without a row above that breaks it.
+TEST(ScenarioContract, EveryRangeHasAViolationRow) {
+  for (const Field& f : kFields) {
+    if (!f.range) continue;
+    EXPECT_TRUE(std::ranges::any_of(
+        kViolations, [&](const Violation& v) { return std::string_view(v.field) == f.path; }))
+        << f.path << " has a range but no contract row";
   }
 }
 

@@ -215,7 +215,7 @@ TEST(OnOffTraffic, ScenarioIntegration) {
   const auto r = Scenario::run_once(cfg);
   EXPECT_GT(r.data_originated, 0u);
   EXPECT_GT(r.pdr, 0.3);
-  EXPECT_NE(cfg.parameter_table().find("on/off"), std::string::npos);
+  EXPECT_NE(describe(cfg).find("traffic = exponential on/off UDP\n"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------

@@ -154,6 +154,16 @@ TEST(Json, DeepNestingIsAnErrorNotACrash) {
   EXPECT_NE(s.error_report().find("nested deeper than"), std::string::npos) << s.error_report();
 }
 
+// A repeated key within one object is a parse error naming both lines; the
+// same key in two different objects is not.
+TEST(Json, RepeatedKeyIsAnError) {
+  json::Value v;
+  std::string err;
+  EXPECT_FALSE(json::parse("{\"a\": 1,\n\"b\": {\"a\": 2},\n\"a\": 3}", v, err));
+  EXPECT_EQ(err, "JSON parse error (line 3): duplicate key \"a\" (first on line 1)");
+  EXPECT_TRUE(json::parse("{\"a\": 1, \"b\": {\"a\": 2}}", v, err)) << err;
+}
+
 // A tolerance no drift can exceed turns the gate off, so the CLI rejects it
 // before reading either file (the paths need not exist).
 TEST(Report, NonFiniteOrNegativeToleranceIsAUsageError) {

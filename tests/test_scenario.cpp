@@ -2,11 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <numeric>
 #include <set>
+#include <sstream>
+#include <string>
+#include <type_traits>
+#include <vector>
 
 #include "scenario/builder.hpp"
 #include "scenario/experiment.hpp"
+#include "scenario/fields.hpp"
 #include "scenario/sweep.hpp"
 
 namespace manet {
@@ -32,14 +38,51 @@ TEST(Scenario, ProtocolNames) {
   EXPECT_STREQ(to_string(Protocol::kOlsr), "OLSR");
 }
 
-TEST(Scenario, ParameterTableListsTableOne) {
+TEST(Scenario, DescribeListsTableOne) {
   const ScenarioConfig cfg;
-  const std::string t = cfg.parameter_table();
-  EXPECT_NE(t.find("CBR/UDP"), std::string::npos);
-  EXPECT_NE(t.find("1000 x 1000"), std::string::npos);
-  EXPECT_NE(t.find("250"), std::string::npos);
-  EXPECT_NE(t.find("512"), std::string::npos);
-  EXPECT_NE(t.find("random waypoint"), std::string::npos);
+  const std::string t = describe(cfg);
+  for (const char* line : {"traffic = CBR/UDP\n", "area.width = 1000\n", "area.height = 1000\n",
+                           "phy.rx_range_m = 250\n", "payload_bytes = 512\n",
+                           "mobility = random waypoint\n", "cbr_interval = 0.25s\n",
+                           "duration = 150s\n", "mac.ifq_capacity = 50\n"}) {
+    EXPECT_NE(t.find(line), std::string::npos) << line << " missing from\n" << t;
+  }
+}
+
+/// describe()'s lines.
+std::vector<std::string> lines(const std::string& text) {
+  std::vector<std::string> out;
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);) out.push_back(line);
+  return out;
+}
+
+// Each row's accessor reaches its own member, and describe() prints it on
+// the row's line: moving one field off its default moves that line alone.
+TEST(Scenario, DescribeMovesOnlyTheRowThatChanged) {
+  const ScenarioConfig defaults;
+  const std::vector<std::string> before = lines(describe(defaults));
+  ASSERT_EQ(before.size(), 4 + std::size(kFields));
+  for (const Field& f : kFields) {
+    ScenarioConfig cfg;
+    f.visit(cfg, []<typename T>(T& member) {
+      if constexpr (std::is_same_v<T, bool>) {
+        member = !member;
+      } else if constexpr (std::is_same_v<T, SimTime>) {
+        member += seconds(1);
+      } else {
+        member += 1;
+      }
+    });
+    const std::vector<std::string> after = lines(describe(cfg));
+    ASSERT_EQ(after.size(), before.size()) << f.path;
+    std::vector<std::string> moved;
+    for (std::size_t i = 0; i < after.size(); ++i) {
+      if (after[i] != before[i]) moved.push_back(after[i]);
+    }
+    ASSERT_EQ(moved.size(), 1u) << f.path;
+    EXPECT_TRUE(moved[0].starts_with(std::string(f.path) + " = ")) << moved[0];
+  }
 }
 
 TEST(Scenario, BuildCreatesRequestedNodes) {

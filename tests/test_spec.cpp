@@ -447,6 +447,21 @@ TEST(SpecErrors, ParseErrorCarriesLine) {
   EXPECT_TRUE(has_error(s, "line 3"));
 }
 
+// A repeated key would be read twice: a lookup sees the first copy, the
+// section walk applies the last. The loader rejects it whichever comes first.
+TEST(SpecErrors, RepeatedKeyIsAnErrorNamingTheFirstCopy) {
+  for (const char* text : {"{\n\"name\": \"d\",\n\"base\": {\"nodes\": 20,\n\"nodes\": 1}\n}",
+                           "{\n\"name\": \"d\",\n\"base\": {\"nodes\": 1,\n\"nodes\": 20}\n}"}) {
+    const auto s = load(text);
+    ASSERT_EQ(s.errors.size(), 1u) << s.error_report();
+    EXPECT_EQ(spec::to_string(s.errors[0], "f.json"),
+              "f.json: JSON parse error (line 4): duplicate key \"nodes\" (first on line 3)");
+  }
+  const auto twice = load("{\"name\": \"d\", \"base\": {\"nodes\": 20},\n\"base\": {}}");
+  ASSERT_FALSE(twice.ok());
+  EXPECT_TRUE(has_error(twice, "duplicate key \"base\" (first on line 1)"));
+}
+
 TEST(SpecErrors, SemanticErrorsPointAtTheValueLine) {
   const auto s = load("{\n\"name\": \"x\",\n\"base\": {\n  \"nodes\": 1\n}\n}");
   ASSERT_FALSE(s.ok());

@@ -1,6 +1,8 @@
 // Shared test fixtures: deterministic static-topology networks, the
 // 14-node field and fault mix the golden table and the fault suite share,
-// the replay comparison and the peak-RSS probe of the memory bounds.
+// the replay comparison, the peak-RSS probe of the memory bounds, field
+// table lookup by path, and the field-by-field printing of a ScenarioConfig
+// in failed comparisons.
 //
 // TestNet builds a complete stack (channel, nodes at fixed positions, a
 // chosen routing protocol) so protocol tests can assert on delivery, route
@@ -17,9 +19,13 @@
 #include <gtest/gtest.h>
 #include <sys/resource.h>
 
+#include <algorithm>
 #include <functional>
+#include <iterator>
 #include <memory>
+#include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/simulator.hpp"
@@ -27,10 +33,25 @@
 #include "mobility/static_mobility.hpp"
 #include "net/node.hpp"
 #include "phy/channel.hpp"
+#include "scenario/fields.hpp"
 #include "scenario/scenario.hpp"
 #include "stats/stats.hpp"
 
+namespace manet {
+
+/// gtest prints a ScenarioConfig as describe()'s lines, so a failing
+/// EXPECT_EQ of two configs shows the field that differs.
+inline void PrintTo(const ScenarioConfig& cfg, std::ostream* os) { *os << '\n' << describe(cfg); }
+
+}  // namespace manet
+
 namespace manet::test {
+
+/// The field table row of member path `path`; nullptr when no row has it.
+inline const Field* find_field(std::string_view path) {
+  const auto row = std::ranges::find_if(kFields, [&](const Field& f) { return path == f.path; });
+  return row != std::end(kFields) ? row : nullptr;
+}
 
 /// Two runs of one config must agree on behaviour and on cost: any
 /// difference means hidden global state (a static RNG, a leaked cache) or a

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <ostream>
 #include <sstream>
 
@@ -174,11 +175,19 @@ class Parser {
     if (!eat('{')) return fail("expected object");
     out.kind = Value::Kind::kObject;
     if (eat('}')) return true;
+    // The line of each key so far. A repeated key is an error: a reader that
+    // looks keys up (Value::find) would see the first copy, one that walks
+    // the members the last.
+    std::map<std::string, int> key_lines;
     for (;;) {
       skip_ws();
       const int key_line = line_;
       std::string key;
       if (!string(key)) return false;
+      if (const auto [first, fresh] = key_lines.emplace(key, key_line); !fresh) {
+        return fail("duplicate key \"" + escaped(key) + "\" (first on line " +
+                    std::to_string(first->second) + ")");
+      }
       if (!eat(':')) return fail("expected ':' after object key");
       Value v;
       if (!value(v)) return false;

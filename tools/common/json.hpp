@@ -55,7 +55,8 @@ struct Value {
 };
 
 /// Parse `text` into `out`. On failure returns false and sets `err` to
-/// "JSON parse error (line N): what".
+/// "JSON parse error (line N): what". A key repeated within one object is
+/// a failure, naming the line of its first copy.
 [[nodiscard]] bool parse(std::string_view text, Value& out, std::string& err);
 
 /// Append `s` to `os` escaped for inclusion inside a JSON string literal
