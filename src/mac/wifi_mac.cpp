@@ -52,7 +52,25 @@ void WifiMac::enqueue(Packet pkt) {
     if (pkt.kind == PacketKind::kData) stats_.on_data_dropped(DropReason::kIfqFull);
     return;
   }
-  ifq_.push_back(std::move(pkt));
+  ifq_.push_back(std::move(pkt), cfg_.ifq_capacity);
+}
+
+void WifiMac::FrameRing::push_back(Packet&& pkt, std::size_t capacity) {
+  if (size_ == slots_.size()) {
+    // Full: move the frames, front first, into twice the slots (4 at the
+    // first wait; at most `capacity`, which enqueue() never lets the ring
+    // exceed).
+    std::vector<Packet> grown(std::min(std::max<std::size_t>(2 * slots_.size(), 4), capacity));
+    for (std::size_t i = 0, at = head_; i < size_; ++i, at = next(at)) {
+      grown[i] = std::move(slots_[at]);
+    }
+    slots_ = std::move(grown);
+    head_ = 0;
+  }
+  std::size_t tail = head_ + size_;
+  if (tail >= slots_.size()) tail -= slots_.size();
+  slots_[tail] = std::move(pkt);
+  ++size_;
 }
 
 void WifiMac::reset() {
@@ -64,10 +82,11 @@ void WifiMac::reset() {
     if (current_->kind == PacketKind::kData) stats_.on_data_dropped(DropReason::kNodeDown);
     current_.reset();
   }
-  for (const Packet& p : ifq_) {
-    if (p.kind == PacketKind::kData) stats_.on_data_dropped(DropReason::kNodeDown);
+  while (!ifq_.empty()) {
+    const Packet dropped = std::move(ifq_.front());
+    ifq_.pop_front();
+    if (dropped.kind == PacketKind::kData) stats_.on_data_dropped(DropReason::kNodeDown);
   }
-  ifq_.clear();
   set_state(State::kIdle);
   short_retries_ = long_retries_ = 0;
   cw_ = kCwMin;

@@ -31,9 +31,9 @@
 // transceiver now answers from its ledger (Transceiver::idle_since).
 #pragma once
 
-#include <deque>
 #include <map>
 #include <optional>
+#include <vector>
 
 #include "core/rng.hpp"
 #include "core/simulator.hpp"
@@ -109,6 +109,32 @@ class WifiMac final : public PhyListener {
   [[nodiscard]] bool timers_match_state() const;
 
  private:
+  /// The interface queue: a FIFO ring over a vector. It allocates at the
+  /// first frame that has to wait (most MACs of a large field never queue
+  /// one), grows by doubling up to the IFQ capacity, and moves no element
+  /// when a frame leaves.
+  class FrameRing {
+   public:
+    [[nodiscard]] std::size_t size() const { return size_; }
+    [[nodiscard]] bool empty() const { return size_ == 0; }
+    [[nodiscard]] Packet& front() { return slots_[head_]; }
+    void push_back(Packet&& pkt, std::size_t capacity);
+    /// Drops the front slot from the queue. Callers move the frame out of
+    /// front() first, so the slot keeps no payload alive until it is reused.
+    void pop_front() {
+      head_ = next(head_);
+      --size_;
+    }
+
+   private:
+    [[nodiscard]] std::size_t next(std::size_t i) const {
+      return i + 1 == slots_.size() ? 0 : i + 1;
+    }
+    std::vector<Packet> slots_;
+    std::size_t head_ = 0;
+    std::size_t size_ = 0;
+  };
+
   /// Every state change goes through here, so the transceiver knows when
   /// the MAC contends.
   void set_state(State s);
@@ -145,7 +171,7 @@ class WifiMac final : public PhyListener {
   RngStream rng_;
   MacListener* listener_ = nullptr;
 
-  std::deque<Packet> ifq_;
+  FrameRing ifq_;
   std::optional<Packet> current_;
   State state_ = State::kIdle;
 

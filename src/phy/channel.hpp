@@ -101,7 +101,10 @@ class Channel {
 
   /// Replaces `out` with the ids of the nodes within `radius` of node `id`
   /// at the current time (exact), in ascending id order. Allocates only
-  /// when `out` must grow.
+  /// when `out` must grow. A test oracle: the simulation never calls it
+  /// (the connectivity oracle keeps its own grid), and test_phy checks
+  /// transmit()'s receivers against it. Like position_of(), it refreshes
+  /// node `id`'s grid slot.
   void neighbors_of(NodeId id, double radius, std::vector<NodeId>& out);
 
   // -- fault injection --------------------------------------------------------

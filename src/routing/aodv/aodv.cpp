@@ -214,9 +214,9 @@ void Aodv::send_rrep_as_intermediate(const Rreq& rreq, const Route& rt, NodeId b
   pkt.routing = std::make_unique<Rrep>(rrep);
   // §6.6.2: the next hop towards the destination gains the replier's
   // upstream as precursor, and vice versa.
-  routes_[rreq.dest].precursors.insert(back);
+  routes_[rreq.dest].has_precursors = true;
   if (auto it = routes_.find(rreq.origin); it != routes_.end()) {
-    it->second.precursors.insert(rt.next_hop);
+    it->second.has_precursors = true;
   }
   unicast_control(std::move(pkt), back);
 }
@@ -239,7 +239,7 @@ void Aodv::handle_rrep(const Packet& pkt, const Rrep& rrep, NodeId from) {
   ++body->hop_count;
   fwd.routing = std::move(body);
   // Precursor bookkeeping: the node we forward to will use us towards dest.
-  routes_[rrep.dest].precursors.insert(rit->second.next_hop);
+  routes_[rrep.dest].has_precursors = true;
   rit->second.expires =
       std::max(rit->second.expires, node_.sim().now() + kActiveRouteTimeout);
   unicast_control(std::move(fwd), rit->second.next_hop);
@@ -254,8 +254,8 @@ void Aodv::handle_rerr(const Rerr& rerr, NodeId from) {
     rt.valid = false;
     rt.dest_seq = std::max(rt.dest_seq, seq);
     rt.expires = node_.sim().now() + kDeletePeriod;
-    if (!rt.precursors.empty()) propagate.unreachable.emplace_back(dst, rt.dest_seq);
-    rt.precursors.clear();
+    if (rt.has_precursors) propagate.unreachable.emplace_back(dst, rt.dest_seq);
+    rt.has_precursors = false;
   }
   if (propagate.unreachable.empty()) return;
   broadcast_control(node_, std::make_unique<Rerr>(std::move(propagate)), 1);
@@ -271,8 +271,8 @@ void Aodv::invalidate_routes_via(NodeId next_hop, Rerr& out) {
     rt.valid = false;
     ++rt.dest_seq;  // §6.11: increment so stale routes lose freshness contests
     rt.expires = node_.sim().now() + kDeletePeriod;
-    if (!rt.precursors.empty() || dst == next_hop) out.unreachable.emplace_back(dst, rt.dest_seq);
-    rt.precursors.clear();
+    if (rt.has_precursors || dst == next_hop) out.unreachable.emplace_back(dst, rt.dest_seq);
+    rt.has_precursors = false;
   }
 }
 

@@ -8,9 +8,12 @@
 //     exponential RREQ retry backoff — togglable for the ablation bench;
 //   * intermediate-node RREPs when a fresh-enough route is cached
 //     (suppressed by the destination-only flag);
-//   * precursor lists and Route Error (RERR) propagation on link failure,
-//     with link breaks detected via 802.11 link-layer feedback (the CMU
-//     ns-2 configuration this paper family used);
+//   * Route Error (RERR) propagation on link failure, with link breaks
+//     detected via 802.11 link-layer feedback (the CMU ns-2 configuration
+//     this paper family used). An invalidated route is reported only if
+//     some neighbour uses this node towards it, and the RERR is broadcast,
+//     so a route keeps whether it has precursors, not their list (RFC 3561
+//     §6.2 keeps the list to unicast the RERR, which this model never does);
 //   * a 64-packet / 30 s send buffer during discovery.
 // Duplicate suppression and the pending-discovery table are the shared
 // on-demand core (routing/on_demand.hpp).
@@ -20,7 +23,6 @@
 
 #include <map>
 #include <optional>
-#include <unordered_set>
 
 #include "net/node.hpp"
 #include "routing/aodv/aodv_messages.hpp"
@@ -80,7 +82,9 @@ class Aodv final : public RoutingProtocol {
     NodeId next_hop = 0;
     SimTime expires = SimTime::zero();
     bool valid = false;
-    std::unordered_set<NodeId> precursors;
+    /// Some neighbour was told to use this node towards the destination
+    /// (an RREP went through it), so losing the route is worth an RERR.
+    bool has_precursors = false;
   };
 
   // -- control handling ---------------------------------------------------------

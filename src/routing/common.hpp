@@ -1,7 +1,6 @@
 // Utilities shared by the routing protocols.
 #pragma once
 
-#include <deque>
 #include <functional>
 #include <vector>
 
@@ -23,7 +22,10 @@ namespace manet {
 /// on-demand protocol (ns-2 defaults: 64 packets, 30 s lifetime). One global
 /// FIFO with per-destination retrieval; overflow evicts the oldest packet.
 /// Dropped packets are reported through `on_drop` (normally Node::drop, so
-/// they reach both the statistics and the event trace).
+/// they reach both the statistics and the event trace). Every access first
+/// sweeps the expired packets out as kBufferTimeout, so a packet past its
+/// lifetime is never charged to another reason. The FIFO is a vector: it
+/// holds at most `capacity` packets, and an idle buffer allocates nothing.
 class PacketBuffer {
  public:
   using DropFn = std::function<void(const Packet&, DropReason)>;
@@ -36,7 +38,7 @@ class PacketBuffer {
     purge_expired();
     if (entries_.size() >= capacity_) {
       count_drop(entries_.front().pkt, DropReason::kBufferOverflow);
-      entries_.pop_front();
+      entries_.erase(entries_.begin());
     }
     entries_.push_back(Entry{std::move(pkt), dst, sim_.now() + lifetime_});
     maybe_schedule_purge();
@@ -46,14 +48,11 @@ class PacketBuffer {
   [[nodiscard]] std::vector<Packet> take(NodeId dst) {
     purge_expired();
     std::vector<Packet> out;
-    for (auto it = entries_.begin(); it != entries_.end();) {
-      if (it->dst == dst) {
-        out.push_back(std::move(it->pkt));
-        it = entries_.erase(it);
-      } else {
-        ++it;
-      }
-    }
+    erase_where([&](Entry& e) {
+      if (e.dst != dst) return false;
+      out.push_back(std::move(e.pkt));
+      return true;
+    });
     return out;
   }
 
@@ -65,20 +64,20 @@ class PacketBuffer {
     return false;
   }
 
-  /// Drop every packet buffered for `dst`, counting `reason`.
+  /// Drop every live packet buffered for `dst`, counting `reason`.
   void drop_all(NodeId dst, DropReason reason) {
-    for (auto it = entries_.begin(); it != entries_.end();) {
-      if (it->dst == dst) {
-        count_drop(it->pkt, reason);
-        it = entries_.erase(it);
-      } else {
-        ++it;
-      }
-    }
+    purge_expired();
+    erase_where([&](const Entry& e) {
+      if (e.dst != dst) return false;
+      count_drop(e.pkt, reason);
+      return true;
+    });
   }
 
-  /// Drop everything, counting `reason` per data packet (node restart).
+  /// Drop every live packet, counting `reason` per data packet (node
+  /// restart).
   void clear(DropReason reason) {
+    purge_expired();
     for (const Entry& e : entries_) count_drop(e.pkt, reason);
     entries_.clear();
   }
@@ -99,15 +98,25 @@ class PacketBuffer {
     if (on_drop_) on_drop_(pkt, r);
   }
 
-  void purge_expired() {
-    for (auto it = entries_.begin(); it != entries_.end();) {
-      if (it->expires <= sim_.now()) {
-        count_drop(it->pkt, DropReason::kBufferTimeout);
-        it = entries_.erase(it);
-      } else {
-        ++it;
-      }
+  /// Erase, front to back and keeping the order of the rest, every entry
+  /// `pred` (which may take the packet or count its drop) accepts.
+  template <typename Pred>
+  void erase_where(Pred pred) {
+    auto kept = entries_.begin();
+    for (auto it = entries_.begin(); it != entries_.end(); ++it) {
+      if (pred(*it)) continue;
+      if (kept != it) *kept = std::move(*it);
+      ++kept;
     }
+    entries_.erase(kept, entries_.end());
+  }
+
+  void purge_expired() {
+    erase_where([&](const Entry& e) {
+      if (e.expires > sim_.now()) return false;
+      count_drop(e.pkt, DropReason::kBufferTimeout);
+      return true;
+    });
   }
 
   // Expiry is checked on every access, but an idle buffer must still age
@@ -128,7 +137,7 @@ class PacketBuffer {
   DropFn on_drop_;
   std::size_t capacity_;
   SimTime lifetime_;
-  std::deque<Entry> entries_;
+  std::vector<Entry> entries_;
   bool purge_pending_ = false;
 };
 

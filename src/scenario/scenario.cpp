@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <cstring>
 #include <limits>
+#include <numeric>
 #include <type_traits>
 
 #include "core/assert.hpp"
@@ -373,48 +374,86 @@ void Scenario::sample_connectivity() {
   // Reachability in the instantaneous unit-disk graph over exact positions.
   // The graph is undirected (distance2 and PhyConfig::line_of_sight are both
   // symmetric), so "dst is reachable from src" is exactly "src and dst lie in
-  // the same component". Each component holding a flow source is explored
-  // once per sample, the first time a source falls in it, and every node it
-  // reaches gets that component's label; a flow is connected iff its two
-  // endpoints carry the same label. The adjacency is never materialized: the
-  // search expands grid-locally through Channel::neighbors_of, so a sample
-  // costs at most one expansion per node however many flows share a
-  // component. Labels are epochs above `base`, the epoch at the start of the
-  // sample, so the marks need no O(N) clear.
+  // the same component". Each sample reads every node's position from its
+  // own mobility model (not through the channel, whose grid it leaves
+  // alone), buckets the nodes into a private grid of rx_range_m cells by
+  // counting sort, and union-finds each cell against itself and its E, NE, N
+  // and NW neighbours: with cells one radio range wide, every edge joins a
+  // cell to itself or to one of its eight neighbours, and those four
+  // directions visit each neighbouring pair of cells once. A flow is
+  // connected iff its endpoints share a root. Positions are clamped into the
+  // area for the cell index only; the edge test uses them exact.
   const PhyConfig& phy = cfg_.phy;
-  const double radius = phy.rx_range_m;
+  const double cell = phy.rx_range_m;
+  const double r2 = cell * cell;
   const double nlos_r2 = phy.nlos_rx_range_m * phy.nlos_rx_range_m;
-  conn_mark_.resize(cfg_.num_nodes, 0);
-  const std::uint32_t base = conn_epoch_;
+  const std::size_t n = nodes_.size();
+  const auto nx = static_cast<std::size_t>(cfg_.area.width / cell) + 1;
+  const auto ny = static_cast<std::size_t>(cfg_.area.height / cell) + 1;
+  const auto cell_of = [&](Vec2 p) {
+    const Vec2 c = cfg_.area.clamp(p);
+    return std::min(static_cast<std::size_t>(c.y / cell), ny - 1) * nx +
+           std::min(static_cast<std::size_t>(c.x / cell), nx - 1);
+  };
 
-  for (const auto& [src, dst] : flows_) {
-    if (conn_mark_[src] > base) continue;  // component already labelled
-    const std::uint32_t label = ++conn_epoch_;
-    conn_mark_[src] = label;
-    conn_stack_.assign(1, src);
-    while (!conn_stack_.empty()) {
-      const NodeId u = conn_stack_.back();
-      conn_stack_.pop_back();
-      ++conn_expansions_;
-      // Urban family: the oracle honours the street-canyon model — an NLOS
-      // pair is an edge only within the diffraction range. Open field
-      // (urban() == false) takes the plain unit-disk edge.
-      const Vec2 pu = phy.urban() ? channel_->position_of(u) : Vec2{};
-      channel_->neighbors_of(u, radius, conn_nbrs_);
-      for (const NodeId v : conn_nbrs_) {
-        if (conn_mark_[v] == label) continue;
-        if (phy.urban()) {
-          const Vec2 pv = channel_->position_of(v);
-          if (!phy.line_of_sight(pu, pv) && distance2(pu, pv) > nlos_r2) continue;
+  // Counting sort. Cell c's count goes to conn_start_[c + 2]; after the
+  // prefix sum conn_start_[c + 1] is where cell c begins, and it is the
+  // cursor that fills it, so afterwards cell c's ids (ascending) are
+  // conn_by_cell_[conn_start_[c] .. conn_start_[c + 1]).
+  const std::size_t cells = nx * ny;
+  conn_pos_.resize(n);
+  conn_start_.assign(cells + 2, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    conn_pos_[i] = nodes_[i]->mobility().position_at(sim_.now());
+    ++conn_start_[cell_of(conn_pos_[i]) + 2];
+  }
+  for (std::size_t c = 2; c < cells + 2; ++c) conn_start_[c] += conn_start_[c - 1];
+  conn_by_cell_.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    conn_by_cell_[conn_start_[cell_of(conn_pos_[i]) + 1]++] = static_cast<NodeId>(i);
+  }
+  conn_expansions_ += n;
+
+  conn_parent_.resize(n);
+  std::iota(conn_parent_.begin(), conn_parent_.end(), NodeId{0});
+  const auto find = [this](NodeId x) {
+    while (conn_parent_[x] != x) x = conn_parent_[x] = conn_parent_[conn_parent_[x]];
+    return x;
+  };
+  // Urban family: the oracle honours the street-canyon model, so an NLOS
+  // pair is an edge only within the diffraction range. Open field
+  // (urban() == false) takes the plain unit-disk edge.
+  const auto link = [&](NodeId u, NodeId v) {
+    const double d2 = distance2(conn_pos_[u], conn_pos_[v]);
+    if (d2 > r2) return;
+    if (phy.urban() && d2 > nlos_r2 && !phy.line_of_sight(conn_pos_[u], conn_pos_[v])) return;
+    const NodeId ru = find(u);
+    const NodeId rv = find(v);
+    if (ru != rv) conn_parent_[std::max(ru, rv)] = std::min(ru, rv);
+  };
+  for (std::size_t cy = 0; cy < ny; ++cy) {
+    for (std::size_t cx = 0; cx < nx; ++cx) {
+      const std::size_t c = cy * nx + cx;
+      for (std::uint32_t a = conn_start_[c]; a < conn_start_[c + 1]; ++a) {
+        const NodeId u = conn_by_cell_[a];
+        for (std::uint32_t b = a + 1; b < conn_start_[c + 1]; ++b) link(u, conn_by_cell_[b]);
+        const auto with_cell = [&](std::size_t d) {
+          for (std::uint32_t b = conn_start_[d]; b < conn_start_[d + 1]; ++b) {
+            link(u, conn_by_cell_[b]);
+          }
+        };
+        if (cx + 1 < nx) with_cell(c + 1);  // E
+        if (cy + 1 < ny) {
+          if (cx + 1 < nx) with_cell(c + nx + 1);  // NE
+          with_cell(c + nx);                       // N
+          if (cx > 0) with_cell(c + nx - 1);       // NW
         }
-        conn_mark_[v] = label;
-        conn_stack_.push_back(v);
       }
     }
   }
   for (const auto& [src, dst] : flows_) {
     ++conn_samples_;
-    if (conn_mark_[dst] == conn_mark_[src]) ++conn_connected_;
+    if (find(src) == find(dst)) ++conn_connected_;
   }
 
   if (sim_.now() + seconds(1) <= cfg_.duration) {

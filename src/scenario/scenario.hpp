@@ -220,7 +220,8 @@ class Scenario {
   /// Every traffic flow's (source, destination), in flow-id order.
   [[nodiscard]] const std::vector<std::pair<NodeId, NodeId>>& flows() const { return flows_; }
   /// Nodes expanded by the connectivity oracle over the run so far: at most
-  /// one per node per 1 Hz sample.
+  /// one per node per 1 Hz sample (each sample buckets and scans every node
+  /// once).
   [[nodiscard]] std::uint64_t connectivity_expansions() const { return conn_expansions_; }
 
  private:
@@ -246,14 +247,13 @@ class Scenario {
   std::uint64_t conn_samples_ = 0;
   std::uint64_t conn_connected_ = 0;
   std::uint64_t conn_expansions_ = 0;
-  // Component-labelling scratch for sample_connectivity(). conn_mark_[v] is
-  // the label of v's component in the current sample iff it exceeds the
-  // epoch at the sample's start; each explored component takes the next
-  // epoch, so no O(N) clear is needed between components or samples.
-  std::vector<std::uint32_t> conn_mark_;
-  std::uint32_t conn_epoch_ = 0;
-  std::vector<NodeId> conn_stack_;
-  std::vector<NodeId> conn_nbrs_;  ///< one expansion's neighbours
+  // Scratch for sample_connectivity(), kept between samples: each node's
+  // position, the cells' starts in conn_by_cell_ (the node ids by cell),
+  // and the union-find parents.
+  std::vector<Vec2> conn_pos_;
+  std::vector<std::uint32_t> conn_start_;
+  std::vector<NodeId> conn_by_cell_;
+  std::vector<NodeId> conn_parent_;
   bool built_ = false;
 };
 

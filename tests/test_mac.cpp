@@ -121,6 +121,72 @@ TEST(Mac, QueueOverflowDropsData) {
   EXPECT_EQ(small.listeners[1]->delivered.size(), 6u);
 }
 
+// Frames 0-3 go out back to back (one in service, three waiting), and the
+// run goes on until two are delivered and node 0 contends for the next, so
+// the queue's front has moved off its start. Frames 4-11 then fill the
+// queue around its end and grow it with the wrap in place. Every third
+// frame is routing control, so a crash's charge can tell the kinds apart.
+struct WrappedQueue {
+  WrappedQueue() {
+    send(4);
+    run_until_contending_after_two();
+    send(8);
+  }
+
+  void run_until_contending_after_two() {
+    while (net.listeners[1]->delivered.size() < 2 ||
+           net.macs[0]->state() != WifiMac::State::kContend) {
+      ASSERT_LT(net.sim.now(), seconds(1)) << "node 0 never contended after two deliveries";
+      net.sim.run_until(net.sim.now() + microseconds(10));
+    }
+  }
+
+  void send(std::uint32_t n) {
+    for (std::uint32_t i = 0; i < n; ++i, ++sent) {
+      Packet p;
+      p.kind = sent % 3 == 2 ? PacketKind::kRoutingControl : PacketKind::kData;
+      p.mac.dst = 1;
+      p.ip.src = 0;
+      p.ip.dst = 1;
+      p.app.seq = sent;
+      p.payload_bytes = 100;
+      net.macs[0]->enqueue(std::move(p));
+    }
+  }
+
+  MacNet net{{{0.0, 0.0}, {200.0, 0.0}}};
+  std::uint32_t sent = 0;
+};
+
+TEST(Mac, WrappedQueueSendsInEnqueueOrder) {
+  WrappedQueue q;
+  EXPECT_EQ(q.net.macs[0]->queue_length(), 12u - q.net.listeners[1]->delivered.size());
+  q.net.sim.run_until(q.net.sim.now() + seconds(30));
+  const auto& got = q.net.listeners[1]->delivered;
+  ASSERT_EQ(got.size(), 12u);
+  for (std::uint32_t i = 0; i < got.size(); ++i) EXPECT_EQ(got[i].app.seq, i);
+  EXPECT_EQ(q.net.macs[0]->queue_length(), 0u);
+}
+
+TEST(Mac, ResetChargesTheQueuedDataFramesToNodeDown) {
+  WrappedQueue q;
+  // Contending, so nothing in service has reached node 1 yet: the frames
+  // from the first undelivered one on are all in node 0's MAC.
+  std::uint64_t queued_data = 0;
+  for (std::uint32_t seq = q.net.listeners[1]->delivered.size(); seq < q.sent; ++seq) {
+    if (seq % 3 != 2) ++queued_data;
+  }
+  EXPECT_GE(queued_data, 6u);
+  q.net.macs[0]->reset();
+  EXPECT_EQ(q.net.stats.drops(DropReason::kNodeDown), queued_data);
+  EXPECT_EQ(q.net.stats.total_drops(), queued_data);
+  EXPECT_EQ(q.net.macs[0]->queue_length(), 0u);
+  // The reset MAC serves new frames from an empty queue.
+  q.send(3);
+  q.net.sim.run_until(q.net.sim.now() + seconds(30));
+  EXPECT_EQ(q.net.listeners[1]->delivered.back().app.seq, q.sent - 1);
+}
+
 TEST(Mac, QueueLengthReflectsBacklog) {
   MacNet net({{0.0, 0.0}, {200.0, 0.0}});
   EXPECT_EQ(net.macs[0]->queue_length(), 0u);

@@ -76,6 +76,50 @@ TEST_F(PacketBufferTest, DropAllCountsReason) {
   EXPECT_TRUE(buf.has(2));
 }
 
+// A packet past its lifetime is a timeout whatever empties the buffer. The
+// purge event rides at lifetime + 1 ms after the first push (30.001 s), so
+// at 35.5 s the packet pushed at 5 s has expired but not yet been swept: a
+// discovery that gives up then, or a restart, must still charge it to
+// kBufferTimeout, not to its own reason.
+TEST_F(PacketBufferTest, DropAllChargesExpiredPacketsAsTimeouts) {
+  PacketBuffer buf(sim, drop_fn());
+  buf.push(data_packet(1), 1);
+  sim.schedule_at(seconds(5), [&] { buf.push(data_packet(1), 1); });
+  sim.run_until(milliseconds(35'500));
+  EXPECT_EQ(stats.drops(DropReason::kBufferTimeout), 1u);  // the sweep took one
+  buf.drop_all(1, DropReason::kNoRoute);
+  EXPECT_EQ(stats.drops(DropReason::kBufferTimeout), 2u);
+  EXPECT_EQ(stats.drops(DropReason::kNoRoute), 0u);
+}
+
+TEST_F(PacketBufferTest, ClearChargesExpiredPacketsAsTimeouts) {
+  PacketBuffer buf(sim, drop_fn());
+  buf.push(data_packet(1), 1);
+  sim.schedule_at(seconds(5), [&] { buf.push(data_packet(2), 2); });
+  sim.schedule_at(seconds(20), [&] { buf.push(data_packet(3), 3); });
+  sim.run_until(milliseconds(35'500));
+  buf.clear(DropReason::kNodeDown);
+  EXPECT_EQ(stats.drops(DropReason::kBufferTimeout), 2u);
+  EXPECT_EQ(stats.drops(DropReason::kNodeDown), 1u);  // the one pushed at 20 s
+}
+
+TEST_F(PacketBufferTest, TakeAndDropAllKeepTheOtherPacketsInOrder) {
+  PacketBuffer buf(sim, drop_fn(), /*capacity=*/4);
+  for (std::uint32_t i = 0; i < 6; ++i) {
+    Packet p = data_packet(i % 2);
+    p.app.seq = i;
+    buf.push(std::move(p), i % 2);  // 0 and 1 are evicted
+  }
+  EXPECT_EQ(stats.drops(DropReason::kBufferOverflow), 2u);
+  buf.drop_all(0, DropReason::kNoRoute);
+  EXPECT_EQ(stats.drops(DropReason::kNoRoute), 2u);
+  const auto out = buf.take(1);
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(out[0].app.seq, 3u);
+  EXPECT_EQ(out[1].app.seq, 5u);
+  EXPECT_EQ(buf.size(), 0u);
+}
+
 TEST_F(PacketBufferTest, ControlPacketsNotCountedAsDataDrops) {
   PacketBuffer buf(sim, drop_fn(), 1);
   Packet ctrl;

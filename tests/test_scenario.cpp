@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <iterator>
 #include <numeric>
 #include <set>
@@ -10,6 +11,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "mobility/static_mobility.hpp"
 #include "scenario/builder.hpp"
 #include "scenario/experiment.hpp"
 #include "scenario/fields.hpp"
@@ -185,19 +187,26 @@ TEST(ScenarioDeathTest, ConfigPokedAfterBuildIsCheckedWhereTheRunStarts) {
   EXPECT_DEATH((void)Scenario::run_once(cfg), "invalid scenario config:.*fault.window_from");
 }
 
+/// Moves a built scenario's nodes before it runs (a static field's nodes to
+/// hand-picked spots); empty for none.
+using Placement = std::function<void(Scenario&)>;
+
 // The connectivity oracle recomputed independently: a second, identical
-// scenario is built (not run) and its mobility models are queried at every
-// 1 Hz sample instant in increasing time. At each instant the full O(N^2)
-// radio graph (with the street-canyon NLOS rule in urban runs) is union-found
-// and every flow is read off it. Returns connected/samples as run() does.
+// scenario is built (not run), placed like the first, and its mobility
+// models are queried at every 1 Hz sample instant in increasing time. At
+// each instant the full O(N^2) radio graph (with the street-canyon NLOS
+// rule in urban runs) is union-found and every flow is read off it.
+// Returns connected/samples as run() does.
 struct OracleReplay {
   double connectivity = 1.0;
   std::uint64_t instants = 0;
 };
 
-OracleReplay replay_oracle(const ScenarioConfig& cfg, const Scenario& ran) {
+OracleReplay replay_oracle(const ScenarioConfig& cfg, const Scenario& ran,
+                           const Placement& place = {}) {
   Scenario twin(cfg);
   twin.build();
+  if (place) place(twin);
   EXPECT_EQ(twin.flows(), ran.flows());
   const PhyConfig& phy = cfg.phy;
   const double r2 = phy.rx_range_m * phy.rx_range_m;
@@ -238,10 +247,12 @@ OracleReplay replay_oracle(const ScenarioConfig& cfg, const Scenario& ran) {
 
 // Runs `cfg`, checks the sampler's result against the brute-force replay,
 // and pins its cost at no more than one expansion per node per sample.
-double expect_oracle_matches_replay(const ScenarioConfig& cfg) {
+double expect_oracle_matches_replay(const ScenarioConfig& cfg, const Placement& place = {}) {
   Scenario s(cfg);
+  s.build();
+  if (place) place(s);
   const ScenarioResult r = s.run();
-  const OracleReplay replay = replay_oracle(cfg, s);
+  const OracleReplay replay = replay_oracle(cfg, s, place);
   EXPECT_GT(replay.instants, 0u);
   EXPECT_EQ(r.connectivity, replay.connectivity);
   EXPECT_GT(s.connectivity_expansions(), 0u);
@@ -268,6 +279,47 @@ TEST(Scenario, ConnectivityOracleMatchesBruteForceInASparseStaticField) {
   const double c = expect_oracle_matches_replay(cfg);
   EXPECT_GT(c, 0.0);
   EXPECT_LT(c, 1.0);  // some flows are unreachable
+}
+
+// The oracle buckets nodes into cells one radio range wide and links each
+// cell only to itself and its eight neighbours, so its edges at exactly the
+// range are the ones most at risk. Two static chains of links exactly
+// rx_range_m long lie on the cells' boundaries, crossing into the E, N, NE
+// and NW cells (and so, seen from the other end, W, S, SW and SE), and a gap
+// of 250.001 m separates them: a flow is connected iff both its ends are on
+// one chain.
+TEST(Scenario, ConnectivityOracleKeepsEdgesAtExactlyTheRangeAcrossCellBoundaries) {
+  auto cfg = small_config(Protocol::kAodv, /*seed=*/4);
+  cfg.static_nodes = true;
+  cfg.num_nodes = 9;
+  cfg.num_connections = 16;
+  cfg.area = {1000.0, 1200.0};
+  ASSERT_EQ(cfg.phy.rx_range_m, 250.0);
+  const std::vector<Vec2> spots = {
+      {0.0, 0.0},         // chain A; 150-200-250 triangles give the diagonals
+      {250.0, 0.0},       // E: cell (0,0) -> (1,0)
+      {400.0, 200.0},     // within cell (1,0)
+      {550.0, 400.0},     // NE: (1,0) -> (2,1)
+      {550.0, 650.0},     // N: (2,1) -> (2,2)
+      {400.0, 850.0},     // NW: (2,2) -> (1,3)
+      {400.0, 1100.001},  // chain B, 250.001 m north of A's end: no edge
+      {650.0, 1100.001},  // E: (1,4) -> (2,4)
+      {900.0, 1100.001},  // E: (2,4) -> (3,4)
+  };
+  const Placement place = [&](Scenario& sc) {
+    for (std::size_t i = 0; i < spots.size(); ++i) {
+      dynamic_cast<StaticMobility&>(sc.node(i).mobility()).set_position(spots[i]);
+    }
+  };
+  const double c = expect_oracle_matches_replay(cfg, place);
+
+  Scenario probe(cfg);
+  probe.build();
+  std::size_t same_chain = 0;
+  for (const auto& [src, dst] : probe.flows()) same_chain += (src < 6) == (dst < 6) ? 1 : 0;
+  ASSERT_GT(same_chain, 0u);
+  ASSERT_LT(same_chain, probe.flows().size());
+  EXPECT_DOUBLE_EQ(c, static_cast<double>(same_chain) / static_cast<double>(probe.flows().size()));
 }
 
 TEST(Scenario, ConnectivityOracleMatchesBruteForceWithSharedSources) {

@@ -322,7 +322,7 @@ struct LineView {
 /// all-nodes containers, or an index loop bounded by their size. The
 /// container names are the simulator's own (`nodes_` in the scenario/net
 /// layers, `trx_`/`mob_` in the channel); per-event code must go through
-/// GridIndex::query / neighbors_of instead, so any surviving full scan is
+/// a GridIndex::query instead, so any surviving full scan is
 /// either a bug or a deliberately-annotated periodic path (grid refresh).
 [[nodiscard]] bool has_full_node_scan(const std::string& code) {
   static constexpr std::string_view kContainers[] = {"nodes_", "trx_", "mob_"};
@@ -817,7 +817,7 @@ void check(const std::string& path, const std::vector<LineView>& lines,
     if (mlnt015_applies && has_full_node_scan(code)) {
       add("MLNT015", n,
           "loop over every node in per-event code: O(N) per transmission/tick is what caps "
-          "city-scale runs. Use GridIndex::query / Channel::neighbors_of for grid-local "
+          "city-scale runs. Use a GridIndex::query for grid-local "
           "candidates; genuinely periodic whole-population work (position refresh) carries "
           "`// manet-lint: allow-node-scan - <why this is not per-event>`");
     }
