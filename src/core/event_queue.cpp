@@ -110,13 +110,6 @@ void EventQueue::discard_cancelled_top() {
   while (!heap_.empty() && !entry_live(heap_.front())) pop_heap_top();
 }
 
-SimTime EventQueue::next_time() {
-  MANET_EXPECTS(!empty());
-  discard_cancelled_top();
-  MANET_ASSERT(!heap_.empty());
-  return heap_.front().time;
-}
-
 EventQueue::Popped EventQueue::pop() {
   MANET_EXPECTS(!empty());
   discard_cancelled_top();
@@ -143,25 +136,6 @@ EventQueue::Popped EventQueue::take_top() {
   free_.push_back(e.slot);
   --live_;
   return out;
-}
-
-void EventQueue::clear() {
-  heap_.clear();
-  root_dead_ = false;
-  free_.clear();
-  // Keep the slots (and their generations) so ids issued before clear() can
-  // never be confused with later tenants; every slot goes back on the free
-  // list.
-  for (std::uint32_t i = 0; i < slots_.size(); ++i) {
-    slots_[i].live = false;
-    slots_[i].cb.reset();
-    free_.push_back(i);
-  }
-  live_ = 0;
-  // A cleared queue starts a fresh profiling epoch: without this, the second
-  // replication in one process reports max(previous runs) instead of its own
-  // high-water mark.
-  peak_size_ = 0;
 }
 
 }  // namespace manet

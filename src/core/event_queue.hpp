@@ -19,11 +19,10 @@
 // amortized.
 //
 // pop() leaves the popped root in place, marked dead. The next schedule()
-// overwrites it and sifts down from the top; anything else that needs the
-// top (next_time, pop, pop_due, clear) removes the dead root first. An event
-// scheduled while the previous one runs and due just after it, such as a
-// chain re-arming its next step, thus costs a one-level sift instead of a
-// full pop plus a push.
+// overwrites it and sifts down from the top; the next pop or pop_due
+// removes it first. An event scheduled while the previous one runs and due
+// just after it, such as a chain re-arming its next step, thus costs a
+// one-level sift instead of a full pop plus a push.
 #pragma once
 
 #include <cstdint>
@@ -82,14 +81,9 @@ class EventQueue {
   /// Number of live events.
   [[nodiscard]] std::size_t size() const { return live_; }
 
-  /// High-water mark of live events since construction or the last clear().
-  /// Profiling hook: sweep artifacts report it per replication. clear()
-  /// resets it — back-to-back replications reusing one queue must each
-  /// report their own high-water mark, not the max over all prior runs.
+  /// High-water mark of live events since construction. Profiling hook:
+  /// sweep artifacts report it per replication.
   [[nodiscard]] std::size_t peak_size() const { return peak_size_; }
-
-  /// Time of the earliest live event. Precondition: !empty().
-  [[nodiscard]] SimTime next_time();
 
   /// Remove and return the earliest live event. Precondition: !empty().
   struct Popped {
@@ -101,13 +95,8 @@ class EventQueue {
   Popped pop();
 
   /// Remove and return the earliest live event if it is due at or before
-  /// `until`; nothing if the queue is empty or its next event is later. One
-  /// pass over the cancelled entries on top, where next_time() then pop()
-  /// would take two.
+  /// `until`; nothing if the queue is empty or its next event is later.
   std::optional<Popped> pop_due(SimTime until);
-
-  /// Drop everything (used when tearing down a simulation early).
-  void clear();
 
  private:
   /// Heap node: POD ordering key + the slot/generation of its callback.

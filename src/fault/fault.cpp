@@ -5,13 +5,14 @@
 #include <cstdio>
 
 #include "core/assert.hpp"
+#include "core/rng.hpp"
 
 namespace manet {
 namespace {
 
-/// Floor on exponential draws so a fault window is always observable: a
-/// sub-100ms blackout is shorter than one route-repair round trip and would
-/// only add noise to the recovery metrics.
+/// Floor on exponential draws so a crash is always observable: a sub-100ms
+/// outage is shorter than one route-repair round trip and would only add
+/// noise to the recovery metrics.
 constexpr SimTime kMinFaultDuration = milliseconds(100);
 
 SimTime draw_duration(RngStream& rng, SimTime mean) {
@@ -36,93 +37,48 @@ const char* to_string(FaultEventKind kind) {
   switch (kind) {
     case FaultEventKind::kCrash: return "crash";
     case FaultEventKind::kRestart: return "restart";
-    case FaultEventKind::kLinkDown: return "link-down";
-    case FaultEventKind::kLinkUp: return "link-up";
-    case FaultEventKind::kPartitionStart: return "partition-start";
-    case FaultEventKind::kPartitionEnd: return "partition-end";
-    case FaultEventKind::kCorruptStart: return "corrupt-start";
-    case FaultEventKind::kCorruptEnd: return "corrupt-end";
   }
   return "?";
 }
 
-FaultPlan FaultPlan::compile(const FaultConfig& cfg, std::uint32_t num_nodes, const Area& area,
-                             SimTime duration, std::uint64_t seed) {
+FaultPlan FaultPlan::compile(const FaultConfig& cfg, std::uint32_t num_nodes, SimTime duration,
+                             std::uint64_t seed) {
   MANET_EXPECTS(duration > SimTime::zero());
   FaultPlan plan;
   if (!cfg.enabled()) return plan;
 
   const SimTime window_from = cfg.window_from < duration ? cfg.window_from : SimTime::zero();
 
-  // Node crashes: each node draws from its own stream, so the schedule for
-  // node i does not depend on how many crashes node j happened to draw.
-  if (cfg.crash_rate > 0.0) {
-    for (NodeId id = 0; id < num_nodes; ++id) {
-      RngStream rng(seed, "fault-crash", id);
-      const int crashes = draw_count(rng, cfg.crash_rate);
-      std::vector<std::pair<SimTime, SimTime>> windows;
-      for (int k = 0; k < crashes; ++k) {
-        const SimTime at = seconds_f(rng.uniform(window_from.sec(), duration.sec()));
-        const SimTime up = at + draw_duration(rng, cfg.downtime_mean);
-        windows.emplace_back(at, up);
-      }
-      std::sort(windows.begin(), windows.end());
-      // Drop windows that begin inside an earlier one: a node cannot crash
-      // while already down.
-      SimTime busy_until = SimTime::zero();
-      for (const auto& [at, up] : windows) {
-        if (at < busy_until) continue;
-        plan.events_.push_back({at, FaultEventKind::kCrash, id, 0, 0.0});
-        if (up < duration) {
-          plan.events_.push_back({up, FaultEventKind::kRestart, id, 0, 0.0});
-        }
-        busy_until = up;
-      }
-    }
-  }
-
-  // Link blackouts: random distinct pairs, window drawn from one stream.
-  if (cfg.link_blackouts > 0 && num_nodes >= 2) {
-    RngStream rng(seed, "fault-link");
-    for (int k = 0; k < cfg.link_blackouts; ++k) {
-      const auto a = static_cast<NodeId>(rng.uniform_int(0, num_nodes - 1));
-      auto b = static_cast<NodeId>(rng.uniform_int(0, num_nodes - 2));
-      if (b >= a) ++b;
+  // Each node draws from its own stream, so the schedule for node i does
+  // not depend on how many crashes node j happened to draw.
+  for (NodeId id = 0; id < num_nodes; ++id) {
+    RngStream rng(seed, "fault-crash", id);
+    const int crashes = draw_count(rng, cfg.crash_rate);
+    std::vector<std::pair<SimTime, SimTime>> windows;
+    for (int k = 0; k < crashes; ++k) {
       const SimTime at = seconds_f(rng.uniform(window_from.sec(), duration.sec()));
-      const SimTime up = at + draw_duration(rng, cfg.blackout_mean);
-      plan.events_.push_back({at, FaultEventKind::kLinkDown, a, b, 0.0});
-      if (up < duration) plan.events_.push_back({up, FaultEventKind::kLinkUp, a, b, 0.0});
+      const SimTime up = at + draw_duration(rng, cfg.downtime_mean);
+      windows.emplace_back(at, up);
+    }
+    std::sort(windows.begin(), windows.end());
+    // Drop windows that begin inside an earlier one: a node cannot crash
+    // while already down.
+    SimTime busy_until = SimTime::zero();
+    for (const auto& [at, up] : windows) {
+      if (at < busy_until) continue;
+      plan.events_.push_back({at, FaultEventKind::kCrash, id});
+      if (up < duration) plan.events_.push_back({up, FaultEventKind::kRestart, id});
+      busy_until = up;
     }
   }
 
-  if (cfg.partition) {
-    const double cut_x = cfg.partition_frac * area.width;
-    const SimTime from = cfg.partition_from;
-    const SimTime until =
-        cfg.partition_until > SimTime::zero() ? cfg.partition_until : duration;
-    plan.events_.push_back({from, FaultEventKind::kPartitionStart, 0, 0, cut_x});
-    if (until < duration) {
-      plan.events_.push_back({until, FaultEventKind::kPartitionEnd, 0, 0, cut_x});
-    }
-  }
-
-  if (cfg.corrupt_rate > 0.0) {
-    const SimTime from = cfg.corrupt_from;
-    const SimTime until = cfg.corrupt_until > SimTime::zero() ? cfg.corrupt_until : duration;
-    plan.events_.push_back({from, FaultEventKind::kCorruptStart, 0, 0, cfg.corrupt_rate});
-    if (until < duration) {
-      plan.events_.push_back({until, FaultEventKind::kCorruptEnd, 0, 0, 0.0});
-    }
-  }
-
-  // Total order on (at, kind, a, b): scheduling the events in list order then
+  // Total order on (at, kind, a): scheduling the events in list order then
   // gives a deterministic event-queue insertion order regardless of how the
   // schedule was assembled above.
   std::sort(plan.events_.begin(), plan.events_.end(), [](const FaultEvent& x, const FaultEvent& y) {
     if (x.at != y.at) return x.at < y.at;
     if (x.kind != y.kind) return x.kind < y.kind;
-    if (x.a != y.a) return x.a < y.a;
-    return x.b < y.b;
+    return x.a < y.a;
   });
   return plan;
 }
@@ -133,7 +89,7 @@ std::vector<std::pair<SimTime, SimTime>> FaultPlan::down_windows(NodeId id) cons
     if (ev.a != id) continue;
     if (ev.kind == FaultEventKind::kCrash) {
       out.emplace_back(ev.at, SimTime::max());
-    } else if (ev.kind == FaultEventKind::kRestart) {
+    } else {
       MANET_ASSERT_MSG(!out.empty() && out.back().second == SimTime::max(),
                        "node %u: restart at %lldns without a preceding crash", id,
                        static_cast<long long>(ev.at.ns()));
@@ -147,42 +103,11 @@ std::string FaultPlan::to_string() const {
   std::string out;
   char line[128];
   for (const FaultEvent& ev : events_) {
-    std::snprintf(line, sizeof(line), "%lld %s %u %u %.12g\n",
-                  static_cast<long long>(ev.at.ns()), manet::to_string(ev.kind), ev.a, ev.b,
-                  ev.value);
+    std::snprintf(line, sizeof(line), "%lld %s %u\n", static_cast<long long>(ev.at.ns()),
+                  manet::to_string(ev.kind), ev.a);
     out += line;
   }
   return out;
-}
-
-void FaultRuntime::apply(const FaultEvent& ev) {
-  switch (ev.kind) {
-    case FaultEventKind::kCrash:
-      down_.insert(ev.a);
-      break;
-    case FaultEventKind::kRestart:
-      down_.erase(ev.a);
-      break;
-    case FaultEventKind::kLinkDown:
-      blackouts_.insert(ordered_pair(ev.a, ev.b));
-      break;
-    case FaultEventKind::kLinkUp:
-      blackouts_.erase(ordered_pair(ev.a, ev.b));
-      break;
-    case FaultEventKind::kPartitionStart:
-      partition_active_ = true;
-      partition_x_ = ev.value;
-      break;
-    case FaultEventKind::kPartitionEnd:
-      partition_active_ = false;
-      break;
-    case FaultEventKind::kCorruptStart:
-      corrupt_rate_ = ev.value;
-      break;
-    case FaultEventKind::kCorruptEnd:
-      corrupt_rate_ = 0.0;
-      break;
-  }
 }
 
 }  // namespace manet

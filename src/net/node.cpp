@@ -30,7 +30,7 @@ void Node::originate(Packet pkt) {
   pkt.ip.ttl = kInitialTtl;
   pkt.ip.proto = IpProto::kUdp;
   stats_.on_data_originated(pkt.app.flow);
-  if (down_) {
+  if (down()) {
     // The application keeps generating while its host is crashed (the flow
     // doesn't know); those packets are offered load that the fault destroys,
     // so they count against PDR rather than silently vanishing.
@@ -52,7 +52,7 @@ void Node::transport_send(Packet pkt) {
   pkt.ip.src = id_;
   pkt.ip.ttl = kInitialTtl;
   pkt.ip.proto = IpProto::kUdp;
-  if (down_) {
+  if (down()) {
     // The transport's RTO timers keep firing between crash and restart;
     // their retransmissions go nowhere, like routing timer output.
     drop(pkt, DropReason::kNodeDown);
@@ -64,8 +64,7 @@ void Node::transport_send(Packet pkt) {
 }
 
 void Node::crash() {
-  MANET_EXPECTS(!down_);
-  down_ = true;
+  MANET_EXPECTS(!down());
   trx_.set_down(true);
   mac_.reset();
   arp_.reset();
@@ -74,17 +73,17 @@ void Node::crash() {
 }
 
 void Node::restart() {
-  MANET_EXPECTS(down_);
-  down_ = false;
+  MANET_EXPECTS(down());
   trx_.set_down(false);
   if (routing_ != nullptr) routing_->on_node_restart();
   if (transport_ != nullptr) transport_->on_node_restart();
   if (trace_ != nullptr) trace_->record_fault(sim_.now(), id_, "restart");
+  stats_.on_node_restart(sim_.now());
 }
 
 void Node::send_with_next_hop(Packet pkt, NodeId next_hop) {
   stamp(pkt);
-  if (down_) {
+  if (down()) {
     // Routing timers may still fire while down; their output goes nowhere.
     drop(pkt, DropReason::kNodeDown);
     return;
@@ -94,7 +93,7 @@ void Node::send_with_next_hop(Packet pkt, NodeId next_hop) {
 
 void Node::send_broadcast(Packet pkt) {
   stamp(pkt);
-  if (down_) {
+  if (down()) {
     drop(pkt, DropReason::kNodeDown);
     return;
   }
@@ -141,7 +140,7 @@ void Node::mac_deliver(const Packet& frame) {
   // The channel excludes down receivers and the transceiver corrupts
   // receptions in flight at the crash instant, so nothing can reach here
   // while down — the recovery-invariant suite depends on this.
-  MANET_ASSERT_MSG(!down_, "node %u t=%lldns: frame delivered to a crashed node", id_,
+  MANET_ASSERT_MSG(!down(), "node %u t=%lldns: frame delivered to a crashed node", id_,
                    static_cast<long long>(sim_.now().ns()));
   switch (frame.kind) {
     case PacketKind::kArp:

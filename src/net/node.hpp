@@ -75,12 +75,15 @@ class Node final : public MacListener {
   /// queue, ARP cache, buffered frames). The routing protocol object stays
   /// alive — its timers may fire while down, but the node gates every send
   /// and the channel delivers nothing, so a down node is fully silent.
+  /// Counts the crash and opens an outage in the recovery metrics.
   void crash();
   /// Restart after a crash: radio up, routing state flushed cold via
-  /// RoutingProtocol::on_node_restart(). Idempotent pairing is the fault
-  /// plan's responsibility (crash/restart events strictly alternate).
+  /// RoutingProtocol::on_node_restart(), the outage healed in the recovery
+  /// metrics. Idempotent pairing is the fault plan's responsibility
+  /// (crash/restart events strictly alternate).
   void restart();
-  [[nodiscard]] bool down() const { return down_; }
+  /// The radio's down flag: the only record of whether this node is crashed.
+  [[nodiscard]] bool down() const { return trx_.down(); }
 
   // -- services for the routing protocol ---------------------------------------
   /// Send a packet to a specific link-layer neighbour (ARP resolves).
@@ -124,7 +127,6 @@ class Node final : public MacListener {
   RoutingProtocol* routing_ = nullptr;
   ReliableTransport* transport_ = nullptr;
   TraceWriter* trace_ = nullptr;
-  bool down_ = false;
   // Survives crashes deliberately: the sink filter is measurement apparatus
   // (PDR counts unique application packets), not protocol state.
   std::unordered_set<std::uint64_t> sink_seen_;

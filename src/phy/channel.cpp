@@ -14,7 +14,6 @@ Channel::Channel(Simulator& sim, const PhyConfig& cfg, Area area, SimTime refres
       grid_(area, cfg.cs_range_m),
       refresh_(refresh),
       loss_rng_(seed, "channel-loss"),
-      fault_rng_(seed, "fault-corrupt"),
       shadow_rng_(seed, "urban-shadow") {
   MANET_EXPECTS(refresh > SimTime::zero());
   MANET_EXPECTS(cfg.frame_loss_rate >= 0.0 && cfg.frame_loss_rate < 1.0);
@@ -88,9 +87,8 @@ SimTime Channel::transmit(NodeId sender, const Packet& frame) {
   if (observer_ != nullptr) observer_->on_transmit(sender, frame);
   // A crashed sender radiates nothing. (The node gates its own sends too;
   // this catches MAC events already in flight at the crash instant.)
-  if (fault_ != nullptr && fault_->node_down(sender)) return airtime;
+  if (trx_[sender]->down()) return airtime;
   const Vec2 src = position_of(sender);  // may end a static field's epoch
-  const double corrupt_rate = fault_ != nullptr ? fault_->corrupt_rate() : 0.0;
 
   // The sender's reach: kept from its second transmission in this epoch on,
   // queried afresh into scratch_ before that.
@@ -118,12 +116,10 @@ SimTime Channel::transmit(NodeId sender, const Packet& frame) {
   for (std::uint32_t k = 0; k < n; ++k) {
     const std::uint32_t id = ids[k];
     // A down receiver absorbs nothing — not even carrier energy; its radio
-    // is off. A blacked-out or partition-cut link is silent in both
-    // directions. Both checks precede any RNG draw so that fault-free runs
-    // consume the loss stream identically with or without a FaultRuntime.
-    if (fault_ != nullptr && fault_->node_down(id)) continue;
+    // is off. The check precedes any RNG draw and order number, so a crashed
+    // receiver consumes the loss stream as an out-of-range one does.
+    if (trx_[id]->down()) continue;
     const Vec2 dst = mob_[id]->position_at(sim_.now());
-    if (fault_ != nullptr && fault_->link_blocked(sender, id, src, dst)) continue;
     const double d2 = distance2(src, dst);
     if (d2 > cs2) continue;
     const SimTime prop = cfg_.propagation(std::sqrt(d2));
@@ -140,12 +136,6 @@ SimTime Channel::transmit(NodeId sender, const Packet& frame) {
       } else if (!faded && cfg_.nlos_loss_rate > 0.0 && shadow_rng_.chance(cfg_.nlos_loss_rate)) {
         faded = true;
       }
-    }
-    if (d2 <= rx2 && !faded && corrupt_rate > 0.0 && fault_rng_.chance(corrupt_rate)) {
-      // Channel corruption: the frame still arrives as interference (the
-      // carrier-only path below), it just cannot be decoded.
-      faded = true;
-      if (stats_ != nullptr) stats_->on_fault_corruption();
     }
     // A faded or out-of-range arrival is carrier/interference only.
     const bool decodable = d2 <= rx2 && !faded;

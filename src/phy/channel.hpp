@@ -22,8 +22,10 @@
 //
 // A reach is kept from the sender's second transmission in an epoch on; a
 // first one queries into scratch. transmit() walks the reach in id order,
-// so fault masks, RNG draws and order numbers are taken as a fresh query
-// takes them.
+// so RNG draws and order numbers are taken as a fresh query takes them. A
+// crashed node's radio is down (Transceiver::down()): it sends nothing, and
+// as a receiver it is skipped before any position, draw or order number is
+// taken, exactly as a node out of range is.
 //
 // Each arrival goes into its receiver's energy ledger (transceiver.hpp),
 // with two order numbers transmit() reserves for it in its candidate loop,
@@ -52,17 +54,15 @@
 
 #include "core/rng.hpp"
 #include "core/simulator.hpp"
-#include "fault/fault.hpp"
 #include "geom/grid_index.hpp"
 #include "mobility/mobility_model.hpp"
 #include "phy/phy_config.hpp"
 #include "phy/transceiver.hpp"
-#include "stats/stats.hpp"
 
 namespace manet {
 
 /// Told of every transmission as it starts, before the channel looks at
-/// faults or receivers.
+/// the sender's radio or at receivers.
 class TransmitObserver {
  public:
   virtual ~TransmitObserver() = default;
@@ -107,13 +107,6 @@ class Channel {
   /// node `id`'s grid slot.
   void neighbors_of(NodeId id, double radius, std::vector<NodeId>& out);
 
-  // -- fault injection --------------------------------------------------------
-  /// Attach the fault masks (crashed nodes, blacked-out links, corruption
-  /// rate). Null (the default) means no faults; transmit() then takes its
-  /// original path with zero extra RNG draws.
-  void set_fault(const FaultRuntime* fault) { fault_ = fault; }
-  /// Sink for corruption accounting (optional).
-  void set_stats(StatsCollector* stats) { stats_ = stats; }
   /// Observer of every transmission (optional; the PHY oracle test replays
   /// a run against an offline model with it).
   void set_observer(TransmitObserver* o) { observer_ = o; }
@@ -159,10 +152,7 @@ class Channel {
   GridIndex grid_;
   SimTime refresh_;
   RngStream loss_rng_;
-  RngStream fault_rng_;   ///< corruption draws; untouched outside corrupt windows
   RngStream shadow_rng_;  ///< urban NLOS draws; untouched in open-field runs
-  const FaultRuntime* fault_ = nullptr;
-  StatsCollector* stats_ = nullptr;
   TransmitObserver* observer_ = nullptr;
   double max_speed_ = 0.0;
   std::vector<Transceiver*> trx_;

@@ -127,9 +127,11 @@ class Transceiver {
   [[nodiscard]] std::size_t ledger_size() const { return ledger_.size(); }
 
   // -- fault injection --------------------------------------------------------
-  /// Power the radio down/up. While down, new arrivals are ignored and any
-  /// reception already in flight is corrupted; its end still lowers the
-  /// energy, keeping the bookkeeping balanced.
+  /// Power the radio down/up (Node::crash() and restart()). While down, new
+  /// arrivals are ignored and any reception already in flight is corrupted;
+  /// its end still lowers the energy, keeping the bookkeeping balanced. The
+  /// flag is the node's only down state: Node::down() and the channel read
+  /// it.
   void set_down(bool down);
   [[nodiscard]] bool down() const { return down_; }
 

@@ -132,15 +132,6 @@ inline constexpr Field kFields[] = {
 
     MANET_FIELD(fault.crash_rate, "fault", "crash_rate", at_least(0)),
     MANET_FIELD(fault.downtime_mean, "fault", "downtime_mean_s", above(0)),
-    MANET_FIELD(fault.link_blackouts, "fault", "link_blackouts", at_least(0)),
-    MANET_FIELD(fault.blackout_mean, "fault", "blackout_mean_s", above(0)),
-    MANET_FIELD(fault.corrupt_rate, "fault", "corrupt_rate", kProbability),
-    MANET_FIELD(fault.corrupt_from, "fault", "corrupt_from_s", at_least(0)),
-    MANET_FIELD(fault.corrupt_until, "fault", "corrupt_until_s", at_least(0)),
-    MANET_FIELD(fault.partition, "fault", "partition"),
-    MANET_FIELD(fault.partition_frac, "fault", "partition_frac", kProbability),
-    MANET_FIELD(fault.partition_from, "fault", "partition_from_s", at_least(0)),
-    MANET_FIELD(fault.partition_until, "fault", "partition_until_s", at_least(0)),
     MANET_FIELD(fault.window_from, "fault", "window_from_s", at_least(0)),
 
     MANET_FIELD(aodv.expanding_ring, "aodv", "expanding_ring"),

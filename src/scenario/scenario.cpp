@@ -132,7 +132,6 @@ std::string exact(const T& v) {
 }  // namespace
 
 std::vector<ConfigError> check(const ScenarioConfig& c) {
-  const SimTime zero = SimTime::zero();
   std::vector<ConfigError> errors;
   const auto fail = [&errors](const char* field, std::string message) {
     errors.push_back(ConfigError{field, std::move(message)});
@@ -189,35 +188,9 @@ std::vector<ConfigError> check(const ScenarioConfig& c) {
 
   // -- faults -----------------------------------------------------------------
   const FaultConfig& f = c.fault;
-  if (f.enabled()) {
-    if (f.window_from >= c.duration) {
-      fail("fault.window_from", format("fault window opens at %.3fs, after the run ends at %.3fs",
-                                       f.window_from.sec(), c.duration.sec()));
-    }
-    // Explicit fault windows must open inside the run and close after they
-    // open (a zero `until` means "until end of run").
-    if (f.corrupt_rate > 0.0) {
-      if (f.corrupt_from >= c.duration) {
-        fail("fault.corrupt_from",
-             format("corruption window opens at %.3fs, after the run ends at %.3fs",
-                    f.corrupt_from.sec(), c.duration.sec()));
-      }
-      if (f.corrupt_until != zero && f.corrupt_until <= f.corrupt_from) {
-        fail("fault.corrupt_until", format("corruption window [%.3fs, %.3fs) is empty",
-                                           f.corrupt_from.sec(), f.corrupt_until.sec()));
-      }
-    }
-    if (f.partition) {
-      if (f.partition_from >= c.duration) {
-        fail("fault.partition_from",
-             format("partition opens at %.3fs, after the run ends at %.3fs",
-                    f.partition_from.sec(), c.duration.sec()));
-      }
-      if (f.partition_until != zero && f.partition_until <= f.partition_from) {
-        fail("fault.partition_until", format("partition window [%.3fs, %.3fs) is empty",
-                                             f.partition_from.sec(), f.partition_until.sec()));
-      }
-    }
+  if (f.enabled() && f.window_from >= c.duration) {
+    fail("fault.window_from", format("fault window opens at %.3fs, after the run ends at %.3fs",
+                                     f.window_from.sec(), c.duration.sec()));
   }
   return errors;
 }
@@ -352,10 +325,7 @@ void Scenario::build() {
   // as an ordinary simulator event. The plan outlives the scheduling lambdas
   // (member storage), so they capture plain references into it.
   if (cfg_.fault.enabled()) {
-    fault_plan_ =
-        FaultPlan::compile(cfg_.fault, cfg_.num_nodes, cfg_.area, cfg_.duration, cfg_.seed);
-    channel_->set_fault(&fault_runtime_);
-    channel_->set_stats(&stats_);
+    fault_plan_ = FaultPlan::compile(cfg_.fault, cfg_.num_nodes, cfg_.duration, cfg_.seed);
     for (const FaultEvent& ev : fault_plan_.events()) {
       sim_.schedule_at(ev.at, [this, &ev] { apply_fault(ev); });
     }
@@ -462,44 +432,11 @@ void Scenario::sample_connectivity() {
 }
 
 void Scenario::apply_fault(const FaultEvent& ev) {
-  fault_runtime_.apply(ev);
-  char note[64];
-  switch (ev.kind) {
-    case FaultEventKind::kCrash:
-      nodes_[ev.a]->crash();  // records its own trace line
-      stats_.on_fault_begin(ev.at);
-      return;
-    case FaultEventKind::kRestart:
-      nodes_[ev.a]->restart();
-      stats_.on_fault_end(ev.at);
-      return;
-    case FaultEventKind::kLinkDown:
-    case FaultEventKind::kLinkUp:
-      std::snprintf(note, sizeof(note), "%s %u-%u", to_string(ev.kind), ev.a, ev.b);
-      if (trace_) trace_->record_fault(ev.at, kBroadcast, note);
-      if (ev.kind == FaultEventKind::kLinkDown) {
-        stats_.on_fault_begin(ev.at);
-      } else {
-        stats_.on_fault_end(ev.at);
-      }
-      return;
-    case FaultEventKind::kPartitionStart:
-    case FaultEventKind::kPartitionEnd:
-      std::snprintf(note, sizeof(note), "%s x=%g", to_string(ev.kind), ev.value);
-      if (trace_) trace_->record_fault(ev.at, kBroadcast, note);
-      if (ev.kind == FaultEventKind::kPartitionStart) {
-        stats_.on_fault_begin(ev.at);
-      } else {
-        stats_.on_fault_end(ev.at);
-      }
-      return;
-    case FaultEventKind::kCorruptStart:
-    case FaultEventKind::kCorruptEnd:
-      // Degrades links without severing them: traced, but not an outage for
-      // the recovery metrics.
-      std::snprintf(note, sizeof(note), "%s p=%g", to_string(ev.kind), ev.value);
-      if (trace_) trace_->record_fault(ev.at, kBroadcast, note);
-      return;
+  // Each records its own trace line and stats.
+  if (ev.kind == FaultEventKind::kCrash) {
+    nodes_[ev.a]->crash();
+  } else {
+    nodes_[ev.a]->restart();
   }
 }
 
@@ -530,7 +467,6 @@ ScenarioResult Scenario::run() {
   r.peak_queue_depth = sim_.peak_queue_size();
   r.repair_latency_ms = stats_.mean_repair_latency_s() * 1e3;
   r.crashes = stats_.crashes();
-  r.fault_corrupted = stats_.fault_corrupted();
   r.delivered_during_fault = stats_.delivered_during_fault();
   r.delivered_after_fault = stats_.delivered_after_fault();
   for (const auto& node : nodes_) {

@@ -34,11 +34,8 @@
 //                 "frame_loss_rate": 0},
 //       "mac": {"use_rts": true, "rts_threshold_bytes": 0, "ifq_capacity": 50},
 //       "urban": {"street_width_m": 20, "nlos_range_m": 75, "nlos_loss": 0.1},
-//       "fault": {"crash_rate": 1, "downtime_mean_s": 20, "link_blackouts": 0,
-//                 "blackout_mean_s": 5, "corrupt_rate": 0, "corrupt_from_s": 0,
-//                 "corrupt_until_s": 0, "partition": false,
-//                 "partition_frac": 0.5, "partition_from_s": 0,
-//                 "partition_until_s": 0, "window_from_s": 10},
+//       "fault": {"crash_rate": 1, "downtime_mean_s": 20,  // node crashes,
+//                 "window_from_s": 10},                    // the only fault
 //       "transport": {"enabled": true, "rto_initial_ms": 1000, "rto_min_ms": 200,
 //                     "rto_max_ms": 60000, "cwnd_init": 2, "cwnd_max": 32,
 //                     "max_retx": 7, "buffer_packets": 64},

@@ -51,9 +51,7 @@ void StatsCollector::on_data_delivered(SimTime delay, std::size_t payload_bytes,
   }
 }
 
-void StatsCollector::on_fault_begin(SimTime /*at*/) { ++active_faults_; }
-
-void StatsCollector::on_fault_end(SimTime at) {
+void StatsCollector::on_node_restart(SimTime at) {
   --active_faults_;
   any_heal_ = true;
   pending_heals_.push_back(at);
@@ -119,10 +117,10 @@ std::string StatsCollector::summary(SimTime duration) const {
     }
   }
   os << '\n';
-  if (crashes_ != 0 || fault_corrupted_ != 0 || any_heal_) {
-    os << "faults: " << crashes_ << " crashes, " << fault_corrupted_ << " frames corrupted, "
-       << delivered_during_fault_ << " delivered during / " << delivered_after_fault_
-       << " after outages, repair " << mean_repair_latency_s() * 1e3 << " ms avg\n";
+  if (crashes_ != 0) {
+    os << "faults: " << crashes_ << " crashes, " << delivered_during_fault_
+       << " delivered during / " << delivered_after_fault_ << " after outages, repair "
+       << mean_repair_latency_s() * 1e3 << " ms avg\n";
   }
   if (!flow_monitor_.records().empty()) {
     os << "per-flow:";

@@ -69,17 +69,15 @@ class StatsCollector {
   void on_rx_energy(double joules) { energy_rx_j_ += joules; }
 
   // -- fault injection -------------------------------------------------------
-  void on_node_crash() { ++crashes_; }
-  /// A decodable frame was corrupted by the channel fault process.
-  void on_fault_corruption() { ++fault_corrupted_; }
-  /// A connectivity fault (crash, link blackout, partition) began/healed.
-  /// Corruption windows are deliberately not counted: they degrade links
-  /// without severing them, so they don't define an outage to recover from.
-  void on_fault_begin(SimTime at);
-  void on_fault_end(SimTime at);
+  /// A node crashed (Node::crash()): an outage begins.
+  void on_node_crash() {
+    ++crashes_;
+    ++active_faults_;
+  }
+  /// A crashed node restarted at `at` (Node::restart()): its outage heals.
+  void on_node_restart(SimTime at);
 
   [[nodiscard]] std::uint64_t crashes() const { return crashes_; }
-  [[nodiscard]] std::uint64_t fault_corrupted() const { return fault_corrupted_; }
   [[nodiscard]] std::uint64_t delivered_during_fault() const { return delivered_during_fault_; }
   [[nodiscard]] std::uint64_t delivered_after_fault() const { return delivered_after_fault_; }
   /// Mean time from a fault healing to the next successful data delivery —
@@ -156,7 +154,6 @@ class StatsCollector {
 
   // Fault accounting.
   std::uint64_t crashes_ = 0;
-  std::uint64_t fault_corrupted_ = 0;
   std::uint64_t delivered_during_fault_ = 0;
   std::uint64_t delivered_after_fault_ = 0;
   int active_faults_ = 0;

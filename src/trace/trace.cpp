@@ -39,11 +39,7 @@ void TraceWriter::record(char event, SimTime now, NodeId node, const Packet& pkt
 
 void TraceWriter::record_fault(SimTime now, NodeId node, const char* what) {
   if (file_ == nullptr) return;
-  if (node == kBroadcast) {
-    std::fprintf(file_, "F %.9f _*_ FLT %s\n", now.sec(), what);
-  } else {
-    std::fprintf(file_, "F %.9f _%u_ FLT %s\n", now.sec(), node, what);
-  }
+  std::fprintf(file_, "F %.9f _%u_ FLT %s\n", now.sec(), node, what);
   ++lines_;
 }
 

@@ -33,10 +33,8 @@ class TraceWriter {
   void record(char event, SimTime now, NodeId node, const Packet& pkt,
               const char* note = "");
 
-  /// Record a fault-lifecycle event (no packet involved):
+  /// Record a node's crash or restart (no packet involved):
   ///   F <time> _<node>_ FLT <what>
-  /// `node` is kBroadcast for network-wide faults (partition, corruption
-  /// window), rendered as `_*_`.
   void record_fault(SimTime now, NodeId node, const char* what);
 
   /// Number of lines written so far.

@@ -187,22 +187,8 @@ const Violation kViolations[] = {
     {"mac.ifq_capacity", R"("mac": {"ifq_capacity": 0})"},
     {"fault.crash_rate", R"("fault": {"crash_rate": -1})"},
     {"fault.downtime_mean", R"("fault": {"downtime_mean_s": 0})"},
-    {"fault.link_blackouts", R"("fault": {"link_blackouts": -1})"},
-    {"fault.blackout_mean", R"("fault": {"blackout_mean_s": 0})"},
-    {"fault.corrupt_rate", R"("fault": {"corrupt_rate": 1.5})"},
-    {"fault.corrupt_from", R"("fault": {"corrupt_from_s": -1})"},
-    {"fault.corrupt_until", R"("fault": {"corrupt_until_s": -1})"},
-    {"fault.partition_frac", R"("fault": {"partition_frac": 1.5})"},
-    {"fault.partition_from", R"("fault": {"partition_from_s": -1})"},
-    {"fault.partition_until", R"("fault": {"partition_until_s": -1})"},
     {"fault.window_from", R"("fault": {"window_from_s": -1})"},
     {"fault.window_from", R"("fault": {"crash_rate": 1, "window_from_s": 500})"},
-    {"fault.corrupt_from", R"("fault": {"corrupt_rate": 0.1, "corrupt_from_s": 500})"},
-    {"fault.corrupt_until",
-     R"("fault": {"corrupt_rate": 0.1, "corrupt_from_s": 20, "corrupt_until_s": 10})"},
-    {"fault.partition_from", R"("fault": {"partition": true, "partition_from_s": 500})"},
-    {"fault.partition_until",
-     R"("fault": {"partition": true, "partition_from_s": 20, "partition_until_s": 10})"},
 };
 
 /// The settings key path a violation is anchored at: the rule's own, else

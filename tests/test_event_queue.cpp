@@ -77,21 +77,6 @@ TEST(EventQueue, DoubleCancelIsNoop) {
   EXPECT_EQ(q.size(), 1u);
 }
 
-TEST(EventQueue, NextTimeSkipsCancelled) {
-  EventQueue q;
-  const EventId id = q.schedule(milliseconds(1), [] {});
-  q.schedule(milliseconds(5), [] {});
-  q.cancel(id);
-  EXPECT_EQ(q.next_time(), milliseconds(5));
-}
-
-TEST(EventQueue, ClearDropsEverything) {
-  EventQueue q;
-  for (int i = 0; i < 5; ++i) q.schedule(milliseconds(i), [] {});
-  q.clear();
-  EXPECT_TRUE(q.empty());
-}
-
 TEST(EventQueue, PeakSizeTracksHighWaterMark) {
   EventQueue q;
   for (int i = 0; i < 4; ++i) q.schedule(milliseconds(i), [] {});
@@ -100,20 +85,6 @@ TEST(EventQueue, PeakSizeTracksHighWaterMark) {
   q.schedule(milliseconds(9), [] {});
   EXPECT_EQ(q.peak_size(), 4u);  // high-water mark, not current size
   EXPECT_EQ(q.size(), 3u);
-}
-
-// Regression: clear() used to drop the events but leave peak_size() at the
-// old high-water mark, so a reused queue reported its previous life's peak.
-TEST(EventQueue, ClearResetsPeakSize) {
-  EventQueue q;
-  for (int i = 0; i < 8; ++i) q.schedule(milliseconds(i), [] {});
-  EXPECT_EQ(q.peak_size(), 8u);
-  q.clear();
-  EXPECT_EQ(q.peak_size(), 0u);
-  q.schedule(milliseconds(1), [] {});
-  q.schedule(milliseconds(2), [] {});
-  q.pop();
-  EXPECT_EQ(q.peak_size(), 2u);  // new life, new high-water mark
 }
 
 TEST(EventQueue, IdsAreNeverReused) {
@@ -153,27 +124,9 @@ TEST(EventQueue, IdsStayUniqueAcrossHeavySlotReuse) {
   EXPECT_EQ(std::adjacent_find(seen.begin(), seen.end()), seen.end());
 }
 
-TEST(EventQueue, PendingAcrossClear) {
-  EventQueue q;
-  const EventId before = q.schedule(milliseconds(1), [] {});
-  q.clear();
-  EXPECT_FALSE(q.pending(before));
-  // Ids issued before clear() must not be confused with later tenants of
-  // the same slots.
-  int fired = 0;
-  const EventId after = q.schedule(milliseconds(2), [&] { ++fired; });
-  EXPECT_NE(before, after);
-  EXPECT_FALSE(q.pending(before));
-  EXPECT_TRUE(q.pending(after));
-  q.cancel(before);  // stale: no effect on the new event
-  EXPECT_TRUE(q.pending(after));
-  q.pop().cb();
-  EXPECT_EQ(fired, 1);
-}
-
 TEST(EventQueue, CallbackCapturesReleasedOnCancel) {
   // Cancelling destroys the callback immediately; a shared_ptr captured by
-  // the closure must drop its refcount without waiting for pop()/clear().
+  // the closure must drop its refcount without waiting for pop().
   EventQueue q;
   auto token = std::make_shared<int>(42);
   const EventId id = q.schedule(milliseconds(1), [token] { (void)*token; });
@@ -199,9 +152,9 @@ TEST(EventQueue, LargeCallbacksSurviveHeapFallback) {
 // keeps every event in a flat vector and pops by linear scan over
 // (time, seq). Some events are scheduled with a sequence number reserved
 // earlier, and pops are followed by every operation that must first deal
-// with the dead root the pop leaves behind: schedule, cancel, next_time,
-// another pop and clear. Any drift in pop order, pending() answers, or
-// fired-callback counts shows up here.
+// with the dead root the pop leaves behind: schedule, cancel and another
+// pop. Any drift in pop order, pending() answers, or fired-callback counts
+// shows up here.
 TEST(EventQueue, FuzzMatchesReferenceModel) {
   struct RefEvent {
     SimTime time;
@@ -271,13 +224,6 @@ TEST(EventQueue, FuzzMatchesReferenceModel) {
         ASSERT_EQ(q.pending(ids[idx]), ref[idx].live);
         q.cancel(ids[idx]);
         ref[idx].live = false;
-      } else if (dice < 0.80 && !q.empty()) {  // peek
-        RefEvent* expect = ref_pop();
-        ASSERT_NE(expect, nullptr);
-        ASSERT_EQ(q.next_time(), expect->time);
-      } else if (dice < 0.805) {  // clear
-        q.clear();
-        for (RefEvent& e : ref) e.live = false;
       } else if (!q.empty()) {
         pop_one();
       }

@@ -1,15 +1,17 @@
 // Recovery-invariant suite for the fault-injection subsystem.
 //
-// Three layers of proof:
+// Crashes are the only fault kind. Four layers of proof:
 //   1. The compiled FaultPlan is a pure function of (config, seed): same
 //      seed => byte-identical schedule; events are sorted, crash/restart
 //      strictly alternate, and the quiet warm-up window is respected.
-//   2. A faulted run is deterministic end to end: a repeat run matches in
+//   2. A node's down state is its radio's flag, and the channel reads it: a
+//      crashed receiver consumes nothing of the channel.
+//   3. A faulted run is deterministic end to end: a repeat run matches in
 //      behaviour and cost, with and without the transport, and the same grid
 //      writes a byte-identical artifact under 1, 2 and 8 sweep workers. The
 //      per-protocol outcomes are pinned in the golden table
 //      (tests/test_goldens.cpp).
-//   3. The invariants faults must preserve: a crashed node neither sends,
+//   4. The invariants faults must preserve: a crashed node neither sends,
 //      forwards nor receives (proved from the event trace against the
 //      plan's own down windows); a restarted node comes back with cold
 //      routing state; injected crashes strictly lower PDR versus the
@@ -44,19 +46,18 @@ using test::rich_fault_config;
 
 TEST(FaultPlan, SameSeedCompilesByteIdenticalSchedule) {
   const FaultConfig f = rich_fault_config();
-  const Area area{650.0, 650.0};
-  const auto a = FaultPlan::compile(f, 14, area, seconds(25), 42);
-  const auto b = FaultPlan::compile(f, 14, area, seconds(25), 42);
+  const auto a = FaultPlan::compile(f, 14, seconds(25), 42);
+  const auto b = FaultPlan::compile(f, 14, seconds(25), 42);
   ASSERT_FALSE(a.empty());
   EXPECT_EQ(a.to_string(), b.to_string());
-  const auto c = FaultPlan::compile(f, 14, area, seconds(25), 43);
+  const auto c = FaultPlan::compile(f, 14, seconds(25), 43);
   EXPECT_NE(a.to_string(), c.to_string());
 }
 
 TEST(FaultPlan, DisabledConfigCompilesEmpty) {
   const FaultConfig off;
   EXPECT_FALSE(off.enabled());
-  const auto plan = FaultPlan::compile(off, 20, {1000.0, 1000.0}, seconds(100), 1);
+  const auto plan = FaultPlan::compile(off, 20, seconds(100), 1);
   EXPECT_TRUE(plan.empty());
   EXPECT_TRUE(plan.to_string().empty());
 }
@@ -67,7 +68,7 @@ TEST(FaultPlan, EventsSortedAndCrashRestartAlternate) {
   f.downtime_mean = seconds(4);
   f.window_from = seconds(5);
   const SimTime duration = seconds(60);
-  const auto plan = FaultPlan::compile(f, 10, {500.0, 500.0}, duration, 7);
+  const auto plan = FaultPlan::compile(f, 10, duration, 7);
   ASSERT_FALSE(plan.empty());
 
   SimTime prev = SimTime::zero();
@@ -91,7 +92,7 @@ TEST(FaultPlan, DownWindowsAreOrderedAndDisjoint) {
   FaultConfig f;
   f.crash_rate = 3.0;
   f.downtime_mean = seconds(2);
-  const auto plan = FaultPlan::compile(f, 8, {500.0, 500.0}, seconds(120), 3);
+  const auto plan = FaultPlan::compile(f, 8, seconds(120), 3);
   for (NodeId id = 0; id < 8; ++id) {
     SimTime prev_end = SimTime::zero();
     for (const auto& [start, end] : plan.down_windows(id)) {
@@ -103,51 +104,54 @@ TEST(FaultPlan, DownWindowsAreOrderedAndDisjoint) {
 }
 
 // ---------------------------------------------------------------------------
-// 2. Runtime masks
+// 2. The radio's down flag
 // ---------------------------------------------------------------------------
 
-TEST(FaultRuntime, CrashAndRestartMaintainDownSet) {
-  FaultRuntime rt;
-  EXPECT_FALSE(rt.any_node_down());
-  rt.apply({seconds(1), FaultEventKind::kCrash, 3});
-  EXPECT_TRUE(rt.node_down(3));
-  EXPECT_FALSE(rt.node_down(4));
-  EXPECT_TRUE(rt.any_node_down());
-  rt.apply({seconds(2), FaultEventKind::kRestart, 3});
-  EXPECT_FALSE(rt.node_down(3));
-  EXPECT_FALSE(rt.any_node_down());
-}
+/// Sends nothing and records the sequence number of every control frame it
+/// hears, so the channel test below drives the radios by hand.
+class Listener final : public RoutingProtocol {
+ public:
+  explicit Listener(Node& n) : RoutingProtocol(n) {}
+  void start() override {}
+  void route_packet(Packet /*pkt*/) override {}
+  void on_control(const Packet& pkt, NodeId /*from*/) override { heard.push_back(pkt.app.seq); }
+  void on_node_restart() override {}
+  [[nodiscard]] const char* name() const override { return "LISTENER"; }
 
-TEST(FaultRuntime, LinkBlackoutBlocksBothDirections) {
-  FaultRuntime rt;
-  const Vec2 p{0.0, 0.0};
-  EXPECT_FALSE(rt.link_blocked(1, 2, p, p));
-  rt.apply({seconds(1), FaultEventKind::kLinkDown, 2, 1});
-  EXPECT_TRUE(rt.link_blocked(1, 2, p, p));
-  EXPECT_TRUE(rt.link_blocked(2, 1, p, p));
-  EXPECT_FALSE(rt.link_blocked(1, 3, p, p));
-  rt.apply({seconds(2), FaultEventKind::kLinkUp, 2, 1});
-  EXPECT_FALSE(rt.link_blocked(1, 2, p, p));
-}
+  std::vector<std::uint32_t> heard;
+};
 
-TEST(FaultRuntime, PartitionBlocksOnlyStraddlingPairs) {
-  FaultRuntime rt;
-  rt.apply({seconds(1), FaultEventKind::kPartitionStart, 0, 0, /*x=*/500.0});
-  const Vec2 west{100.0, 50.0}, east{900.0, 50.0}, east2{600.0, 400.0};
-  EXPECT_TRUE(rt.link_blocked(0, 1, west, east));
-  EXPECT_TRUE(rt.link_blocked(1, 0, east, west));
-  EXPECT_FALSE(rt.link_blocked(1, 2, east, east2));
-  rt.apply({seconds(2), FaultEventKind::kPartitionEnd, 0, 0, 500.0});
-  EXPECT_FALSE(rt.link_blocked(0, 1, west, east));
-}
-
-TEST(FaultRuntime, CorruptWindowSetsAndClearsRate) {
-  FaultRuntime rt;
-  EXPECT_DOUBLE_EQ(rt.corrupt_rate(), 0.0);
-  rt.apply({seconds(1), FaultEventKind::kCorruptStart, 0, 0, 0.25});
-  EXPECT_DOUBLE_EQ(rt.corrupt_rate(), 0.25);
-  rt.apply({seconds(2), FaultEventKind::kCorruptEnd, 0, 0, 0.0});
-  EXPECT_DOUBLE_EQ(rt.corrupt_rate(), 0.0);
+// A crash lives only in the node's radio, and the channel reads it there: a
+// receiver crashed through Node::crash() takes no arrival and no loss draw.
+// So a third node hears exactly the frames it hears in a twin run where the
+// crashed node stands out of range, one loss draw per frame for the third
+// node alone.
+TEST(FaultInvariant, CrashedReceiverTakesNoArrivalAndNoLossDraw) {
+  PhyConfig phy;
+  phy.frame_loss_rate = 0.3;
+  const auto heard_by_third_node = [&phy](bool crash_middle) {
+    const std::vector<Vec2> at{
+        {0.0, 50.0}, crash_middle ? Vec2{100.0, 50.0} : Vec2{2400.0, 2400.0}, {200.0, 50.0}};
+    TestNet net(at, [](Node& n, std::uint64_t) { return std::make_unique<Listener>(n); },
+                /*seed=*/1, phy);
+    if (crash_middle) net.node(1).crash();
+    for (std::uint32_t seq = 0; seq < 200; ++seq) {
+      Packet frame;
+      frame.kind = PacketKind::kRoutingControl;
+      frame.mac.type = MacFrameType::kData;
+      frame.mac.dst = kBroadcast;
+      frame.payload_bytes = 100;
+      frame.app.seq = seq;
+      net.channel().transmit(0, frame);
+      EXPECT_EQ(net.node(1).transceiver().ledger_size(), 0u) << "frame " << seq;
+      net.run_for(milliseconds(10));
+    }
+    return dynamic_cast<Listener&>(net.routing(2)).heard;
+  };
+  const std::vector<std::uint32_t> crashed = heard_by_third_node(true);
+  EXPECT_GT(crashed.size(), 100u);
+  EXPECT_LT(crashed.size(), 200u);  // non-vacuous: some frames were lost
+  EXPECT_EQ(crashed, heard_by_third_node(false));
 }
 
 // ---------------------------------------------------------------------------
@@ -269,14 +273,6 @@ TEST(FaultInvariant, RestartComesBackWithColdRoutingState) {
   net.send_data(0, 2, 0, 2);
   net.run_for(seconds(3));
   EXPECT_EQ(net.stats().data_delivered(), 2u);
-}
-
-TEST(FaultInvariant, CorruptionWindowCorruptsFramesAndIsCounted) {
-  ScenarioConfig cfg = test::dense_field(Protocol::kAodv, 2);
-  cfg.fault.corrupt_rate = 0.2;
-  const auto r = Scenario::run_once(cfg);
-  EXPECT_GT(r.fault_corrupted, 0u);
-  EXPECT_EQ(r.crashes, 0u);
 }
 
 // The acceptance check of the whole subsystem: against a crash-free control,

@@ -19,7 +19,7 @@
 // them. The rows: every protocol on a dense field (plus a second CBRP seed),
 // which also pins that no container's hash order reaches the simulation;
 // the on-demand protocols giving discoveries up on a partitioned field;
-// every protocol under every fault kind; two faulted runs with the reliable
+// every protocol under node crashes; two faulted runs with the reliable
 // transport; every protocol with the transport; and the urban city.
 
 #include <gtest/gtest.h>
@@ -44,7 +44,7 @@ bool print_goldens() { return std::getenv("MANET_PRINT_GOLDENS") != nullptr; }
 enum class Family : std::uint8_t {
   kDense,             ///< test::dense_field(): 14 nodes, 650 m, 4 flows, 25 s
   kPartitioned,       ///< the same nodes on 1300 m for 60 s: discoveries give up
-  kFaulted,           ///< test::faulted_field(): every fault kind at once
+  kFaulted,           ///< test::faulted_field(): node crashes
   kTransport,         ///< dense field with the reliable transport on
   kTransportFaulted,  ///< faulted field with the reliable transport on
   kUrban,             ///< urban_scenario(60) for 20 s
@@ -180,50 +180,50 @@ const Golden kGoldens[] = {
      "conn=0.191176470588 crashes=0 corrupt=0 during=0 after=0 repair=0",
      "events=7001 peak_queue=20"},
     {Family::kFaulted, "AODV", 1,
-     "digest=b2b909f21dc709b0 orig=155 deliv=103 rtx=113 mac=530 tretx=0 flows=0 "
-     "pdr=0.664516129032 delay=14.2895488058 nrl=1.09708737864 hops=1.41747572816 "
-     "conn=1 crashes=14 corrupt=43 during=103 after=0 repair=174.691716286",
-     "events=6571 peak_queue=58"},
+     "digest=6bcbf6bd76ca9677 orig=155 deliv=103 rtx=120 mac=519 tretx=0 flows=0 "
+     "pdr=0.664516129032 delay=13.7793403301 nrl=1.16504854369 hops=1.41747572816 "
+     "conn=1 crashes=14 corrupt=0 during=103 after=0 repair=193.809308727",
+     "events=6879 peak_queue=68"},
     {Family::kFaulted, "DSR", 1,
-     "digest=bd46252d613efbda orig=155 deliv=103 rtx=128 mac=602 tretx=0 flows=0 "
-     "pdr=0.664516129032 delay=7.09672205825 nrl=1.2427184466 hops=1.41747572816 "
-     "conn=1 crashes=14 corrupt=45 during=103 after=0 repair=163.187730071",
-     "events=7182 peak_queue=52"},
+     "digest=a8789cbca1567011 orig=155 deliv=100 rtx=127 mac=623 tretx=0 flows=0 "
+     "pdr=0.645161290323 delay=9.51758554 nrl=1.27 hops=1.46 "
+     "conn=1 crashes=14 corrupt=0 during=100 after=0 repair=186.249841273",
+     "events=7660 peak_queue=54"},
     {Family::kFaulted, "CBRP", 1,
-     "digest=9867ef7cf763d82c orig=155 deliv=76 rtx=202 mac=345 tretx=0 flows=0 "
-     "pdr=0.490322580645 delay=9.69991131579 nrl=2.65789473684 hops=1.21052631579 "
-     "conn=1 crashes=14 corrupt=43 during=76 after=0 repair=185.7412915",
-     "events=5467 peak_queue=57"},
+     "digest=f63007b3e5d8542d orig=155 deliv=99 rtx=216 mac=491 tretx=0 flows=0 "
+     "pdr=0.638709677419 delay=940.866321424 nrl=2.18181818182 hops=1.39393939394 "
+     "conn=1 crashes=14 corrupt=0 during=99 after=0 repair=282.556566818",
+     "events=7821 peak_queue=52"},
     {Family::kFaulted, "DSDV", 1,
-     "digest=4973dba043f8c0df orig=155 deliv=99 rtx=365 mac=506 tretx=0 flows=0 "
-     "pdr=0.638709677419 delay=5.23789954545 nrl=3.68686868687 hops=1.39393939394 "
-     "conn=1 crashes=14 corrupt=66 during=99 after=0 repair=221.587281357",
-     "events=9373 peak_queue=96"},
+     "digest=223080c5975e6b14 orig=155 deliv=91 rtx=370 mac=455 tretx=0 flows=0 "
+     "pdr=0.587096774194 delay=4.89582897802 nrl=4.06593406593 hops=1.34065934066 "
+     "conn=1 crashes=14 corrupt=0 during=91 after=0 repair=253.654259182",
+     "events=9531 peak_queue=88"},
     {Family::kFaulted, "OLSR", 1,
-     "digest=4739550ebf32b664 orig=155 deliv=94 rtx=229 mac=573 tretx=0 flows=0 "
-     "pdr=0.606451612903 delay=5.00857407447 nrl=2.43617021277 hops=1.36170212766 "
-     "conn=1 crashes=14 corrupt=38 during=94 after=0 repair=210.127528143",
-     "events=7979 peak_queue=87"},
+     "digest=1dfa8c7fc0e769c7 orig=155 deliv=84 rtx=227 mac=559 tretx=0 flows=0 "
+     "pdr=0.541935483871 delay=4.64838334524 nrl=2.70238095238 hops=1.28571428571 "
+     "conn=1 crashes=14 corrupt=0 during=84 after=0 repair=266.919917727",
+     "events=8079 peak_queue=79"},
     {Family::kFaulted, "LAR", 1,
-     "digest=c3d96c1268d6aabe orig=155 deliv=103 rtx=144 mac=549 tretx=0 flows=0 "
-     "pdr=0.664516129032 delay=6.34422041748 nrl=1.39805825243 hops=1.41747572816 "
-     "conn=1 crashes=14 corrupt=45 during=103 after=0 repair=159.491294643",
-     "events=6998 peak_queue=47"},
+     "digest=60af030d387308a7 orig=155 deliv=103 rtx=148 mac=530 tretx=0 flows=0 "
+     "pdr=0.664516129032 delay=6.51691608738 nrl=1.43689320388 hops=1.41747572816 "
+     "conn=1 crashes=14 corrupt=0 during=103 after=0 repair=184.723965273",
+     "events=7174 peak_queue=45"},
     {Family::kFaulted, "TORA", 1,
-     "digest=5ad351ebef08d71d orig=155 deliv=102 rtx=414 mac=508 tretx=0 flows=0 "
-     "pdr=0.658064516129 delay=7.14770956863 nrl=4.05882352941 hops=1.41176470588 "
-     "conn=1 crashes=14 corrupt=62 during=102 after=0 repair=158.838976143",
-     "events=9438 peak_queue=77"},
+     "digest=5c06597c3fadc815 orig=155 deliv=102 rtx=442 mac=490 tretx=0 flows=0 "
+     "pdr=0.658064516129 delay=10.1354331373 nrl=4.33333333333 hops=1.41176470588 "
+     "conn=1 crashes=14 corrupt=0 during=102 after=0 repair=186.209263818",
+     "events=10490 peak_queue=92"},
     {Family::kTransportFaulted, "AODV", 1,
-     "digest=5cdef0f5fe16c33a orig=155 deliv=103 rtx=129 mac=1039 tretx=7 flows=4 "
-     "pdr=0.664516129032 delay=26.4083792524 nrl=1.25242718447 hops=1.41747572816 "
-     "conn=1 crashes=14 corrupt=82 during=103 after=0 repair=174.524764",
-     "events=11644 peak_queue=60"},
+     "digest=43f386742613d6e8 orig=155 deliv=103 rtx=123 mac=1006 tretx=7 flows=4 "
+     "pdr=0.664516129032 delay=14.660354165 nrl=1.19417475728 hops=1.41747572816 "
+     "conn=1 crashes=14 corrupt=0 during=103 after=0 repair=193.846399636",
+     "events=11749 peak_queue=69"},
     {Family::kTransportFaulted, "DSDV", 1,
-     "digest=abe684980b73498c orig=155 deliv=99 rtx=369 mac=983 tretx=13 flows=4 "
-     "pdr=0.638709677419 delay=1248.04141461 nrl=3.72727272727 hops=1.39393939394 "
-     "conn=1 crashes=14 corrupt=81 during=99 after=0 repair=238.061546857",
-     "events=15352 peak_queue=96"},
+     "digest=694499ef78cfa768 orig=155 deliv=100 rtx=370 mac=986 tretx=13 flows=4 "
+     "pdr=0.645161290323 delay=1239.83154455 nrl=3.7 hops=1.4 "
+     "conn=1 crashes=14 corrupt=0 during=100 after=0 repair=276.018800364",
+     "events=15734 peak_queue=88"},
     {Family::kTransport, "AODV", 1,
      "digest=0b20a4772790a794 orig=155 deliv=155 rtx=32 mac=1612 tretx=1 flows=4 "
      "pdr=1 delay=24.4912135355 nrl=0.206451612903 hops=1.66451612903 "

@@ -74,10 +74,7 @@ TEST(SpecLoader, FullSchemaRoundTrip) {
                 "frame_loss_rate": 0.05},
       "mac": {"use_rts": false, "rts_threshold_bytes": 128, "ifq_capacity": 20},
       "urban": {"street_width_m": 15, "nlos_range_m": 60, "nlos_loss": 0.2},
-      "fault": {"crash_rate": 0.5, "downtime_mean_s": 8, "link_blackouts": 3,
-                "blackout_mean_s": 2, "corrupt_rate": 0.1, "corrupt_from_s": 20,
-                "corrupt_until_s": 40, "partition": true, "partition_frac": 0.4,
-                "partition_from_s": 30, "partition_until_s": 50, "window_from_s": 15},
+      "fault": {"crash_rate": 0.5, "downtime_mean_s": 8, "window_from_s": 15},
       "aodv": {"expanding_ring": false},
       "dsr": {"intermediate_reply": false},
       "olsr": {"mpr_flooding": false}
@@ -123,9 +120,6 @@ TEST(SpecLoader, FullSchemaRoundTrip) {
   EXPECT_EQ(c.mac.ifq_capacity, 20u);
   EXPECT_EQ(c.fault.crash_rate, 0.5);
   EXPECT_EQ(c.fault.downtime_mean, seconds(8));
-  EXPECT_EQ(c.fault.link_blackouts, 3);
-  EXPECT_EQ(c.fault.corrupt_rate, 0.1);
-  EXPECT_TRUE(c.fault.partition);
   EXPECT_EQ(c.fault.window_from, seconds(15));
   EXPECT_FALSE(c.aodv.expanding_ring);
   EXPECT_FALSE(c.dsr.intermediate_reply);
@@ -279,7 +273,7 @@ TEST(SpecErrors, OutOfRangeValues) {
       "duration_s": -5,
       "radio": {"frame_loss_rate": 1.0},
       "mobility": {"pause_s": -1},
-      "fault": {"corrupt_rate": 1.5}
+      "fault": {"crash_rate": -1}
     }
   })");
   ASSERT_FALSE(s.ok());
@@ -287,7 +281,7 @@ TEST(SpecErrors, OutOfRangeValues) {
   EXPECT_TRUE(has_error(s, "base.duration_s"));
   EXPECT_TRUE(has_error(s, "base.radio.frame_loss_rate"));
   EXPECT_TRUE(has_error(s, "base.mobility.pause_s"));
-  EXPECT_TRUE(has_error(s, "base.fault.corrupt_rate"));
+  EXPECT_TRUE(has_error(s, "base.fault.crash_rate"));
 }
 
 TEST(SpecErrors, NonIntegerWhereIntegerRequired) {

@@ -116,19 +116,18 @@ TEST(Trace, FaultRecordShapes) {
   {
     TraceWriter tw(path);
     tw.record_fault(milliseconds(12500), 4, "crash");
-    tw.record_fault(seconds(13), kBroadcast, "partition-start x=500");
+    tw.record_fault(seconds(13), 4, "restart");
     EXPECT_EQ(tw.lines(), 2u);
   }
   const auto lines = lines_of(slurp(path));
   ASSERT_EQ(lines.size(), 2u);
   EXPECT_EQ(lines[0], "F 12.500000000 _4_ FLT crash");
-  EXPECT_EQ(lines[1], "F 13.000000000 _*_ FLT partition-start x=500");
+  EXPECT_EQ(lines[1], "F 13.000000000 _4_ FLT restart");
 }
 
 // One faulted scenario end to end: the trace must interleave packet records
-// with the fault lifecycle — crash/restart lines per node, broadcast lines
-// for the partition — and timestamps must be non-decreasing (the trace is
-// written in event-execution order).
+// with the fault lifecycle — crash/restart lines per node — and timestamps
+// must be non-decreasing (the trace is written in event-execution order).
 TEST(Trace, ScenarioEmitsFaultLifecycle) {
   const std::string path = temp_path("trace_scenario.tr");
   ScenarioConfig cfg;
@@ -143,17 +142,12 @@ TEST(Trace, ScenarioEmitsFaultLifecycle) {
   cfg.fault.crash_rate = 1.0;
   cfg.fault.downtime_mean = seconds(5);
   cfg.fault.window_from = seconds(5);
-  cfg.fault.partition = true;
-  cfg.fault.partition_from = seconds(10);
-  cfg.fault.partition_until = seconds(15);
   const auto r = Scenario::run_once(cfg);
   EXPECT_GT(r.crashes, 0u);
 
   const std::string text = slurp(path);
   EXPECT_NE(text.find(" FLT crash"), std::string::npos);
   EXPECT_NE(text.find(" FLT restart"), std::string::npos);
-  EXPECT_NE(text.find("_*_ FLT partition-start"), std::string::npos);
-  EXPECT_NE(text.find("_*_ FLT partition-end"), std::string::npos);
   EXPECT_NE(text.find("s "), std::string::npos);  // data still flows
 
   double prev = 0.0;

@@ -77,20 +77,12 @@ inline ScenarioConfig dense_field(Protocol p, std::uint64_t seed) {
   return cfg;
 }
 
-/// Every fault kind at once: crashes, link blackouts, a corruption window
-/// and a partition, all after a 5 s quiet warm-up.
+/// The shared fault mix: one expected crash per node, 5 s mean downtime,
+/// after a 5 s quiet warm-up. Crashes are the only fault kind.
 inline FaultConfig rich_fault_config() {
   FaultConfig f;
   f.crash_rate = 1.0;
   f.downtime_mean = seconds(5);
-  f.link_blackouts = 2;
-  f.blackout_mean = seconds(3);
-  f.corrupt_rate = 0.05;
-  f.corrupt_from = seconds(8);
-  f.corrupt_until = seconds(16);
-  f.partition = true;
-  f.partition_from = seconds(10);
-  f.partition_until = seconds(15);
   f.window_from = seconds(5);
   return f;
 }
