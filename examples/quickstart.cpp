@@ -22,8 +22,7 @@ int main(int argc, char** argv) {
               manet::to_string(cfg.protocol), cfg.num_nodes, cfg.duration.sec());
   std::printf("%s\n", manet::describe(cfg).c_str());
 
-  manet::Scenario scenario(cfg);
-  const manet::ScenarioResult r = scenario.run();
+  const manet::ScenarioResult r = manet::Scenario::run_once(cfg);
 
   std::printf("Results:\n");
   std::printf("  packet delivery ratio : %.1f %%\n", r.pdr * 100.0);
@@ -38,6 +37,5 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(r.data_delivered));
   std::printf("  events executed       : %llu\n",
               static_cast<unsigned long long>(r.events));
-  std::printf("\n%s\n", scenario.stats().summary(cfg.duration).c_str());
   return 0;
 }

@@ -24,14 +24,14 @@ int main(int argc, char** argv) {
   const std::string trace_path = "/tmp/manetsim_trace_analysis.tr";
   ScenarioBuilder builder;
   if (argc > 1) builder.protocol(argv[1]);  // case-insensitive name lookup
-  const ScenarioConfig cfg = builder.nodes(30)
-                                 .area(800.0, 800.0)
-                                 .speed(0.1, 10.0)
-                                 .connections(6)
-                                 .duration(seconds(60))
-                                 .seed(7)
-                                 .trace(trace_path)
-                                 .build();
+  ScenarioConfig cfg = builder.nodes(30)
+                           .area(800.0, 800.0)
+                           .speed(0.1, 10.0)
+                           .connections(6)
+                           .duration(seconds(60))
+                           .seed(7)
+                           .build();
+  cfg.trace_path = trace_path;
 
   std::printf("trace analysis — %s, trace at %s\n\n", to_string(cfg.protocol),
               trace_path.c_str());

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 
 #include "core/assert.hpp"
 #include "core/rng.hpp"
@@ -32,14 +31,6 @@ int draw_count(RngStream& rng, double rate) {
 }
 
 }  // namespace
-
-const char* to_string(FaultEventKind kind) {
-  switch (kind) {
-    case FaultEventKind::kCrash: return "crash";
-    case FaultEventKind::kRestart: return "restart";
-  }
-  return "?";
-}
 
 FaultPlan FaultPlan::compile(const FaultConfig& cfg, std::uint32_t num_nodes, SimTime duration,
                              std::uint64_t seed) {
@@ -95,17 +86,6 @@ std::vector<std::pair<SimTime, SimTime>> FaultPlan::down_windows(NodeId id) cons
                        static_cast<long long>(ev.at.ns()));
       out.back().second = ev.at;
     }
-  }
-  return out;
-}
-
-std::string FaultPlan::to_string() const {
-  std::string out;
-  char line[128];
-  for (const FaultEvent& ev : events_) {
-    std::snprintf(line, sizeof(line), "%lld %s %u\n", static_cast<long long>(ev.at.ns()),
-                  manet::to_string(ev.kind), ev.a);
-    out += line;
   }
   return out;
 }

@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -40,13 +39,13 @@ enum class FaultEventKind : std::uint8_t {
   kRestart,
 };
 
-[[nodiscard]] const char* to_string(FaultEventKind kind);
-
 /// One compiled fault event: node `a` crashes or restarts at `at`.
 struct FaultEvent {
   SimTime at;
   FaultEventKind kind = FaultEventKind::kCrash;
   NodeId a = 0;
+
+  friend bool operator==(const FaultEvent&, const FaultEvent&) = default;
 };
 
 /// The full compiled schedule: a sorted, immutable list of FaultEvents.
@@ -64,10 +63,6 @@ class FaultPlan {
   /// restart (crash too close to the end of the run) yields an open-ended
   /// window capped at SimTime::max().
   [[nodiscard]] std::vector<std::pair<SimTime, SimTime>> down_windows(NodeId id) const;
-
-  /// One line per event — the byte-exact schedule fingerprint the
-  /// determinism tests pin.
-  [[nodiscard]] std::string to_string() const;
 
  private:
   std::vector<FaultEvent> events_;

@@ -203,7 +203,7 @@ void WifiMac::count_tx(const Packet& frame) {
   }
   switch (frame.kind) {
     case PacketKind::kData: stats_.on_data_tx(); break;
-    case PacketKind::kRoutingControl: stats_.on_routing_tx(frame.size_bytes()); break;
+    case PacketKind::kRoutingControl: stats_.on_routing_tx(); break;
     case PacketKind::kArp: stats_.on_arp_tx(); break;
   }
 }

@@ -15,7 +15,6 @@ Node::Node(Simulator& sim, StatsCollector& stats, Channel& channel, NodeId id,
       mac_(sim, mac_cfg, trx_, stats, RngStream(root_seed, "mac", id)),
       arp_(sim, id, mac_, stats) {
   MANET_EXPECTS(mobility_ != nullptr);
-  trx_.set_stats(&stats);
   mac_.set_listener(this);
   // ARP give-up is link-layer failure feedback, same as MAC retry exhaustion.
   arp_.set_failure_handler(

@@ -38,9 +38,10 @@ class RoutingProtocol {
   /// caches and pending discoveries flushed, buffered data dropped, exactly
   /// as a rebooted router would. Monotonic identity counters (DSDV/OLSR
   /// sequence numbers) may survive — real implementations persist them to
-  /// avoid their stale advertisements beating fresh ones. Default: nothing
-  /// to flush.
-  virtual void on_node_restart() {}
+  /// avoid their stale advertisements beating fresh ones. Pure, so a
+  /// protocol that forgets the cold restart does not compile; one with
+  /// nothing to flush says so with an empty override.
+  virtual void on_node_restart() = 0;
 
   [[nodiscard]] virtual const char* name() const = 0;
 

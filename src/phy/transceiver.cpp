@@ -42,7 +42,6 @@ SimTime Transceiver::transmit(const Packet& frame) {
     if (a.started) a.corrupted = true;
   }
   const SimTime airtime = channel_->transmit(id_, frame);
-  if (stats_ != nullptr) stats_->on_tx_energy(kTxPowerW * airtime.sec());
   sim_.schedule(airtime, [this] { tx_end(); });
   if (!was_busy && edges_wanted()) listener_->phy_busy_start();
   return airtime;
@@ -167,13 +166,12 @@ void Transceiver::apply_start(std::size_t i, bool notify) {
 }
 
 void Transceiver::apply_carrier_end(std::size_t i, bool notify) {
-  const Arrival a = ledger_[i];
+  const SimTime end = ledger_[i].end.time;
   ledger_[i] = ledger_.back();
   ledger_.pop_back();
   --rx_energy_;
   MANET_ASSERT(rx_energy_ >= 0);
-  if (stats_ != nullptr) stats_->on_rx_energy(kRxPowerW * (a.end.time - a.start.time).sec());
-  if (!busy()) went_idle(a.end.time, notify);
+  if (!busy()) went_idle(end, notify);
 }
 
 void Transceiver::end_decodable(std::uint64_t end_order) {
@@ -193,12 +191,10 @@ void Transceiver::finish_decodable(const Arrival& a) {
   // 1. The energy falls.
   --rx_energy_;
   MANET_ASSERT(rx_energy_ >= 0);
-  if (stats_ != nullptr) stats_->on_rx_energy(kRxPowerW * (a.end.time - a.start.time).sec());
   // 2. The frame goes up, or is counted lost. A frame whose tail overlapped
   // our own transmission is also lost.
   if (a.corrupted || transmitting_) {
     ++frames_corrupt_;
-    if (stats_ != nullptr) stats_->on_collision();
   } else {
     ++frames_rx_;
     if (listener_ != nullptr) listener_->phy_rx(*a.frame);

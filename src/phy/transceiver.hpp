@@ -24,11 +24,11 @@
 //     corrupt; the medium may go idle, which records the last idle instant.
 // Most steps are not events. A step is applied lazily the next time anything
 // looks at the ledger at a later point — a query, a transmission, a radio
-// switch, the next append, a delivery, or settle() at the horizon — in
-// (time, order) order, before the look. Nothing else changes the state the
-// steps read (the energy count, transmitting_, down_) except calls that
-// first apply every step before their own point, so a lazy step reads
-// exactly what its event would have read.
+// switch, the next append or a delivery — in (time, order) order, before
+// the look; steps no one looks at are never applied. Nothing else changes
+// the state the steps read (the energy count, transmitting_, down_) except
+// calls that first apply every step before their own point, so a lazy step
+// reads exactly what its event would have read.
 //
 // A step is an event only when something observes it at its instant:
 //   * the end of a decodable frame (the channel's delivery chain), for the
@@ -54,7 +54,6 @@
 #include "core/simulator.hpp"
 #include "packet/packet.hpp"
 #include "phy/phy_config.hpp"
-#include "stats/stats.hpp"
 
 namespace manet {
 
@@ -74,18 +73,12 @@ class PhyListener {
 
 class Transceiver {
  public:
-  // Energy model (ns-2 WaveLAN-style draws, joules = watts x seconds).
-  static constexpr double kTxPowerW = 1.4;  ///< transmit power draw
-  static constexpr double kRxPowerW = 1.0;  ///< receive power draw
-
   Transceiver(Simulator& sim, const PhyConfig& cfg, NodeId id);
 
   void attach_channel(Channel* ch) { channel_ = ch; }
   /// Attach the listener; from now on it hears every edge unless the MAC
   /// gates them with set_contending().
   void set_listener(PhyListener* l);
-  /// Optional energy/collision accounting sink.
-  void set_stats(StatsCollector* s) { stats_ = s; }
   [[nodiscard]] NodeId id() const { return id_; }
   [[nodiscard]] const PhyConfig& config() const { return cfg_; }
 
@@ -120,9 +113,6 @@ class Transceiver {
   /// A no-op if the radio was down at its start.
   void end_decodable(std::uint64_t end_order);
 
-  /// Apply every step before the current point. Scenario::run() calls it at
-  /// the horizon, so the rx energy counts every arrival that ended by then.
-  void settle() { apply_until(sim_.point()); }
   /// Arrivals in the ledger: those whose end has not been applied.
   [[nodiscard]] std::size_t ledger_size() const { return ledger_.size(); }
 
@@ -178,7 +168,6 @@ class Transceiver {
   NodeId id_;
   Channel* channel_ = nullptr;
   PhyListener* listener_ = nullptr;
-  StatsCollector* stats_ = nullptr;
 
   bool transmitting_ = false;
   bool down_ = false;

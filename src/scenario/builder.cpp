@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <string>
-#include <utility>
 
 #include "core/assert.hpp"
 
@@ -79,16 +78,6 @@ ScenarioBuilder& ScenarioBuilder::duration(SimTime duration) {
   return *this;
 }
 
-ScenarioBuilder& ScenarioBuilder::fault(const FaultConfig& fault) {
-  cfg_.fault = fault;
-  return *this;
-}
-
-ScenarioBuilder& ScenarioBuilder::trace(std::string path) {
-  cfg_.trace_path = std::move(path);
-  return *this;
-}
-
 ScenarioBuilder& ScenarioBuilder::urban(double street_width_m, double nlos_range_m,
                                         double nlos_loss) {
   cfg_.phy.street_width_m = street_width_m;
@@ -98,8 +87,6 @@ ScenarioBuilder& ScenarioBuilder::urban(double street_width_m, double nlos_range
 }
 
 ScenarioConfig ScenarioBuilder::build() const { return cfg_; }
-
-ScenarioResult ScenarioBuilder::run() const { return Scenario::run_once(build()); }
 
 ScenarioBuilder urban_scenario(std::uint32_t nodes) {
   // Constant density: the paper's 50 nodes over ~1 km², with the city side

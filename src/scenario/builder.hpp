@@ -6,19 +6,19 @@
 // offending values in the contract message, whether the config came from
 // build(), from a scenario file or from field pokes.
 //
-//   const ScenarioResult r = ScenarioBuilder()
-//                                .protocol("DSR")
-//                                .nodes(50)
-//                                .area(1500, 300)
-//                                .pause(seconds(30))
-//                                .run();
+//   const ScenarioConfig cfg = ScenarioBuilder()
+//                                  .protocol("DSR")
+//                                  .nodes(50)
+//                                  .area(1500, 300)
+//                                  .pause(seconds(30))
+//                                  .build();
+//   const ScenarioResult r = Scenario::run_once(cfg);
 //
 // Knobs without a setter are plain field writes on the built config.
 // Direct aggregate construction of ScenarioConfig outside src/scenario/ is
 // flagged by manet_lint (scenario-config-aggregate).
 #pragma once
 
-#include <string>
 #include <string_view>
 
 #include "scenario/scenario.hpp"
@@ -57,8 +57,6 @@ class ScenarioBuilder {
 
   // -- run shape --------------------------------------------------------------
   ScenarioBuilder& duration(SimTime duration);
-  ScenarioBuilder& fault(const FaultConfig& fault);
-  ScenarioBuilder& trace(std::string path);
 
   // -- stack ------------------------------------------------------------------
   /// Urban street-canyon shadowing (see PhyConfig): NLOS pairs decode only
@@ -70,9 +68,6 @@ class ScenarioBuilder {
 
   /// The staged config, unchecked: Scenario checks it when a run starts.
   [[nodiscard]] ScenarioConfig build() const;
-
-  /// build() and run the scenario once.
-  [[nodiscard]] ScenarioResult run() const;
 
  private:
   ScenarioConfig cfg_;

@@ -382,7 +382,6 @@ void Scenario::sample_connectivity() {
   for (std::size_t i = 0; i < n; ++i) {
     conn_by_cell_[conn_start_[cell_of(conn_pos_[i]) + 1]++] = static_cast<NodeId>(i);
   }
-  conn_expansions_ += n;
 
   conn_parent_.resize(n);
   std::iota(conn_parent_.begin(), conn_parent_.end(), NodeId{0});
@@ -443,9 +442,6 @@ void Scenario::apply_fault(const FaultEvent& ev) {
 ScenarioResult Scenario::run() {
   build();
   sim_.run_until(cfg_.duration);
-  // Arrivals nothing observed are applied lazily; apply those that ended by
-  // the horizon, so the rx energy counts them.
-  for (auto& node : nodes_) node->transceiver().settle();
   if (trace_) trace_->flush();
 
   ScenarioResult r;

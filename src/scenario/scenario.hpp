@@ -172,7 +172,8 @@ struct ScenarioResult {
   std::uint64_t delivered_after_fault = 0;
 
   /// Frames every transceiver decoded / received corrupted, summed at the
-  /// horizon (after the lazy arrivals that ended by then are applied).
+  /// horizon. Each is counted at a decodable end, which is always an event,
+  /// so no lazily applied arrival step moves them.
   std::uint64_t frames_rx = 0;
   std::uint64_t frames_corrupt = 0;
 
@@ -223,10 +224,6 @@ class Scenario {
   [[nodiscard]] const FaultPlan& fault_plan() const { return fault_plan_; }
   /// Every traffic flow's (source, destination), in flow-id order.
   [[nodiscard]] const std::vector<std::pair<NodeId, NodeId>>& flows() const { return flows_; }
-  /// Nodes expanded by the connectivity oracle over the run so far: at most
-  /// one per node per 1 Hz sample (each sample buckets and scans every node
-  /// once).
-  [[nodiscard]] std::uint64_t connectivity_expansions() const { return conn_expansions_; }
 
  private:
   void sample_connectivity();
@@ -249,7 +246,6 @@ class Scenario {
   std::vector<std::pair<NodeId, NodeId>> flows_;
   std::uint64_t conn_samples_ = 0;
   std::uint64_t conn_connected_ = 0;
-  std::uint64_t conn_expansions_ = 0;
   // Scratch for sample_connectivity(), kept between samples: each node's
   // position, the cells' starts in conn_by_cell_ (the node ids by cell),
   // and the union-find parents.

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <thread>
 
@@ -76,10 +77,10 @@ std::string SweepResult::to_json() const {
     os << "},\n     \"profile\": {\"peak_queue_depth\": " << c.peak_queue_depth
        << ", \"runs\": [";
     for (std::size_t k = 0; k < c.runs.size(); ++k) {
-      const RunProfile& r = c.runs[k];
+      const ScenarioResult& r = c.runs[k];
       char digest[17];
-      std::snprintf(digest, sizeof digest, "%016" PRIx64, r.digest);
-      os << (k == 0 ? "" : ", ") << "{\"seed\": " << r.seed << ", \"digest\": \"" << digest
+      std::snprintf(digest, sizeof digest, "%016" PRIx64, model_digest(r));
+      os << (k == 0 ? "" : ", ") << "{\"seed\": " << c.seed + k << ", \"digest\": \"" << digest
          << "\", \"events\": " << r.events
          << ", \"peak_queue_depth\": " << r.peak_queue_depth;
       // FlowMonitor table, present only for transport-enabled runs so
@@ -143,7 +144,6 @@ SweepResult SweepRunner::run(const std::vector<SweepCell>& cells) const {
   // from a shared cursor, so a slow cell's remaining seeds and the next
   // cells' replications run concurrently — no per-cell barrier.
   std::vector<ScenarioResult> results(total);
-  std::vector<RunProfile> profiles(total);
   std::atomic<std::size_t> cursor{0};
 
   auto worker = [&] {
@@ -155,17 +155,7 @@ SweepResult SweepRunner::run(const std::vector<SweepCell>& cells) const {
       ScenarioConfig cfg = cells[cell].config;
       cfg.seed += static_cast<std::uint64_t>(rep);
 
-      const ScenarioResult r = Scenario::run_once(cfg);
-
-      RunProfile p;
-      p.seed = cfg.seed;
-      p.digest = model_digest(r);
-      p.events = r.events;
-      p.peak_queue_depth = r.peak_queue_depth;
-      p.retransmissions = r.retransmissions;
-      p.flows = r.flows;
-      results[k] = r;
-      profiles[k] = p;
+      results[k] = Scenario::run_once(cfg);
     }
   };
 
@@ -186,12 +176,13 @@ SweepResult SweepRunner::run(const std::vector<SweepCell>& cells) const {
   for (std::size_t c = 0; c < cells.size(); ++c) {
     SweepCellResult cell;
     cell.label = cells[c].label;
+    cell.seed = cells[c].config.seed;
     const auto begin = results.begin() + static_cast<std::ptrdiff_t>(c * seeds);
-    cell.aggregate = aggregate_results({begin, begin + static_cast<std::ptrdiff_t>(seeds)});
-    cell.runs.assign(profiles.begin() + static_cast<std::ptrdiff_t>(c * seeds),
-                     profiles.begin() + static_cast<std::ptrdiff_t>((c + 1) * seeds));
-    for (const RunProfile& p : cell.runs) {
-      cell.peak_queue_depth = std::max(cell.peak_queue_depth, p.peak_queue_depth);
+    cell.runs.assign(std::make_move_iterator(begin),
+                     std::make_move_iterator(begin + static_cast<std::ptrdiff_t>(seeds)));
+    cell.aggregate = aggregate_results(cell.runs);
+    for (const ScenarioResult& r : cell.runs) {
+      cell.peak_queue_depth = std::max(cell.peak_queue_depth, r.peak_queue_depth);
     }
     sweep.total_events += cell.aggregate.total_events;
     sweep.peak_queue_depth = std::max(sweep.peak_queue_depth, cell.peak_queue_depth);

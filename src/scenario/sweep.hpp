@@ -35,23 +35,13 @@ struct SweepCell {
   ScenarioConfig config;
 };
 
-/// Deterministic profile of a single replication.
-struct RunProfile {
-  std::uint64_t seed = 0;
-  std::uint64_t digest = 0;  ///< model_digest() of the run's result
-  std::uint64_t events = 0;
-  std::size_t peak_queue_depth = 0;
-  /// Reliable-transport accounting, empty/0 when transport is disabled so
-  /// transport-free artifacts stay byte-identical to pre-transport ones.
-  std::uint64_t retransmissions = 0;
-  std::vector<std::pair<std::uint32_t, FlowRecord>> flows;
-};
-
 /// One cell of the finished sweep: aggregate metrics + profiling.
 struct SweepCellResult {
   std::string label;
   Aggregate aggregate;
-  std::vector<RunProfile> runs;      ///< per replication, seed order
+  /// The cell's base seed: replication k ran with seed + k.
+  std::uint64_t seed = 0;
+  std::vector<ScenarioResult> runs;  ///< per replication, seed order
   std::size_t peak_queue_depth = 0;  ///< max over replications
 };
 

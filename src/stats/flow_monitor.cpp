@@ -2,20 +2,17 @@
 
 namespace manet {
 
-void FlowMonitor::on_tx(std::uint32_t flow, NodeId src, NodeId dst, std::size_t payload_bytes,
-                        SimTime at) {
+void FlowMonitor::on_tx(std::uint32_t flow, NodeId src, NodeId dst, std::size_t payload_bytes) {
   FlowRecord& f = records_[flow];
   if (f.tx_packets == 0) {
     f.src = src;
     f.dst = dst;
-    f.first_tx = at;
   }
   ++f.tx_packets;
   f.tx_bytes += payload_bytes;
 }
 
-void FlowMonitor::on_rx(std::uint32_t flow, std::size_t payload_bytes, SimTime delay,
-                        SimTime at) {
+void FlowMonitor::on_rx(std::uint32_t flow, std::size_t payload_bytes, SimTime delay) {
   FlowRecord& f = records_[flow];
   ++f.rx_packets;
   f.rx_bytes += payload_bytes;
@@ -27,7 +24,6 @@ void FlowMonitor::on_rx(std::uint32_t flow, std::size_t payload_bytes, SimTime d
   }
   f.last_delay_s_ = d;
   f.has_last_delay_ = true;
-  f.last_rx = at;
 }
 
 const FlowRecord* FlowMonitor::find(std::uint32_t flow) const {

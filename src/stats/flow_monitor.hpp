@@ -34,8 +34,6 @@ struct FlowRecord {
   double delay_sum_s = 0.0;      ///< sum of end-to-end delays over rx_packets
   double jitter_sum_s = 0.0;     ///< sum of |delay_i - delay_{i-1}|
   std::uint64_t jitter_samples = 0;
-  SimTime first_tx = SimTime::zero();
-  SimTime last_rx = SimTime::zero();
 
   [[nodiscard]] double avg_delay_ms() const {
     return rx_packets == 0 ? 0.0 : delay_sum_s * 1e3 / static_cast<double>(rx_packets);
@@ -56,11 +54,11 @@ class FlowMonitor {
   /// The application offered one packet to the flow.
   void on_originated(std::uint32_t flow) { ++records_[flow].originated; }
   /// A segment's first transmission (retransmissions go to on_retransmit).
-  void on_tx(std::uint32_t flow, NodeId src, NodeId dst, std::size_t payload_bytes, SimTime at);
+  void on_tx(std::uint32_t flow, NodeId src, NodeId dst, std::size_t payload_bytes);
   void on_retransmit(std::uint32_t flow) { ++records_[flow].retransmissions; }
   /// A unique delivery at the sink; `delay` is end-to-end (original send to
   /// delivery, retransmission latency included).
-  void on_rx(std::uint32_t flow, std::size_t payload_bytes, SimTime delay, SimTime at);
+  void on_rx(std::uint32_t flow, std::size_t payload_bytes, SimTime delay);
 
   /// Record for `flow`, or nullptr if the flow never saw traffic.
   [[nodiscard]] const FlowRecord* find(std::uint32_t flow) const;

@@ -1,7 +1,5 @@
 #include "stats/stats.hpp"
 
-#include <sstream>
-
 namespace manet {
 
 const char* to_string(DropReason r) {
@@ -33,7 +31,7 @@ void StatsCollector::on_data_delivered(SimTime delay, std::size_t payload_bytes,
   delay_sum_s_ += delay.sec();
   delivered_bytes_ += payload_bytes;
   hops_sum_ += hops;
-  flow_monitor_.on_rx(flow, payload_bytes, delay, at);
+  flow_monitor_.on_rx(flow, payload_bytes, delay);
 
   // Fault-recovery bookkeeping. `at` is zero (and the fault counters idle)
   // unless the scenario armed a fault plan.
@@ -98,38 +96,6 @@ double StatsCollector::nml() const {
 double StatsCollector::throughput_bps(SimTime duration) const {
   if (duration <= SimTime::zero()) return 0.0;
   return static_cast<double>(delivered_bytes_) * 8.0 / duration.sec();
-}
-
-std::string StatsCollector::summary(SimTime duration) const {
-  std::ostringstream os;
-  os << "data: " << data_originated_ << " sent, " << data_delivered_ << " delivered (PDR "
-     << pdr() * 100.0 << "%)\n";
-  os << "delay: " << avg_delay_s() * 1e3 << " ms avg over " << avg_hops() << " hops avg\n";
-  os << "routing: " << routing_tx_ << " ctrl tx (" << routing_bytes_ << " B), NRL " << nrl()
-     << "\n";
-  os << "mac: " << mac_ctrl_tx_ << " ctrl tx, " << arp_tx_ << " arp tx, NML " << nml() << ", "
-     << collisions_ << " collisions\n";
-  os << "throughput: " << throughput_bps(duration) / 1e3 << " kbit/s\n";
-  os << "drops:";
-  for (std::size_t i = 0; i < static_cast<std::size_t>(DropReason::kCount_); ++i) {
-    if (drops_[i] != 0) {
-      os << ' ' << to_string(static_cast<DropReason>(i)) << '=' << drops_[i];
-    }
-  }
-  os << '\n';
-  if (crashes_ != 0) {
-    os << "faults: " << crashes_ << " crashes, " << delivered_during_fault_
-       << " delivered during / " << delivered_after_fault_ << " after outages, repair "
-       << mean_repair_latency_s() * 1e3 << " ms avg\n";
-  }
-  if (!flow_monitor_.records().empty()) {
-    os << "per-flow:";
-    for (const auto& [id, f] : flow_monitor_.records()) {
-      os << " #" << id << "=" << f.rx_packets << '/' << f.originated;
-    }
-    os << '\n';
-  }
-  return os.str();
 }
 
 }  // namespace manet

@@ -12,7 +12,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "core/time.hpp"
@@ -45,8 +44,8 @@ class StatsCollector {
   // Both also feed the per-flow ledger (flow_monitor()).
   void on_data_originated(std::uint32_t flow = 0);
   /// A unique delivery at the sink. `at` (absolute sim-time of the delivery)
-  /// feeds the fault-recovery metrics and the flow's last_rx; the zero
-  /// default keeps fault-free call sites unchanged.
+  /// feeds the fault-recovery metrics; the zero default keeps fault-free
+  /// call sites unchanged.
   void on_data_delivered(SimTime delay, std::size_t payload_bytes, std::uint32_t hops,
                          std::uint32_t flow = 0, SimTime at = SimTime::zero());
   void on_data_dropped(DropReason r) { ++drops_[static_cast<std::size_t>(r)]; }
@@ -55,18 +54,10 @@ class StatsCollector {
   void on_duplicate_delivery() { ++duplicate_deliveries_; }
 
   // -- control path (counted per transmission, i.e. per hop) ---------------
-  void on_routing_tx(std::size_t bytes) {
-    ++routing_tx_;
-    routing_bytes_ += bytes;
-  }
+  void on_routing_tx() { ++routing_tx_; }
   void on_mac_ctrl_tx() { ++mac_ctrl_tx_; }  // RTS / CTS / MAC ACK
   void on_arp_tx() { ++arp_tx_; }
   void on_data_tx() { ++data_tx_; }  // per-hop data transmissions (incl. retries)
-
-  // -- physical layer ------------------------------------------------------
-  void on_collision() { ++collisions_; }
-  void on_tx_energy(double joules) { energy_tx_j_ += joules; }
-  void on_rx_energy(double joules) { energy_rx_j_ += joules; }
 
   // -- fault injection -------------------------------------------------------
   /// A node crashed (Node::crash()): an outage begins.
@@ -90,22 +81,12 @@ class StatsCollector {
   [[nodiscard]] std::uint64_t data_delivered() const { return data_delivered_; }
   [[nodiscard]] std::uint64_t data_tx() const { return data_tx_; }
   [[nodiscard]] std::uint64_t routing_tx() const { return routing_tx_; }
-  [[nodiscard]] std::uint64_t routing_bytes() const { return routing_bytes_; }
   [[nodiscard]] std::uint64_t mac_ctrl_tx() const { return mac_ctrl_tx_; }
   [[nodiscard]] std::uint64_t arp_tx() const { return arp_tx_; }
-  [[nodiscard]] std::uint64_t collisions() const { return collisions_; }
   [[nodiscard]] std::uint64_t duplicate_deliveries() const { return duplicate_deliveries_; }
   /// Total application payload bytes over delivered data packets (the
   /// numerator of throughput; equals the ledger's summed rx_bytes).
   [[nodiscard]] std::uint64_t delivered_bytes() const { return delivered_bytes_; }
-  [[nodiscard]] double energy_tx_j() const { return energy_tx_j_; }
-  [[nodiscard]] double energy_rx_j() const { return energy_rx_j_; }
-  /// Radio energy (tx+rx airtime only; idle/sleep not modelled) per
-  /// delivered data packet, in millijoules; 0 when nothing was delivered.
-  [[nodiscard]] double energy_per_delivered_mj() const {
-    if (data_delivered_ == 0) return 0.0;
-    return (energy_tx_j_ + energy_rx_j_) * 1e3 / static_cast<double>(data_delivered_);
-  }
   [[nodiscard]] std::uint64_t drops(DropReason r) const {
     return drops_[static_cast<std::size_t>(r)];
   }
@@ -131,21 +112,14 @@ class StatsCollector {
   [[nodiscard]] FlowMonitor& flow_monitor() { return flow_monitor_; }
   [[nodiscard]] const FlowMonitor& flow_monitor() const { return flow_monitor_; }
 
-  /// Multi-line human-readable summary (examples and debugging).
-  [[nodiscard]] std::string summary(SimTime duration) const;
-
  private:
   std::uint64_t data_originated_ = 0;
   std::uint64_t data_delivered_ = 0;
   std::uint64_t data_tx_ = 0;
   std::uint64_t routing_tx_ = 0;
-  std::uint64_t routing_bytes_ = 0;
   std::uint64_t mac_ctrl_tx_ = 0;
   std::uint64_t arp_tx_ = 0;
-  std::uint64_t collisions_ = 0;
   std::uint64_t duplicate_deliveries_ = 0;
-  double energy_tx_j_ = 0.0;
-  double energy_rx_j_ = 0.0;
   std::uint64_t delivered_bytes_ = 0;
   std::uint64_t hops_sum_ = 0;
   double delay_sum_s_ = 0.0;

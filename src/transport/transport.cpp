@@ -61,7 +61,7 @@ bool ReliableTransport::try_send(std::uint32_t flow, NodeId dst, std::size_t pay
   if (dst == node_.id()) {  // degenerate self-flow: no network involved
     seg.pkt.ip.src = node_.id();
     seg.pkt.ip.ttl = kInitialTtl;
-    node_.stats().flow_monitor().on_tx(flow, node_.id(), dst, payload_bytes, sim_.now());
+    node_.stats().flow_monitor().on_tx(flow, node_.id(), dst, payload_bytes);
     deliver_in_order(seg.pkt);
     return true;
   }
@@ -76,8 +76,7 @@ void ReliableTransport::transmit_window(std::uint32_t flow, SenderFlow& f) {
   while (f.inflight < cw && f.inflight < f.window.size()) {
     Segment& seg = f.window[f.inflight];
     seg.first_tx = sim_.now();
-    node_.stats().flow_monitor().on_tx(flow, node_.id(), f.dst, seg.pkt.payload_bytes,
-                                       sim_.now());
+    node_.stats().flow_monitor().on_tx(flow, node_.id(), f.dst, seg.pkt.payload_bytes);
     ++f.inflight;
     node_.transport_send(seg.pkt);
   }

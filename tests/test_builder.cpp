@@ -37,7 +37,6 @@ TEST(ScenarioBuilder, SettersStageExactlyTheNamedFields) {
                                  .pause(seconds(30))
                                  .connections(20)
                                  .duration(seconds(90))
-                                 .trace("/tmp/t.tr")
                                  .build();
   EXPECT_EQ(cfg.protocol, Protocol::kOlsr);
   EXPECT_EQ(cfg.seed, 7u);
@@ -50,7 +49,6 @@ TEST(ScenarioBuilder, SettersStageExactlyTheNamedFields) {
   EXPECT_EQ(cfg.pause, seconds(30));
   EXPECT_EQ(cfg.num_connections, 20u);
   EXPECT_EQ(cfg.duration, seconds(90));
-  EXPECT_EQ(cfg.trace_path, "/tmp/t.tr");
 }
 
 TEST(ScenarioBuilder, ProtocolByNameIsCaseInsensitive) {
@@ -80,15 +78,6 @@ TEST(ScenarioBuilder, FromExistingConfigPreservesEveryField) {
   EXPECT_EQ(round.mac.ifq_capacity, 13u);
   // ...and variations stage on top of the imported base.
   EXPECT_EQ(ScenarioBuilder::from(base).nodes(44).build().num_nodes, 44u);
-}
-
-TEST(ScenarioBuilder, FaultSetterStagesTheFaultPlan) {
-  FaultConfig fault;
-  fault.crash_rate = 0.5;
-  fault.downtime_mean = seconds(5);
-  const ScenarioConfig cfg = ScenarioBuilder().fault(fault).build();
-  EXPECT_EQ(cfg.fault.crash_rate, 0.5);
-  EXPECT_EQ(cfg.fault.downtime_mean, seconds(5));
 }
 
 // ---------------------------------------------------------------------------
@@ -126,10 +115,9 @@ TEST(ScenarioBuilderDeathTest, RejectsFrameLossOutsideUnitInterval) {
 }
 
 TEST(ScenarioBuilderDeathTest, RejectsFaultWindowPastEndOfRun) {
-  FaultConfig fault;
-  fault.crash_rate = 0.5;
-  fault.window_from = seconds(500);  // run only lasts 150 s
-  const ScenarioConfig cfg = ScenarioBuilder().fault(fault).build();
+  ScenarioConfig cfg = ScenarioBuilder().build();
+  cfg.fault.crash_rate = 0.5;
+  cfg.fault.window_from = seconds(500);  // run only lasts 150 s
   EXPECT_DEATH({ Scenario s(cfg); }, "window");
 }
 

@@ -1,5 +1,5 @@
-// Tests for the substrate extensions: channel frame-loss model, radio energy
-// accounting, event tracing, and the scenario hooks that expose them.
+// Tests for the substrate extensions: channel frame-loss model, event
+// tracing, and the scenario hooks that expose them.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -56,36 +56,6 @@ TEST(FrameLoss, ExtremeLossBreaksConnectivity) {
   net.run_for(seconds(30));
   EXPECT_LT(net.stats().data_delivered(), 10u);
   EXPECT_GT(net.stats().total_drops(), 0u);
-}
-
-// ---------------------------------------------------------------------------
-// Energy accounting
-// ---------------------------------------------------------------------------
-
-TEST(Energy, TransmissionsAndReceptionsCharge) {
-  TestNet net(line_positions(2), aodv_factory());
-  net.send_data(0, 1);
-  net.run_for(seconds(2));
-  ASSERT_EQ(net.stats().data_delivered(), 1u);
-  EXPECT_GT(net.stats().energy_tx_j(), 0.0);
-  EXPECT_GT(net.stats().energy_rx_j(), 0.0);
-  EXPECT_GT(net.stats().energy_per_delivered_mj(), 0.0);
-}
-
-TEST(Energy, ScalesWithTraffic) {
-  auto run_with = [](int packets) {
-    TestNet net(line_positions(2), aodv_factory());
-    for (int i = 0; i < packets; ++i) net.send_data(0, 1, 0, static_cast<std::uint32_t>(i));
-    net.run_for(seconds(20));
-    return net.stats().energy_tx_j();
-  };
-  EXPECT_GT(run_with(50), run_with(5) * 2.0);
-}
-
-TEST(Energy, IdleNetworkWithReactiveProtocolUsesNone) {
-  TestNet net(line_positions(3), aodv_factory());
-  net.run_for(seconds(10));  // AODV is silent with no traffic
-  EXPECT_DOUBLE_EQ(net.stats().energy_tx_j(), 0.0);
 }
 
 // ---------------------------------------------------------------------------

@@ -49,9 +49,9 @@ TEST(FaultPlan, SameSeedCompilesByteIdenticalSchedule) {
   const auto a = FaultPlan::compile(f, 14, seconds(25), 42);
   const auto b = FaultPlan::compile(f, 14, seconds(25), 42);
   ASSERT_FALSE(a.empty());
-  EXPECT_EQ(a.to_string(), b.to_string());
+  EXPECT_EQ(a.events(), b.events());
   const auto c = FaultPlan::compile(f, 14, seconds(25), 43);
-  EXPECT_NE(a.to_string(), c.to_string());
+  EXPECT_NE(a.events(), c.events());
 }
 
 TEST(FaultPlan, DisabledConfigCompilesEmpty) {
@@ -59,7 +59,7 @@ TEST(FaultPlan, DisabledConfigCompilesEmpty) {
   EXPECT_FALSE(off.enabled());
   const auto plan = FaultPlan::compile(off, 20, seconds(100), 1);
   EXPECT_TRUE(plan.empty());
-  EXPECT_TRUE(plan.to_string().empty());
+  EXPECT_TRUE(plan.events().empty());
 }
 
 TEST(FaultPlan, EventsSortedAndCrashRestartAlternate) {

@@ -172,16 +172,18 @@ TEST(LintEngine, IdentifiersContainingBannedNamesNotFlagged) {
 }
 
 TEST(LintEngine, RuleTableCoversMlnt001Through015ExceptRetiredIds) {
-  // MLNT012/MLNT013 policed the retired sharded kernel; their ids stay unused.
-  EXPECT_EQ(manet::lint::rules().size(), 13u);
+  // MLNT012/MLNT013 policed the retired sharded kernel; MLNT014's missing
+  // on_node_restart() override is a compile error now. Their ids stay unused.
+  EXPECT_EQ(manet::lint::rules().size(), 12u);
   for (const manet::lint::RuleInfo& r : manet::lint::rules()) {
     EXPECT_NE(std::string(r.id), "MLNT012");
     EXPECT_NE(std::string(r.id), "MLNT013");
+    EXPECT_NE(std::string(r.id), "MLNT014");
   }
 }
 
 // ---------------------------------------------------------------------------
-// Structural rule family (MLNT011, MLNT014, MLNT015)
+// Structural rule family (MLNT011, MLNT015)
 // ---------------------------------------------------------------------------
 
 TEST(StructuralRules, MutableStaticsFlaggedInSrc) {
@@ -221,21 +223,6 @@ TEST(StructuralRules, FullNodeScanIgnoredOutsideHotPathLayers) {
   EXPECT_EQ(
       count_rule(lint_fixture_as("full_node_scan.cpp", "src/scenario/fake.cpp"), "MLNT015"), 0);
   EXPECT_EQ(count_rule(lint_fixture_as("full_node_scan.cpp", "tools/fake.cpp"), "MLNT015"), 0);
-}
-
-TEST(StructuralRules, MissingRestartOverrideFlagged) {
-  const auto fs = lint_file(kFixtures + "/missing_restart.cpp");
-  ASSERT_EQ(count_rule(fs, "MLNT014"), 1) << "NaiveFlood only; CleanProtocol overrides, "
-                                             "NotAProtocol does not derive";
-  for (const Finding& f : fs) {
-    if (f.rule == "MLNT014") {
-      EXPECT_NE(f.message.find("NaiveFlood"), std::string::npos);
-    }
-  }
-}
-
-TEST(StructuralRules, MissingRestartSuppressedByRationale) {
-  EXPECT_TRUE(lint_file(kFixtures + "/missing_restart_suppressed.cpp").empty());
 }
 
 // ---------------------------------------------------------------------------

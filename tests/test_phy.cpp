@@ -274,6 +274,24 @@ TEST(Phy, ReceiverDownAtArrivalGetsNoEnd) {
   EXPECT_EQ(net.channel->transmissions_in_flight(), 0u);
 }
 
+// A receiver that crashes after the channel reserved its arrival but before
+// the arrival starts (inside the propagation delay) drops the arrival at its
+// start: no delivery, no corrupt frame, and nothing left in the ledger.
+TEST(Phy, ReceiverDownBeforeReservedArrivalStartsDropsIt) {
+  PhyNet net({{0.0, 0.0}, {150.0, 0.0}});
+  const SimTime arrive = net.channel->config().propagation(150.0);
+  const SimTime air = net.channel->transmit(0, net.data_frame(0, 1));
+  net.sim.schedule_at(nanoseconds(arrive.ns() / 2), [&] { net.trx[1]->set_down(true); });
+  net.sim.run_until(arrive + air + milliseconds(1));
+  EXPECT_TRUE(net.listeners[1]->frames.empty());
+  EXPECT_EQ(net.listeners[1]->busy_starts, 0);
+  EXPECT_EQ(net.trx[1]->frames_received(), 0u);
+  EXPECT_EQ(net.trx[1]->frames_corrupted(), 0u);
+  EXPECT_FALSE(net.trx[1]->medium_busy());
+  EXPECT_EQ(net.trx[1]->ledger_size(), 0u);
+  EXPECT_EQ(net.channel->transmissions_in_flight(), 0u);
+}
+
 // Every per-transmission record goes back to the pool once its arrivals
 // have run, including transmissions nobody hears.
 TEST(Phy, TransmissionRecordsReturnToPoolWhenDrained) {
@@ -551,9 +569,9 @@ TEST(PhyLedger, DrainedLedgerHoldsOnlyArrivalsOnTheAir) {
     ASSERT_LE(held, reach.size()) << "frame " << k;
     sim.run_until(sim.now() + milliseconds(5));
     for (const auto& t : trx) {
-      t->settle();
-      ASSERT_EQ(t->ledger_size(), 0u) << "frame " << k << " node " << t->id();
+      // The query applies every step before now; the ledger is then empty.
       ASSERT_FALSE(t->medium_busy());
+      ASSERT_EQ(t->ledger_size(), 0u) << "frame " << k << " node " << t->id();
     }
     heard += reach.size();
   }
@@ -637,8 +655,8 @@ TEST(PhyLedger, ContentionEnteredMidReceptionStartsDifsAtTheEnd) {
 // recorded with every node's position at that instant; afterwards each
 // receiver's arrivals, its own transmissions and its radio's down windows
 // give, as plain time intervals, which frames must be delivered or lost,
-// whether the medium is busy at sampled instants, when it last went idle,
-// and the rx energy at the horizon. Steps of two arrivals at one instant
+// whether the medium is busy at sampled instants and when it last went
+// idle. Steps of two arrivals at one instant
 // run in the order their frames were sent: that is the order in which the
 // channel reserved their numbers. Such ties are common on the strip: a relay
 // that forwards a frame the instant it ends (the MAC contention defect)
@@ -769,7 +787,6 @@ void check_against_oracle(const ScenarioConfig& cfg) {
   };
 
   std::vector<Delivery> want_rx;
-  double want_rx_air_s = 0.0;
   std::uint64_t corrupt_total = 0;
   for (NodeId j = 0; j < sc.size(); ++j) {
     // Nothing radiates from a down sender or reaches a down receiver, and a
@@ -791,9 +808,7 @@ void check_against_oracle(const ScenarioConfig& cfg) {
     std::uint64_t want_corrupt = 0;
     for (std::size_t i = 0; i < acc.size(); ++i) {
       const OracleArrival& a = acc[i];
-      if (before(cfg.duration, a.end)) continue;
-      want_rx_air_s += (a.end - a.start).sec();
-      if (!a.decodable) continue;
+      if (before(cfg.duration, a.end) || !a.decodable) continue;
       // Overlap with another accepted arrival: only neighbours in start
       // order that begin less than the longest airtime apart can.
       bool lost = false;
@@ -838,8 +853,6 @@ void check_against_oracle(const ScenarioConfig& cfg) {
   std::sort(delivered.begin(), delivered.end());
   std::sort(want_rx.begin(), want_rx.end());
   EXPECT_EQ(delivered, want_rx);
-  EXPECT_NEAR(sc.stats().energy_rx_j(), Transceiver::kRxPowerW * want_rx_air_s,
-              1e-9 * sc.stats().energy_rx_j());
   EXPECT_EQ(ties, 0u);
   EXPECT_GT(want_rx.size(), 3000u);
   EXPECT_GT(corrupt_total, 50u);

@@ -229,8 +229,8 @@ TEST(UrbanFamily, BuilderWiresTheStreetCanyonModel) {
 
 TEST(UrbanFamily, AllProtocolsRunItUnchanged) {
   for (const ProtocolEntry& entry : kProtocols) {
-    const ScenarioResult r =
-        urban_scenario(30).protocol(entry.name).seed(1).duration(seconds(15)).run();
+    const ScenarioResult r = Scenario::run_once(
+        urban_scenario(30).protocol(entry.name).seed(1).duration(seconds(15)).build());
     EXPECT_GT(r.events, 0u) << entry.name;
     EXPECT_GT(r.data_originated, 0u) << entry.name;
   }
@@ -240,22 +240,21 @@ TEST(UrbanFamily, ShadowingActuallyBites) {
   // The same city with the canyon model on vs off must diverge — otherwise
   // the "urban" family is silently the open-field family.
   ScenarioBuilder b = urban_scenario(40).protocol(Protocol::kAodv).seed(2).duration(seconds(20));
-  const ScenarioResult on = b.run();
-  const ScenarioResult off = ScenarioBuilder::from(b.build()).urban(0.0).run();
+  const ScenarioResult on = Scenario::run_once(b.build());
+  const ScenarioResult off = Scenario::run_once(b.urban(0.0).build());
   EXPECT_NE(model_digest(on), model_digest(off));
   // NLOS pruning can only remove oracle edges.
   EXPECT_LE(on.connectivity, off.connectivity);
 }
 
 TEST(UrbanFamily, FaultedRunsReplayIdentically) {
-  FaultConfig fault;
-  fault.crash_rate = 1.0;
-  fault.downtime_mean = seconds(4);
-  fault.window_from = seconds(4);
-  ScenarioBuilder b =
-      urban_scenario(40).protocol(Protocol::kAodv).seed(5).duration(seconds(20)).fault(fault);
-  const ScenarioResult first = b.run();
-  const ScenarioResult again = b.run();
+  ScenarioConfig cfg =
+      urban_scenario(40).protocol(Protocol::kAodv).seed(5).duration(seconds(20)).build();
+  cfg.fault.crash_rate = 1.0;
+  cfg.fault.downtime_mean = seconds(4);
+  cfg.fault.window_from = seconds(4);
+  const ScenarioResult first = Scenario::run_once(cfg);
+  const ScenarioResult again = Scenario::run_once(cfg);
   test::expect_same_run(first, again, "faulted urban run not replay-safe");
   EXPECT_GT(first.crashes, 0u) << "fault plan produced no crashes; restart path untested";
 }
@@ -267,11 +266,8 @@ TEST(UrbanFamily, FaultedRunsReplayIdentically) {
 TEST(ScaleStructural, FiveThousandNodeCityCompletesWithBoundedMemory) {
   // Short horizon (traffic starts at 10 s) — this guards build + hot paths
   // at city scale; the full 10k × 900 s acceptance run lives in fig_scale.
-  const ScenarioResult r = urban_scenario(5000)
-                               .protocol(Protocol::kAodv)
-                               .seed(1)
-                               .duration(seconds(12))
-                               .run();
+  const ScenarioResult r = Scenario::run_once(
+      urban_scenario(5000).protocol(Protocol::kAodv).seed(1).duration(seconds(12)).build());
   EXPECT_GT(r.events, 0u);
   EXPECT_GT(r.data_originated, 0u);
   const std::uint64_t rss = test::process_peak_rss_bytes();

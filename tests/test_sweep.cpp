@@ -50,8 +50,13 @@ TEST(Sweep, CellsKeepRegistrationOrderAndSeeds) {
   EXPECT_EQ(r.cells[1].label, "aodv/b");
   EXPECT_EQ(r.cells[2].label, "dsdv/a");
   ASSERT_EQ(r.cells[1].runs.size(), 2u);
-  EXPECT_EQ(r.cells[1].runs[0].seed, 50u);  // base seed ...
-  EXPECT_EQ(r.cells[1].runs[1].seed, 51u);  // ... + replication index
+  EXPECT_EQ(r.cells[1].seed, 50u);
+  // Replication k is the run at base seed + k.
+  EXPECT_EQ(model_digest(r.cells[1].runs[1]),
+            model_digest(Scenario::run_once(tiny_config(Protocol::kAodv, 51))));
+  const std::string json = r.to_json();
+  EXPECT_NE(json.find("{\"seed\": 50, "), std::string::npos);
+  EXPECT_NE(json.find("{\"seed\": 51, "), std::string::npos);
   EXPECT_EQ(r.seeds_per_cell, 2);
 }
 

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""List the src/ code that only tests reach, not any experiment.
+"""List the src/ code that only tests reach, and the code that nothing reaches.
 
 Works on a build configured with `--coverage` (gcc, gcov 9 or newer):
 
@@ -19,7 +19,8 @@ A src/ line or function counts as reached when any translation unit ran it
 
 The report lists, per src/ file, the instrumented lines, the lines each pass
 reached, and the lines and functions that only tests reach, minus the test
-oracles in ORACLES. Run it from any directory; paths are taken relative to
+oracles in ORACLES. A second section lists, per file, the instrumented lines
+that neither pass reaches: code no experiment runs and no test checks. Run it from any directory; paths are taken relative to
 the repository that holds this script. Exits 1 if a scenario run or ctest
 fails (the report is still printed), 2 on bad arguments.
 """
@@ -127,8 +128,8 @@ def oracle(names):
 def report(exp, tests):
     exp_lines, exp_funcs = exp
     test_lines, test_funcs = tests
-    rows, details = [], []
-    total = {"lines": 0, "tests": 0, "exp": 0, "only": 0, "oracle": 0}
+    rows, details, neither_rows = [], [], []
+    total = {"lines": 0, "tests": 0, "exp": 0, "only": 0, "oracle": 0, "neither": 0}
     for rel in sorted(set(exp_lines) | set(test_lines)):
         el, tl = exp_lines.get(rel, {}), test_lines.get(rel, {})
         tf, ef = test_funcs.get(rel, {}), exp_funcs.get(rel, {})
@@ -141,6 +142,10 @@ def report(exp, tests):
         by_tests = {n for n in instrumented if tl.get(n, 0) > 0}
         by_exp = {n for n in instrumented if el.get(n, 0) > 0}
         only = sorted(n for n in by_tests - by_exp if not in_oracle(n))
+        neither = sorted(instrumented - by_tests - by_exp)
+        total["neither"] += len(neither)
+        if neither:
+            neither_rows.append((rel, len(instrumented), neither))
         total["lines"] += len(instrumented)
         total["tests"] += len(by_tests)
         total["exp"] += len(by_exp)
@@ -164,6 +169,15 @@ def report(exp, tests):
         out.append(f"{rel}: lines {compress(only) if only else '-'}")
         for start, name in only_funcs:
             out.append(f"  {start:5}  {name}")
+
+    out += ["", "src/ lines that neither pass reaches", ""]
+    out.append(f"{'file':44} {'lines':>6} {'neither':>10}")
+    for rel, n, neither in sorted(neither_rows, key=lambda r: (-len(r[2]), r[0])):
+        out.append(f"{rel:44} {n:6} {len(neither):10}")
+    out.append(f"{'total (all src/ files)':44} {total['lines']:6} {total['neither']:10}")
+    for rel, _, neither in neither_rows:
+        out.append("")
+        out.append(f"{rel}: lines {compress(neither)}")
     return "\n".join(out) + "\n"
 
 

@@ -39,8 +39,6 @@ const std::vector<RuleInfo> kRules = {
      "positional ScenarioConfig init silently misassigns fields when they are reordered"},
     {"MLNT011", "mutable-global-state", "allow-global-state",
      "mutable namespace-scope/static state in src/ races concurrent replications"},
-    {"MLNT014", "missing-restart-override", "allow-no-restart",
-     "RoutingProtocol subclass lacks an on_node_restart() cold-restart override"},
     {"MLNT015", "full-node-scan", "allow-node-scan",
      "iterating every node in PHY/MAC/net code defeats grid-local candidate selection"},
 };
@@ -339,15 +337,15 @@ struct LineView {
 }
 
 // ---------------------------------------------------------------------------
-// Scope-aware analysis (MLNT011/MLNT014)
+// Scope-aware analysis (MLNT011)
 //
 // A lightweight C++ tokenizer plus a brace-matching scope walker — enough
-// structure to tell a namespace-scope variable from a local, a class data
-// member from a function, and to see a whole class body, without dragging in
-// libclang. Heuristic classification of `{`: a head containing `namespace`
-// opens a namespace, `enum` an enumeration, `class`/`struct`/`union`
-// (without a parameter list) a class, anything with `(` a function, and the
-// rest an initializer/plain block. Fixtures in tests/lint_fixtures pin the
+// structure to tell a namespace-scope variable from a local and a class data
+// member from a function, without dragging in libclang. Heuristic
+// classification of `{`: a head containing `namespace` opens a namespace,
+// `enum` an enumeration, `class`/`struct`/`union` (without a parameter list)
+// a class, anything with `(` a function, and the rest an initializer/plain
+// block. Fixtures in tests/lint_fixtures pin the
 // corner cases.
 // ---------------------------------------------------------------------------
 
@@ -402,17 +400,6 @@ struct MutableStatic {
   const char* kind = "";  ///< "namespace-scope", "static data member", "function-local static"
 };
 
-struct ProtocolClass {
-  int line = 0;
-  std::string name;
-  bool has_restart = false;
-};
-
-struct ScopeAnalysis {
-  std::vector<MutableStatic> mutable_statics;
-  std::vector<ProtocolClass> protocol_classes;
-};
-
 [[nodiscard]] bool stmt_contains(const std::vector<Token>& s, std::string_view word) {
   return std::any_of(s.begin(), s.end(),
                      [&](const Token& t) { return t.ident && t.text == word; });
@@ -429,18 +416,16 @@ struct ScopeAnalysis {
 }
 
 /// Walk the token stream tracking scopes; collect mutable static/global
-/// variable declarations and RoutingProtocol subclasses.
-[[nodiscard]] ScopeAnalysis analyze_scopes(const std::vector<Token>& toks) {
-  ScopeAnalysis out;
+/// variable declarations.
+[[nodiscard]] std::vector<MutableStatic> analyze_scopes(const std::vector<Token>& toks) {
+  std::vector<MutableStatic> out;
 
-  struct Scope {
-    char kind;            ///< 'n'amespace, 'c'lass, 'f'unction, 'b'lock/init, 'e'num
-    int proto_class = -1; ///< index into out.protocol_classes when a tracked class
-  };
-  std::vector<Scope> scopes;  // empty vector == translation-unit (namespace) scope
-  std::vector<Token> stmt;    // tokens since the last ; { }
+  // 'n'amespace, 'c'lass, 'f'unction, 'b'lock/init, 'e'num; an empty stack
+  // is translation-unit (namespace) scope.
+  std::vector<char> scopes;
+  std::vector<Token> stmt;  // tokens since the last ; { }
 
-  const auto scope_kind = [&]() -> char { return scopes.empty() ? 'n' : scopes.back().kind; };
+  const auto scope_kind = [&]() -> char { return scopes.empty() ? 'n' : scopes.back(); };
 
   // Flag `stmt` as a mutable variable declaration unless it is const, a
   // type/alias/using declaration, or a function declarator.
@@ -463,7 +448,7 @@ struct ScopeAnalysis {
       if (t.ident) name = t.text;
     }
     if (name.empty()) return;
-    out.mutable_statics.push_back({stmt.front().line, name, kind});
+    out.push_back({stmt.front().line, name, kind});
   };
 
   // Dispatch the statement head per scope before it is cleared (used on both
@@ -488,39 +473,20 @@ struct ScopeAnalysis {
 
   for (const Token& tok : toks) {
     if (tok.text == "{") {
-      Scope next{'b', -1};
+      char next = 'b';
       const char enclosing = scope_kind();
+      const bool has_params =
+          std::any_of(stmt.begin(), stmt.end(), [](const Token& t) { return t.text == "("; });
       if (stmt_contains(stmt, "namespace") || stmt_contains(stmt, "extern")) {
-        next.kind = 'n';
+        next = 'n';
       } else if (stmt_contains(stmt, "enum")) {
-        next.kind = 'e';
+        next = 'e';
       } else if ((stmt_contains(stmt, "class") || stmt_contains(stmt, "struct") ||
                   stmt_contains(stmt, "union")) &&
-                 !std::any_of(stmt.begin(), stmt.end(),
-                              [](const Token& t) { return t.text == "("; })) {
-        next.kind = 'c';
-        // `class X final : public [manet::]RoutingProtocol` — record the
-        // subclass so a missing on_node_restart override can be reported.
-        std::string name;
-        bool base_list = false;
-        bool derives = false;
-        for (const Token& t : stmt) {
-          if (t.ident && name.empty() &&
-              !(t.text == "class" || t.text == "struct" || t.text == "union" ||
-                t.text == "template" || t.text == "typename" || t.text == "final")) {
-            name = t.text;
-          }
-          if (t.text == ":") base_list = true;
-          if (base_list && t.ident && t.text == "RoutingProtocol") derives = true;
-        }
-        if (derives && name != "RoutingProtocol") {
-          next.proto_class = static_cast<int>(out.protocol_classes.size());
-          out.protocol_classes.push_back({stmt.front().line, name, false});
-        }
-      } else if ((enclosing == 'n' || enclosing == 'c') &&
-                 std::any_of(stmt.begin(), stmt.end(),
-                             [](const Token& t) { return t.text == "("; })) {
-        next.kind = 'f';
+                 !has_params) {
+        next = 'c';
+      } else if ((enclosing == 'n' || enclosing == 'c') && has_params) {
+        next = 'f';
       } else {
         // Brace initializer (`Foo g{...};`) or a block: the head may still
         // declare a variable at the enclosing scope — flag it now, because
@@ -549,13 +515,6 @@ struct ScopeAnalysis {
          stmt.front().text == "private")) {
       stmt.clear();
       continue;
-    }
-    if (tok.ident && tok.text == "on_node_restart") {
-      for (const Scope& s : scopes) {
-        if (s.proto_class >= 0) {
-          out.protocol_classes[static_cast<std::size_t>(s.proto_class)].has_restart = true;
-        }
-      }
     }
     stmt.push_back(tok);
   }
@@ -823,24 +782,14 @@ void check(const std::string& path, const std::vector<LineView>& lines,
     }
   }
 
-  // Scope-aware rules: one tokenize + scope walk per scan unit.
-  const ScopeAnalysis sc = analyze_scopes(tokenize(lines));
+  // The scope-aware rule: one tokenize + scope walk per src/ file.
   if (in_src) {
-    for (const MutableStatic& g : sc.mutable_statics) {
+    for (const MutableStatic& g : analyze_scopes(tokenize(lines))) {
       add("MLNT011", g.line,
           std::string("mutable ") + g.kind + " state `" + g.name +
               "` is shared by every replication SweepRunner runs concurrently; make it "
               "const, move it into per-node/per-scenario state, or annotate `// manet-lint: "
               "allow-global-state - <why it is thread-safe>`");
-    }
-  }
-  for (const ProtocolClass& c : sc.protocol_classes) {
-    if (!c.has_restart) {
-      add("MLNT014", c.line,
-          "RoutingProtocol subclass `" + c.name +
-              "` has no on_node_restart() override: a crashed node would resurrect with "
-              "stale routing state. Override it to cold-start (clear tables/seqnos), or "
-              "annotate `// manet-lint: allow-no-restart - <why>`");
     }
   }
 

@@ -17,19 +17,18 @@
 //   MLNT009 bad-suppression      malformed or rationale-free suppression
 //   MLNT010 scenario-config-aggregate  positional brace-construction
 //
-// Structural rules. These are scope-aware: a lightweight tokenizer tracks
+// Structural rules. MLNT011 is scope-aware: a lightweight tokenizer tracks
 // namespace/class/function nesting, so the checker knows a `static` inside a
-// function from a class data member and can see a whole class body when
-// looking for a missing override:
+// function from a class data member:
 //
 //   MLNT011 mutable-global-state  mutable namespace-scope/static state in src/
 //                                (SweepRunner's concurrent replications race on it)
-//   MLNT014 missing-restart-override  RoutingProtocol subclass without
-//                                on_node_restart()
 //   MLNT015 full-node-scan       loop over every node in PHY/MAC/net code
 //
-// (MLNT012 and MLNT013 policed the retired sharded kernel; their ids stay
-// unused so old findings never change meaning.)
+// (MLNT012 and MLNT013 policed the retired sharded kernel, and MLNT014 a
+// missing RoutingProtocol::on_node_restart() override, which is now pure
+// virtual, so the compiler rejects it. Their ids stay unused so old findings
+// never change meaning.)
 //
 // Suppressions: append `// manet-lint: <tag> - <rationale>` to the offending
 // line (or the line directly above it). Each rule has a tag (see rules()).
